@@ -122,14 +122,6 @@ def build_beta(need: ServiceNeed, grid: TimeGrid) -> dict[tuple[int, int], int]:
     return beta
 
 
-def tool_flags(service_type: str, scenario: Scenario) -> dict[str, int]:
-    """One-hot tool requirement vector for a service type."""
-    if service_type not in scenario.services:
-        raise KeyError(f"unknown service type {service_type!r}")
-    tool = scenario.services[service_type].required_tool
-    return {k: int(k == tool) for k in scenario.tool_ids()}
-
-
 @dataclass(frozen=True)
 class DemandStream:
     """All service needs over a campaign, ordered by occurrence date."""
@@ -142,12 +134,6 @@ class DemandStream:
         taus = [n.tau for n in self.needs]
         if taus != sorted(taus):
             raise ValueError("needs must be sorted by occurrence date")
-
-    def per_satellite(self) -> dict[str, list[ServiceNeed]]:
-        out: dict[str, list[ServiceNeed]] = {}
-        for n in self.needs:
-            out.setdefault(n.satellite, []).append(n)
-        return out
 
     def export_csv(self, path: str | Path):
         with Path(path).open("w", newline="") as fh:

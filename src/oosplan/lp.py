@@ -1,8 +1,10 @@
 """Generic mixed-integer linear model container with pluggable solving.
 
-Holds named variables, linear constraints and a maximize objective; solves
-in-process through scipy's HiGHS interface, or through any external solver via
-LP-file export and a plain ``variable value`` solution file.
+Holds variables indexed by hashable keys, linear constraints tagged with their
+family name, and a maximize objective; solves in-process through scipy's HiGHS
+interface, or through any external solver via LP-file export and a plain
+``variable value`` solution file. Display names are formatted only for export
+and error messages.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import re
 import shlex
 import subprocess
 import tempfile
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -24,16 +27,23 @@ CONTINUOUS = "cont"
 INTEGER = "int"
 BINARY = "bin"
 
-_STATUS = {0: "optimal", 1: "gap-stopped", 2: "infeasible", 3: "unbounded"}
+_STATUS = {0: "optimal", 1: "time-limit", 2: "infeasible", 3: "unbounded"}
 
 
 class SolveError(Exception):
     pass
 
 
+def col_name(key: Hashable) -> str:
+    """Display name of a column: ``tag[a|b|...]`` for a tuple key."""
+    if isinstance(key, tuple):
+        return key[0] + "[" + "|".join(map(str, key[1:])) + "]"
+    return str(key)
+
+
 @dataclass
 class Constraint:
-    name: str
+    name: str                   # constraint family
     coeffs: dict[int, float]
     sense: str                  # "<=", ">=", "=="
     rhs: float
@@ -41,14 +51,15 @@ class Constraint:
 
 @dataclass
 class SolveResult:
-    status: str                 # optimal | gap-stopped | infeasible | unbounded
+    status: str                 # optimal | time-limit | infeasible | unbounded
     objective: Optional[float]
-    values: dict[str, float]
+    values: dict[Hashable, float]
     gap: Optional[float] = None
 
     @property
     def feasible(self) -> bool:
-        return self.status in ("optimal", "gap-stopped")
+        """A solution came back (an optimum or a stopped search's incumbent)."""
+        return self.objective is not None
 
 
 class Model:
@@ -56,33 +67,41 @@ class Model:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.var_names: list[str] = []
         self.var_lb: list[float] = []
         self.var_ub: list[float] = []
         self.var_kind: list[str] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[Hashable, int] = {}     # key -> column, in order
         self.objective: dict[int, float] = {}
         self.constraints: list[Constraint] = []
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf,
+    def add_var(self, key: Hashable, lb: float = 0.0, ub: float = math.inf,
                 kind: str = CONTINUOUS) -> int:
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name!r}")
+        if key in self._index:
+            raise ValueError(f"duplicate variable {col_name(key)!r}")
         if kind == BINARY:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
-        idx = len(self.var_names)
-        self.var_names.append(name)
+        idx = len(self._index)
         self.var_lb.append(lb)
         self.var_ub.append(ub)
         self.var_kind.append(kind)
-        self._index[name] = idx
+        self._index[key] = idx
         return idx
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._index
 
-    def index(self, name: str) -> int:
-        return self._index[name]
+    def index(self, key: Hashable) -> int:
+        return self._index[key]
+
+    @property
+    def keys(self):
+        """Column keys, in column order."""
+        return self._index.keys()
+
+    @property
+    def var_names(self) -> list[str]:
+        """Display names of the columns, in column order."""
+        return [col_name(k) for k in self.keys]
 
     def fix(self, idx: int, value: float):
         self.var_lb[idx] = value
@@ -99,7 +118,7 @@ class Model:
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self._index)
 
     def solve(self, gap: float = 0.0, time_limit: Optional[float] = None) -> SolveResult:
         """Solve with HiGHS (scipy.optimize.milp)."""
@@ -138,7 +157,7 @@ class Model:
             raise SolveError(f"solver failure: {res.message}")
         if res.x is None:
             return SolveResult(status=status, objective=None, values={})
-        values = {nm: float(v) for nm, v in zip(self.var_names, res.x)}
+        values = dict(zip(self.keys, res.x.tolist()))
         achieved_gap = getattr(res, "mip_gap", None)
         return SolveResult(status=status, objective=float(-res.fun),
                            values=values, gap=achieved_gap)
@@ -146,28 +165,34 @@ class Model:
     # -- LP text format ----------------------------------------------------
 
     def write_lp(self, path: str | Path):
-        """Write the model in CPLEX LP format."""
-        lines = ["\\ " + self.name, "Maximize", " obj: " + _expr(
-            self.objective, self.var_names)]
+        """Write the model in CPLEX LP format.
+
+        Column ``j`` is named ``x<j>_`` plus its sanitized display name, so
+        names stay distinct even where sanitizing merges two display names;
+        row ``i`` is named ``c<i>_<family>``.
+        """
+        names = [f"x{j}_{_sanitize(col_name(k))}"
+                 for j, k in enumerate(self.keys)]
+        lines = ["\\ " + self.name, "Maximize",
+                 " obj: " + _expr(self.objective, names)]
         lines.append("Subject To")
         for i, con in enumerate(self.constraints):
             sense = {"<=": "<=", ">=": ">=", "==": "="}[con.sense]
-            nm = re.sub(r"[^A-Za-z0-9_]", "_", con.name) or f"c{i}"
-            lines.append(f" c{i}_{nm}: " + _expr(con.coeffs, self.var_names)
+            lines.append(f" c{i}_{_sanitize(con.name)}: "
+                         + _expr(con.coeffs, names)
                          + f" {sense} {con.rhs:.17g}")
         lines.append("Bounds")
-        for idx, nm in enumerate(self.var_names):
+        for idx, nm in enumerate(names):
             lb, ub = self.var_lb[idx], self.var_ub[idx]
-            sane = _sanitize(nm)
             if math.isinf(ub):
-                lines.append(f" {lb:.17g} <= {sane}")
+                lines.append(f" {lb:.17g} <= {nm}")
             else:
-                lines.append(f" {lb:.17g} <= {sane} <= {ub:.17g}")
+                lines.append(f" {lb:.17g} <= {nm} <= {ub:.17g}")
         generals = [i for i, k in enumerate(self.var_kind) if k != CONTINUOUS]
         if generals:
             lines.append("Generals")
             for idx in generals:
-                lines.append(" " + _sanitize(self.var_names[idx]))
+                lines.append(" " + names[idx])
         lines.append("End")
         Path(path).write_text("\n".join(lines) + "\n")
 
@@ -191,30 +216,33 @@ class Model:
                     f"{proc.stderr.strip()[:500]}")
             if not sol.exists():
                 raise SolveError("backend produced no solution file")
-            values = read_solution(sol, default_names=self.var_names)
-        obj = sum(coeff * values.get(self.var_names[idx], 0.0)
+            keys = list(self.keys)
+            values = read_solution(sol, keys)
+        obj = sum(coeff * values[keys[idx]]
                   for idx, coeff in self.objective.items())
         return SolveResult(status="optimal", objective=obj, values=values)
 
 
+_SOL_LINE = re.compile(r"x(\d+)_\S*\s+(\S+)")
+
+
 def read_solution(path: str | Path,
-                  default_names: Optional[list[str]] = None) -> dict[str, float]:
-    """Parse a ``variable_name value`` text solution file."""
-    values: dict[str, float] = {}
-    if default_names:
-        values.update({nm: 0.0 for nm in default_names})
-    rev = {_sanitize(nm): nm for nm in (default_names or [])}
+                  keys: list[Hashable]) -> dict[Hashable, float]:
+    """Parse a ``variable_name value`` solution file for a written LP.
+
+    Column ``x<j>_...`` maps to ``keys[j]``; columns the file omits are 0 and
+    lines that name no column are skipped.
+    """
+    x = [0.0] * len(keys)
     for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if len(parts) != 2:
-            continue
-        nm, val = parts
-        try:
-            v = float(val)
-        except ValueError:
-            continue
-        values[rev.get(nm, nm)] = v
-    return values
+        m = _SOL_LINE.fullmatch(line.strip())
+        if m:
+            j = int(m.group(1))
+            if j >= len(keys):
+                raise SolveError(f"solution names column {j} of a "
+                                 f"{len(keys)}-column model")
+            x[j] = float(m.group(2))
+    return dict(zip(keys, x))
 
 
 def _sanitize(name: str) -> str:
@@ -228,9 +256,9 @@ def _expr(coeffs: dict[int, float], names: list[str]) -> str:
         if coeff == 0.0:
             continue
         sign = "+" if coeff >= 0 else "-"
-        terms.append(f"{sign} {abs(coeff):.17g} {_sanitize(names[idx])}")
+        terms.append(f"{sign} {abs(coeff):.17g} {names[idx]}")
     if not terms:
-        return "0 " + _sanitize(names[0]) if names else "0"
+        return "0 " + names[0] if names else "0"
     out = " ".join(terms)
     return out[2:] if out.startswith("+ ") else out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .demand import ServiceNeed, build_beta
-from .lp import BINARY, CONTINUOUS, INTEGER, Model
+from .lp import BINARY, CONTINUOUS, INTEGER, Model, SolveResult, col_name
 from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
@@ -28,8 +28,9 @@ class ModelError(Exception):
     pass
 
 
-def vn(tag: str, *parts) -> str:
-    return tag + "[" + "|".join(str(p) for p in parts) + "]"
+def vn(tag: str, *parts) -> tuple:
+    """Column key of variable family ``tag`` at index ``parts``."""
+    return (tag, *parts)
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,6 @@ class InitialState:
     commodities: dict[str, dict[str, float]] = field(default_factory=dict)
     pending_arrivals: tuple[PendingArrival, ...] = ()
     committed: tuple[CommittedService, ...] = ()
-    #: vehicles launchable from Earth: id -> max count per launch step
-    vehicle_supply: dict[str, int] = field(default_factory=dict)
 
     def validate(self, scenario: Scenario):
         for v, loads in self.commodities.items():
@@ -80,16 +79,8 @@ class SolveOptions:
 
 
 @dataclass
-class Solution:
-    status: str
-    objective: Optional[float]
-    values: dict[str, float]
-    gap: Optional[float] = None
+class Solution(SolveResult):
     components: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def feasible(self) -> bool:
-        return self.status in ("optimal", "gap-stopped")
 
 
 class PlanProblem:
@@ -116,13 +107,12 @@ class PlanProblem:
     def _prepare(self):
         scn, net = self.scenario, self.net
         self.node_by_name = {n.name: n for n in self.nodes.nodes}
-        # active vehicles: deployed now or launchable from Earth
+        # active vehicles: deployed now or arriving
         self.active: dict[str, VehicleDesign] = {}
         for v in list(scn.servicers) + list(scn.depots):
             deployed = v.id in self.init.vehicle_nodes
             arriving = any(p.vehicle == v.id for p in self.init.pending_arrivals)
-            supplied = self.init.vehicle_supply.get(v.id, 0) > 0
-            if deployed or arriving or supplied:
+            if deployed or arriving:
                 self.active[v.id] = v
         self.launchers = {v.id: v for v in scn.launchers}
 
@@ -137,19 +127,10 @@ class PlanProblem:
             vid: [k for k, cap in v.capacities.items() if cap > 0]
             for vid, v in {**self.active, **self.launchers}.items()}
 
-        # usable arcs
-        def usable(a: TransportArc) -> bool:
-            if a.vehicle in self.active:
-                return True
-            if a.vehicle in self.launchers:
-                return a.is_launch
-            return False
-
-        self.arcs = [a for a in net.arcs if usable(a)]
-        # launch arcs for vehicles with zero Earth supply are dead weight
-        self.arcs = [a for a in self.arcs
-                     if not (a.is_launch and a.vehicle not in self.launchers
-                             and self.init.vehicle_supply.get(a.vehicle, 0) == 0)]
+        # usable arcs: launches by launchers, flights by active vehicles
+        self.arcs = [a for a in net.arcs
+                     if a.vehicle in (self.launchers if a.is_launch
+                                      else self.active)]
         self.dep_arcs: dict[tuple, list[TransportArc]] = {}
         self.arr_arcs: dict[tuple, list[TransportArc]] = {}
         for a in self.arcs:
@@ -266,8 +247,8 @@ class PlanProblem:
 
     # -- substituted inflow expressions ------------------------------------
 
-    def arc_consumption(self, a: TransportArc) -> dict[str, float]:
-        """Linear expression (var name -> coeff) for propellant burned on arc."""
+    def arc_consumption(self, a: TransportArc) -> dict[tuple, float]:
+        """Linear expression (key -> coeff) for propellant burned on arc."""
         if a.is_launch:
             return {}
         if a.r == "high_thrust":
@@ -275,7 +256,7 @@ class PlanProblem:
         pts = self.lt_points[a.key]
         return {vn("L", *a.key, n): f for n, (b, f) in enumerate(pts) if f != 0.0}
 
-    def arc_inflow(self, a: TransportArc, k: str) -> dict[str, float]:
+    def arc_inflow(self, a: TransportArc, k: str) -> dict[tuple, float]:
         """Commodity k arriving at the arc head, as an expression in outflows."""
         expr = {vn("U", *a.key, k): 1.0}
         mode = self._mode_of(a)
@@ -284,12 +265,12 @@ class PlanProblem:
                 expr[name] = expr.get(name, 0.0) - coeff
         return expr
 
-    def arc_vehicle_inflow(self, a: TransportArc) -> dict[str, float]:
+    def arc_vehicle_inflow(self, a: TransportArc) -> dict[tuple, float]:
         if a.vehicle in self.launchers:
             return {}               # launch vehicles are expended on arrival
         return {vn("W", *a.key): 1.0}
 
-    def holdover_inflow(self, vid: str, i: int, t_prev: int, k: str) -> dict[str, float]:
+    def holdover_inflow(self, vid: str, i: int, t_prev: int, k: str) -> dict[tuple, float]:
         expr = {vn("X", vid, i, t_prev, k): 1.0}
         v = self.active[vid]
         if v.station_keeping_rate > 0 and k == v.station_keeping_commodity:
@@ -300,10 +281,10 @@ class PlanProblem:
 
     # -- constraint families -----------------------------------------------
 
-    def _coeffs(self, expr: dict[str, float]) -> dict[int, float]:
+    def _coeffs(self, expr: dict[tuple, float]) -> dict[int, float]:
         return {self.model.index(nm): c for nm, c in expr.items()}
 
-    def _add_expr(self, into: dict[str, float], expr: dict[str, float],
+    def _add_expr(self, into: dict[tuple, float], expr: dict[tuple, float],
                   sign: float = 1.0):
         for nm, c in expr.items():
             into[nm] = into.get(nm, 0.0) + sign * c
@@ -333,9 +314,9 @@ class PlanProblem:
         return total
 
     def _commodity_outflow_row(self, vid: str, i: int, t: int,
-                               k: str) -> dict[str, float]:
+                               k: str) -> dict[tuple, float]:
         """LHS of a mass balance: holdover out + transport out - all inflows."""
-        row: dict[str, float] = {}
+        row: dict[tuple, float] = {}
         if vn("X", vid, i, t, k) in self.model:
             row[vn("X", vid, i, t, k)] = 1.0
             tp = t - self.grid.delta_backward(t)
@@ -371,7 +352,7 @@ class PlanProblem:
                                 row[vn("H", vid, need.id, t)] = \
                                     row.get(vn("H", vid, need.id, t), 0.0) + mag
                         if row:
-                            m.add_constr(f"bal_cust[{vid}|{i}|{t}|{k}]",
+                            m.add_constr("bal_cust",
                                          self._coeffs(row), "==", rhs)
 
         # commodity balance at parking nodes, pooled over vehicles
@@ -380,13 +361,13 @@ class PlanProblem:
             i = node.index
             for t in grid.steps:
                 for k in all_k:
-                    row: dict[str, float] = {}
+                    row: dict[tuple, float] = {}
                     rhs = 0.0
                     for vid in vids_all:
                         self._add_expr(row, self._commodity_outflow_row(vid, i, t, k))
                         rhs += self._init_stock(vid, i, k, t)
                     if row:
-                        m.add_constr(f"bal_park[{i}|{t}|{k}]",
+                        m.add_constr("bal_park",
                                      self._coeffs(row), "==", rhs)
 
         # Earth commodity supply caps
@@ -395,13 +376,13 @@ class PlanProblem:
             i = node.index
             for t in grid.steps:
                 for k in all_k:
-                    row: dict[str, float] = {}
+                    row: dict[tuple, float] = {}
                     for vid in vids_all:
                         for a in self.dep_arcs.get((vid, i, t), ()):
                             if k in self.carriable[a.vehicle]:
                                 row[vn("U", *a.key, k)] = 1.0
                     if row:
-                        m.add_constr(f"supply[{i}|{t}|{k}]",
+                        m.add_constr("supply",
                                      self._coeffs(row), "<=", sigma)
 
         # vehicle balances at orbital nodes
@@ -416,22 +397,19 @@ class PlanProblem:
                         row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) + 1.0
                     for a in self.arr_arcs.get((vid, i, t), ()):
                         self._add_expr(row, self.arc_vehicle_inflow(a), -1.0)
-                    m.add_constr(f"bal_veh[{vid}|{i}|{t}]", self._coeffs(row),
+                    m.add_constr("bal_veh", self._coeffs(row),
                                  "==", self._init_presence(vid, i, t))
 
-        # Earth vehicle supply
+        # Earth vehicle supply: one launcher per launch step
         for node in self.nodes.earth:
             i = node.index
             for t in grid.steps:
-                for vid in vids_all:
+                for vid in self.launchers:
                     deps = self.dep_arcs.get((vid, i, t), ())
                     if not deps:
                         continue
-                    cap = 1 if vid in self.launchers else \
-                        self.init.vehicle_supply.get(vid, 0)
                     row = {vn("W", *a.key): 1.0 for a in deps}
-                    m.add_constr(f"veh_supply[{vid}|{i}|{t}]",
-                                 self._coeffs(row), "<=", cap)
+                    m.add_constr("veh_supply", self._coeffs(row), "<=", 1)
 
     def _add_concurrency(self):
         m = self.model
@@ -442,20 +420,20 @@ class PlanProblem:
                     for k in self.carriable[vid]:
                         row = {vn("X", vid, i, t, k): 1.0,
                                vn("Y", vid, i, t): -v.capacities[k]}
-                        m.add_constr(f"cap_hold[{vid}|{i}|{t}|{k}]",
+                        m.add_constr("cap_hold",
                                      self._coeffs(row), "<=", 0.0)
         # transport capacity
         for a in self.arcs:
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
             for k in self.carriable[a.vehicle]:
                 row = {vn("U", *a.key, k): 1.0, vn("W", *a.key): -v.capacities[k]}
-                m.add_constr(f"cap_arc[{'|'.join(map(str, a.key))}|{k}]",
+                m.add_constr("cap_arc",
                              self._coeffs(row), "<=", 0.0)
             if v.payload_capacity is not None:
                 row = {vn("U", *a.key, k): self.scenario.unit_mass(k)
                        for k in self.carriable[a.vehicle]}
                 row[vn("W", *a.key)] = -v.payload_capacity
-                m.add_constr(f"cap_payload[{'|'.join(map(str, a.key))}]",
+                m.add_constr("cap_payload",
                              self._coeffs(row), "<=", 0.0)
 
     def _add_transformation(self):
@@ -468,18 +446,18 @@ class PlanProblem:
             row = {vn("Z", *a.key): 1.0, vn("W", *a.key): -v.dry_mass}
             for k in self.carriable[a.vehicle]:
                 row[vn("U", *a.key, k)] = -scn.unit_mass(k)
-            m.add_constr(f"wet_mass[{'|'.join(map(str, a.key))}]",
+            m.add_constr("wet_mass",
                          self._coeffs(row), "==", 0.0)
             if math.isfinite(a.mass_upper_bound):
                 row = {vn("Z", *a.key): 1.0,
                        vn("W", *a.key): -a.mass_upper_bound}
-                m.add_constr(f"mass_ub[{'|'.join(map(str, a.key))}]",
+                m.add_constr("mass_ub",
                              self._coeffs(row), "<=", 0.0)
             # propellant on board must cover the burn
             mode = self._mode_of(a)
             row = {vn("U", *a.key, mode.propellant_commodity): 1.0}
             self._add_expr(row, self.arc_consumption(a), -1.0)
-            m.add_constr(f"prop_avail[{'|'.join(map(str, a.key))}]",
+            m.add_constr("prop_avail",
                          self._coeffs(row), ">=", 0.0)
             if a.r == "low_thrust":
                 self._add_sos2(a)
@@ -495,7 +473,7 @@ class PlanProblem:
                         continue
                     row = {vn("X", vid, i, t, k): 1.0,
                            vn("Y", vid, i, t): -v.station_keeping_rate * dt}
-                    m.add_constr(f"sk_avail[{vid}|{i}|{t}]",
+                    m.add_constr("sk_avail",
                                  self._coeffs(row), ">=", 0.0)
 
     def _add_sos2(self, a: TransportArc):
@@ -504,13 +482,13 @@ class PlanProblem:
         n = len(pts)
         lam = [vn("L", *a.key, j) for j in range(n)]
         seg = [vn("G", *a.key, j) for j in range(n - 1)]
-        m.add_constr(f"sos2_sum[{'|'.join(map(str, a.key))}]",
+        m.add_constr("sos2_sum",
                      self._coeffs({v: 1.0 for v in lam}), "==", 1.0)
         row = {v: pts[j][0] for j, v in enumerate(lam) if pts[j][0] != 0.0}
         row[vn("Z", *a.key)] = -1.0
-        m.add_constr(f"sos2_mass[{'|'.join(map(str, a.key))}]",
+        m.add_constr("sos2_mass",
                      self._coeffs(row), "==", 0.0)
-        m.add_constr(f"sos2_seg[{'|'.join(map(str, a.key))}]",
+        m.add_constr("sos2_seg",
                      self._coeffs({v: 1.0 for v in seg}), "==", 1.0)
         for j, lv in enumerate(lam):
             row = {lv: 1.0}
@@ -518,7 +496,7 @@ class PlanProblem:
                 row[seg[j - 1]] = -1.0
             if j < n - 1:
                 row[seg[j]] = row.get(seg[j], 0.0) - 1.0
-            m.add_constr(f"sos2_adj[{'|'.join(map(str, a.key))}|{j}]",
+            m.add_constr("sos2_adj",
                          self._coeffs(row), "<=", 0.0)
 
     def _add_service_management(self):
@@ -528,7 +506,7 @@ class PlanProblem:
             row = {vn("H", vid, need.id, tau): 1.0
                    for vid in self.capable[need.id] for tau in need.window}
             if row:
-                m.add_constr(f"assign_once[{need.id}]", self._coeffs(row),
+                m.add_constr("assign_once", self._coeffs(row),
                              "<=", 1.0)
         # a vehicle only starts a service it was dispatched for
         for need in self.needs:
@@ -541,7 +519,7 @@ class PlanProblem:
                     for tau in need.window:
                         if self.beta[need.id].get((tau, t), 0):
                             row[vn("H", vid, need.id, tau)] = -1.0
-                    m.add_constr(f"dispatch[{vid}|{need.id}|{t}]",
+                    m.add_constr("dispatch",
                                  self._coeffs(row), "==", 0.0)
         # one service at a time per customer node
         for i, needs_i in self.needs_at.items():
@@ -552,7 +530,7 @@ class PlanProblem:
                         if vn("B", vid, need.id, t) in m:
                             row[vn("B", vid, need.id, t)] = 1.0
                 if row:
-                    m.add_constr(f"one_service[{i}|{t}]", self._coeffs(row),
+                    m.add_constr("one_service", self._coeffs(row),
                                  "<=", 1.0)
         # presence at customer nodes equals dispatch
         for vid, v in self.active.items():
@@ -566,7 +544,7 @@ class PlanProblem:
                         if vid in self.capable[need.id] \
                                 and vn("B", vid, need.id, t) in m:
                             row[vn("B", vid, need.id, t)] = -1.0
-                    m.add_constr(f"presence[{vid}|{i}|{t}]", self._coeffs(row),
+                    m.add_constr("presence", self._coeffs(row),
                                  "==", float(self._pinned(vid, i, t)))
         # the adequate tool must be on board
         for vid, v in self.active.items():
@@ -588,7 +566,7 @@ class PlanProblem:
                             raise ModelError(
                                 f"servicer {vid} cannot carry tool {k}")
                         row[vn("X", vid, i, t, k)] = 1.0
-                        m.add_constr(f"tool[{vid}|{i}|{t}|{k}]",
+                        m.add_constr("tool",
                                      self._coeffs(row), ">=", 0.0)
 
     def _add_flight_rules(self):
@@ -602,7 +580,7 @@ class PlanProblem:
             for node in self.nodes.customer:
                 i = node.index
                 for t in grid.steps:
-                    row: dict[str, float] = {}
+                    row: dict[tuple, float] = {}
                     for a in self.arr_arcs.get((vid, i, t), ()):
                         if not a.is_launch:
                             row[vn("W", *a.key)] = 1.0
@@ -614,12 +592,12 @@ class PlanProblem:
                             and self.node_by_name[self.init.vehicle_nodes[vid]].index == i:
                         row[vn("S0", vid)] = 1.0
                     if row:
-                        m.add_constr(f"arrival[{vid}|{i}|{t}]",
+                        m.add_constr("arrival",
                                      self._coeffs(row), "==", 0.0)
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
-        self.obj_terms: dict[str, dict[str, float]] = {
+        self.obj_terms: dict[str, dict[tuple, float]] = {
             "revenues": {}, "launch": {}, "pdm": {}, "delay": {},
             "depot_ops": {}, "servicer_ops": {}}
 
@@ -686,7 +664,7 @@ class PlanProblem:
             _check_integrality(self.model, sol.values)
         return sol
 
-    def cost_components(self, values: dict[str, float]) -> dict[str, float]:
+    def cost_components(self, values: dict[tuple, float]) -> dict[str, float]:
         out = {}
         for bucket, terms in self.obj_terms.items():
             out[bucket] = sum(coeff * values.get(nm, 0.0)
@@ -697,13 +675,13 @@ class PlanProblem:
         return out
 
 
-def _check_integrality(model: Model, values: dict[str, float],
+def _check_integrality(model: Model, values: dict[tuple, float],
                        tol: float = INT_TOL):
-    for nm, kind in zip(model.var_names, model.var_kind):
+    for key, kind in zip(model.keys, model.var_kind):
         if kind != CONTINUOUS:
-            v = values.get(nm, 0.0)
+            v = values.get(key, 0.0)
             if abs(v - round(v)) > tol:
-                raise ModelError(f"non-integral value {v} for {nm}")
+                raise ModelError(f"non-integral value {v} for {col_name(key)}")
 
 
 # -- independent solution audit --------------------------------------------
@@ -718,7 +696,7 @@ class Violation:
         return f"Violation({self.family}, {self.key}, {self.residual:.3e})"
 
 
-def audit(problem: PlanProblem, values: dict[str, float],
+def audit(problem: PlanProblem, values: dict[tuple, float],
           tol: float = 1e-6) -> list[Violation]:
     """Re-check every constraint family directly from the problem inputs.
 
@@ -746,9 +724,9 @@ def audit(problem: PlanProblem, values: dict[str, float],
             u -= consumption(a)
         return u
 
-    def flag(family, key, residual):
+    def flag(family, residual, *parts):
         if abs(residual) > tol:
-            out.append(Violation(family, key, residual))
+            out.append(Violation(family, "|".join(map(str, parts)), residual))
 
     def commodity_balance(vid, i, t, k):
         total = 0.0
@@ -783,8 +761,7 @@ def audit(problem: PlanProblem, values: dict[str, float],
                         if t in need.window and vid in problem.capable[need.id]:
                             rhs -= need.commodity_demand.get(k, 0.0) \
                                 * val("H", vid, need.id, t)
-                    flag("mass_balance_customer", f"{vid}|{i}|{t}|{k}",
-                         lhs - rhs)
+                    flag("mass_balance_customer", lhs - rhs, vid, i, t, k)
 
     # parking-node pooled balances
     vids_all = list(problem.active) + list(problem.launchers)
@@ -794,7 +771,7 @@ def audit(problem: PlanProblem, values: dict[str, float],
             for k in scn.commodities:
                 lhs = sum(commodity_balance(vid, i, t, k) for vid in vids_all
                           if k in problem.carriable.get(vid, ()))
-                flag("mass_balance_parking", f"{i}|{t}|{k}", lhs)
+                flag("mass_balance_parking", lhs, i, t, k)
 
     # vehicle balances
     for vid, v in problem.active.items():
@@ -809,8 +786,8 @@ def audit(problem: PlanProblem, values: dict[str, float],
                 for a in problem.arr_arcs.get((vid, i, t), ()):
                     if a.vehicle not in problem.launchers:
                         total -= val("W", *a.key)
-                flag("vehicle_balance", f"{vid}|{i}|{t}",
-                     total - problem._init_presence(vid, i, t))
+                flag("vehicle_balance",
+                     total - problem._init_presence(vid, i, t), vid, i, t)
 
     # capacities
     for vid, v in problem.active.items():
@@ -820,22 +797,21 @@ def audit(problem: PlanProblem, values: dict[str, float],
                     excess = val("X", vid, i, t, k) \
                         - v.capacities[k] * val("Y", vid, i, t)
                     if excess > tol:
-                        flag("capacity_holdover", f"{vid}|{i}|{t}|{k}", excess)
+                        flag("capacity_holdover", excess, vid, i, t, k)
     for a in problem.arcs:
         v = problem.launchers.get(a.vehicle) or problem.active[a.vehicle]
         for k in problem.carriable[a.vehicle]:
             excess = val("U", *a.key, k) - v.capacities[k] * val("W", *a.key)
             if excess > tol:
-                flag("capacity_arc", "|".join(map(str, a.key)) + f"|{k}", excess)
+                flag("capacity_arc", excess, *a.key, k)
             if inflow(a, k) < -tol:
-                flag("negative_inflow", "|".join(map(str, a.key)) + f"|{k}",
-                     inflow(a, k))
+                flag("negative_inflow", inflow(a, k), *a.key, k)
         if v.payload_capacity is not None:
             excess = sum(scn.unit_mass(k) * val("U", *a.key, k)
                          for k in problem.carriable[a.vehicle]) \
                 - v.payload_capacity * val("W", *a.key)
             if excess > tol:
-                flag("capacity_payload", "|".join(map(str, a.key)), excess)
+                flag("capacity_payload", excess, *a.key)
 
     # wet mass, mass upper bound, SOS2 structure
     for a in problem.arcs:
@@ -846,42 +822,41 @@ def audit(problem: PlanProblem, values: dict[str, float],
         wet = v.dry_mass * val("W", *a.key) + sum(
             scn.unit_mass(k) * val("U", *a.key, k)
             for k in problem.carriable[a.vehicle])
-        flag("wet_mass", "|".join(map(str, a.key)), z - wet)
+        flag("wet_mass", z - wet, *a.key)
         if math.isfinite(a.mass_upper_bound):
             excess = z - a.mass_upper_bound * val("W", *a.key)
             if excess > tol:
-                flag("mass_upper_bound", "|".join(map(str, a.key)), excess)
+                flag("mass_upper_bound", excess, *a.key)
         if a.r == "low_thrust":
             pts = problem.lt_points[a.key]
             lam = [val("L", *a.key, n) for n in range(len(pts))]
-            flag("sos2_sum", "|".join(map(str, a.key)), sum(lam) - 1.0)
-            flag("sos2_mass", "|".join(map(str, a.key)),
-                 sum(l * b for l, (b, _) in zip(lam, pts)) - z)
+            flag("sos2_sum", sum(lam) - 1.0, *a.key)
+            flag("sos2_mass", sum(l * b for l, (b, _) in zip(lam, pts)) - z,
+                 *a.key)
             support = [n for n, l in enumerate(lam) if l > tol]
             if len(support) > 2 or (len(support) == 2
                                     and support[1] - support[0] != 1):
-                flag("sos2_adjacency", "|".join(map(str, a.key)),
-                     float(len(support)))
+                flag("sos2_adjacency", float(len(support)), *a.key)
 
     # service management
     for need in problem.needs:
         total = sum(val("H", vid, need.id, tau)
                     for vid in problem.capable[need.id] for tau in need.window)
         if total > 1.0 + tol:
-            flag("assign_once", need.id, total - 1.0)
+            flag("assign_once", total - 1.0, need.id)
         for vid in problem.capable[need.id]:
             for t in grid.steps:
                 b = val("B", vid, need.id, t)
                 expected = sum(problem.beta[need.id].get((tau, t), 0)
                                * val("H", vid, need.id, tau)
                                for tau in need.window)
-                flag("dispatch_coupling", f"{vid}|{need.id}|{t}", b - expected)
+                flag("dispatch_coupling", b - expected, vid, need.id, t)
     for i, needs_i in problem.needs_at.items():
         for t in grid.steps:
             total = sum(val("B", vid, need.id, t) for need in needs_i
                         for vid in problem.capable[need.id])
             if total > 1.0 + tol:
-                flag("one_service_at_a_time", f"{i}|{t}", total - 1.0)
+                flag("one_service_at_a_time", total - 1.0, i, t)
     for vid, v in problem.active.items():
         if not v.is_servicer:
             continue
@@ -892,8 +867,7 @@ def audit(problem: PlanProblem, values: dict[str, float],
                                for need in problem.needs_at.get(i, ())
                                if vid in problem.capable[need.id])
                 expected += problem._pinned(vid, i, t)
-                flag("presence_dispatch", f"{vid}|{i}|{t}",
-                     val("Y", vid, i, t) - expected)
+                flag("presence_dispatch", val("Y", vid, i, t) - expected, vid, i, t)
                 for k in scn.tool_ids():
                     required = sum(
                         val("B", vid, need.id, t)
@@ -901,8 +875,8 @@ def audit(problem: PlanProblem, values: dict[str, float],
                         if need.required_tool == k
                         and vid in problem.capable[need.id])
                     if required - val("X", vid, i, t, k) > tol:
-                        flag("tool_on_board", f"{vid}|{i}|{t}|{k}",
-                             required - val("X", vid, i, t, k))
+                        flag("tool_on_board", required - val("X", vid, i, t, k),
+                             vid, i, t, k)
                 # arrivals exactly at service starts
                 arrivals = sum(val("W", *a.key)
                                for a in problem.arr_arcs.get((vid, i, t), ())
@@ -915,7 +889,7 @@ def audit(problem: PlanProblem, values: dict[str, float],
                         and problem.node_by_name[
                             problem.init.vehicle_nodes[vid]].index == i:
                     starts -= val("S0", vid)
-                flag("arrival_at_start", f"{vid}|{i}|{t}", arrivals - starts)
+                flag("arrival_at_start", arrivals - starts, vid, i, t)
 
     return out
 
@@ -938,9 +912,6 @@ class ScheduleEvent:
 class Schedule:
     events: tuple[ScheduleEvent, ...]
     outcomes: dict[str, Optional[tuple[str, int]]]  # need id -> (vehicle, tau) | None
-
-    def for_vehicle(self, vid: str) -> list[ScheduleEvent]:
-        return [e for e in self.events if e.vehicle == vid]
 
 
 def extract_schedule(problem: PlanProblem, solution: Solution,

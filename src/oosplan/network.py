@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -87,20 +87,21 @@ class TimeGrid:
     offsets: tuple[int, ...]
     horizon: int
     steps: tuple[int, ...]
+    _pos: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_pos",
+                           {t: i for i, t in enumerate(self.steps)})
 
     @property
     def final(self) -> int:
         return self.steps[-1]
 
     def index(self, t: int) -> int:
-        return self.steps.index(t)
+        return self._pos[t]
 
     def contains(self, t: int) -> bool:
-        return t in self._step_set
-
-    @property
-    def _step_set(self) -> frozenset:
-        return frozenset(self.steps)
+        return t in self._pos
 
     def delta_forward(self, t: int) -> int:
         """Length of the holdover arc starting at t; 0 at the final step."""
@@ -189,17 +190,6 @@ class DynamicNetwork:
             if not (self.grid.contains(a.t) and self.grid.contains(a.arrival)):
                 raise NetworkError(f"arc {a.key} not aligned to the grid")
 
-    def arcs_for(self, vehicle: str) -> list[TransportArc]:
-        return [a for a in self.arcs if a.vehicle == vehicle]
-
-    def arcs_departing(self, vehicle: str, i: int, t: int) -> list[TransportArc]:
-        return [a for a in self.arcs
-                if a.vehicle == vehicle and a.i == i and a.t == t]
-
-    def arcs_arriving(self, vehicle: str, j: int, t: int) -> list[TransportArc]:
-        return [a for a in self.arcs
-                if a.vehicle == vehicle and a.j == j and a.arrival == t]
-
     def dump_csv(self, path: str | Path):
         with Path(path).open("w", newline="") as fh:
             w = csv.writer(fh)
@@ -220,8 +210,7 @@ def _mass_range(vehicle: VehicleDesign, scenario: Scenario) -> tuple[float, floa
 
 def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
            registry: Optional[PluginRegistry] = None,
-           n_breakpoints: int = 20,
-           launch_vehicles: Optional[list[str]] = None) -> DynamicNetwork:
+           n_breakpoints: int = 20) -> DynamicNetwork:
     """Expand the static network into the full set of transportation multiarcs.
 
     For every servicer, ordered orbital node pair, propulsion mode, flight
@@ -230,8 +219,7 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
     cached per (vehicle, mode, duration, phase angle) since the propellant
     depends only on the phase geometry, not node identity. Arcs whose mass
     upper bound falls below the servicer dry mass are pruned. Launch arcs run
-    Earth to parking at the configured cadence for the launcher plus any
-    vehicle listed in ``launch_vehicles``.
+    Earth to parking at the configured cadence for each launcher.
     """
     registry = registry or PluginRegistry.default()
     eco = scenario.economics
@@ -288,7 +276,6 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
     # launch arcs: Earth -> parking at the launcher cadence
     if nodes.earth:
         launch_ids = [v.id for v in scenario.launchers]
-        launch_ids += [vid for vid in (launch_vehicles or []) if vid not in launch_ids]
         q0 = scenario.network.launch_duration
         cadence = eco.launcher_cadence
         launch_steps = [t for t in grid.steps

@@ -3,7 +3,7 @@ import pytest
 from oosplan.demand import (DemandStream, ServiceNeed, build_beta,
                             build_window, generate_deterministic,
                             generate_random, generate_stream, import_stream,
-                            tool_flags, window_needs)
+                            window_needs)
 from oosplan.network import build_time_grid
 from oosplan.scenario import CustomerSat
 
@@ -67,14 +67,6 @@ def test_build_beta_coverage():
     assert beta[(0, 0)] == 1 and beta[(0, 4)] == 1
     assert (0, 10) not in beta
     assert beta[(4, 12)] == 1 and (4, 14) not in beta
-
-
-def test_tool_flags(multimodal):
-    flags = tool_flags("repair", multimodal)
-    assert sum(flags.values()) == 1
-    assert flags[multimodal.services["repair"].required_tool] == 1
-    with pytest.raises(KeyError):
-        tool_flags("nope", multimodal)
 
 
 def test_stream_sorted_and_export(multimodal, tmp_path):

@@ -1,6 +1,11 @@
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from oosplan.lp import BINARY, INTEGER, Model, parse_lp, \
+import oosplan
+from oosplan.lp import BINARY, INTEGER, Model, SolveError, parse_lp, \
     read_solution
 
 
@@ -87,28 +92,68 @@ def test_lp_round_trip(tmp_path):
 
 def test_read_solution(tmp_path):
     p = tmp_path / "model.sol"
-    p.write_text("# comment line\nx_a_0_ 1.5\ny 2\n")
-    values = read_solution(p, default_names=["x[a|0]", "y", "z"])
-    assert values["x[a|0]"] == 1.5
-    assert values["y"] == 2.0
-    assert values["z"] == 0.0
+    p.write_text("# comment line\nx0_x_a_0_ 1.5\nx1_y 2\n")
+    values = read_solution(p, ["x[a|0]", "y", "z"])
+    assert values == {"x[a|0]": 1.5, "y": 2.0, "z": 0.0}
+    p.write_text("x3_w 1\n")
+    with pytest.raises(SolveError, match="column 3"):
+        read_solution(p, ["x[a|0]", "y", "z"])
 
 
-def test_solve_subprocess_round_trip(tmp_path):
+def test_lp_names_injective(tmp_path):
+    # two display names that sanitize to the same text stay two columns
+    m = Model("clash")
+    a = m.add_var("x[a|b]", ub=1.0)
+    b = m.add_var("x[a_b]", ub=2.0)
+    m.add_objective(a, 1.0)
+    m.add_objective(b, 3.0)
+    m.add_constr("cap", {a: 1.0, b: 1.0}, "<=", 2.5)
+    path = tmp_path / "clash.lp"
+    m.write_lp(path)
+    again = parse_lp(path)
+    assert again.n_vars == 2
+    res = m.solve_subprocess(_stub_solver(tmp_path))
+    assert res.values == {"x[a|b]": pytest.approx(0.5),
+                          "x[a_b]": pytest.approx(2.0)}
+    assert res.objective == pytest.approx(6.5)
+
+
+def test_time_limit_without_incumbent_is_not_feasible():
+    rng = np.random.default_rng(0)
+    m = Model("knapsack30")
+    cols = [m.add_var(("x", j), kind=BINARY) for j in range(200)]
+    for j in cols:
+        m.add_objective(j, float(rng.uniform(1.0, 10.0)))
+    for r in range(30):
+        m.add_constr("cap", {j: float(rng.uniform(1.0, 10.0)) for j in cols},
+                     "<=", 100.0)
+    res = m.solve(time_limit=1e-9)
+    assert res.status == "time-limit"
+    assert not res.feasible
+    assert res.values == {} and res.objective is None
+
+
+def _stub_solver(tmp_path) -> str:
     # external backend stub: parse the LP with our own reader, solve with
-    # HiGHS, emit a plain name/value solution file
-    import sys
+    # HiGHS, emit a plain name/value solution file; it imports the same
+    # oosplan as this test, wherever that comes from
+    src = str(Path(oosplan.__file__).resolve().parents[1])
     script = tmp_path / "solver.py"
     script.write_text(
         "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
         "from oosplan.lp import parse_lp\n"
         "model = parse_lp(sys.argv[1])\n"
         "res = model.solve()\n"
         "with open(sys.argv[2], 'w') as fh:\n"
         "    for name, val in res.values.items():\n"
         "        fh.write(f'{name} {val!r}\\n')\n")
+    return f"{sys.executable} {script} {{lp}} {{sol}}"
+
+
+def test_solve_subprocess_round_trip(tmp_path):
     m = knapsack()
-    res = m.solve_subprocess(f"{sys.executable} {script} {{lp}} {{sol}}")
+    res = m.solve_subprocess(_stub_solver(tmp_path))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(23.0)
 

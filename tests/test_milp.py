@@ -76,6 +76,26 @@ def test_audit_flags_exactly_perturbed_rows(solved):
     assert {(v.family, v.key) for v in violations} == expected
 
 
+def test_model_names_are_family_tagged(solved):
+    # display names are formatted from the column keys; rows carry only
+    # their family
+    problem, _, _ = solved
+    model = problem.model
+    families = {"Y", "X", "W", "U", "Z", "L", "G", "H", "B", "S0"}
+    assert model.var_names
+    assert all(nm.split("[", 1)[0] in families and nm.endswith("]")
+               for nm in model.var_names)
+    rows = {"bal_cust", "bal_park", "supply", "bal_veh", "veh_supply",
+            "cap_hold", "cap_arc", "cap_payload", "wet_mass", "mass_ub",
+            "prop_avail", "sk_avail", "sos2_sum", "sos2_mass", "sos2_seg",
+            "sos2_adj", "assign_once", "dispatch", "one_service", "presence",
+            "tool", "arrival"}
+    assert {con.name for con in model.constraints} <= rows
+    a = problem.arcs[0]
+    assert model.var_names[model.index(vn("W", *a.key))] \
+        == "W[" + "|".join(map(str, a.key)) + "]"
+
+
 def test_schedule_events(solved):
     problem, solution, need = solved
     schedule = extract_schedule(problem, solution)
@@ -83,7 +103,7 @@ def test_schedule_events(solved):
     vid, tau = schedule.outcomes[need.id]
     assert vid == "mm_versatile"
     assert tau in need.window
-    kinds = [e.kind for e in schedule.for_vehicle("mm_versatile")]
+    kinds = [e.kind for e in schedule.events if e.vehicle == "mm_versatile"]
     assert "flight" in kinds and "service_start" in kinds
     starts = [e for e in schedule.events if e.kind == "service_start"]
     assert starts[0].detail["revenue"] == 15e6

@@ -21,6 +21,8 @@ def test_build_nodes_tiers(multimodal):
 def test_time_grid_steps():
     grid = build_time_grid(10, (2, 4), 30)
     assert grid.steps == (0, 2, 4, 10, 12, 14, 20, 22, 24, 30)
+    assert [grid.index(t) for t in grid.steps] == list(range(10))
+    assert grid.contains(12) and not grid.contains(13)
     assert grid.delta_forward(4) == 6
     assert grid.delta_forward(30) == 0
     assert grid.delta_backward(0) == 0
@@ -73,17 +75,6 @@ def test_expand_uses_both_modes(multimodal):
     net = expand(nodes, grid, multimodal)
     modes = {a.r for a in net.arcs if a.vehicle == "mm_versatile"}
     assert modes == {"high_thrust", "low_thrust"}
-
-
-def test_arc_queries(multimodal):
-    sats = [CustomerSat("a", -160.0)]
-    nodes = build_nodes(multimodal, sats, include_earth=False)
-    grid = build_time_grid(10, (2, 4), 40)
-    net = expand(nodes, grid, multimodal)
-    a = net.arcs[0]
-    assert a in net.arcs_for(a.vehicle)
-    assert a in net.arcs_departing(a.vehicle, a.i, a.t)
-    assert a in net.arcs_arriving(a.vehicle, a.j, a.arrival)
 
 
 def test_dump_csv(multimodal, tmp_path):
