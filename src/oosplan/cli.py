@@ -63,8 +63,7 @@ def cmd_plan(args) -> int:
     needs = demand.window_needs(stream.needs, scn, grid)
     nodes = build_nodes(scn, sats, include_earth=True)
     net = expand(nodes, grid, scn, n_breakpoints=args.breakpoints)
-    state, _ = horizon.initial_state(
-        scn, horizon.RhConfig(n_breakpoints=args.breakpoints))
+    state, _ = horizon.initial_state(scn, horizon.RhConfig())
     init = milp.InitialState(vehicle_nodes=dict(state.vehicle_nodes),
                              commodities=dict(state.commodities))
     options = milp.SolveOptions(gap=args.gap, backend=args.backend,
@@ -119,10 +118,7 @@ def _run_campaign(scn_dict: dict, catalog: str, seed: int, horizon_days: int,
     out.mkdir(parents=True, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
     result.export_ledger(out / f"ledger{suffix}.csv")
-    events = [dict(e.to_dict(), day=e.day + s.day)
-              for s in result.steps for e in s.committed_events]
-    (out / f"events{suffix}.json").write_text(
-        json.dumps(events, indent=2) + "\n")
+    result.export_events(out / f"events{suffix}.json")
     return (f"{tag or 'campaign'}: value={result.value:.2f} "
             f"served={len(result.state.served)} "
             f"lost={len(result.state.lost)}")
@@ -173,10 +169,7 @@ def cmd_trajectory(args) -> int:
         mass_min=args.mass_min, mass_max=args.mass_max)
     registry = PluginRegistry.default()
     try:
-        if args.mode == "low_thrust":
-            model = registry.get(args.mode)(query, args.breakpoints)
-        else:
-            model = registry.get(args.mode)(query)
+        model = registry.get(args.mode)(query, args.breakpoints)
     except TrajectoryError as exc:
         print(f"infeasible transfer: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -10,6 +10,7 @@ random needs only once they occur.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -166,6 +167,17 @@ class CampaignResult:
 
     def export_ledger(self, path: str | Path):
         self.ledger.export_csv(path, self.boundaries)
+
+    def export_events(self, path: str | Path):
+        """Write the committed events as JSON in campaign days."""
+        events = []
+        for s in self.steps:
+            for e in s.committed_events:
+                detail = {k: v + s.day if k in ("arrive_day", "end_day")
+                          else v for k, v in e.detail.items()}
+                events.append(dict(e.to_dict(), day=e.day + s.day,
+                                   detail=detail))
+        Path(path).write_text(json.dumps(events, indent=2) + "\n")
 
 
 def initial_state(scenario: Scenario, config: RhConfig) -> tuple[WorldState, float]:
@@ -408,11 +420,8 @@ def _advance_state(problem: PlanProblem, solution, state: WorldState,
 
 
 def _arrival_amount(problem: PlanProblem, values: dict, a, k: str) -> float:
-    amount = values.get(vn("U", *a.key, k), 0.0)
-    mode = problem._mode_of(a)
-    if mode is not None and k == mode.propellant_commodity:
-        for name, coeff in problem.arc_consumption(a).items():
-            amount -= coeff * values.get(name, 0.0)
+    amount = sum(coeff * values.get(name, 0.0)
+                 for name, coeff in problem.arc_inflow(a, k).items())
     return max(amount, 0.0)
 
 

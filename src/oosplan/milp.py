@@ -2,12 +2,12 @@
 
 Builds the time-expanded multi-commodity flow model over a DynamicNetwork and
 a set of service needs: profit objective, mass balances, payload concurrency,
-propellant transformation (linear for high-thrust arcs, piecewise-linear with
-adjacency-encoded SOS2 weights for low-thrust arcs), service management and
-flight rules. Inflow ("minus") variables are substituted out through the arc
-transformation relations, which keeps the model smaller and makes the
-transformation constraints hold by construction; nonnegativity of the
-substituted inflows is enforced explicitly.
+propellant transformation (exact where the trajectory model is a line,
+piecewise-linear with adjacency-encoded SOS2 weights where it is a curve),
+service management and flight rules. Inflow ("minus") variables are
+substituted out through the arc transformation relations, which keeps the
+model smaller and makes the transformation constraints hold by construction;
+nonnegativity of the substituted inflows is enforced explicitly.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class PlanProblem:
         m = self.model
         scn = self.scenario
         grid = self.grid
-        self.lt_points: dict[tuple, list[tuple[float, float]]] = {}
+        self.curve_points: dict[tuple, list[tuple[float, float]]] = {}
 
         for vid, v in self.active.items():
             for i in self.presence[vid]:
@@ -210,9 +210,9 @@ class PlanProblem:
             if not a.is_launch:
                 ub = a.mass_upper_bound if math.isfinite(a.mass_upper_bound) else 1e9
                 m.add_var(vn("Z", *a.key), ub=ub)
-                if a.r == "low_thrust":
+                if a.model.burn_fraction is None:
                     pts = [(0.0, 0.0)] + list(a.model.breakpoints)
-                    self.lt_points[a.key] = pts
+                    self.curve_points[a.key] = pts
                     for n in range(len(pts)):
                         m.add_var(vn("L", *a.key, n), ub=1.0)
                     for n in range(len(pts) - 1):
@@ -251,9 +251,9 @@ class PlanProblem:
         """Linear expression (key -> coeff) for propellant burned on arc."""
         if a.is_launch:
             return {}
-        if a.r == "high_thrust":
-            return {vn("Z", *a.key): a.model.metadata["burn_fraction"]}
-        pts = self.lt_points[a.key]
+        if a.model.burn_fraction is not None:
+            return {vn("Z", *a.key): a.model.burn_fraction}
+        pts = self.curve_points[a.key]
         return {vn("L", *a.key, n): f for n, (b, f) in enumerate(pts) if f != 0.0}
 
     def arc_inflow(self, a: TransportArc, k: str) -> dict[tuple, float]:
@@ -459,7 +459,7 @@ class PlanProblem:
             self._add_expr(row, self.arc_consumption(a), -1.0)
             m.add_constr("prop_avail",
                          self._coeffs(row), ">=", 0.0)
-            if a.r == "low_thrust":
+            if a.model.burn_fraction is None:
                 self._add_sos2(a)
         # depot station keeping stock must cover the holdover burn
         for vid, v in self.active.items():
@@ -478,7 +478,7 @@ class PlanProblem:
 
     def _add_sos2(self, a: TransportArc):
         m = self.model
-        pts = self.lt_points[a.key]
+        pts = self.curve_points[a.key]
         n = len(pts)
         lam = [vn("L", *a.key, j) for j in range(n)]
         seg = [vn("G", *a.key, j) for j in range(n - 1)]
@@ -712,9 +712,9 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
     def consumption(a: TransportArc) -> float:
         if a.is_launch:
             return 0.0
-        if a.r == "high_thrust":
-            return a.model.metadata["burn_fraction"] * val("Z", *a.key)
-        pts = problem.lt_points[a.key]
+        if a.model.burn_fraction is not None:
+            return a.model.burn_fraction * val("Z", *a.key)
+        pts = problem.curve_points[a.key]
         return sum(val("L", *a.key, n) * f for n, (_, f) in enumerate(pts))
 
     def inflow(a: TransportArc, k: str) -> float:
@@ -827,8 +827,8 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
             excess = z - a.mass_upper_bound * val("W", *a.key)
             if excess > tol:
                 flag("mass_upper_bound", excess, *a.key)
-        if a.r == "low_thrust":
-            pts = problem.lt_points[a.key]
+        if a.model.burn_fraction is None:
+            pts = problem.curve_points[a.key]
             lam = [val("L", *a.key, n) for n in range(len(pts))]
             flag("sos2_sum", sum(lam) - 1.0, *a.key)
             flag("sos2_mass", sum(l * b for l, (b, _) in zip(lam, pts)) - z,
@@ -938,14 +938,8 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
                 detail={"to": names[a.j], "arrive_day": a.arrival,
                         "cargo": cargo}))
         else:
-            burned = 0.0
-            if a.r == "high_thrust":
-                burned = a.model.metadata["burn_fraction"] \
-                    * values.get(vn("Z", *a.key), 0.0)
-            else:
-                pts = problem.lt_points[a.key]
-                burned = sum(values.get(vn("L", *a.key, n), 0.0) * f
-                             for n, (_, f) in enumerate(pts))
+            burned = sum((c * values.get(k, 0.0)
+                          for k, c in problem.arc_consumption(a).items()), 0.0)
             events.append(ScheduleEvent(
                 day=a.t, vehicle=a.vehicle, kind="flight",
                 detail={"from": names[a.i], "to": names[a.j], "mode": a.r,

@@ -164,7 +164,10 @@ class TransportArc:
     r: str                      # trajectory option (propulsion mode kind, or "launch")
     t: int                      # departure step
     model: Optional[TrajectoryModel] = None     # None on launch arcs
-    mass_upper_bound: float = float("inf")
+
+    @property
+    def mass_upper_bound(self) -> float:
+        return float("inf") if self.is_launch else self.model.mass_upper_bound
 
     @property
     def arrival(self) -> int:
@@ -176,7 +179,7 @@ class TransportArc:
 
     @property
     def is_launch(self) -> bool:
-        return self.r == "launch"
+        return self.model is None
 
 
 @dataclass(frozen=True)
@@ -257,10 +260,7 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
                                 forbidden_radius=r_forb,
                                 mass_min=m_lo, mass_max=m_hi)
                             try:
-                                if mode.kind == "low_thrust":
-                                    model = plugin(query, n_breakpoints)
-                                else:
-                                    model = plugin(query)
+                                model = plugin(query, n_breakpoints)
                             except TrajectoryError:
                                 model = None    # arc infeasible for this geometry
                             cache[key] = model
@@ -270,8 +270,7 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
                         for t in departures:
                             arcs.append(TransportArc(
                                 vehicle=veh.id, i=ni.index, j=nj.index, q=q,
-                                r=mode.kind, t=t, model=model,
-                                mass_upper_bound=model.mass_upper_bound))
+                                r=mode.kind, t=t, model=model))
 
     # launch arcs: Earth -> parking at the launcher cadence
     if nodes.earth:

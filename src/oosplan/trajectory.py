@@ -3,15 +3,15 @@
 Two reference models are provided: a two-impulse high-thrust rendezvous and an
 analytic continuous low-thrust phasing maneuver. Both are exposed through a
 common plugin interface that maps a query (orbital states, time of flight,
-propulsion parameters, mass range) to a piecewise-linear propellant consumption
-model plus a servicer mass upper bound.
+propulsion parameters, mass range) and a breakpoint count to a piecewise-linear
+propellant consumption model plus a servicer mass upper bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 DAY_S = 86400.0
 
@@ -54,15 +54,15 @@ class TrajectoryModel:
 
     ``breakpoints`` is an ordered list of (initial mass, propellant consumed)
     pairs; between consecutive points the embedded MILP value is the linear
-    interpolation. ``linear`` marks models that are exactly linear in the
-    initial mass (the high-thrust rocket equation), in which case the two
-    breakpoints define the line.
+    interpolation. ``burn_fraction`` is set exactly when the propellant is
+    ``burn_fraction`` times the initial mass (the rocket equation); it is
+    ``None`` when the breakpoints sample a curve.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
     mass_upper_bound: float
     kind: str                   # "high_thrust" | "low_thrust"
-    linear: bool = False
+    burn_fraction: Optional[float] = None
     delta_v: float = 0.0        # m/s, populated by the high-thrust model
     metadata: dict = field(default_factory=dict, compare=False)
 
@@ -79,6 +79,10 @@ class TrajectoryModel:
             raise ValueError("propellant must be nondecreasing in initial mass")
         if self.mass_upper_bound <= 0:
             raise ValueError("mass upper bound must be positive")
+        f = self.burn_fraction
+        if f is not None and not all(math.isclose(y, f * x, rel_tol=1e-9)
+                                     for x, y in self.breakpoints):
+            raise ValueError(f"breakpoints disagree with burn fraction {f}")
 
     def propellant(self, m0: float) -> float:
         """Piecewise-linear propellant consumption at initial mass ``m0``."""
@@ -157,12 +161,13 @@ def ht_best_candidate(alpha: float, r: float, t_max: float,
     return min(cands, key=lambda c: (c.delta_v, c.time_of_flight, c.k1))
 
 
-def ht_model(query: TrajectoryQuery) -> TrajectoryModel:
+def ht_model(query: TrajectoryQuery, n_breakpoints: int = 2) -> TrajectoryModel:
     """High-thrust plugin: rocket-equation propellant model.
 
     The consumed propellant is exactly linear in the initial mass, so two
     breakpoints at the mass-range ends represent it without approximation
-    error. The mass upper bound is the top of the queried mass range.
+    error; ``n_breakpoints`` is ignored. The mass upper bound is the top of
+    the queried mass range.
     """
     best = ht_best_candidate(query.phase_angle, query.orbit_radius,
                              query.time_of_flight,
@@ -172,11 +177,10 @@ def ht_model(query: TrajectoryQuery) -> TrajectoryModel:
            (query.mass_max, query.mass_max * frac))
     return TrajectoryModel(
         breakpoints=bps, mass_upper_bound=query.mass_max, kind="high_thrust",
-        linear=True, delta_v=best.delta_v,
+        burn_fraction=frac, delta_v=best.delta_v,
         metadata={"k1": best.k1, "k2": best.k2,
                   "semi_major_axis": best.semi_major_axis,
-                  "time_of_flight": best.time_of_flight,
-                  "burn_fraction": frac})
+                  "time_of_flight": best.time_of_flight})
 
 
 def lt_mass_upper_bound(delta_theta: float, t_f: float, r0: float,
@@ -218,13 +222,12 @@ def lt_model(query: TrajectoryQuery, n_breakpoints: int = 20) -> TrajectoryModel
     if n_breakpoints < 2:
         raise ValueError("need at least 2 breakpoints")
     dth = query.signed_phase
-    m_ub = lt_mass_upper_bound(dth, query.time_of_flight, query.orbit_radius,
-                               query.thrust) if dth != 0.0 else UNBOUNDED_MASS
     if dth == 0.0:
         bps = ((query.mass_min, 0.0), (query.mass_max, 0.0))
         return TrajectoryModel(breakpoints=bps, mass_upper_bound=query.mass_max,
-                               kind="low_thrust", linear=True,
-                               metadata={"delta_theta": 0.0})
+                               kind="low_thrust", burn_fraction=0.0)
+    m_ub = lt_mass_upper_bound(dth, query.time_of_flight, query.orbit_radius,
+                               query.thrust)
     hi = min(query.mass_max, m_ub)
     if hi <= query.mass_min:
         raise TrajectoryError(
@@ -236,11 +239,8 @@ def lt_model(query: TrajectoryQuery, n_breakpoints: int = 20) -> TrajectoryModel
                              query.thrust, query.isp, query.g0)
 
     bps = linearize(consumption, query.mass_min, hi, n_breakpoints)
-    return TrajectoryModel(
-        breakpoints=bps, mass_upper_bound=min(m_ub, query.mass_max),
-        kind="low_thrust",
-        metadata={"delta_theta": dth,
-                  "mass_flow_rate": query.thrust / (query.g0 * query.isp)})
+    return TrajectoryModel(breakpoints=bps, mass_upper_bound=hi,
+                           kind="low_thrust")
 
 
 def linearize(fn: Callable[[float], float], lo: float, hi: float,
@@ -255,7 +255,10 @@ def linearize(fn: Callable[[float], float], lo: float, hi: float,
 
 
 class PluginRegistry:
-    """Maps a propulsion mode kind to the plugin that models its flights."""
+    """Maps a propulsion mode kind to the plugin that models its flights.
+
+    Every plugin is called as ``plugin(query, n_breakpoints)``.
+    """
 
     def __init__(self):
         self._plugins: dict[str, Callable[..., TrajectoryModel]] = {}

@@ -30,12 +30,14 @@ def test_plan_runs_clean(catalog_file, tmp_path, capsys):
 def test_trajectory_high_thrust_csv(tmp_path, capsys):
     out = tmp_path / "ht.csv"
     code = main(["trajectory", "--mode", "high_thrust", "--phase-deg", "180",
-                 "--tof-days", "2", "--isp", "316", "--out", str(out)])
+                 "--tof-days", "2", "--isp", "316", "--breakpoints", "7",
+                 "--out", str(out)])
     assert code == EXIT_OK
     assert "delta_v=" in capsys.readouterr().out
     with out.open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["m0_kg", "mp_kg"]
+    assert len(rows) == 3   # a line is exact with its two end points
     m0, mp = (float(x) for x in rows[1])
     assert m0 > 0 and mp > 0
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from oosplan.demand import DemandStream, ServiceNeed
@@ -156,6 +158,26 @@ def test_campaign_repeat_is_identical(multimodal):
             for _ in range(2)]
     assert runs[0].ledger.bookings == runs[1].ledger.bookings
     assert runs[0].state.served == runs[1].state.served
+
+
+def test_export_events_on_campaign_clock(multimodal, tmp_path):
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    stream = _synthetic_stream(multimodal)
+    result = run(multimodal, sats, stream, horizon_days=120,
+                 config=RhConfig(gap=0.0))
+    path = tmp_path / "events.json"
+    result.export_events(path)
+    events = json.loads(path.read_text())
+    duration = {n.id: n.duration for n in stream.needs}
+    assert {"flight", "service_start"} <= {e["kind"] for e in events}
+    for e in events:
+        detail = e["detail"]
+        if e["kind"] == "flight":
+            assert detail["arrive_day"] - e["day"] == detail["q_days"]
+        elif e["kind"] == "launch":
+            assert detail["arrive_day"] > e["day"]
+        elif e["kind"] == "service_start":
+            assert detail["end_day"] - e["day"] == duration[detail["need"]]
 
 
 def test_run_rejects_bad_commit(multimodal):

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from enum_oracle import oracle_best
+from micro import micro_instance, micro_scenario
 
 from oosplan.demand import ServiceNeed, build_window
 from oosplan.milp import (CommittedService, InitialState, ModelError,
@@ -6,6 +9,8 @@ from oosplan.milp import (CommittedService, InitialState, ModelError,
                           vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
+from oosplan.trajectory import (PluginRegistry, TrajectoryModel, ht_model,
+                                linearize, lt_model)
 
 
 def make_need(scn, service, sat, tau, grid):
@@ -199,3 +204,83 @@ def test_lp_export_cross_check(solved, tmp_path):
     res = again.solve(gap=0.0)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(solution.objective, rel=1e-6)
+
+
+def _segment_arcs(problem) -> tuple[set, set]:
+    """Arc keys carrying lambda weights and segment binaries."""
+    lam = {k[1:7] for k in problem.model.keys if k[0] == "L"}
+    seg = {k[1:7] for k in problem.model.keys if k[0] == "G"}
+    return lam, seg
+
+
+def _solve_against_oracle(scenario, net, needs, init):
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    solution = problem.solve()
+    assert solution.status == "optimal"
+    assert audit(problem, solution.values) == []
+    assert solution.objective == pytest.approx(
+        oracle_best(scenario, net, needs, init), rel=1e-6, abs=1e-3)
+    return problem
+
+
+def _curve_high_thrust(query, n_breakpoints):
+    # a convex curve below the rocket-equation line, with no burn fraction
+    f = ht_model(query).burn_fraction
+    bps = linearize(lambda m: f * m * m / query.mass_max, query.mass_min,
+                    query.mass_max, 5)
+    return TrajectoryModel(breakpoints=bps, mass_upper_bound=query.mass_max,
+                           kind="high_thrust")
+
+
+def _line_low_thrust(query, n_breakpoints):
+    # the chord through the origin and the heaviest point of the curve
+    curve = lt_model(query, n_breakpoints)
+    hi = curve.breakpoints[-1][0]
+    f = curve.breakpoints[-1][1] / hi
+    return TrajectoryModel(
+        breakpoints=((query.mass_min, f * query.mass_min), (hi, f * hi)),
+        mass_upper_bound=curve.mass_upper_bound, kind="low_thrust",
+        burn_fraction=f)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_embedding_follows_model_shape_not_mode(seed):
+    registry = PluginRegistry()
+    registry.register("high_thrust", _curve_high_thrust)
+    registry.register("low_thrust", _line_low_thrust)
+    scenario, _, net, needs, init = micro_instance(seed)
+    net = expand(net.nodes, net.grid, scenario, registry=registry)
+    problem = _solve_against_oracle(scenario, net, needs, init)
+    curve = {a.key for a in problem.arcs if a.model.burn_fraction is None}
+    assert curve == {a.key for a in problem.arcs if a.r == "high_thrust"}
+    assert curve and len(curve) < len(problem.arcs)
+    assert _segment_arcs(problem) == (curve, curve)
+
+
+def test_zero_burn_arcs_get_no_segment_binaries():
+    rng = np.random.default_rng(7)
+    scenario = micro_scenario(rng)
+    # sat0 sits at the parking longitude, so flights between them need no
+    # phase change; sat1 keeps some curve arcs in the model
+    sats = [CustomerSat("sat0", scenario.network.parking_longitudes[0]),
+            CustomerSat("sat1", -160.0)]
+    nodes = build_nodes(scenario, sats, include_earth=False)
+    grid = build_time_grid(scenario.network.period, scenario.network.offsets,
+                           30)
+    net = expand(nodes, grid, scenario)
+    need = build_window(ServiceNeed(
+        id="sat0/job/0", satellite="sat0", service_type="job", tau=6.0,
+        duration=4, revenue=10e6, delay_penalty_per_day=1e5,
+        commodity_demand={"monopropellant": 50.0}, required_tool="T1"),
+        grid, 20.0)
+    loads = dict(scenario.vehicles["servicer"].capacities)
+    init = InitialState(vehicle_nodes={"servicer": "parking_0"},
+                        commodities={"servicer": loads})
+    problem = _solve_against_oracle(scenario, net, [need], init)
+    lon = {n.index: n.longitude for n in nodes.nodes}
+    low = {a.key for a in problem.arcs if a.r == "low_thrust"}
+    zero = {a.key for a in problem.arcs
+            if a.key in low and lon[a.i] == lon[a.j]}
+    curve = low - zero
+    assert zero and curve
+    assert _segment_arcs(problem) == (curve, curve)

@@ -61,12 +61,12 @@ class TestHighThrust:
                             orbit_radius=R_GEO, time_of_flight=2 * DAY_S,
                             isp=316.0, mass_min=1000.0, mass_max=5000.0)
         model = ht_model(q)
-        assert model.linear and model.kind == "high_thrust"
+        assert model.kind == "high_thrust"
         frac = 1.0 - math.exp(-model.delta_v / (q.g0 * q.isp))
         for m0 in (1000.0, 2345.6, 5000.0):
             assert model.propellant(m0) == pytest.approx(m0 * frac, rel=1e-12)
         assert model.mass_upper_bound == 5000.0
-        assert model.metadata["burn_fraction"] == pytest.approx(frac)
+        assert model.burn_fraction == pytest.approx(frac)
 
 
 class TestLowThrust:
@@ -149,6 +149,10 @@ class TestModelAndRegistry:
         with pytest.raises(ValueError):
             TrajectoryModel(breakpoints=((1.0, 5.0), (2.0, 1.0)),
                             mass_upper_bound=1.0, kind="high_thrust")
+        with pytest.raises(ValueError):
+            TrajectoryModel(breakpoints=((1.0, 0.1), (2.0, 0.3)),
+                            mass_upper_bound=2.0, kind="high_thrust",
+                            burn_fraction=0.1)
 
     def test_registry_default_and_unknown(self):
         reg = PluginRegistry.default()
