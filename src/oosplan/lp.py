@@ -55,6 +55,8 @@ class SolveResult:
     objective: Optional[float]
     values: dict[Hashable, float]
     gap: Optional[float] = None
+    dual_bound: Optional[float] = None  # best bound on the objective (HiGHS)
+    nodes: Optional[int] = None         # branch-and-bound nodes (HiGHS)
 
     @property
     def feasible(self) -> bool:
@@ -107,6 +109,22 @@ class Model:
         self.var_lb[idx] = value
         self.var_ub[idx] = value
 
+    def fixed_lp(self, values: dict[Hashable, float],
+                 objective: dict[int, float]) -> Model:
+        """An LP copy of this model: every integer column fixed at its
+        rounded value in ``values``, and ``objective`` maximized. This model
+        is left as it is."""
+        lp = Model(self.name + "-fixed")
+        lp._index = dict(self._index)
+        lp.var_lb, lp.var_ub = list(self.var_lb), list(self.var_ub)
+        lp.var_kind = [CONTINUOUS] * self.n_vars
+        for j, (key, kind) in enumerate(zip(self.keys, self.var_kind)):
+            if kind != CONTINUOUS:
+                lp.fix(j, float(round(values.get(key, 0.0))))
+        lp.objective = dict(objective)
+        lp.constraints = list(self.constraints)
+        return lp
+
     def add_objective(self, idx: int, coeff: float):
         self.objective[idx] = self.objective.get(idx, 0.0) + coeff
 
@@ -155,12 +173,16 @@ class Model:
         status = _STATUS.get(res.status, "error")
         if status == "error":
             raise SolveError(f"solver failure: {res.message}")
+        bound = getattr(res, "mip_dual_bound", None)
+        stats = dict(gap=getattr(res, "mip_gap", None),
+                     dual_bound=None if bound is None else -float(bound),
+                     nodes=getattr(res, "mip_node_count", None))
         if res.x is None:
-            return SolveResult(status=status, objective=None, values={})
+            return SolveResult(status=status, objective=None, values={},
+                               **stats)
         values = dict(zip(self.keys, res.x.tolist()))
-        achieved_gap = getattr(res, "mip_gap", None)
         return SolveResult(status=status, objective=float(-res.fun),
-                           values=values, gap=achieved_gap)
+                           values=values, **stats)
 
     # -- LP text format ----------------------------------------------------
 

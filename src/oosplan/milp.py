@@ -3,11 +3,17 @@
 Builds the time-expanded multi-commodity flow model over a DynamicNetwork and
 a set of service needs: profit objective, mass balances, payload concurrency,
 propellant transformation (exact where the trajectory model is a line,
-piecewise-linear with adjacency-encoded SOS2 weights where it is a curve),
-service management and flight rules. Inflow ("minus") variables are
-substituted out through the arc transformation relations, which keeps the
-model smaller and makes the transformation constraints hold by construction;
-nonnegativity of the substituted inflows is enforced explicitly.
+piecewise-linear with SOS2 weights where it is a curve), service management
+and flight rules. Inflow ("minus") variables are substituted out through the
+arc transformation relations, which keeps the model smaller and makes the
+transformation constraints hold by construction; nonnegativity of the
+substituted inflows is enforced explicitly.
+
+A curve is convex in initial mass, so its weights need no segment binaries:
+their convex combination already bounds the burn from below. Where HiGHS
+returns weights on breakpoints that are not neighbours (an over-burn that
+earns nothing), ``PlanProblem.solve`` fixes the plan and solves one LP that
+minimizes the curve-arc burn at the same profit.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
 INT_TOL = 1e-6
+SOS2_TOL = 1e-6                 # weight counted in a curve arc's support
 
 
 class ModelError(Exception):
@@ -215,8 +222,6 @@ class PlanProblem:
                     self.curve_points[a.key] = pts
                     for n in range(len(pts)):
                         m.add_var(vn("L", *a.key, n), ub=1.0)
-                    for n in range(len(pts) - 1):
-                        m.add_var(vn("G", *a.key, n), kind=BINARY)
         for need in self.needs:
             for vid in self.capable[need.id]:
                 for tau in need.window:
@@ -477,27 +482,17 @@ class PlanProblem:
                                  self._coeffs(row), ">=", 0.0)
 
     def _add_sos2(self, a: TransportArc):
+        # the curve is convex, so the weights alone bound the burn from
+        # below; solve() restores adjacency where HiGHS over-burns
         m = self.model
         pts = self.curve_points[a.key]
-        n = len(pts)
-        lam = [vn("L", *a.key, j) for j in range(n)]
-        seg = [vn("G", *a.key, j) for j in range(n - 1)]
+        lam = [vn("L", *a.key, j) for j in range(len(pts))]
         m.add_constr("sos2_sum",
                      self._coeffs({v: 1.0 for v in lam}), "==", 1.0)
         row = {v: pts[j][0] for j, v in enumerate(lam) if pts[j][0] != 0.0}
         row[vn("Z", *a.key)] = -1.0
         m.add_constr("sos2_mass",
                      self._coeffs(row), "==", 0.0)
-        m.add_constr("sos2_seg",
-                     self._coeffs({v: 1.0 for v in seg}), "==", 1.0)
-        for j, lv in enumerate(lam):
-            row = {lv: 1.0}
-            if j > 0:
-                row[seg[j - 1]] = -1.0
-            if j < n - 1:
-                row[seg[j]] = row.get(seg[j], 0.0) - 1.0
-            m.add_constr("sos2_adj",
-                         self._coeffs(row), "<=", 0.0)
 
     def _add_service_management(self):
         m, grid = self.model, self.grid
@@ -651,18 +646,60 @@ class PlanProblem:
 
     # -- solving and extraction --------------------------------------------
 
-    def solve(self) -> Solution:
+    def _run(self, model: Model) -> SolveResult:
         opts = self.options
         if opts.backend == "highs":
-            res = self.model.solve(gap=opts.gap, time_limit=opts.time_limit)
-        else:
-            res = self.model.solve_subprocess(opts.backend, gap=opts.gap)
+            return model.solve(gap=opts.gap, time_limit=opts.time_limit)
+        return model.solve_subprocess(opts.backend, gap=opts.gap)
+
+    def solve(self) -> Solution:
+        res = self._run(self.model)
         sol = Solution(status=res.status, objective=res.objective,
-                       values=res.values, gap=res.gap)
+                       values=res.values, gap=res.gap,
+                       dual_bound=res.dual_bound, nodes=res.nodes)
         if sol.feasible:
+            if not self._adjacent(sol.values):
+                self._min_burn(sol)
             sol.components = self.cost_components(sol.values)
             _check_integrality(self.model, sol.values)
         return sol
+
+    def _adjacent(self, values: dict[tuple, float]) -> bool:
+        """Every curve arc's weights sit on at most two neighbouring
+        breakpoints (the tolerance of ``audit``)."""
+        for key, pts in self.curve_points.items():
+            support = [n for n in range(len(pts))
+                       if values.get(vn("L", *key, n), 0.0) > SOS2_TOL]
+            if len(support) > 2 or (len(support) == 2
+                                    and support[1] - support[0] != 1):
+                return False
+        return True
+
+    def _min_burn(self, sol: Solution):
+        """Second stage: with every integer column fixed and the profit held
+        at the first stage's, minimize the total curve-arc burn. On a convex
+        curve the least burn for a given mass lies on neighbouring
+        breakpoints, so this removes the over-burn without losing profit.
+        Leaves ``sol`` as it is when the LP returns no solution."""
+        burn: dict[int, float] = {}
+        for a in self.arcs:
+            if a.key in self.curve_points:
+                for key, f in self.arc_consumption(a).items():
+                    burn[self.model.index(key)] = -f
+        lp = self.model.fixed_lp(sol.values, burn)
+        z = sol.objective
+        lp.add_constr("profit", self.model.objective, ">=",
+                      z - 1e-7 * max(1.0, abs(z)))
+        res = self._run(lp)
+        if not res.feasible:
+            return
+        values = res.values
+        for key, kind, fixed in zip(self.model.keys, self.model.var_kind,
+                                    lp.var_lb):
+            if kind != CONTINUOUS:
+                values[key] = fixed
+        sol.values = values
+        sol.objective = self.cost_components(values)["profit"]
 
     def cost_components(self, values: dict[tuple, float]) -> dict[str, float]:
         out = {}

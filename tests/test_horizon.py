@@ -129,11 +129,21 @@ def _synthetic_stream(multimodal):
     return DemandStream(needs=needs, seed=0, horizon=120.0)
 
 
-def test_short_campaign_end_to_end(multimodal):
+def _synthetic_campaign(multimodal):
     sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
     stream = _synthetic_stream(multimodal)
-    result = run(multimodal, sats, stream, horizon_days=120,
-                 config=RhConfig(gap=0.0))
+    return stream, run(multimodal, sats, stream, horizon_days=120,
+                       config=RhConfig(gap=0.0))
+
+
+@pytest.fixture(scope="module")
+def campaign(multimodal):
+    # one run of the synthetic campaign, shared by the tests that read it
+    return _synthetic_campaign(multimodal)
+
+
+def test_short_campaign_end_to_end(multimodal, campaign):
+    stream, result = campaign
     assert result.state.day == 120
     assert result.state.served   # at least one need actually serviced
     assert not (result.state.served & result.state.lost)
@@ -151,20 +161,15 @@ def test_short_campaign_end_to_end(multimodal):
     assert diffs == {multimodal.network.period}
 
 
-def test_campaign_repeat_is_identical(multimodal):
-    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
-    runs = [run(multimodal, sats, _synthetic_stream(multimodal),
-                horizon_days=120, config=RhConfig(gap=0.0))
-            for _ in range(2)]
+def test_campaign_repeat_is_identical(multimodal, campaign):
+    # the shared run against one fresh, independent run
+    runs = [campaign[1], _synthetic_campaign(multimodal)[1]]
     assert runs[0].ledger.bookings == runs[1].ledger.bookings
     assert runs[0].state.served == runs[1].state.served
 
 
-def test_export_events_on_campaign_clock(multimodal, tmp_path):
-    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
-    stream = _synthetic_stream(multimodal)
-    result = run(multimodal, sats, stream, horizon_days=120,
-                 config=RhConfig(gap=0.0))
+def test_export_events_on_campaign_clock(campaign, tmp_path):
+    stream, result = campaign
     path = tmp_path / "events.json"
     result.export_events(path)
     events = json.loads(path.read_text())

@@ -162,3 +162,9 @@ def test_gap_and_mip_gap_reported():
     res = knapsack().solve(gap=0.5)
     assert res.feasible
     assert res.gap is None or res.gap <= 0.5 + 1e-9
+
+
+def test_dual_bound_and_nodes_reported():
+    res = knapsack().solve(gap=0.0)
+    assert res.dual_bound == pytest.approx(res.objective)
+    assert res.nodes >= 0

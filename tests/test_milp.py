@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from enum_oracle import oracle_best
 from micro import micro_instance, micro_scenario
+from test_lp import _stub_solver
 
 from oosplan.demand import ServiceNeed, build_window
+from oosplan.lp import Model
 from oosplan.milp import (CommittedService, InitialState, ModelError,
                           PlanProblem, SolveOptions, audit, extract_schedule,
                           vn)
@@ -86,15 +88,14 @@ def test_model_names_are_family_tagged(solved):
     # their family
     problem, _, _ = solved
     model = problem.model
-    families = {"Y", "X", "W", "U", "Z", "L", "G", "H", "B", "S0"}
+    families = {"Y", "X", "W", "U", "Z", "L", "H", "B", "S0"}
     assert model.var_names
     assert all(nm.split("[", 1)[0] in families and nm.endswith("]")
                for nm in model.var_names)
     rows = {"bal_cust", "bal_park", "supply", "bal_veh", "veh_supply",
             "cap_hold", "cap_arc", "cap_payload", "wet_mass", "mass_ub",
-            "prop_avail", "sk_avail", "sos2_sum", "sos2_mass", "sos2_seg",
-            "sos2_adj", "assign_once", "dispatch", "one_service", "presence",
-            "tool", "arrival"}
+            "prop_avail", "sk_avail", "sos2_sum", "sos2_mass", "assign_once",
+            "dispatch", "one_service", "presence", "tool", "arrival"}
     assert {con.name for con in model.constraints} <= rows
     a = problem.arcs[0]
     assert model.var_names[model.index(vn("W", *a.key))] \
@@ -206,11 +207,10 @@ def test_lp_export_cross_check(solved, tmp_path):
     assert res.objective == pytest.approx(solution.objective, rel=1e-6)
 
 
-def _segment_arcs(problem) -> tuple[set, set]:
-    """Arc keys carrying lambda weights and segment binaries."""
-    lam = {k[1:7] for k in problem.model.keys if k[0] == "L"}
-    seg = {k[1:7] for k in problem.model.keys if k[0] == "G"}
-    return lam, seg
+def _segment_arcs(problem) -> set:
+    """Arc keys carrying lambda weights; no column is a segment binary."""
+    assert not any(k[0] == "G" for k in problem.model.keys)
+    return {k[1:7] for k in problem.model.keys if k[0] == "L"}
 
 
 def _solve_against_oracle(scenario, net, needs, init):
@@ -254,7 +254,7 @@ def test_embedding_follows_model_shape_not_mode(seed):
     curve = {a.key for a in problem.arcs if a.model.burn_fraction is None}
     assert curve == {a.key for a in problem.arcs if a.r == "high_thrust"}
     assert curve and len(curve) < len(problem.arcs)
-    assert _segment_arcs(problem) == (curve, curve)
+    assert _segment_arcs(problem) == curve
 
 
 def test_zero_burn_arcs_get_no_segment_binaries():
@@ -283,4 +283,54 @@ def test_zero_burn_arcs_get_no_segment_binaries():
             if a.key in low and lon[a.i] == lon[a.j]}
     curve = low - zero
     assert zero and curve
-    assert _segment_arcs(problem) == (curve, curve)
+    assert _segment_arcs(problem) == curve
+
+
+def _over_burns(values, problem) -> bool:
+    return any(v.family == "sos2_adjacency" for v in audit(problem, values))
+
+
+def test_second_stage_restores_adjacency():
+    # without segment binaries HiGHS may spread an arc's weights over
+    # breakpoints that are not neighbours; solve() must repair that exactly
+    raw_over_burns = 0
+    for seed in range(10):
+        scenario, _, net, needs, init = micro_instance(seed)
+        problem = _solve_against_oracle(scenario, net, needs, init)
+        raw = problem.model.solve(gap=0.0)
+        raw_over_burns += _over_burns(raw.values, problem)
+    assert raw_over_burns >= 1
+
+
+def test_second_stage_uses_the_same_backend(tmp_path, monkeypatch):
+    scenario, _, net, needs, init = micro_instance(1)
+    problem = PlanProblem(scenario, net, needs, init,
+                          SolveOptions(gap=0.0, backend=_stub_solver(tmp_path)))
+    model = problem.model
+    built = (list(model.var_lb), list(model.var_ub), list(model.var_kind),
+             dict(model.objective), len(model.constraints))
+    solved = []
+    through = Model.solve_subprocess
+
+    def logged(m, command, gap=0.0):
+        res = through(m, command, gap)
+        solved.append((m, res))
+        return res
+
+    def in_process(m, *args, **kwargs):
+        raise AssertionError("solved in process")
+    monkeypatch.setattr(Model, "solve_subprocess", logged)
+    monkeypatch.setattr(Model, "solve", in_process)
+    solution = problem.solve()
+    # the first stage over-burned in the external solver too, and the
+    # min-burn LP went the same way
+    assert len(solved) == 2
+    assert _over_burns(solved[0][1].values, problem)
+    assert solved[1][0] is not model
+    assert audit(problem, solution.values) == []
+    assert solution.objective == pytest.approx(
+        oracle_best(scenario, net, needs, init), rel=1e-6, abs=1e-3)
+    assert solution.components["profit"] == solution.objective
+    # the model is left as built
+    assert built == (model.var_lb, model.var_ub, model.var_kind,
+                     model.objective, len(model.constraints))
