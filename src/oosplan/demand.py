@@ -8,10 +8,8 @@ table and a required-tool flag derived from the service type.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -135,13 +133,6 @@ class DemandStream:
         if taus != sorted(taus):
             raise ValueError("needs must be sorted by occurrence date")
 
-    def export_csv(self, path: str | Path):
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["need_id", "satellite", "service_type", "tau_day"])
-            for n in self.needs:
-                w.writerow([n.id, n.satellite, n.service_type, repr(n.tau)])
-
 
 def generate_stream(sats: list[CustomerSat], scenario: Scenario,
                     horizon: float, seed: int) -> DemandStream:
@@ -152,20 +143,6 @@ def generate_stream(sats: list[CustomerSat], scenario: Scenario,
             needs += generate_deterministic(sats, spec, horizon, seed)
         else:
             needs += generate_random(sats, spec, horizon, seed)
-    needs.sort(key=lambda n: (n.tau, n.id))
-    return DemandStream(needs=tuple(needs), seed=seed, horizon=horizon)
-
-
-def import_stream(path: str | Path, scenario: Scenario, horizon: float,
-                  seed: int = 0) -> DemandStream:
-    """Reload a demand stream exported by DemandStream.export_csv."""
-    needs = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            spec = scenario.services[row["service_type"]]
-            needs.append(_need_from_spec(row["need_id"], row["satellite"],
-                                         spec, float(row["tau_day"])))
     needs.sort(key=lambda n: (n.tau, n.id))
     return DemandStream(needs=tuple(needs), seed=seed, horizon=horizon)
 

@@ -35,7 +35,6 @@ class RhConfig:
     n_breakpoints: int = 20
     backend: str = "highs"
     time_limit: Optional[float] = None
-    audit_each_step: bool = True
     #: initial on-board loads per vehicle; None fills every capacity
     initial_loads: Optional[dict[str, dict[str, float]]] = None
 
@@ -292,11 +291,10 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     if not solution.feasible:
         raise CampaignError(
             f"planning window at day {state.day} is {solution.status}")
-    if config.audit_each_step:
-        violations = audit(problem, solution.values)
-        if violations:
-            raise CampaignError(
-                f"solution audit failed at day {state.day}: {violations[:5]}")
+    violations = audit(problem, solution.values)
+    if violations:
+        raise CampaignError(
+            f"solution audit failed at day {state.day}: {violations[:5]}")
     schedule = extract_schedule(problem, solution)
     committed = _committed_event_set(schedule, commit)
     day0 = state.day

@@ -283,86 +283,3 @@ def _expr(coeffs: dict[int, float], names: list[str]) -> str:
         return "0 " + names[0] if names else "0"
     out = " ".join(terms)
     return out[2:] if out.startswith("+ ") else out
-
-
-def parse_lp(path: str | Path) -> Model:
-    """Read back a model written by :meth:`Model.write_lp`.
-
-    Supports the subset of the LP format the writer emits; used for
-    cross-checking exported models.
-    """
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("\\")]
-    model = Model(name="parsed")
-    section = None
-    pending: dict[str, float] = {}
-    bounds: list[tuple[str, float, Optional[float]]] = []
-    generals: set[str] = set()
-    constrs: list[tuple[str, dict[str, float], str, float]] = []
-    objective: dict[str, float] = {}
-
-    token_re = re.compile(
-        r"(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?"
-        r"|\.[0-9]+(?:[eE][-+]?[0-9]+)?)"
-        r"|(?P<var>[A-Za-z_][A-Za-z0-9_.]*)"
-        r"|(?P<op>[-+])")
-
-    def parse_linexpr(expr: str) -> dict[str, float]:
-        out: dict[str, float] = {}
-        sign, coeff = 1.0, None
-        for m in token_re.finditer(expr):
-            if m.lastgroup == "op":
-                sign = 1.0 if m.group() == "+" else -1.0
-                coeff = None
-            elif m.lastgroup == "num":
-                coeff = float(m.group())
-            else:
-                val = coeff if coeff is not None else 1.0
-                out[m.group()] = out.get(m.group(), 0.0) + sign * val
-                sign, coeff = 1.0, None
-        return out
-
-    for ln in lines:
-        stripped = ln.strip()
-        low = stripped.lower()
-        if low in ("maximize", "minimize", "subject to", "bounds",
-                   "generals", "binaries", "end"):
-            section = low
-            continue
-        if section == "maximize":
-            body = stripped.split(":", 1)[-1]
-            objective.update(parse_linexpr(body))
-        elif section == "subject to":
-            nm, body = stripped.split(":", 1)
-            m = re.match(r"(.*?)(<=|>=|=)\s*([-+0-9.eE]+)\s*$", body)
-            if not m:
-                raise SolveError(f"cannot parse constraint: {stripped}")
-            sense = {"<=": "<=", ">=": ">=", "=": "=="}[m.group(2)]
-            constrs.append((nm.strip(), parse_linexpr(m.group(1)), sense,
-                            float(m.group(3))))
-        elif section == "bounds":
-            m = re.match(r"([-+0-9.eE]+)\s*<=\s*(\S+)(?:\s*<=\s*([-+0-9.eE]+))?",
-                         stripped)
-            if not m:
-                raise SolveError(f"cannot parse bound: {stripped}")
-            bounds.append((m.group(2), float(m.group(1)),
-                           float(m.group(3)) if m.group(3) else None))
-        elif section == "generals":
-            generals.add(stripped)
-
-    for nm, lb, ub in bounds:
-        model.add_var(nm, lb=lb, ub=math.inf if ub is None else ub,
-                      kind=INTEGER if nm in generals else CONTINUOUS)
-    for nm, coeff in objective.items():
-        if nm not in model:
-            model.add_var(nm)
-        model.add_objective(model.index(nm), coeff)
-    for cname, coeffs, sense, rhs in constrs:
-        idx_coeffs = {}
-        for nm, coeff in coeffs.items():
-            if nm not in model:
-                model.add_var(nm)
-            idx_coeffs[model.index(nm)] = coeff
-        model.add_constr(cname, idx_coeffs, sense, rhs)
-    return model

@@ -9,6 +9,12 @@ arc transformation relations, which keeps the model smaller and makes the
 transformation constraints hold by construction; nonnegativity of the
 substituted inflows is enforced explicitly.
 
+The model holds only columns that its rows let be nonzero: a servicer has a
+state at a customer node only near the needs it can serve, its commitments,
+its start and its in-flight arrivals, and flies only from a state, landing on
+a customer only on a window step. A column left out reads as zero in every
+row.
+
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
 returns weights on breakpoints that are not neighbours (an over-burn that
@@ -28,6 +34,7 @@ from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
 INT_TOL = 1e-6
+EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
 SOS2_TOL = 1e-6                 # weight counted in a curve arc's support
 
 
@@ -82,7 +89,6 @@ class SolveOptions:
     gap: float = 0.01
     time_limit: Optional[float] = None
     backend: str = "highs"       # "highs" or a shell command with {lp}/{sol}
-    earth_commodity_supply: float = 1e7
 
 
 @dataclass
@@ -112,7 +118,7 @@ class PlanProblem:
     # -- index preparation -------------------------------------------------
 
     def _prepare(self):
-        scn, net = self.scenario, self.net
+        scn, net, grid = self.scenario, self.net, self.grid
         self.node_by_name = {n.name: n for n in self.nodes.nodes}
         # active vehicles: deployed now or arriving
         self.active: dict[str, VehicleDesign] = {}
@@ -134,21 +140,25 @@ class PlanProblem:
             vid: [k for k, cap in v.capacities.items() if cap > 0]
             for vid, v in {**self.active, **self.launchers}.items()}
 
-        # usable arcs: launches by launchers, flights by active vehicles
-        self.arcs = [a for a in net.arcs
-                     if a.vehicle in (self.launchers if a.is_launch
-                                      else self.active)]
-        self.dep_arcs: dict[tuple, list[TransportArc]] = {}
-        self.arr_arcs: dict[tuple, list[TransportArc]] = {}
-        for a in self.arcs:
-            self.dep_arcs.setdefault((a.vehicle, a.i, a.t), []).append(a)
-            self.arr_arcs.setdefault((a.vehicle, a.j, a.arrival), []).append(a)
+        # a committed servicer stays pinned to its customer until the first
+        # step at or after the service end from which it can fly, so a
+        # service ending near the horizon edge does not strand it
+        departs = {(a.vehicle, a.i, a.t) for a in net.arcs
+                   if not a.is_launch and a.vehicle in self.active}
+        self.pinned: set[tuple[str, int, int]] = set()
+        for c in self.init.committed:
+            i = self.node_by_name[c.node].index
+            end = next((t for t in grid.steps if t >= c.end_day
+                        and (c.vehicle, i, t) in departs), grid.final + 1)
+            self.pinned |= {(c.vehicle, i, t) for t in grid.steps
+                            if c.start_day <= t < end}
 
         # needs: capable vehicles, windows, beta tables
-        self.need_by_id = {n.id: n for n in self.needs}
         self.needs_at: dict[int, list[ServiceNeed]] = {}
         self.beta: dict[str, dict[tuple[int, int], int]] = {}
         self.capable: dict[str, list[str]] = {}
+        windows: set[tuple[str, int, int]] = set()   # (vehicle, node, step)
+        held = set(self.pinned)
         for need in self.needs:
             node = self.node_by_name.get(need.satellite)
             if node is None or node.tier != "customer":
@@ -157,35 +167,50 @@ class PlanProblem:
             if not need.window:
                 raise ModelError(f"need {need.id} has no service window")
             self.needs_at.setdefault(node.index, []).append(need)
-            self.beta[need.id] = build_beta(need, self.grid)
+            self.beta[need.id] = build_beta(need, grid)
             self.capable[need.id] = [
                 vid for vid, v in self.active.items()
                 if v.is_servicer and v.capacities.get(need.required_tool, 0) > 0]
-        # L_i: union of windows per customer node
-        self.window_union: dict[int, set[int]] = {
-            i: set().union(*[set(n.window) for n in needs_i])
-            for i, needs_i in self.needs_at.items()}
-        self.committed_at: dict[tuple[str, int], list[CommittedService]] = {}
-        for c in self.init.committed:
-            node = self.node_by_name[c.node]
-            self.committed_at.setdefault((c.vehicle, node.index), []).append(c)
+            for vid in self.capable[need.id]:
+                windows |= {(vid, node.index, t) for t in need.window}
+                held |= {(vid, node.index, t) for _, t in self.beta[need.id]}
+
+        # A servicer gets a state at a customer node only where a row lets
+        # it be there: the window and service steps of a need it can serve,
+        # its pinned steps, its start and its in-flight arrivals, and the
+        # step after each of these so that it can leave. The presence rows
+        # force every other customer state to zero.
+        held |= windows
+        held |= {(vid, self.node_by_name[node].index, grid.steps[0])
+                 for vid, node in self.init.vehicle_nodes.items()}
+        held |= {(p.vehicle, self.node_by_name[p.node].index, p.t)
+                 for p in self.init.pending_arrivals}
+        customer = {n.index for n in self.nodes.customer}
+        self.steps_at: dict[tuple[str, int], list[int]] = {}
+        for vid, v in self.active.items():
+            for i in self.presence[vid]:
+                self.steps_at[vid, i] = [
+                    t for n, t in enumerate(grid.steps)
+                    if not (v.is_servicer and i in customer)
+                    or (vid, i, t) in held
+                    or n and (vid, i, grid.steps[n - 1]) in held]
+        states = {(vid, i, t) for (vid, i), steps in self.steps_at.items()
+                  for t in steps}
+
+        # usable arcs: launches by launchers; flights of active vehicles that
+        # leave a state and land at a parking node or on a window step
+        self.arcs = [a for a in net.arcs if (
+            a.vehicle in self.launchers if a.is_launch else
+            (a.vehicle, a.i, a.t) in states
+            and (a.j not in customer or (a.vehicle, a.j, a.arrival) in windows))]
+        self.dep_arcs: dict[tuple, list[TransportArc]] = {}
+        self.arr_arcs: dict[tuple, list[TransportArc]] = {}
+        for a in self.arcs:
+            self.dep_arcs.setdefault((a.vehicle, a.i, a.t), []).append(a)
+            self.arr_arcs.setdefault((a.vehicle, a.j, a.arrival), []).append(a)
 
     def _pinned(self, vid: str, i: int, t: int) -> int:
-        for c in self.committed_at.get((vid, i), ()):
-            if c.start_day <= t < self._pin_end(vid, i, c.end_day):
-                return 1
-        return 0
-
-    def _pin_end(self, vid: str, i: int, end_day: float) -> float:
-        """First step at which a committed servicer can leave its customer.
-
-        Occupancy stays pinned until a departure arc exists, so a service
-        ending near the horizon edge does not strand the vehicle infeasibly.
-        """
-        for t in self.grid.steps:
-            if t >= end_day and self.dep_arcs.get((vid, i, t)):
-                return t
-        return self.grid.final + 1
+        return int((vid, i, t) in self.pinned)
 
     def _mode_of(self, arc: TransportArc):
         if arc.is_launch:
@@ -202,7 +227,7 @@ class PlanProblem:
 
         for vid, v in self.active.items():
             for i in self.presence[vid]:
-                for t in grid.steps:
+                for t in self.steps_at[vid, i]:
                     m.add_var(vn("Y", vid, i, t), kind=BINARY)
                     for k in self.carriable[vid]:
                         kind = INTEGER if scn.commodities[k].is_integer else CONTINUOUS
@@ -286,8 +311,18 @@ class PlanProblem:
 
     # -- constraint families -----------------------------------------------
 
-    def _coeffs(self, expr: dict[tuple, float]) -> dict[int, float]:
-        return {self.model.index(nm): c for nm, c in expr.items()}
+    def _row(self, family: str, expr: dict[tuple, float], sense: str,
+             rhs: float):
+        """Add the row ``expr sense rhs``. A column that ``_prepare`` left
+        out is zero in every solution, so it reads as zero here, and a row
+        left with no column is skipped if it holds at zero."""
+        m = self.model
+        coeffs = {m.index(key): c for key, c in expr.items() if key in m}
+        if coeffs:
+            m.add_constr(family, coeffs, sense, rhs)
+        elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "==": rhs == 0.0}[sense]:
+            raise ModelError(f"empty {family} row cannot hold: "
+                             f"0 {sense} {rhs}")
 
     def _add_expr(self, into: dict[tuple, float], expr: dict[tuple, float],
                   sign: float = 1.0):
@@ -336,7 +371,7 @@ class PlanProblem:
         return row
 
     def _add_balances(self):
-        m, grid, scn = self.model, self.grid, self.scenario
+        grid, scn = self.grid, self.scenario
         vids_all = list(self.active) + list(self.launchers)
 
         # commodity balance at customer nodes, per servicer
@@ -345,7 +380,7 @@ class PlanProblem:
             for vid, v in self.active.items():
                 if not v.is_servicer:
                     continue
-                for t in grid.steps:
+                for t in self.steps_at[vid, i]:
                     for k in self.carriable[vid]:
                         row = self._commodity_outflow_row(vid, i, t, k)
                         rhs = self._init_stock(vid, i, k, t)
@@ -356,9 +391,7 @@ class PlanProblem:
                                 # nonpositive demand: delivery leaves the servicer
                                 row[vn("H", vid, need.id, t)] = \
                                     row.get(vn("H", vid, need.id, t), 0.0) + mag
-                        if row:
-                            m.add_constr("bal_cust",
-                                         self._coeffs(row), "==", rhs)
+                        self._row("bal_cust", row, "==", rhs)
 
         # commodity balance at parking nodes, pooled over vehicles
         all_k = list(scn.commodities)
@@ -371,12 +404,9 @@ class PlanProblem:
                     for vid in vids_all:
                         self._add_expr(row, self._commodity_outflow_row(vid, i, t, k))
                         rhs += self._init_stock(vid, i, k, t)
-                    if row:
-                        m.add_constr("bal_park",
-                                     self._coeffs(row), "==", rhs)
+                    self._row("bal_park", row, "==", rhs)
 
         # Earth commodity supply caps
-        sigma = self.options.earth_commodity_supply
         for node in self.nodes.earth:
             i = node.index
             for t in grid.steps:
@@ -386,63 +416,55 @@ class PlanProblem:
                         for a in self.dep_arcs.get((vid, i, t), ()):
                             if k in self.carriable[a.vehicle]:
                                 row[vn("U", *a.key, k)] = 1.0
-                    if row:
-                        m.add_constr("supply",
-                                     self._coeffs(row), "<=", sigma)
+                    self._row("supply", row, "<=", EARTH_SUPPLY)
 
         # vehicle balances at orbital nodes
         for vid, v in self.active.items():
             for i in self.presence[vid]:
-                for t in grid.steps:
+                for t in self.steps_at[vid, i]:
                     row = {vn("Y", vid, i, t): 1.0}
                     tp = t - grid.delta_backward(t)
                     if tp != t:
-                        row[vn("Y", vid, i, tp)] = row.get(vn("Y", vid, i, tp), 0.0) - 1.0
+                        row[vn("Y", vid, i, tp)] = -1.0
                     for a in self.dep_arcs.get((vid, i, t), ()):
                         row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) + 1.0
                     for a in self.arr_arcs.get((vid, i, t), ()):
                         self._add_expr(row, self.arc_vehicle_inflow(a), -1.0)
-                    m.add_constr("bal_veh", self._coeffs(row),
-                                 "==", self._init_presence(vid, i, t))
+                    self._row("bal_veh", row, "==",
+                              self._init_presence(vid, i, t))
 
         # Earth vehicle supply: one launcher per launch step
         for node in self.nodes.earth:
             i = node.index
             for t in grid.steps:
                 for vid in self.launchers:
-                    deps = self.dep_arcs.get((vid, i, t), ())
-                    if not deps:
-                        continue
-                    row = {vn("W", *a.key): 1.0 for a in deps}
-                    m.add_constr("veh_supply", self._coeffs(row), "<=", 1)
+                    row = {vn("W", *a.key): 1.0
+                           for a in self.dep_arcs.get((vid, i, t), ())}
+                    self._row("veh_supply", row, "<=", 1)
 
     def _add_concurrency(self):
-        m = self.model
         # holdover capacity
         for vid, v in self.active.items():
             for i in self.presence[vid]:
-                for t in self.grid.steps:
+                for t in self.steps_at[vid, i]:
                     for k in self.carriable[vid]:
                         row = {vn("X", vid, i, t, k): 1.0,
                                vn("Y", vid, i, t): -v.capacities[k]}
-                        m.add_constr("cap_hold",
-                                     self._coeffs(row), "<=", 0.0)
+                        self._row("cap_hold", row, "<=", 0.0)
         # transport capacity
         for a in self.arcs:
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
             for k in self.carriable[a.vehicle]:
                 row = {vn("U", *a.key, k): 1.0, vn("W", *a.key): -v.capacities[k]}
-                m.add_constr("cap_arc",
-                             self._coeffs(row), "<=", 0.0)
+                self._row("cap_arc", row, "<=", 0.0)
             if v.payload_capacity is not None:
                 row = {vn("U", *a.key, k): self.scenario.unit_mass(k)
                        for k in self.carriable[a.vehicle]}
                 row[vn("W", *a.key)] = -v.payload_capacity
-                m.add_constr("cap_payload",
-                             self._coeffs(row), "<=", 0.0)
+                self._row("cap_payload", row, "<=", 0.0)
 
     def _add_transformation(self):
-        m, scn = self.model, self.scenario
+        scn = self.scenario
         # total wet mass definition and flight-feasibility bound
         for a in self.arcs:
             if a.is_launch:
@@ -451,48 +473,41 @@ class PlanProblem:
             row = {vn("Z", *a.key): 1.0, vn("W", *a.key): -v.dry_mass}
             for k in self.carriable[a.vehicle]:
                 row[vn("U", *a.key, k)] = -scn.unit_mass(k)
-            m.add_constr("wet_mass",
-                         self._coeffs(row), "==", 0.0)
+            self._row("wet_mass", row, "==", 0.0)
             if math.isfinite(a.mass_upper_bound):
                 row = {vn("Z", *a.key): 1.0,
                        vn("W", *a.key): -a.mass_upper_bound}
-                m.add_constr("mass_ub",
-                             self._coeffs(row), "<=", 0.0)
+                self._row("mass_ub", row, "<=", 0.0)
             # propellant on board must cover the burn
             mode = self._mode_of(a)
             row = {vn("U", *a.key, mode.propellant_commodity): 1.0}
             self._add_expr(row, self.arc_consumption(a), -1.0)
-            m.add_constr("prop_avail",
-                         self._coeffs(row), ">=", 0.0)
+            self._row("prop_avail", row, ">=", 0.0)
             if a.model.burn_fraction is None:
                 self._add_sos2(a)
         # depot station keeping stock must cover the holdover burn
         for vid, v in self.active.items():
-            if v.station_keeping_rate <= 0:
-                continue
             k = v.station_keeping_commodity
+            if v.station_keeping_rate <= 0 or k not in self.carriable[vid]:
+                continue
             for i in self.presence[vid]:
-                for t in self.grid.steps:
+                for t in self.steps_at[vid, i]:
                     dt = self.grid.delta_forward(t)
-                    if dt <= 0 or vn("X", vid, i, t, k) not in m:
+                    if dt <= 0:
                         continue
                     row = {vn("X", vid, i, t, k): 1.0,
                            vn("Y", vid, i, t): -v.station_keeping_rate * dt}
-                    m.add_constr("sk_avail",
-                                 self._coeffs(row), ">=", 0.0)
+                    self._row("sk_avail", row, ">=", 0.0)
 
     def _add_sos2(self, a: TransportArc):
         # the curve is convex, so the weights alone bound the burn from
         # below; solve() restores adjacency where HiGHS over-burns
-        m = self.model
         pts = self.curve_points[a.key]
         lam = [vn("L", *a.key, j) for j in range(len(pts))]
-        m.add_constr("sos2_sum",
-                     self._coeffs({v: 1.0 for v in lam}), "==", 1.0)
+        self._row("sos2_sum", {v: 1.0 for v in lam}, "==", 1.0)
         row = {v: pts[j][0] for j, v in enumerate(lam) if pts[j][0] != 0.0}
         row[vn("Z", *a.key)] = -1.0
-        m.add_constr("sos2_mass",
-                     self._coeffs(row), "==", 0.0)
+        self._row("sos2_mass", row, "==", 0.0)
 
     def _add_service_management(self):
         m, grid = self.model, self.grid
@@ -500,95 +515,71 @@ class PlanProblem:
         for need in self.needs:
             row = {vn("H", vid, need.id, tau): 1.0
                    for vid in self.capable[need.id] for tau in need.window}
-            if row:
-                m.add_constr("assign_once", self._coeffs(row),
-                             "<=", 1.0)
+            self._row("assign_once", row, "<=", 1.0)
         # a vehicle only starts a service it was dispatched for
         for need in self.needs:
             for vid in self.capable[need.id]:
                 for t in grid.steps:
-                    bname = vn("B", vid, need.id, t)
-                    if bname not in m:
-                        continue
-                    row = {bname: 1.0}
+                    row = {vn("B", vid, need.id, t): 1.0}
                     for tau in need.window:
                         if self.beta[need.id].get((tau, t), 0):
                             row[vn("H", vid, need.id, tau)] = -1.0
-                    m.add_constr("dispatch",
-                                 self._coeffs(row), "==", 0.0)
+                    self._row("dispatch", row, "==", 0.0)
         # one service at a time per customer node
         for i, needs_i in self.needs_at.items():
             for t in grid.steps:
-                row = {}
-                for need in needs_i:
-                    for vid in self.capable[need.id]:
-                        if vn("B", vid, need.id, t) in m:
-                            row[vn("B", vid, need.id, t)] = 1.0
-                if row:
-                    m.add_constr("one_service", self._coeffs(row),
-                                 "<=", 1.0)
+                row = {vn("B", vid, need.id, t): 1.0 for need in needs_i
+                       for vid in self.capable[need.id]}
+                self._row("one_service", row, "<=", 1.0)
         # presence at customer nodes equals dispatch
         for vid, v in self.active.items():
             if not v.is_servicer:
                 continue
             for node in self.nodes.customer:
                 i = node.index
-                for t in grid.steps:
+                for t in self.steps_at[vid, i]:
                     row = {vn("Y", vid, i, t): 1.0}
                     for need in self.needs_at.get(i, ()):
-                        if vid in self.capable[need.id] \
-                                and vn("B", vid, need.id, t) in m:
+                        if vid in self.capable[need.id]:
                             row[vn("B", vid, need.id, t)] = -1.0
-                    m.add_constr("presence", self._coeffs(row),
-                                 "==", float(self._pinned(vid, i, t)))
-        # the adequate tool must be on board
+                    self._row("presence", row, "==",
+                              float(self._pinned(vid, i, t)))
+        # the adequate tool must be on board while a service needs it
         for vid, v in self.active.items():
             if not v.is_servicer:
                 continue
             for node in self.nodes.customer:
                 i = node.index
-                for t in grid.steps:
+                for t in self.steps_at[vid, i]:
                     for k in self.scenario.tool_ids():
-                        row = {}
-                        for need in self.needs_at.get(i, ()):
-                            if need.required_tool == k \
-                                    and vid in self.capable[need.id] \
-                                    and vn("B", vid, need.id, t) in m:
-                                row[vn("B", vid, need.id, t)] = -1.0
-                        if not row:
-                            continue
-                        if vn("X", vid, i, t, k) not in m:
-                            raise ModelError(
-                                f"servicer {vid} cannot carry tool {k}")
-                        row[vn("X", vid, i, t, k)] = 1.0
-                        m.add_constr("tool",
-                                     self._coeffs(row), ">=", 0.0)
+                        row = {vn("B", vid, need.id, t): -1.0
+                               for need in self.needs_at.get(i, ())
+                               if need.required_tool == k
+                               and vid in self.capable[need.id]}
+                        if any(b in m for b in row):
+                            row[vn("X", vid, i, t, k)] = 1.0
+                            self._row("tool", row, ">=", 0.0)
 
     def _add_flight_rules(self):
         # arrivals at a customer node exactly when a service starts
         # (with an allowance for a servicer that begins the
         # horizon already at a customer node)
-        m, grid = self.model, self.grid
+        grid = self.grid
         for vid, v in self.active.items():
             if not v.is_servicer:
                 continue
             for node in self.nodes.customer:
                 i = node.index
-                for t in grid.steps:
-                    row: dict[tuple, float] = {}
-                    for a in self.arr_arcs.get((vid, i, t), ()):
-                        if not a.is_launch:
-                            row[vn("W", *a.key)] = 1.0
+                for t in self.steps_at[vid, i]:
+                    row = {vn("W", *a.key): 1.0
+                           for a in self.arr_arcs.get((vid, i, t), ())}
                     for need in self.needs_at.get(i, ()):
                         if t in need.window and vid in self.capable[need.id]:
-                            row[vn("H", vid, need.id, t)] = \
-                                row.get(vn("H", vid, need.id, t), 0.0) - 1.0
-                    if t == grid.steps[0] and vn("S0", vid) in m \
-                            and self.node_by_name[self.init.vehicle_nodes[vid]].index == i:
+                            row[vn("H", vid, need.id, t)] = -1.0
+                    if t == grid.steps[0] \
+                            and self.init.vehicle_nodes.get(vid) == node.name:
                         row[vn("S0", vid)] = 1.0
-                    if row:
-                        m.add_constr("arrival",
-                                     self._coeffs(row), "==", 0.0)
+                    self._row("arrival", row, "==", 0.0)
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
@@ -625,7 +616,7 @@ class PlanProblem:
             if rate <= 0:
                 continue
             for i in self.presence[vid]:
-                for t in grid.steps:
+                for t in self.steps_at[vid, i]:
                     dt = grid.delta_forward(t)
                     if dt > 0:
                         y = vn("Y", vid, i, t)
@@ -660,8 +651,12 @@ class PlanProblem:
         if sol.feasible:
             if not self._adjacent(sol.values):
                 self._min_burn(sol)
-            sol.components = self.cost_components(sol.values)
             _check_integrality(self.model, sol.values)
+            for key, kind in zip(self.model.keys, self.model.var_kind):
+                if kind != CONTINUOUS:
+                    sol.values[key] = float(round(sol.values[key]))
+            sol.components = self.cost_components(sol.values)
+            sol.objective = sol.components["profit"]
         return sol
 
     def _adjacent(self, values: dict[tuple, float]) -> bool:
@@ -691,15 +686,8 @@ class PlanProblem:
         lp.add_constr("profit", self.model.objective, ">=",
                       z - 1e-7 * max(1.0, abs(z)))
         res = self._run(lp)
-        if not res.feasible:
-            return
-        values = res.values
-        for key, kind, fixed in zip(self.model.keys, self.model.var_kind,
-                                    lp.var_lb):
-            if kind != CONTINUOUS:
-                values[key] = fixed
-        sol.values = values
-        sol.objective = self.cost_components(values)["profit"]
+        if res.feasible:
+            sol.values = res.values
 
     def cost_components(self, values: dict[tuple, float]) -> dict[str, float]:
         out = {}

@@ -9,10 +9,8 @@ indexed by (vehicle, from, to, flight duration, trajectory option, departure).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .scenario import CustomerSat, Scenario, VehicleDesign
@@ -58,12 +56,6 @@ class NodeSet:
     @property
     def orbital(self) -> list[Node]:
         return [n for n in self.nodes if n.tier in ("parking", "customer")]
-
-    def by_name(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
 
 
 def build_nodes(scenario: Scenario, sats: list[CustomerSat],
@@ -192,16 +184,6 @@ class DynamicNetwork:
         for a in self.arcs:
             if not (self.grid.contains(a.t) and self.grid.contains(a.arrival)):
                 raise NetworkError(f"arc {a.key} not aligned to the grid")
-
-    def dump_csv(self, path: str | Path):
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["vehicle", "from", "to", "q_days", "option",
-                        "depart_day", "arrive_day", "mass_upper_bound_kg"])
-            for a in self.arcs:
-                w.writerow([a.vehicle, self.nodes.nodes[a.i].name,
-                            self.nodes.nodes[a.j].name, a.q, a.r, a.t,
-                            a.arrival, f"{a.mass_upper_bound:.3f}"])
 
 
 def _mass_range(vehicle: VehicleDesign, scenario: Scenario) -> tuple[float, float]:

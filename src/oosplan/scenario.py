@@ -247,9 +247,6 @@ class Scenario:
             "deployments": [asdict(d) for d in self.deployments],
         }
 
-    def save(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
 
 def _vehicle_to_dict(v: VehicleDesign) -> dict:
     d = asdict(v)

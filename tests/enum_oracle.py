@@ -30,7 +30,8 @@ def oracle_best(scenario: Scenario, net: DynamicNetwork,
     vid = servicers[0]
     vehicle = scenario.vehicles[vid]
     grid = net.grid
-    start_node = net.nodes.by_name(init.vehicle_nodes[vid])
+    start_node = next(n for n in net.nodes.nodes
+                      if n.name == init.vehicle_nodes[vid])
     if start_node.tier != "parking":
         raise ValueError("oracle expects the servicer to start at parking")
 

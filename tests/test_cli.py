@@ -22,7 +22,7 @@ def test_plan_runs_clean(catalog_file, tmp_path, capsys):
                                           "delay", "depot_ops",
                                           "servicer_ops"}
     # the exported LP re-solves to the same objective
-    from oosplan.lp import parse_lp
+    from lp_text import parse_lp
     res = parse_lp(lp).solve(gap=0.0)
     assert res.objective == pytest.approx(payload["objective"], rel=1e-6)
 

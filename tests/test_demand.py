@@ -2,8 +2,7 @@ import pytest
 
 from oosplan.demand import (DemandStream, ServiceNeed, build_beta,
                             build_window, generate_deterministic,
-                            generate_random, generate_stream, import_stream,
-                            window_needs)
+                            generate_random, generate_stream, window_needs)
 from oosplan.network import build_time_grid
 from oosplan.scenario import CustomerSat
 
@@ -69,15 +68,10 @@ def test_build_beta_coverage():
     assert beta[(4, 12)] == 1 and (4, 14) not in beta
 
 
-def test_stream_sorted_and_export(multimodal, tmp_path):
+def test_stream_sorted_and_export(multimodal):
     stream = generate_stream(SATS, multimodal, horizon=5000.0, seed=11)
     taus = [n.tau for n in stream.needs]
     assert taus == sorted(taus)
-    path = tmp_path / "needs.csv"
-    stream.export_csv(path)
-    again = import_stream(path, multimodal, horizon=5000.0, seed=11)
-    assert [(n.id, n.tau, n.service_type) for n in again.needs] \
-        == [(n.id, n.tau, n.service_type) for n in stream.needs]
 
 
 def test_stream_rejects_unsorted():

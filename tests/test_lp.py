@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lp_text import parse_lp
+
 import oosplan
-from oosplan.lp import BINARY, INTEGER, Model, SolveError, parse_lp, \
-    read_solution
+from oosplan.lp import BINARY, INTEGER, Model, SolveError, read_solution
 
 
 def knapsack() -> Model:
@@ -133,20 +134,26 @@ def test_time_limit_without_incumbent_is_not_feasible():
     assert res.values == {} and res.objective is None
 
 
-def _stub_solver(tmp_path) -> str:
-    # external backend stub: parse the LP with our own reader, solve with
-    # HiGHS, emit a plain name/value solution file; it imports the same
-    # oosplan as this test, wherever that comes from
+def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
+    # external backend stub: parse the LP with the test reader, solve with
+    # HiGHS, emit a plain name/value solution file, with every integer
+    # column moved by integer_offset; it imports the same oosplan as this
+    # test, wherever that comes from
     src = str(Path(oosplan.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     script = tmp_path / "solver.py"
     script.write_text(
         "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "from oosplan.lp import parse_lp\n"
+        f"sys.path[:0] = [{src!r}, {tests!r}]\n"
+        "from lp_text import parse_lp\n"
+        "from oosplan.lp import CONTINUOUS\n"
         "model = parse_lp(sys.argv[1])\n"
         "res = model.solve()\n"
         "with open(sys.argv[2], 'w') as fh:\n"
-        "    for name, val in res.values.items():\n"
+        "    for (name, val), kind in zip(res.values.items(),\n"
+        "                                 model.var_kind):\n"
+        "        if kind != CONTINUOUS:\n"
+        f"            val += {integer_offset!r}\n"
         "        fh.write(f'{name} {val!r}\\n')\n")
     return f"{sys.executable} {script} {{lp}} {{sol}}"
 

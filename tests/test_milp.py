@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from enum_oracle import oracle_best
+from lp_text import parse_lp
 from micro import micro_instance, micro_scenario
 from test_lp import _stub_solver
 
 from oosplan.demand import ServiceNeed, build_window
-from oosplan.lp import Model
+from oosplan.lp import CONTINUOUS, Model
 from oosplan.milp import (CommittedService, InitialState, ModelError,
                           PlanProblem, SolveOptions, audit, extract_schedule,
                           vn)
@@ -171,7 +172,7 @@ def test_committed_service_pins_vehicle(multimodal):
     problem = PlanProblem(scn, net, [], init, SolveOptions(gap=0.0))
     solution = problem.solve()
     assert solution.feasible
-    sat_idx = net.nodes.by_name("satA").index
+    sat_idx = problem.node_by_name["satA"].index
     for t in (0, 2, 4, 10, 12, 14):
         assert solution.values[vn("Y", "mm_versatile", sat_idx, t)] \
             == pytest.approx(1.0)
@@ -197,7 +198,6 @@ def test_extract_requires_feasible(solved):
 
 def test_lp_export_cross_check(solved, tmp_path):
     # the exported LP file, parsed back independently, solves to the same value
-    from oosplan.lp import parse_lp
     problem, solution, _ = solved
     path = tmp_path / "plan.lp"
     problem.model.write_lp(path)
@@ -257,26 +257,30 @@ def test_embedding_follows_model_shape_not_mode(seed):
     assert _segment_arcs(problem) == curve
 
 
+def _job(grid, sat, tau, revenue):
+    return build_window(ServiceNeed(
+        id=f"{sat}/job/0", satellite=sat, service_type="job", tau=tau,
+        duration=4, revenue=revenue, delay_penalty_per_day=1e5,
+        commodity_demand={"monopropellant": 50.0}, required_tool="T1"),
+        grid, 20.0)
+
+
 def test_zero_burn_arcs_get_no_segment_binaries():
     rng = np.random.default_rng(7)
     scenario = micro_scenario(rng)
     # sat0 sits at the parking longitude, so flights between them need no
-    # phase change; sat1 keeps some curve arcs in the model
+    # phase change; the need at sat1 keeps curve arcs to it in the model
     sats = [CustomerSat("sat0", scenario.network.parking_longitudes[0]),
             CustomerSat("sat1", -160.0)]
     nodes = build_nodes(scenario, sats, include_earth=False)
     grid = build_time_grid(scenario.network.period, scenario.network.offsets,
                            30)
     net = expand(nodes, grid, scenario)
-    need = build_window(ServiceNeed(
-        id="sat0/job/0", satellite="sat0", service_type="job", tau=6.0,
-        duration=4, revenue=10e6, delay_penalty_per_day=1e5,
-        commodity_demand={"monopropellant": 50.0}, required_tool="T1"),
-        grid, 20.0)
+    needs = [_job(grid, "sat0", 6.0, 10e6), _job(grid, "sat1", 4.0, 8e6)]
     loads = dict(scenario.vehicles["servicer"].capacities)
     init = InitialState(vehicle_nodes={"servicer": "parking_0"},
                         commodities={"servicer": loads})
-    problem = _solve_against_oracle(scenario, net, [need], init)
+    problem = _solve_against_oracle(scenario, net, needs, init)
     lon = {n.index: n.longitude for n in nodes.nodes}
     low = {a.key for a in problem.arcs if a.r == "low_thrust"}
     zero = {a.key for a in problem.arcs
@@ -334,3 +338,65 @@ def test_second_stage_uses_the_same_backend(tmp_path, monkeypatch):
     # the model is left as built
     assert built == (model.var_lb, model.var_ub, model.var_kind,
                      model.objective, len(model.constraints))
+
+
+def test_customer_states_only_where_a_row_lets_them_be_nonzero():
+    scenario = micro_scenario(np.random.default_rng(7))
+    sats = [CustomerSat("sat0", -160.0), CustomerSat("sat1", 100.0)]
+    nodes = build_nodes(scenario, sats, include_earth=False)
+    grid = build_time_grid(scenario.network.period, scenario.network.offsets,
+                           30)
+    net = expand(nodes, grid, scenario)
+    need = _job(grid, "sat0", 6.0, 10e6)
+    assert need.window == (10, 12, 14, 20, 22, 24)
+    loads = dict(scenario.vehicles["servicer"].capacities)
+    init = InitialState(vehicle_nodes={"servicer": "parking_0"},
+                        commodities={"servicer": loads})
+    problem = _solve_against_oracle(scenario, net, [need], init)
+    keys = problem.model.keys
+    sat0, sat1 = (problem.node_by_name[s.name].index for s in sats)
+    # no need and no commitment rests on sat1: no state and no arc there
+    assert not [k for k in keys if k[0] in ("Y", "X") and k[2] == sat1]
+    assert not [a for a in problem.arcs if sat1 in (a.i, a.j)]
+    assert any(sat1 in (a.i, a.j) for a in net.arcs)
+    # sat0 holds the window steps, the service steps (each start covers
+    # four days) and the step after each; flights land only on the window
+    # and leave only from a state
+    steps = {k[3] for k in keys if k[0] == "Y" and k[2] == sat0}
+    assert steps == {10, 12, 14, 20, 22, 24, 30}
+    assert {a.arrival for a in problem.arcs if a.j == sat0} \
+        <= set(need.window)
+    assert {a.t for a in problem.arcs if a.i == sat0} <= steps
+
+
+def test_absent_column_reads_as_zero(solved):
+    problem, _, _ = solved
+    rows = len(problem.model.constraints)
+    absent = vn("Y", "mm_versatile", -1, 0)
+    problem._row("presence", {absent: 1.0}, "==", 0.0)
+    assert len(problem.model.constraints) == rows
+    with pytest.raises(ModelError, match="cannot hold"):
+        problem._row("presence", {absent: 1.0}, "==", 1.0)
+
+
+def test_integer_columns_come_back_integral(tmp_path):
+    # an external solver returns integer columns within its integrality
+    # tolerance; solve() hands back exact integers and their profit
+    registry = PluginRegistry.default()
+    registry.register("low_thrust", _line_low_thrust)
+    scenario, _, net, needs, init = micro_instance(0)
+    net = expand(net.nodes, net.grid, scenario, registry=registry)
+    problem = PlanProblem(
+        scenario, net, needs, init,
+        SolveOptions(gap=0.0, backend=_stub_solver(tmp_path, 1e-9)))
+    assert not problem.curve_points
+    solution = problem.solve()
+    integer = [solution.values[k] for k, kind in
+               zip(problem.model.keys, problem.model.var_kind)
+               if kind != CONTINUOUS]
+    assert all(v == round(v) for v in integer)
+    assert 1.0 in integer
+    assert solution.objective == solution.components["profit"]
+    assert audit(problem, solution.values) == []
+    assert solution.objective == pytest.approx(
+        oracle_best(scenario, net, needs, init), rel=1e-6, abs=1e-3)

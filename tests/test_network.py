@@ -12,7 +12,8 @@ def test_build_nodes_tiers(multimodal):
     nodes = build_nodes(multimodal, sats)
     assert [n.tier for n in nodes.nodes] == ["earth", "parking", "customer",
                                              "customer"]
-    assert nodes.by_name("parking_0").longitude == -170.0
+    assert nodes.parking[0].name == "parking_0"
+    assert nodes.parking[0].longitude == -170.0
     assert len(nodes.orbital) == 3
     nodes2 = build_nodes(multimodal, sats, include_earth=False)
     assert not nodes2.earth
@@ -75,15 +76,3 @@ def test_expand_uses_both_modes(multimodal):
     net = expand(nodes, grid, multimodal)
     modes = {a.r for a in net.arcs if a.vehicle == "mm_versatile"}
     assert modes == {"high_thrust", "low_thrust"}
-
-
-def test_dump_csv(multimodal, tmp_path):
-    sats = [CustomerSat("a", -160.0)]
-    nodes = build_nodes(multimodal, sats)
-    grid = build_time_grid(10, (2, 4), 60)
-    net = expand(nodes, grid, multimodal)
-    out = tmp_path / "arcs.csv"
-    net.dump_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("vehicle,from,to,q_days")
-    assert len(lines) == len(net.arcs) + 1

@@ -19,10 +19,10 @@ def test_multimodal_has_both_modes(multimodal):
     assert kinds == {"high_thrust", "low_thrust"}
 
 
-def test_round_trip(multimodal, tmp_path):
-    p = tmp_path / "scn.json"
-    multimodal.save(p)
-    again = load_scenario(p)
+def test_round_trip(multimodal):
+    # the path the campaign sweep takes into its worker processes
+    again = scenario_from_dict(multimodal.to_dict())
+    assert again == multimodal
     assert again.to_dict() == multimodal.to_dict()
 
 
