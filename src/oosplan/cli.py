@@ -61,11 +61,12 @@ def cmd_plan(args) -> int:
     grid = build_time_grid(scn.network.period, scn.network.offsets,
                            args.horizon_days)
     needs = demand.window_needs(stream.needs, scn, grid)
-    nodes = build_nodes(scn, sats, include_earth=True)
-    net = expand(nodes, grid, scn, n_breakpoints=args.breakpoints)
     state, _ = horizon.initial_state(scn, horizon.RhConfig())
     init = milp.InitialState(vehicle_nodes=dict(state.vehicle_nodes),
                              commodities=dict(state.commodities))
+    nodes = build_nodes(scn, sats, include_earth=True)
+    net = expand(nodes, grid, scn, n_breakpoints=args.breakpoints,
+                 vehicles=init.active_vehicles(scn))
     options = milp.SolveOptions(gap=args.gap, backend=args.backend,
                                 time_limit=args.time_limit)
     problem = milp.PlanProblem(scn, net, needs, init, options)

@@ -246,9 +246,6 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
     sats_local = [s for s in sats if s.name in active_sats]
     local = [n for n in local if n.satellite in {s.name for s in sats_local}]
 
-    nodes = build_nodes(scenario, sats_local, include_earth=True)
-    net = expand(nodes, grid, scenario, registry=registry,
-                 n_breakpoints=config.n_breakpoints)
     init = InitialState(
         vehicle_nodes=dict(state.vehicle_nodes),
         commodities={v: dict(loads) for v, loads in state.commodities.items()},
@@ -263,6 +260,10 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
                              end_day=c.end_day - state.day,
                              need_id=c.need_id)
             for c in state.committed))
+    nodes = build_nodes(scenario, sats_local, include_earth=True)
+    net = expand(nodes, grid, scenario, registry=registry,
+                 n_breakpoints=config.n_breakpoints,
+                 vehicles=init.active_vehicles(scenario))
     options = SolveOptions(gap=config.gap, time_limit=config.time_limit,
                            backend=config.backend)
     problem = PlanProblem(scenario, net, local, init, options)

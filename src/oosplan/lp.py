@@ -3,8 +3,8 @@
 Holds variables indexed by hashable keys, linear constraints tagged with their
 family name, and a maximize objective; solves in-process through scipy's HiGHS
 interface, or through any external solver via LP-file export and a plain
-``variable value`` solution file. Display names are formatted only for export
-and error messages.
+``variable value`` solution file with an optional ``status`` line. Display
+names are formatted only for export and error messages.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ class Constraint:
 
 @dataclass
 class SolveResult:
-    status: str                 # optimal | time-limit | infeasible | unbounded
+    # optimal | time-limit | infeasible | unbounded, or unknown where an
+    # external backend states none
+    status: str
     objective: Optional[float]
     values: dict[Hashable, float]
     gap: Optional[float] = None
@@ -223,7 +225,9 @@ class Model:
         """Solve via an external command.
 
         The command receives ``{lp}`` and ``{sol}`` placeholders; the solution
-        file must contain ``variable_name value`` lines.
+        file must contain ``variable_name value`` lines, and may carry one
+        ``status <s>`` line (see ``_read_status``). Without it the status is
+        ``"unknown"``; an infeasible or unbounded file carries no solution.
         """
         with tempfile.TemporaryDirectory() as tmp:
             lp = Path(tmp) / "model.lp"
@@ -238,14 +242,28 @@ class Model:
                     f"{proc.stderr.strip()[:500]}")
             if not sol.exists():
                 raise SolveError("backend produced no solution file")
+            status = _read_status(sol)
+            if status in ("infeasible", "unbounded"):
+                return SolveResult(status=status, objective=None, values={})
             keys = list(self.keys)
             values = read_solution(sol, keys)
         obj = sum(coeff * values[keys[idx]]
                   for idx, coeff in self.objective.items())
-        return SolveResult(status="optimal", objective=obj, values=values)
+        return SolveResult(status=status, objective=obj, values=values)
 
 
 _SOL_LINE = re.compile(r"x(\d+)_\S*\s+(\S+)")
+_STATUS_LINE = re.compile(r"status\s+(\S+)")
+
+
+def _read_status(path: str | Path) -> str:
+    """The solver status a solution file states on a ``status <s>`` line,
+    one of the ``SolveResult`` statuses; ``"unknown"`` if it states none."""
+    for line in Path(path).read_text().splitlines():
+        m = _STATUS_LINE.fullmatch(line.strip())
+        if m and m.group(1) in _STATUS.values():
+            return m.group(1)
+    return "unknown"
 
 
 def read_solution(path: str | Path,

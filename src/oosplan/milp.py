@@ -10,10 +10,12 @@ transformation constraints hold by construction; nonnegativity of the
 substituted inflows is enforced explicitly.
 
 The model holds only columns that its rows let be nonzero: a servicer has a
-state at a customer node only near the needs it can serve, its commitments,
-its start and its in-flight arrivals, and flies only from a state, landing on
-a customer only on a window step. A column left out reads as zero in every
-row.
+state at a customer node only on the steps of the needs it can serve, its
+commitments, its start and its in-flight arrivals. It leaves a customer only
+on a release step (a service end, the end of a commitment, its start or an
+in-flight arrival), and lands on a customer only on a window step whose
+service it can leave again, or that runs past the horizon. A column left out
+reads as zero in every row.
 
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
@@ -73,6 +75,13 @@ class InitialState:
     pending_arrivals: tuple[PendingArrival, ...] = ()
     committed: tuple[CommittedService, ...] = ()
 
+    def active_vehicles(self, scenario: Scenario) -> dict[str, VehicleDesign]:
+        """Servicers and depots deployed now or arriving, in scenario order."""
+        here = set(self.vehicle_nodes)
+        here |= {p.vehicle for p in self.pending_arrivals}
+        return {v.id: v for v in scenario.servicers + scenario.depots
+                if v.id in here}
+
     def validate(self, scenario: Scenario):
         for v, loads in self.commodities.items():
             design = scenario.vehicles[v]
@@ -120,13 +129,7 @@ class PlanProblem:
     def _prepare(self):
         scn, net, grid = self.scenario, self.net, self.grid
         self.node_by_name = {n.name: n for n in self.nodes.nodes}
-        # active vehicles: deployed now or arriving
-        self.active: dict[str, VehicleDesign] = {}
-        for v in list(scn.servicers) + list(scn.depots):
-            deployed = v.id in self.init.vehicle_nodes
-            arriving = any(p.vehicle == v.id for p in self.init.pending_arrivals)
-            if deployed or arriving:
-                self.active[v.id] = v
+        self.active = self.init.active_vehicles(scn)
         self.launchers = {v.id: v for v in scn.launchers}
 
         self.presence: dict[str, list[int]] = {}
@@ -142,22 +145,27 @@ class PlanProblem:
 
         # a committed servicer stays pinned to its customer until the first
         # step at or after the service end from which it can fly, so a
-        # service ending near the horizon edge does not strand it
+        # service ending near the horizon edge does not strand it; that step
+        # releases it
         departs = {(a.vehicle, a.i, a.t) for a in net.arcs
                    if not a.is_launch and a.vehicle in self.active}
         self.pinned: set[tuple[str, int, int]] = set()
+        release: set[tuple[str, int, int]] = set()   # (vehicle, node, step)
         for c in self.init.committed:
             i = self.node_by_name[c.node].index
             end = next((t for t in grid.steps if t >= c.end_day
                         and (c.vehicle, i, t) in departs), grid.final + 1)
             self.pinned |= {(c.vehicle, i, t) for t in grid.steps
                             if c.start_day <= t < end}
+            release.add((c.vehicle, i, end))
 
-        # needs: capable vehicles, windows, beta tables
+        # needs: capable vehicles, windows, beta tables; ends[v, i, tau]
+        # holds the steps at which a service that v starts at node i on tau
+        # releases it (None where it runs past the horizon)
         self.needs_at: dict[int, list[ServiceNeed]] = {}
         self.beta: dict[str, dict[tuple[int, int], int]] = {}
         self.capable: dict[str, list[str]] = {}
-        windows: set[tuple[str, int, int]] = set()   # (vehicle, node, step)
+        ends: dict[tuple[str, int, int], set[Optional[int]]] = {}
         held = set(self.pinned)
         for need in self.needs:
             node = self.node_by_name.get(need.satellite)
@@ -172,37 +180,59 @@ class PlanProblem:
                 vid for vid, v in self.active.items()
                 if v.is_servicer and v.capacities.get(need.required_tool, 0) > 0]
             for vid in self.capable[need.id]:
-                windows |= {(vid, node.index, t) for t in need.window}
+                for tau in need.window:
+                    ends.setdefault((vid, node.index, tau), set()).add(
+                        grid.next_step_at_or_after(tau + need.duration))
                 held |= {(vid, node.index, t) for _, t in self.beta[need.id]}
 
         # A servicer gets a state at a customer node only where a row lets
-        # it be there: the window and service steps of a need it can serve,
-        # its pinned steps, its start and its in-flight arrivals, and the
-        # step after each of these so that it can leave. The presence rows
-        # force every other customer state to zero.
-        held |= windows
-        held |= {(vid, self.node_by_name[node].index, grid.steps[0])
-                 for vid, node in self.init.vehicle_nodes.items()}
-        held |= {(p.vehicle, self.node_by_name[p.node].index, p.t)
-                 for p in self.init.pending_arrivals}
+        # it be there or leave: the window and service steps of a need it
+        # can serve, its pinned steps, its start, its in-flight arrivals and
+        # its release steps. The presence rows force every other customer
+        # state to zero. They hold Y to the services and the pinned run, and
+        # a service starts only on an arrival, so the servicer leaves only on
+        # a release step: a service end, the end of its pinned run, its start
+        # or an in-flight arrival.
+        entered = {(vid, self.node_by_name[node].index, grid.steps[0])
+                   for vid, node in self.init.vehicle_nodes.items()}
+        entered |= {(p.vehicle, self.node_by_name[p.node].index, p.t)
+                    for p in self.init.pending_arrivals}
+        release |= entered
+        release |= {(vid, i, e) for (vid, i, _), es in ends.items()
+                    for e in es}
+        held |= set(ends) | release
         customer = {n.index for n in self.nodes.customer}
         self.steps_at: dict[tuple[str, int], list[int]] = {}
         for vid, v in self.active.items():
             for i in self.presence[vid]:
                 self.steps_at[vid, i] = [
-                    t for n, t in enumerate(grid.steps)
+                    t for t in grid.steps
                     if not (v.is_servicer and i in customer)
-                    or (vid, i, t) in held
-                    or n and (vid, i, grid.steps[n - 1]) in held]
+                    or (vid, i, t) in held]
         states = {(vid, i, t) for (vid, i), steps in self.steps_at.items()
                   for t in steps}
 
-        # usable arcs: launches by launchers; flights of active vehicles that
-        # leave a state and land at a parking node or on a window step
+        # A flight leaves a state, a customer only on a release step, and
+        # lands at a parking node or on a window step.
+        flights = [a for a in net.arcs if not a.is_launch
+                   and (a.vehicle, a.i, a.t) in (
+                       release if a.i in customer else states)
+                   and (a.j not in customer
+                        or (a.vehicle, a.j, a.arrival) in ends)]
+        # It lands on a window step only if the service started there can be
+        # left: it runs past the horizon, or a kept flight leaves at its end.
+        # Dropping a landing can strand a departure, so repeat until stable.
+        while True:
+            leaving = {(a.vehicle, a.i, a.t) for a in flights}
+            kept = [a for a in flights if a.j not in customer
+                    or any(e is None or (a.vehicle, a.j, e) in leaving
+                           for e in ends[a.vehicle, a.j, a.arrival])]
+            if len(kept) == len(flights):
+                break
+            flights = kept
+        flown = {a.key for a in flights}
         self.arcs = [a for a in net.arcs if (
-            a.vehicle in self.launchers if a.is_launch else
-            (a.vehicle, a.i, a.t) in states
-            and (a.j not in customer or (a.vehicle, a.j, a.arrival) in windows))]
+            a.vehicle in self.launchers if a.is_launch else a.key in flown)]
         self.dep_arcs: dict[tuple, list[TransportArc]] = {}
         self.arr_arcs: dict[tuple, list[TransportArc]] = {}
         for a in self.arcs:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .scenario import CustomerSat, Scenario, VehicleDesign
 from .trajectory import (DAY_S, PluginRegistry, TrajectoryError,
@@ -195,16 +195,18 @@ def _mass_range(vehicle: VehicleDesign, scenario: Scenario) -> tuple[float, floa
 
 def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
            registry: Optional[PluginRegistry] = None,
-           n_breakpoints: int = 20) -> DynamicNetwork:
+           n_breakpoints: int = 20,
+           vehicles: Optional[Iterable[str]] = None) -> DynamicNetwork:
     """Expand the static network into the full set of transportation multiarcs.
 
-    For every servicer, ordered orbital node pair, propulsion mode, flight
-    duration and grid-aligned departure, one arc is created carrying the
-    trajectory model computed by the registered plugin. Trajectory models are
-    cached per (vehicle, mode, duration, phase angle) since the propellant
-    depends only on the phase geometry, not node identity. Arcs whose mass
-    upper bound falls below the servicer dry mass are pruned. Launch arcs run
-    Earth to parking at the configured cadence for each launcher.
+    For every servicer (only those named in ``vehicles``, if given), ordered
+    orbital node pair, propulsion mode, flight duration and grid-aligned
+    departure, one arc is created carrying the trajectory model computed by
+    the registered plugin. Trajectory models are cached per (vehicle, mode,
+    duration, phase angle) since the propellant depends only on the phase
+    geometry, not node identity. Arcs whose mass upper bound falls below the
+    servicer dry mass are pruned. Launch arcs run Earth to parking at the
+    configured cadence for each launcher.
     """
     registry = registry or PluginRegistry.default()
     eco = scenario.economics
@@ -213,8 +215,12 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
     arcs: list[TransportArc] = []
     cache: dict[tuple, Optional[TrajectoryModel]] = {}
     orbital = nodes.orbital
+    servicers = scenario.servicers
+    if vehicles is not None:
+        named = set(vehicles)
+        servicers = [v for v in servicers if v.id in named]
 
-    for veh in scenario.servicers:
+    for veh in servicers:
         m_lo, m_hi = _mass_range(veh, scenario)
         for mode in veh.propulsion:
             plugin = registry.get(mode.kind)

@@ -136,7 +136,8 @@ def test_time_limit_without_incumbent_is_not_feasible():
 
 def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
     # external backend stub: parse the LP with the test reader, solve with
-    # HiGHS, emit a plain name/value solution file, with every integer
+    # HiGHS, emit its status line and a plain name/value solution file,
+    # with every integer
     # column moved by integer_offset; it imports the same oosplan as this
     # test, wherever that comes from
     src = str(Path(oosplan.__file__).resolve().parents[1])
@@ -150,6 +151,7 @@ def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
         "model = parse_lp(sys.argv[1])\n"
         "res = model.solve()\n"
         "with open(sys.argv[2], 'w') as fh:\n"
+        "    fh.write(f'status {res.status}\\n')\n"
         "    for (name, val), kind in zip(res.values.items(),\n"
         "                                 model.var_kind):\n"
         "        if kind != CONTINUOUS:\n"
@@ -163,6 +165,30 @@ def test_solve_subprocess_round_trip(tmp_path):
     res = m.solve_subprocess(_stub_solver(tmp_path))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(23.0)
+
+
+def _copying_backend(tmp_path, text: str) -> str:
+    # external backend stub that writes a prepared solution file
+    prepared = tmp_path / "prepared.sol"
+    prepared.write_text(text)
+    script = tmp_path / "copy.py"
+    script.write_text("import shutil, sys\n"
+                      f"shutil.copy({str(prepared)!r}, sys.argv[1])\n")
+    return f"{sys.executable} {script} {{sol}}"
+
+
+def test_subprocess_status_comes_from_the_solution_file(tmp_path):
+    m = knapsack()
+    values = "x0_x_0_ 1\nx1_x_1_ 1\n"
+    res = m.solve_subprocess(_copying_backend(tmp_path, values))
+    assert res.status == "unknown"
+    assert res.objective == pytest.approx(23.0)
+    res = m.solve_subprocess(
+        _copying_backend(tmp_path, "status time-limit\n" + values))
+    assert res.status == "time-limit" and res.feasible
+    res = m.solve_subprocess(_copying_backend(tmp_path, "status infeasible\n"))
+    assert res.status == "infeasible"
+    assert not res.feasible and res.values == {}
 
 
 def test_gap_and_mip_gap_reported():

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from enum_oracle import oracle_best
@@ -8,12 +11,13 @@ from test_lp import _stub_solver
 from oosplan.demand import ServiceNeed, build_window
 from oosplan.lp import CONTINUOUS, Model
 from oosplan.milp import (CommittedService, InitialState, ModelError,
-                          PlanProblem, SolveOptions, audit, extract_schedule,
-                          vn)
+                          PendingArrival, PlanProblem, SolveOptions, audit,
+                          extract_schedule, vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
-from oosplan.trajectory import (PluginRegistry, TrajectoryModel, ht_model,
-                                linearize, lt_model)
+from oosplan.trajectory import (PluginRegistry, TrajectoryError,
+                                TrajectoryModel, ht_model, linearize,
+                                lt_model)
 
 
 def make_need(scn, service, sat, tau, grid):
@@ -181,6 +185,28 @@ def test_committed_service_pins_vehicle(multimodal):
     assert audit(problem, solution.values) == []
 
 
+def test_servicer_left_at_a_customer_leaves_at_once(multimodal):
+    # with no need and no commitment at the customer, its start step and an
+    # in-flight arrival step are the only steps it can leave from
+    scn = multimodal
+    nodes = build_nodes(scn, [CustomerSat("satA", -160.0)],
+                        include_earth=False)
+    net = expand(nodes, build_time_grid(10, (2, 4), 60), scn)
+    loads = full_loads(scn, "mm_versatile")
+    for init, day in [
+            (InitialState(vehicle_nodes={"mm_versatile": "satA"},
+                          commodities={"mm_versatile": loads}), 0),
+            (InitialState(pending_arrivals=(PendingArrival(
+                "mm_versatile", "satA", 12, loads),)), 12)]:
+        problem = PlanProblem(scn, net, [], init, SolveOptions(gap=0.0))
+        solution = problem.solve()
+        assert solution.feasible
+        assert audit(problem, solution.values) == []
+        flights = [e for e in extract_schedule(problem, solution).events
+                   if e.kind == "flight"]
+        assert (flights[0].day, flights[0].detail["from"]) == (day, "satA")
+
+
 def test_initial_overload_rejected(multimodal):
     with pytest.raises(ModelError, match="exceeds capacity"):
         InitialState(vehicle_nodes={"mm_versatile": "parking_0"},
@@ -243,18 +269,36 @@ def _line_low_thrust(query, n_breakpoints):
         burn_fraction=f)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_embedding_follows_model_shape_not_mode(seed):
+def _swapped_instance(seed):
+    # a micro instance whose high-thrust arcs are curves and whose
+    # low-thrust arcs are lines
     registry = PluginRegistry()
     registry.register("high_thrust", _curve_high_thrust)
     registry.register("low_thrust", _line_low_thrust)
     scenario, _, net, needs, init = micro_instance(seed)
     net = expand(net.nodes, net.grid, scenario, registry=registry)
+    return scenario, net, needs, init
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_embedding_follows_model_shape_not_mode(seed):
+    scenario, net, needs, init = _swapped_instance(seed)
+    assert {a.model.burn_fraction is None for a in net.arcs} == {True, False}
     problem = _solve_against_oracle(scenario, net, needs, init)
     curve = {a.key for a in problem.arcs if a.model.burn_fraction is None}
     assert curve == {a.key for a in problem.arcs if a.r == "high_thrust"}
-    assert curve and len(curve) < len(problem.arcs)
+    assert problem.arcs
     assert _segment_arcs(problem) == curve
+
+
+def test_embedding_seeds_hold_both_shapes():
+    # the seeds above put both shapes in their models between them, so the
+    # per-arc checks there see curves and lines (seed 3 keeps one line arc)
+    shapes = set()
+    for seed in range(4):
+        problem = PlanProblem(*_swapped_instance(seed))
+        shapes |= {a.model.burn_fraction is None for a in problem.arcs}
+    assert shapes == {True, False}
 
 
 def _job(grid, sat, tau, revenue):
@@ -367,6 +411,84 @@ def test_customer_states_only_where_a_row_lets_them_be_nonzero():
     assert {a.arrival for a in problem.arcs if a.j == sat0} \
         <= set(need.window)
     assert {a.t for a in problem.arcs if a.i == sat0} <= steps
+
+
+def test_flights_leave_a_customer_only_where_a_service_ends():
+    scenario = micro_scenario(np.random.default_rng(7))
+    sats = [CustomerSat("sat0", -160.0), CustomerSat("sat1", -150.0)]
+    nodes = build_nodes(scenario, sats, include_earth=False)
+    grid = build_time_grid(scenario.network.period, scenario.network.offsets,
+                           30)
+    net = expand(nodes, grid, scenario)
+    needs = [_job(grid, "sat0", 6.0, 10e6),
+             replace(_job(grid, "sat1", 2.0, 8e6), duration=10)]
+    loads = dict(scenario.vehicles["servicer"].capacities)
+    init = InitialState(vehicle_nodes={"servicer": "parking_0"},
+                        commodities={"servicer": loads})
+    problem = _solve_against_oracle(scenario, net, needs, init)
+    customer = {n.index for n in nodes.customer}
+    # ends[i, tau]: the steps that release a servicer starting a service at
+    # node i on tau (None where the service runs past the horizon)
+    ends: dict[tuple[int, int], set] = {}
+    for need in needs:
+        i = problem.node_by_name[need.satellite].index
+        for tau in need.window:
+            ends.setdefault((i, tau), set()).add(
+                grid.next_step_at_or_after(tau + need.duration))
+    release = {(i, e) for (i, _), es in ends.items() for e in es}
+    leaving = {(a.i, a.t) for a in problem.arcs}
+    for a in problem.arcs:
+        assert a.i not in customer or (a.i, a.t) in release
+        assert a.j not in customer or any(
+            e is None or (a.j, e) in leaving for e in ends[a.j, a.arrival])
+    assert {a.i for a in problem.arcs} & customer
+    assert {a.j for a in problem.arcs} & customer
+    # both rules drop arcs that the network offers: departures on a window
+    # step that releases nothing, and landings from parking on a window step
+    kept = {a.key for a in problem.arcs}
+    assert [a for a in net.arcs if (a.i, a.t) in set(ends) - release]
+    assert [a for a in net.arcs if a.i not in customer
+            and (a.j, a.arrival) in ends and a.key not in kept]
+
+
+def test_a_dropped_landing_strands_the_flight_that_led_to_it():
+    # sat B can be left only towards sat A, and a service at A ends on a
+    # step with no flight out, so the landing at A goes first and the
+    # landing at B (whose only way out led there) on the next pass
+    def high_thrust(query, n_breakpoints):
+        if math.isclose(math.degrees(query.phase_angle), 20.0):
+            raise TrajectoryError("B to parking")
+        return ht_model(query)
+
+    def low_thrust(query, n_breakpoints):
+        raise TrajectoryError("no low-thrust arcs")
+    registry = PluginRegistry()
+    registry.register("high_thrust", high_thrust)
+    registry.register("low_thrust", low_thrust)
+    scenario = micro_scenario(np.random.default_rng(7))
+    sats = [CustomerSat("A", -160.0), CustomerSat("B", -150.0)]
+    nodes = build_nodes(scenario, sats, include_earth=False)
+    grid = build_time_grid(10, (2, 4), 30)
+    net = expand(nodes, grid, scenario, registry=registry)
+    parking, a, b = (n.index for n in nodes.nodes)
+    assert not [f for f in net.arcs if (f.i, f.j) == (b, parking)]
+
+    def job(sat, tau, duration):
+        return ServiceNeed(
+            id=f"{sat}/job/0", satellite=sat, service_type="job", tau=tau,
+            window=(tau,), duration=duration, revenue=10e6,
+            commodity_demand={"monopropellant": 10.0}, required_tool="T1")
+    needs = [job("B", 2, 8), job("A", 12, 12)]
+    loads = dict(scenario.vehicles["servicer"].capacities)
+    init = InitialState(vehicle_nodes={"servicer": "parking_0"},
+                        commodities={"servicer": loads})
+    problem = _solve_against_oracle(scenario, net, needs, init)
+    # the network offers B -> A from the end of B's service (day 10) into
+    # A's window, and flights into B's window; the model keeps neither
+    assert [f for f in net.arcs
+            if (f.i, f.j, f.t, f.arrival) == (b, a, 10, 12)]
+    assert [f for f in net.arcs if (f.j, f.arrival) == (b, 2)]
+    assert not [f for f in problem.arcs if {f.i, f.j} & {a, b}]
 
 
 def test_absent_column_reads_as_zero(solved):

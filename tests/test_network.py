@@ -76,3 +76,19 @@ def test_expand_uses_both_modes(multimodal):
     net = expand(nodes, grid, multimodal)
     modes = {a.r for a in net.arcs if a.vehicle == "mm_versatile"}
     assert modes == {"high_thrust", "low_thrust"}
+
+
+def test_expand_for_named_vehicles(multimodal):
+    sats = [CustomerSat("a", -160.0)]
+    nodes = build_nodes(multimodal, sats)
+    grid = build_time_grid(10, (2, 4), 60)
+    full = expand(nodes, grid, multimodal)
+    named = {"mm_versatile", "depot"}
+    net = expand(nodes, grid, multimodal, vehicles=named)
+    # arcs compare equal with their trajectory models
+    assert net.arcs == tuple(a for a in full.arcs
+                             if a.is_launch or a.vehicle in named)
+    assert {a.vehicle for a in net.arcs if not a.is_launch} \
+        == {"mm_versatile"}
+    assert "mm_specialized_1" in {a.vehicle for a in full.arcs}
+    assert [a for a in net.arcs if a.is_launch]
