@@ -61,7 +61,7 @@ def cmd_plan(args) -> int:
     grid = build_time_grid(scn.network.period, scn.network.offsets,
                            args.horizon_days)
     needs = demand.window_needs(stream.needs, scn, grid)
-    state, _ = horizon.initial_state(scn, horizon.RhConfig())
+    state, _ = horizon.initial_state(scn)
     init = milp.InitialState(vehicle_nodes=dict(state.vehicle_nodes),
                              commodities=dict(state.commodities))
     nodes = build_nodes(scn, sats, include_earth=True)

@@ -2,8 +2,9 @@
 
 Deterministic needs recur at a fixed per-satellite frequency with a seeded
 random phase; random needs follow a Poisson process (exponential inter-arrival
-times). Each need gets a service window of grid steps, a duration-coverage
-table and a required-tool flag derived from the service type.
+times). Each need gets a service window of grid steps and a required tool
+from its service type; ``ServiceNeed.covers`` says on which steps a service
+started in the window is under way.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class ServiceNeed:
         if not self.window:
             raise ValueError(f"need {self.id} has no window built")
         return self.window[0]
+
+    def covers(self, start: int, t: int) -> bool:
+        """Whether a service started on step ``start`` is under way at ``t``."""
+        return start <= t < start + self.duration
 
 
 def _need_from_spec(need_id: str, sat: str, spec: ServiceTypeSpec,
@@ -108,16 +113,6 @@ def build_window(need: ServiceNeed, grid: TimeGrid,
     if not steps:
         return None
     return replace(need, window=steps)
-
-
-def build_beta(need: ServiceNeed, grid: TimeGrid) -> dict[tuple[int, int], int]:
-    """Duration-coverage table: beta[(start, t)] = 1 iff start <= t < start+duration."""
-    beta = {}
-    for start in need.window:
-        for t in grid.steps:
-            if start <= t < start + need.duration:
-                beta[(start, t)] = 1
-    return beta
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,6 @@ class RhConfig:
     gap: float = 0.01
     n_breakpoints: int = 20
     backend: str = "highs"
-    time_limit: Optional[float] = None
-    #: initial on-board loads per vehicle; None fills every capacity
-    initial_loads: Optional[dict[str, dict[str, float]]] = None
 
 
 @dataclass(frozen=True)
@@ -179,8 +176,9 @@ class CampaignResult:
         Path(path).write_text(json.dumps(events, indent=2) + "\n")
 
 
-def initial_state(scenario: Scenario, config: RhConfig) -> tuple[WorldState, float]:
-    """Deploy vehicles per the scenario and price the initial investment."""
+def initial_state(scenario: Scenario) -> tuple[WorldState, float]:
+    """Deploy vehicles per the scenario, each loaded to capacity, and price
+    the initial investment."""
     parking_by_lon = {lon: f"parking_{i}" for i, lon in
                       enumerate(scenario.network.parking_longitudes)}
     state = WorldState()
@@ -193,10 +191,7 @@ def initial_state(scenario: Scenario, config: RhConfig) -> tuple[WorldState, flo
                 f"deployment of {dep.vehicle}: no parking slot at longitude "
                 f"{dep.longitude}")
         state.vehicle_nodes[dep.vehicle] = node
-        if config.initial_loads and dep.vehicle in config.initial_loads:
-            loads = dict(config.initial_loads[dep.vehicle])
-        else:
-            loads = dict(v.capacities)
+        loads = dict(v.capacities)
         state.commodities[dep.vehicle] = loads
         investment += v.manufacturing_cost
         investment += sum(scenario.commodities[k].purchase_cost * qty
@@ -264,8 +259,7 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
     net = expand(nodes, grid, scenario, registry=registry,
                  n_breakpoints=config.n_breakpoints,
                  vehicles=init.active_vehicles(scenario))
-    options = SolveOptions(gap=config.gap, time_limit=config.time_limit,
-                           backend=config.backend)
+    options = SolveOptions(gap=config.gap, backend=config.backend)
     problem = PlanProblem(scenario, net, local, init, options)
     return problem, local
 
@@ -433,7 +427,7 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     if commit <= 0 or commit % scenario.network.period != 0:
         raise CampaignError("commit interval must be a multiple of the grid "
                             "period")
-    state, investment = initial_state(scenario, config)
+    state, investment = initial_state(scenario)
     ledger = Ledger(initial_investment=investment)
     steps: list[StepResult] = []
     boundaries: list[int] = []

@@ -14,8 +14,10 @@ state at a customer node only on the steps of the needs it can serve, its
 commitments, its start and its in-flight arrivals. It leaves a customer only
 on a release step (a service end, the end of a commitment, its start or an
 in-flight arrival), and lands on a customer only on a window step whose
-service it can leave again, or that runs past the horizon. A column left out
-reads as zero in every row.
+service it can leave again, or that runs past the horizon. That release
+comes after the departure, so ``PlanProblem._prepare`` decides every landing
+in one sweep from the last departure back. Service timing is read from
+``ServiceNeed.covers``. A column left out reads as zero in every row.
 
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .demand import ServiceNeed, build_beta
+from .demand import ServiceNeed
 from .lp import BINARY, CONTINUOUS, INTEGER, Model, SolveResult, col_name
 from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
@@ -159,11 +161,22 @@ class PlanProblem:
                             if c.start_day <= t < end}
             release.add((c.vehicle, i, end))
 
-        # needs: capable vehicles, windows, beta tables; ends[v, i, tau]
-        # holds the steps at which a service that v starts at node i on tau
-        # releases it (None where it runs past the horizon)
+        # what each vehicle brings to (node, step) from outside the horizon:
+        # its start loads, then each in-flight cargo, in ``init`` order
+        self.arriving: dict[tuple[str, int, int], list[dict[str, float]]] = {}
+        for vid, node in self.init.vehicle_nodes.items():
+            self.arriving.setdefault(
+                (vid, self.node_by_name[node].index, grid.steps[0]), []
+            ).append(self.init.commodities.get(vid, {}))
+        for p in self.init.pending_arrivals:
+            self.arriving.setdefault(
+                (p.vehicle, self.node_by_name[p.node].index, p.t), []
+            ).append(p.commodities)
+
+        # needs: capable vehicles and windows; ends[v, i, tau] holds the
+        # steps at which a service that v starts at node i on tau releases
+        # it (None where it runs past the horizon)
         self.needs_at: dict[int, list[ServiceNeed]] = {}
-        self.beta: dict[str, dict[tuple[int, int], int]] = {}
         self.capable: dict[str, list[str]] = {}
         ends: dict[tuple[str, int, int], set[Optional[int]]] = {}
         held = set(self.pinned)
@@ -175,15 +188,16 @@ class PlanProblem:
             if not need.window:
                 raise ModelError(f"need {need.id} has no service window")
             self.needs_at.setdefault(node.index, []).append(need)
-            self.beta[need.id] = build_beta(need, grid)
             self.capable[need.id] = [
                 vid for vid, v in self.active.items()
                 if v.is_servicer and v.capacities.get(need.required_tool, 0) > 0]
+            busy = [t for t in grid.steps
+                    if any(need.covers(tau, t) for tau in need.window)]
             for vid in self.capable[need.id]:
                 for tau in need.window:
                     ends.setdefault((vid, node.index, tau), set()).add(
                         grid.next_step_at_or_after(tau + need.duration))
-                held |= {(vid, node.index, t) for _, t in self.beta[need.id]}
+                held |= {(vid, node.index, t) for t in busy}
 
         # A servicer gets a state at a customer node only where a row lets
         # it be there or leave: the window and service steps of a need it
@@ -193,11 +207,7 @@ class PlanProblem:
         # a service starts only on an arrival, so the servicer leaves only on
         # a release step: a service end, the end of its pinned run, its start
         # or an in-flight arrival.
-        entered = {(vid, self.node_by_name[node].index, grid.steps[0])
-                   for vid, node in self.init.vehicle_nodes.items()}
-        entered |= {(p.vehicle, self.node_by_name[p.node].index, p.t)
-                    for p in self.init.pending_arrivals}
-        release |= entered
+        release |= set(self.arriving)
         release |= {(vid, i, e) for (vid, i, _), es in ends.items()
                     for e in es}
         held |= set(ends) | release
@@ -212,25 +222,24 @@ class PlanProblem:
         states = {(vid, i, t) for (vid, i), steps in self.steps_at.items()
                   for t in steps}
 
-        # A flight leaves a state, a customer only on a release step, and
-        # lands at a parking node or on a window step.
-        flights = [a for a in net.arcs if not a.is_launch
-                   and (a.vehicle, a.i, a.t) in (
-                       release if a.i in customer else states)
-                   and (a.j not in customer
-                        or (a.vehicle, a.j, a.arrival) in ends)]
-        # It lands on a window step only if the service started there can be
-        # left: it runs past the horizon, or a kept flight leaves at its end.
-        # Dropping a landing can strand a departure, so repeat until stable.
-        while True:
-            leaving = {(a.vehicle, a.i, a.t) for a in flights}
-            kept = [a for a in flights if a.j not in customer
-                    or any(e is None or (a.vehicle, a.j, e) in leaving
-                           for e in ends[a.vehicle, a.j, a.arrival])]
-            if len(kept) == len(flights):
-                break
-            flights = kept
-        flown = {a.key for a in flights}
+        # A flight leaves a state, a customer only on a release step. It
+        # lands at a parking node, or on a window step whose service can be
+        # left: the service runs past the horizon, or a kept flight leaves
+        # at its end. A service lasts at least a day, so that end comes
+        # after the departure, and one sweep from the last departure back
+        # decides every landing.
+        leaving: set[tuple[str, int, int]] = set()
+        flown = set()
+        for a in sorted(net.arcs, key=lambda a: -a.t):
+            if a.is_launch or (a.vehicle, a.i, a.t) not in (
+                    release if a.i in customer else states):
+                continue
+            if a.j in customer and not any(
+                    e is None or (a.vehicle, a.j, e) in leaving
+                    for e in ends.get((a.vehicle, a.j, a.arrival), ())):
+                continue
+            leaving.add((a.vehicle, a.i, a.t))
+            flown.add(a.key)
         self.arcs = [a for a in net.arcs if (
             a.vehicle in self.launchers if a.is_launch else a.key in flown)]
         self.dep_arcs: dict[tuple, list[TransportArc]] = {}
@@ -238,9 +247,6 @@ class PlanProblem:
         for a in self.arcs:
             self.dep_arcs.setdefault((a.vehicle, a.i, a.t), []).append(a)
             self.arr_arcs.setdefault((a.vehicle, a.j, a.arrival), []).append(a)
-
-    def _pinned(self, vid: str, i: int, t: int) -> int:
-        return int((vid, i, t) in self.pinned)
 
     def _mode_of(self, arc: TransportArc):
         if arc.is_launch:
@@ -282,13 +288,12 @@ class PlanProblem:
                 for tau in need.window:
                     m.add_var(vn("H", vid, need.id, tau), kind=BINARY)
                 for t in grid.steps:
-                    if any(self.beta[need.id].get((tau, t), 0)
-                           for tau in need.window):
+                    if any(need.covers(tau, t) for tau in need.window):
                         m.add_var(vn("B", vid, need.id, t), kind=BINARY)
         for vid in self.active:
             start = self.init.vehicle_nodes.get(vid)
             if start is not None and self.node_by_name[start].tier == "customer" \
-                    and not self._pinned(vid, self.node_by_name[start].index, 0):
+                    and (vid, self.node_by_name[start].index, 0) not in self.pinned:
                 m.add_var(vn("S0", vid), ub=1.0)
 
         # fix depot presence
@@ -325,11 +330,6 @@ class PlanProblem:
                 expr[name] = expr.get(name, 0.0) - coeff
         return expr
 
-    def arc_vehicle_inflow(self, a: TransportArc) -> dict[tuple, float]:
-        if a.vehicle in self.launchers:
-            return {}               # launch vehicles are expended on arrival
-        return {vn("W", *a.key): 1.0}
-
     def holdover_inflow(self, vid: str, i: int, t_prev: int, k: str) -> dict[tuple, float]:
         expr = {vn("X", vid, i, t_prev, k): 1.0}
         v = self.active[vid]
@@ -360,28 +360,11 @@ class PlanProblem:
             into[nm] = into.get(nm, 0.0) + sign * c
 
     def _init_stock(self, vid: str, i: int, k: str, t: int) -> float:
-        total = 0.0
-        if t == self.grid.steps[0]:
-            if self.init.vehicle_nodes.get(vid) is not None \
-                    and self.node_by_name[self.init.vehicle_nodes[vid]].index == i:
-                total += self.init.commodities.get(vid, {}).get(k, 0.0)
-        for p in self.init.pending_arrivals:
-            if p.vehicle == vid and p.t == t \
-                    and self.node_by_name[p.node].index == i:
-                total += p.commodities.get(k, 0.0)
-        return total
+        return sum((load.get(k, 0.0)
+                    for load in self.arriving.get((vid, i, t), ())), 0.0)
 
     def _init_presence(self, vid: str, i: int, t: int) -> float:
-        total = 0.0
-        if t == self.grid.steps[0]:
-            start = self.init.vehicle_nodes.get(vid)
-            if start is not None and self.node_by_name[start].index == i:
-                total += 1.0
-        for p in self.init.pending_arrivals:
-            if p.vehicle == vid and p.t == t \
-                    and self.node_by_name[p.node].index == i:
-                total += 1.0
-        return total
+        return float(len(self.arriving.get((vid, i, t), ())))
 
     def _commodity_outflow_row(self, vid: str, i: int, t: int,
                                k: str) -> dict[tuple, float]:
@@ -459,7 +442,7 @@ class PlanProblem:
                     for a in self.dep_arcs.get((vid, i, t), ()):
                         row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) + 1.0
                     for a in self.arr_arcs.get((vid, i, t), ()):
-                        self._add_expr(row, self.arc_vehicle_inflow(a), -1.0)
+                        row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) - 1.0
                     self._row("bal_veh", row, "==",
                               self._init_presence(vid, i, t))
 
@@ -552,7 +535,7 @@ class PlanProblem:
                 for t in grid.steps:
                     row = {vn("B", vid, need.id, t): 1.0}
                     for tau in need.window:
-                        if self.beta[need.id].get((tau, t), 0):
+                        if need.covers(tau, t):
                             row[vn("H", vid, need.id, tau)] = -1.0
                     self._row("dispatch", row, "==", 0.0)
         # one service at a time per customer node
@@ -573,7 +556,7 @@ class PlanProblem:
                         if vid in self.capable[need.id]:
                             row[vn("B", vid, need.id, t)] = -1.0
                     self._row("presence", row, "==",
-                              float(self._pinned(vid, i, t)))
+                              float((vid, i, t) in self.pinned))
         # the adequate tool must be on board while a service needs it
         for vid, v in self.active.items():
             if not v.is_servicer:
@@ -839,8 +822,7 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                 for a in problem.dep_arcs.get((vid, i, t), ()):
                     total += val("W", *a.key)
                 for a in problem.arr_arcs.get((vid, i, t), ()):
-                    if a.vehicle not in problem.launchers:
-                        total -= val("W", *a.key)
+                    total -= val("W", *a.key)
                 flag("vehicle_balance",
                      total - problem._init_presence(vid, i, t), vid, i, t)
 
@@ -902,9 +884,8 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
         for vid in problem.capable[need.id]:
             for t in grid.steps:
                 b = val("B", vid, need.id, t)
-                expected = sum(problem.beta[need.id].get((tau, t), 0)
-                               * val("H", vid, need.id, tau)
-                               for tau in need.window)
+                expected = sum(val("H", vid, need.id, tau)
+                               for tau in need.window if need.covers(tau, t))
                 flag("dispatch_coupling", b - expected, vid, need.id, t)
     for i, needs_i in problem.needs_at.items():
         for t in grid.steps:
@@ -921,7 +902,7 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                 expected = sum(val("B", vid, need.id, t)
                                for need in problem.needs_at.get(i, ())
                                if vid in problem.capable[need.id])
-                expected += problem._pinned(vid, i, t)
+                expected += (vid, i, t) in problem.pinned
                 flag("presence_dispatch", val("Y", vid, i, t) - expected, vid, i, t)
                 for k in scn.tool_ids():
                     required = sum(

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-COMMODITY_KINDS = ("continuous", "integer", "tool", "vehicle")
 VEHICLE_CLASSES = ("launcher", "depot", "servicer")
 
 

@@ -1,8 +1,8 @@
 import pytest
 
-from oosplan.demand import (DemandStream, ServiceNeed, build_beta,
-                            build_window, generate_deterministic,
-                            generate_random, generate_stream, window_needs)
+from oosplan.demand import (DemandStream, ServiceNeed, build_window,
+                            generate_deterministic, generate_random,
+                            generate_stream, window_needs)
 from oosplan.network import build_time_grid
 from oosplan.scenario import CustomerSat
 
@@ -59,13 +59,12 @@ def test_build_window():
     assert build_window(_need(50.0), grid, 30.0) is None
 
 
-def test_build_beta_coverage():
+def test_covers_duration():
     grid = build_time_grid(10, (2, 4), 30)
     built = build_window(_need(0.0, duration=10), grid, 10.0)
-    beta = build_beta(built, grid)
-    assert beta[(0, 0)] == 1 and beta[(0, 4)] == 1
-    assert (0, 10) not in beta
-    assert beta[(4, 12)] == 1 and (4, 14) not in beta
+    assert built.covers(0, 0) and built.covers(0, 4)
+    assert not built.covers(0, 10)
+    assert built.covers(4, 12) and not built.covers(4, 14)
 
 
 def test_stream_sorted_and_export(multimodal):

@@ -51,25 +51,18 @@ def test_export_csv_round_trips_floats(tmp_path):
 
 
 def test_initial_state_investment(multimodal):
-    state, investment = initial_state(multimodal, RhConfig())
+    state, investment = initial_state(multimodal)
     deployed = {d.vehicle for d in multimodal.deployments}
     assert set(state.vehicle_nodes) == deployed
     expected = 0.0
     for vid in deployed:
         v = multimodal.vehicles[vid]
+        assert state.commodities[vid] == v.capacities
         expected += v.manufacturing_cost
         expected += sum(multimodal.commodities[k].purchase_cost * qty
                         for k, qty in v.capacities.items())
     assert investment == pytest.approx(expected)
     assert state.day == 0 and not state.in_flight and not state.committed
-
-
-def test_initial_loads_override(multimodal):
-    cfg = RhConfig(initial_loads={"mm_versatile": {"bipropellant": 100.0}})
-    state, investment = initial_state(multimodal, cfg)
-    assert state.commodities["mm_versatile"] == {"bipropellant": 100.0}
-    _, full = initial_state(multimodal, RhConfig())
-    assert investment < full
 
 
 def _need(nid, tau, service):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,55 @@ def test_committed_service_pins_vehicle(multimodal):
     assert solution.values[vn("Y", "mm_versatile", sat_idx, 20)] \
         == pytest.approx(0.0)
     assert audit(problem, solution.values) == []
+
+
+def pinned_instance_with_arrival(scn) -> PlanProblem:
+    """The instance of ``test_committed_service_pins_vehicle``, plus a
+    second servicer in flight to another customer with a need."""
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    nodes = build_nodes(scn, sats, include_earth=False)
+    grid = build_time_grid(10, (2, 4), 60)
+    net = expand(nodes, grid, scn)
+    init = InitialState(
+        vehicle_nodes={"mm_versatile": "satA"},
+        commodities={"mm_versatile": full_loads(scn, "mm_versatile")},
+        pending_arrivals=(PendingArrival(
+            "mm_specialized_1", "satB", 12,
+            full_loads(scn, "mm_specialized_1")),),
+        committed=(CommittedService(vehicle="mm_versatile", node="satA",
+                                    start_day=0.0, end_day=20.0,
+                                    need_id="prior"),))
+    need = make_need(scn, "refueling", "satB", 10.0, grid)
+    return PlanProblem(scn, net, [need], init, SolveOptions(gap=0.0))
+
+
+_WRITE_LP = """
+import sys
+from oosplan.scenario import default_scenario_path, load_scenario
+from test_milp import pinned_instance_with_arrival
+scn = load_scenario(default_scenario_path("multimodal"))
+pinned_instance_with_arrival(scn).model.write_lp(sys.argv[1])
+"""
+
+
+def test_model_text_independent_of_hash_seed(multimodal, tmp_path):
+    # _prepare works over sets, so their iteration order must not reach
+    # the model: two hash seeds, in two processes, write the same LP text
+    problem = pinned_instance_with_arrival(multimodal)
+    assert problem.pinned and len(problem.arriving) == 2
+    assert any(a.j == problem.node_by_name["satB"].index
+               for a in problem.arcs)
+    root = Path(__file__).resolve().parent
+    texts = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"seed{seed}.lp"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(root.parent / "src"), str(root)]))
+        subprocess.run([sys.executable, "-c", _WRITE_LP, str(path)],
+                       env=env, check=True, timeout=300)
+        # lines, not one string: pytest diffs long strings very slowly
+        texts.append(path.read_text().splitlines())
+    assert texts[0] == texts[1]
 
 
 def test_servicer_left_at_a_customer_leaves_at_once(multimodal):
