@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy import sparse
 
 from lp_text import parse_lp
 
 import oosplan
+from oosplan import lp
 from oosplan.lp import BINARY, INTEGER, Model, SolveError, read_solution
 
 
@@ -201,3 +204,116 @@ def test_dual_bound_and_nodes_reported():
     res = knapsack().solve(gap=0.0)
     assert res.dual_bound == pytest.approx(res.objective)
     assert res.nodes >= 0
+
+
+# -- the direct HiGHS call against scipy.optimize.milp -------------------------
+
+INF = np.inf
+PARITY_CASES = {
+    # name: c, A rows, row lower, row upper, col lower, col upper, integrality
+    "knapsack": ([-10, -13, -7, -8], [[3, 4, 2, 3]], [-INF], [7],
+                 [0] * 4, [1] * 4, [1] * 4),
+    "no_rows": ([-10, -13, -7, -8], [], [], [], [0] * 4, [1] * 4, [1] * 4),
+    "infeasible_lp": ([-1], [[1]], [2], [INF], [0], [1], [0]),
+    "infeasible_mip": ([-1], [[1]], [2], [INF], [0], [1], [1]),
+    "unbounded_lp": ([-1], [], [], [], [0], [INF], [0]),
+    # HiGHS: primal infeasible or unbounded
+    "unbounded_mip": ([-1, 0], [[1, -1]], [0], [INF], [0, 0], [INF, INF],
+                      [0, 1]),
+    "pure_lp": ([-1, -1], [[1, -1], [-1, 1]], [0, 0], [1, 1], [0, 0],
+                [4, 4], [0, 0]),
+}
+
+
+def _both(c, rows, row_lo, row_hi, lb, ub, integrality, time_limit=None):
+    c = np.array(c, dtype=float)
+    a = np.array(rows, dtype=float).reshape(len(row_lo), len(c))
+    args = (np.array(row_lo, dtype=float), np.array(row_hi, dtype=float),
+            np.array(lb, dtype=float), np.array(ub, dtype=float),
+            np.array(integrality))
+    ours = lp.milp(c, sparse.csc_matrix(a), *args, 0.0, time_limit)
+    options = {"mip_rel_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    ref = scipy.optimize.milp(
+        c, integrality=args[4], bounds=scipy.optimize.Bounds(*args[2:4]),
+        constraints=[scipy.optimize.LinearConstraint(a, *args[:2])]
+        if len(row_lo) else None, options=options)
+    return ours, ref
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_direct_highs_matches_scipy_milp(case):
+    ours, ref = _both(*PARITY_CASES[case])
+    assert ours.status == ref.status
+    assert ours.fun == ref.fun
+    assert (ours.x is None) == (ref.x is None)
+    if ours.x is not None:
+        assert ours.x.tolist() == ref.x.tolist()
+    for field in ("mip_gap", "mip_dual_bound", "mip_node_count"):
+        assert getattr(ours, field) == getattr(ref, field), field
+
+
+def test_parity_statuses_cover_the_mapping():
+    status = {case: _both(*args)[0].status
+              for case, args in PARITY_CASES.items()}
+    assert status == {"knapsack": 0, "no_rows": 0, "infeasible_lp": 2,
+                      "infeasible_mip": 2, "unbounded_lp": 3,
+                      "unbounded_mip": 4, "pure_lp": 0}
+    ours, ref = _both(*PARITY_CASES["knapsack"], time_limit=1e-9)
+    assert ours.status == ref.status == 1
+    assert ours.x is None and ref.x is None
+
+
+def test_pure_lp_reports_no_mip_statistics():
+    m = Model()
+    x = m.add_var("x", ub=4.0)
+    m.add_objective(x, 1.0)
+    res = m.solve()
+    assert res.status == "optimal" and res.objective == pytest.approx(4.0)
+    assert res.gap is None and res.dual_bound is None and res.nodes is None
+
+
+def test_status_four_raises():
+    m = Model()
+    x = m.add_var("x")
+    y = m.add_var("y", kind=INTEGER)
+    m.add_objective(x, 1.0)
+    m.add_constr("c", {x: 1.0, y: -1.0}, ">=", 0.0)
+    with pytest.raises(SolveError, match="infeasible or unbounded"):
+        m.solve()
+    with pytest.raises(SolveError):
+        Model("empty").solve()
+
+
+def test_one_highs_call_per_solve(monkeypatch):
+    # the traced benchmark times HiGHS by rebinding oosplan.lp.milp and
+    # reads mip_node_count and mip_gap from its result
+    results = []
+    highs_milp = lp.milp
+
+    def counted(*args, **kwargs):
+        results.append(highs_milp(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(lp, "milp", counted)
+    res = knapsack().solve()
+    assert len(results) == 1
+    assert results[0].mip_node_count is not None
+    assert results[0].mip_gap is not None
+    assert res.nodes == results[0].mip_node_count
+
+
+def test_presolve_runs_without_probing(monkeypatch):
+    made = []
+
+    class Recorded(lp.highs._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+    monkeypatch.setattr(lp.highs, "_Highs", Recorded)
+    assert knapsack().solve().objective == pytest.approx(23.0)
+    assert len(made) == 1
+    _, rules_off = made[0].getOptionValue("presolve_rule_off")
+    _, presolve = made[0].getOptionValue("presolve")
+    assert rules_off == lp.PROBING_OFF == 1 << 15
+    assert presolve != "off"
