@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import demand, horizon, milp
-from .network import build_nodes, build_time_grid, expand
+from .network import NetworkError, build_nodes, build_time_grid, expand
 from .scenario import (Scenario, ScenarioError, default_scenario_path,
                        load_catalog, load_scenario, scenario_from_dict)
 from .trajectory import (DAY_S, PluginRegistry, TrajectoryError,
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except (milp.ModelError, horizon.CampaignError, TrajectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (ScenarioError, NetworkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

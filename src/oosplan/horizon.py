@@ -221,8 +221,7 @@ def visible_needs(stream: DemandStream, scenario: Scenario, state: WorldState,
 def _local_problem(scenario: Scenario, sats: list[CustomerSat],
                    stream: DemandStream, state: WorldState,
                    config: RhConfig,
-                   registry: Optional[PluginRegistry] = None
-                   ) -> tuple[PlanProblem, list[ServiceNeed]]:
+                   registry: Optional[PluginRegistry] = None) -> PlanProblem:
     grid = build_time_grid(scenario.network.period, scenario.network.offsets,
                            config.window_days)
     candidates = visible_needs(stream, scenario, state, config.window_days)
@@ -260,8 +259,15 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
                  n_breakpoints=config.n_breakpoints,
                  vehicles=init.active_vehicles(scenario))
     options = SolveOptions(gap=config.gap, backend=config.backend)
-    problem = PlanProblem(scenario, net, local, init, options)
-    return problem, local
+    return PlanProblem(scenario, net, local, init, options)
+
+
+def _commit_days(scenario: Scenario, config: RhConfig) -> int:
+    """Days each step commits: ``config.commit_days``, or one grid period
+    where it is unset."""
+    if config.commit_days is None:
+        return scenario.network.period
+    return config.commit_days
 
 
 def _committed_event_set(schedule: Schedule, commit: int) -> list:
@@ -280,8 +286,8 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
          state: WorldState, ledger: Ledger, config: RhConfig,
          registry: Optional[PluginRegistry] = None) -> StepResult:
     """Plan one window, commit one interval, and advance the world state."""
-    commit = config.commit_days or scenario.network.period
-    problem, _ = _local_problem(scenario, sats, stream, state, config, registry)
+    commit = _commit_days(scenario, config)
+    problem = _local_problem(scenario, sats, stream, state, config, registry)
     solution = problem.solve()
     if not solution.feasible:
         raise CampaignError(
@@ -423,10 +429,13 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
         registry: Optional[PluginRegistry] = None) -> CampaignResult:
     """Simulate a full campaign and return its ledger and event history."""
     config = config or RhConfig()
-    commit = config.commit_days or scenario.network.period
+    commit = _commit_days(scenario, config)
     if commit <= 0 or commit % scenario.network.period != 0:
-        raise CampaignError("commit interval must be a multiple of the grid "
-                            "period")
+        raise CampaignError("commit interval must be a positive multiple "
+                            "of the grid period")
+    if commit > config.window_days:
+        raise CampaignError(f"commit interval of {commit} d exceeds the "
+                            f"{config.window_days} d planning window")
     state, investment = initial_state(scenario)
     ledger = Ledger(initial_investment=investment)
     steps: list[StepResult] = []

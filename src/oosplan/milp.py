@@ -211,16 +211,17 @@ class PlanProblem:
         release |= {(vid, i, e) for (vid, i, _), es in ends.items()
                     for e in es}
         held |= set(ends) | release
+        # Every (vehicle, node, step) with a state, in column order; then
+        # the servicers' states at customer nodes, in the same order.
         customer = {n.index for n in self.nodes.customer}
-        self.steps_at: dict[tuple[str, int], list[int]] = {}
-        for vid, v in self.active.items():
-            for i in self.presence[vid]:
-                self.steps_at[vid, i] = [
-                    t for t in grid.steps
-                    if not (v.is_servicer and i in customer)
-                    or (vid, i, t) in held]
-        states = {(vid, i, t) for (vid, i), steps in self.steps_at.items()
-                  for t in steps}
+        self.states = [(vid, i, t) for vid, v in self.active.items()
+                       for i in self.presence[vid] for t in grid.steps
+                       if not (v.is_servicer and i in customer)
+                       or (vid, i, t) in held]
+        self.customer_states = [
+            (vid, i, t) for vid, i, t in self.states
+            if i in customer and self.active[vid].is_servicer]
+        has_state = set(self.states)
 
         # A flight leaves a state, a customer only on a release step. It
         # lands at a parking node, or on a window step whose service can be
@@ -232,7 +233,7 @@ class PlanProblem:
         flown = set()
         for a in sorted(net.arcs, key=lambda a: -a.t):
             if a.is_launch or (a.vehicle, a.i, a.t) not in (
-                    release if a.i in customer else states):
+                    release if a.i in customer else has_state):
                 continue
             if a.j in customer and not any(
                     e is None or (a.vehicle, a.j, e) in leaving
@@ -261,14 +262,14 @@ class PlanProblem:
         grid = self.grid
         self.curve_points: dict[tuple, list[tuple[float, float]]] = {}
 
-        for vid, v in self.active.items():
-            for i in self.presence[vid]:
-                for t in self.steps_at[vid, i]:
-                    m.add_var(vn("Y", vid, i, t), kind=BINARY)
-                    for k in self.carriable[vid]:
-                        kind = INTEGER if scn.commodities[k].is_integer else CONTINUOUS
-                        m.add_var(vn("X", vid, i, t, k), ub=v.capacities[k],
-                                  kind=kind)
+        for vid, i, t in self.states:
+            v = self.active[vid]
+            # a depot stays at its slot throughout
+            m.add_var(vn("Y", vid, i, t), kind=BINARY,
+                      lb=1.0 if v.vehicle_class == "depot" else 0.0)
+            for k in self.carriable[vid]:
+                kind = INTEGER if scn.commodities[k].is_integer else CONTINUOUS
+                m.add_var(vn("X", vid, i, t, k), ub=v.capacities[k], kind=kind)
         for a in self.arcs:
             m.add_var(vn("W", *a.key), kind=BINARY)
             caps = (self.launchers.get(a.vehicle) or self.active[a.vehicle]).capacities
@@ -295,13 +296,6 @@ class PlanProblem:
             if start is not None and self.node_by_name[start].tier == "customer" \
                     and (vid, self.node_by_name[start].index, 0) not in self.pinned:
                 m.add_var(vn("S0", vid), ub=1.0)
-
-        # fix depot presence
-        for vid, v in self.active.items():
-            if v.vehicle_class == "depot":
-                i = self.presence[vid][0]
-                for t in grid.steps:
-                    m.fix(m.index(vn("Y", vid, i, t)), 1.0)
 
         self._add_balances()
         self._add_concurrency()
@@ -387,24 +381,18 @@ class PlanProblem:
         grid, scn = self.grid, self.scenario
         vids_all = list(self.active) + list(self.launchers)
 
-        # commodity balance at customer nodes, per servicer
-        for node in self.nodes.customer:
-            i = node.index
-            for vid, v in self.active.items():
-                if not v.is_servicer:
-                    continue
-                for t in self.steps_at[vid, i]:
-                    for k in self.carriable[vid]:
-                        row = self._commodity_outflow_row(vid, i, t, k)
-                        rhs = self._init_stock(vid, i, k, t)
-                        for need in self.needs_at.get(i, ()):
-                            mag = need.commodity_demand.get(k, 0.0)
-                            if mag and t in need.window \
-                                    and vid in self.capable[need.id]:
-                                # nonpositive demand: delivery leaves the servicer
-                                row[vn("H", vid, need.id, t)] = \
-                                    row.get(vn("H", vid, need.id, t), 0.0) + mag
-                        self._row("bal_cust", row, "==", rhs)
+        # commodity balance at customer nodes, per servicer, node by node
+        for vid, i, t in sorted(self.customer_states, key=lambda s: s[1]):
+            for k in self.carriable[vid]:
+                row = self._commodity_outflow_row(vid, i, t, k)
+                for need in self.needs_at.get(i, ()):
+                    mag = need.commodity_demand.get(k, 0.0)
+                    if mag and t in need.window and vid in self.capable[need.id]:
+                        # nonpositive demand: delivery leaves the servicer
+                        h = vn("H", vid, need.id, t)
+                        row[h] = row.get(h, 0.0) + mag
+                self._row("bal_cust", row, "==",
+                          self._init_stock(vid, i, k, t))
 
         # commodity balance at parking nodes, pooled over vehicles
         all_k = list(scn.commodities)
@@ -432,19 +420,16 @@ class PlanProblem:
                     self._row("supply", row, "<=", EARTH_SUPPLY)
 
         # vehicle balances at orbital nodes
-        for vid, v in self.active.items():
-            for i in self.presence[vid]:
-                for t in self.steps_at[vid, i]:
-                    row = {vn("Y", vid, i, t): 1.0}
-                    tp = t - grid.delta_backward(t)
-                    if tp != t:
-                        row[vn("Y", vid, i, tp)] = -1.0
-                    for a in self.dep_arcs.get((vid, i, t), ()):
-                        row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) + 1.0
-                    for a in self.arr_arcs.get((vid, i, t), ()):
-                        row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) - 1.0
-                    self._row("bal_veh", row, "==",
-                              self._init_presence(vid, i, t))
+        for vid, i, t in self.states:
+            row = {vn("Y", vid, i, t): 1.0}
+            tp = t - grid.delta_backward(t)
+            if tp != t:
+                row[vn("Y", vid, i, tp)] = -1.0
+            for a in self.dep_arcs.get((vid, i, t), ()):
+                row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) + 1.0
+            for a in self.arr_arcs.get((vid, i, t), ()):
+                row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) - 1.0
+            self._row("bal_veh", row, "==", self._init_presence(vid, i, t))
 
         # Earth vehicle supply: one launcher per launch step
         for node in self.nodes.earth:
@@ -457,13 +442,11 @@ class PlanProblem:
 
     def _add_concurrency(self):
         # holdover capacity
-        for vid, v in self.active.items():
-            for i in self.presence[vid]:
-                for t in self.steps_at[vid, i]:
-                    for k in self.carriable[vid]:
-                        row = {vn("X", vid, i, t, k): 1.0,
-                               vn("Y", vid, i, t): -v.capacities[k]}
-                        self._row("cap_hold", row, "<=", 0.0)
+        for vid, i, t in self.states:
+            for k in self.carriable[vid]:
+                row = {vn("X", vid, i, t, k): 1.0,
+                       vn("Y", vid, i, t): -self.active[vid].capacities[k]}
+                self._row("cap_hold", row, "<=", 0.0)
         # transport capacity
         for a in self.arcs:
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
@@ -499,18 +482,15 @@ class PlanProblem:
             if a.model.burn_fraction is None:
                 self._add_sos2(a)
         # depot station keeping stock must cover the holdover burn
-        for vid, v in self.active.items():
+        for vid, i, t in self.states:
+            v = self.active[vid]
             k = v.station_keeping_commodity
-            if v.station_keeping_rate <= 0 or k not in self.carriable[vid]:
-                continue
-            for i in self.presence[vid]:
-                for t in self.steps_at[vid, i]:
-                    dt = self.grid.delta_forward(t)
-                    if dt <= 0:
-                        continue
-                    row = {vn("X", vid, i, t, k): 1.0,
-                           vn("Y", vid, i, t): -v.station_keeping_rate * dt}
-                    self._row("sk_avail", row, ">=", 0.0)
+            dt = self.grid.delta_forward(t)
+            if v.station_keeping_rate > 0 and k in self.carriable[vid] \
+                    and dt > 0:
+                row = {vn("X", vid, i, t, k): 1.0,
+                       vn("Y", vid, i, t): -v.station_keeping_rate * dt}
+                self._row("sk_avail", row, ">=", 0.0)
 
     def _add_sos2(self, a: TransportArc):
         # the curve is convex, so the weights alone bound the burn from
@@ -545,54 +525,38 @@ class PlanProblem:
                        for vid in self.capable[need.id]}
                 self._row("one_service", row, "<=", 1.0)
         # presence at customer nodes equals dispatch
-        for vid, v in self.active.items():
-            if not v.is_servicer:
-                continue
-            for node in self.nodes.customer:
-                i = node.index
-                for t in self.steps_at[vid, i]:
-                    row = {vn("Y", vid, i, t): 1.0}
-                    for need in self.needs_at.get(i, ()):
-                        if vid in self.capable[need.id]:
-                            row[vn("B", vid, need.id, t)] = -1.0
-                    self._row("presence", row, "==",
-                              float((vid, i, t) in self.pinned))
+        for vid, i, t in self.customer_states:
+            row = {vn("Y", vid, i, t): 1.0}
+            for need in self.needs_at.get(i, ()):
+                if vid in self.capable[need.id]:
+                    row[vn("B", vid, need.id, t)] = -1.0
+            self._row("presence", row, "==", float((vid, i, t) in self.pinned))
         # the adequate tool must be on board while a service needs it
-        for vid, v in self.active.items():
-            if not v.is_servicer:
-                continue
-            for node in self.nodes.customer:
-                i = node.index
-                for t in self.steps_at[vid, i]:
-                    for k in self.scenario.tool_ids():
-                        row = {vn("B", vid, need.id, t): -1.0
-                               for need in self.needs_at.get(i, ())
-                               if need.required_tool == k
-                               and vid in self.capable[need.id]}
-                        if any(b in m for b in row):
-                            row[vn("X", vid, i, t, k)] = 1.0
-                            self._row("tool", row, ">=", 0.0)
+        for vid, i, t in self.customer_states:
+            for k in self.scenario.tool_ids():
+                row = {vn("B", vid, need.id, t): -1.0
+                       for need in self.needs_at.get(i, ())
+                       if need.required_tool == k
+                       and vid in self.capable[need.id]}
+                if any(b in m for b in row):
+                    row[vn("X", vid, i, t, k)] = 1.0
+                    self._row("tool", row, ">=", 0.0)
 
     def _add_flight_rules(self):
         # arrivals at a customer node exactly when a service starts
         # (with an allowance for a servicer that begins the
         # horizon already at a customer node)
-        grid = self.grid
-        for vid, v in self.active.items():
-            if not v.is_servicer:
-                continue
-            for node in self.nodes.customer:
-                i = node.index
-                for t in self.steps_at[vid, i]:
-                    row = {vn("W", *a.key): 1.0
-                           for a in self.arr_arcs.get((vid, i, t), ())}
-                    for need in self.needs_at.get(i, ()):
-                        if t in need.window and vid in self.capable[need.id]:
-                            row[vn("H", vid, need.id, t)] = -1.0
-                    if t == grid.steps[0] \
-                            and self.init.vehicle_nodes.get(vid) == node.name:
-                        row[vn("S0", vid)] = 1.0
-                    self._row("arrival", row, "==", 0.0)
+        t0 = self.grid.steps[0]
+        for vid, i, t in self.customer_states:
+            row = {vn("W", *a.key): 1.0
+                   for a in self.arr_arcs.get((vid, i, t), ())}
+            for need in self.needs_at.get(i, ()):
+                if t in need.window and vid in self.capable[need.id]:
+                    row[vn("H", vid, need.id, t)] = -1.0
+            if t == t0 and self.init.vehicle_nodes.get(vid) \
+                    == self.nodes.nodes[i].name:
+                row[vn("S0", vid)] = 1.0
+            self._row("arrival", row, "==", 0.0)
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
@@ -623,24 +587,19 @@ class PlanProblem:
             w = vn("W", *a.key)
             launch[w] = launch.get(w, 0.0) + c_l * v.dry_mass
             pdm[w] = pdm.get(w, 0.0) + v.manufacturing_cost
-        for vid, v in self.active.items():
-            bucket = "depot_ops" if v.vehicle_class == "depot" else "servicer_ops"
-            rate = v.operating_cost_per_day
-            if rate <= 0:
-                continue
-            for i in self.presence[vid]:
-                for t in self.steps_at[vid, i]:
-                    dt = grid.delta_forward(t)
-                    if dt > 0:
-                        y = vn("Y", vid, i, t)
-                        self.obj_terms[bucket][y] = \
-                            self.obj_terms[bucket].get(y, 0.0) + rate * dt
-            if v.is_servicer:
-                for a in self.arcs:
-                    if a.vehicle == vid and not a.is_launch:
-                        w = vn("W", *a.key)
-                        self.obj_terms[bucket][w] = \
-                            self.obj_terms[bucket].get(w, 0.0) + rate * a.q
+        # operating costs: per vehicle, its states then a servicer's flights
+        ops: dict[str, dict[tuple, float]] = {vid: {} for vid in self.active}
+        for vid, i, t in self.states:
+            rate, dt = self.active[vid].operating_cost_per_day, grid.delta_forward(t)
+            if rate > 0 and dt > 0:
+                ops[vid][vn("Y", vid, i, t)] = rate * dt
+        for a in self.arcs:
+            v = self.active.get(a.vehicle)
+            if not a.is_launch and v.is_servicer and v.operating_cost_per_day > 0:
+                ops[a.vehicle][vn("W", *a.key)] = v.operating_cost_per_day * a.q
+        for vid, terms in ops.items():
+            depot = self.active[vid].vehicle_class == "depot"
+            self.obj_terms["depot_ops" if depot else "servicer_ops"].update(terms)
 
         for nm, coeff in self.obj_terms["revenues"].items():
             m.add_objective(m.index(nm), coeff)

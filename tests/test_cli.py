@@ -83,6 +83,19 @@ def test_bad_usage_exits_two(capsys):
     assert main(["trajectory", "--mode", "warp"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    # a low-thrust flight duration that no step of the grid can land on
+    ["plan", "--horizon-days", "30"],
+    # a horizon shorter than one grid period
+    ["plan", "--horizon-days", "5"],
+])
+def test_network_error_exits_two(catalog_file, capsys, argv):
+    code = main(argv + ["--scenario", "multimodal",
+                        "--catalog", str(catalog_file)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_campaign_outputs(catalog_file, tmp_path, capsys):
     out = tmp_path / "camp"
     code = main(["campaign", "--scenario", "multimodal",

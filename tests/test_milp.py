@@ -92,6 +92,20 @@ def test_audit_flags_exactly_perturbed_rows(solved):
     assert {(v.family, v.key) for v in violations} == expected
 
 
+def test_depot_presence_is_fixed(solved):
+    # a depot stays at its slot: its presence column is bound to one on
+    # every grid step
+    problem, _, _ = solved
+    model = problem.model
+    depots = [vid for vid, v in problem.active.items()
+              if v.vehicle_class == "depot"]
+    assert depots
+    for vid in depots:
+        for t in problem.grid.steps:
+            j = model.index(vn("Y", vid, problem.presence[vid][0], t))
+            assert model.var_lb[j] == model.var_ub[j] == 1.0
+
+
 def test_model_names_are_family_tagged(solved):
     # display names are formatted from the column keys; rows carry only
     # their family
