@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import demand, horizon, milp
@@ -143,6 +142,9 @@ def cmd_campaign(args) -> int:
                     v["dry_mass"] = m
             jobs.append((cfg, f"dry{m:g}"))
         if args.jobs > 1:
+            # imported here: it pulls in multiprocessing, which no other
+            # command needs
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 futures = [pool.submit(_run_campaign, cfg, tag=tag, **common)
                            for cfg, tag in jobs]

@@ -430,12 +430,13 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     """Simulate a full campaign and return its ledger and event history."""
     config = config or RhConfig()
     commit = _commit_days(scenario, config)
+    # a bad interval is the caller's input, not a campaign failure
     if commit <= 0 or commit % scenario.network.period != 0:
-        raise CampaignError("commit interval must be a positive multiple "
-                            "of the grid period")
+        raise ValueError("commit interval must be a positive multiple "
+                         "of the grid period")
     if commit > config.window_days:
-        raise CampaignError(f"commit interval of {commit} d exceeds the "
-                            f"{config.window_days} d planning window")
+        raise ValueError(f"commit interval of {commit} d exceeds the "
+                         f"{config.window_days} d planning window")
     state, investment = initial_state(scenario)
     ledger = Ledger(initial_investment=investment)
     steps: list[StepResult] = []

@@ -16,23 +16,60 @@ Replaying the HiGHS calls of the four benchmark workloads at seed 0 (a shared
 instances and 3.03 → 1.08 s on the high-thrust campaign, with every objective
 equal to 1e-9 relative. Presolve stays on: switched off as a whole, it made
 the oracle instances slower than the default (1.81 s).
+
+scipy serves only as the carrier of that HiGHS: its extension module is
+loaded from its file (``_load_highs``, which needs scipy 1.17's layout), and
+the constraint matrix goes to HiGHS as three numpy arrays. That way
+``import oosplan.cli`` imports neither scipy's optimize nor its sparse
+package, and took 0.14-0.15 s instead of 0.45-0.47 s (three runs each, a
+shared 2-vCPU VM).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 from collections.abc import Hashable
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
+
+
+def _load_highs() -> ModuleType:
+    """scipy's bundled HiGHS extension, loaded from its file in scipy 1.17's
+    install layout without running the ``__init__`` of scipy's optimize
+    package, which imports that whole package and scipy's sparse one.
+
+    It is registered in ``sys.modules`` under its real name, so scipy
+    reuses it. Until scipy imports its optimize package, the attribute path
+    from ``scipy`` to the module does not resolve, but ``from ... import
+    _core`` does.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = Path(importlib.util.find_spec("scipy").origin).parent
+    # the platform's full extension suffix, the one scipy's build uses
+    path = (package / "optimize" / "_highspy"
+            / ("_core" + EXTENSION_SUFFIXES[0]))
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=ExtensionFileLoader(name, str(path)))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 CONTINUOUS = "cont"
 INTEGER = "int"
@@ -102,25 +139,29 @@ class HighsResult:
     mip_node_count: Optional[int] = None
 
 
-def milp(c: np.ndarray, a: sparse.csc_matrix, row_lower: np.ndarray,
-         row_upper: np.ndarray, col_lower: np.ndarray,
-         col_upper: np.ndarray, integrality: np.ndarray, gap: float,
+def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
+         value: np.ndarray, row_lower: np.ndarray, row_upper: np.ndarray,
+         col_lower: np.ndarray, col_upper: np.ndarray,
+         integrality: np.ndarray, gap: float,
          time_limit: Optional[float] = None) -> HighsResult:
     """Minimize ``c @ x`` subject to ``row_lower <= a @ x <= row_upper`` and
     ``col_lower <= x <= col_upper``, with ``x[j]`` integer where
     ``integrality[j]`` is 1, by HiGHS with presolve probing off.
 
+    ``a`` comes as the three arrays of a compressed sparse column matrix:
+    column ``j`` holds ``value[start[j]:start[j+1]]`` in the rows
+    ``index[start[j]:start[j+1]]``.
+
     A solution comes back for an optimum, and for a MILP stopped at a limit
     only if HiGHS holds an incumbent, as ``scipy.optimize.milp`` does.
     """
-    n_row, n_col = a.shape
     lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     lp.col_cost_ = c
     lp.col_lower_ = col_lower
     lp.col_upper_ = col_upper
@@ -253,9 +294,15 @@ class Model:
                 lo.append(con.rhs); hi.append(np.inf)
             else:
                 lo.append(con.rhs); hi.append(con.rhs)
-        a = sparse.csc_matrix((data, (rows, cols)),
-                              shape=(len(self.constraints), n))
-        res = milp(c, a, np.array(lo, dtype=float), np.array(hi, dtype=float),
+        # column-major order: a stable sort keeps each column's rows
+        # ascending, the order scipy's CSC conversion gives
+        cols = np.array(cols, dtype=np.int32)
+        order = np.argsort(cols, kind="stable")
+        start = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+        res = milp(c, start, np.array(rows, dtype=np.int32)[order],
+                   np.array(data, dtype=float)[order],
+                   np.array(lo, dtype=float), np.array(hi, dtype=float),
                    np.array(self.var_lb), np.array(self.var_ub), integrality,
                    gap, time_limit)
         status = _STATUS.get(res.status, "error")

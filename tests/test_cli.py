@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -120,6 +121,39 @@ def test_campaign_sweep(catalog_file, tmp_path, capsys):
     assert (out / "ledger_dry4000.csv").exists()
     text = capsys.readouterr().out
     assert "dry3000" in text and "dry4000" in text
+
+
+def _campaign(catalog_file, tmp_path, *extra) -> int:
+    return main(["campaign", "--scenario", "multimodal",
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--window-days", "60", "--out", str(tmp_path / "camp"),
+                 *extra])
+
+
+@pytest.mark.parametrize("commit", ["0", "7"])
+def test_bad_commit_interval_exits_two(catalog_file, tmp_path, capsys,
+                                       commit):
+    assert _campaign(catalog_file, tmp_path, "--commit-days",
+                     commit) == EXIT_USAGE
+    assert "commit interval" in capsys.readouterr().err
+
+
+def test_infeasible_window_exits_one(catalog_file, tmp_path, capsys):
+    # an external backend that finds every window infeasible
+    script = tmp_path / "infeasible.py"
+    script.write_text("import sys\n"
+                      "open(sys.argv[1], 'w').write('status infeasible\\n')\n")
+    backend = f"{sys.executable} {script} {{sol}}"
+    assert _campaign(catalog_file, tmp_path, "--backend",
+                     backend) == EXIT_INFEASIBLE
+    assert "is infeasible" in capsys.readouterr().err
+
+
+def test_campaign_sweep_in_two_processes(catalog_file, tmp_path, capsys):
+    assert _campaign(catalog_file, tmp_path, "--sweep-dry-mass", "3000,4000",
+                     "--jobs", "2") == EXIT_OK
+    assert "dry4000" in capsys.readouterr().out
+    assert (tmp_path / "camp" / "ledger_dry4000.csv").exists()
 
 
 def test_backend_env_default(monkeypatch):

@@ -179,11 +179,10 @@ def test_export_events_on_campaign_clock(campaign, tmp_path):
 
 
 def test_run_rejects_bad_commit(multimodal):
-    from oosplan.horizon import CampaignError
     stream = DemandStream(needs=(), seed=0, horizon=120.0)
     for window, commit in [(90, 7),     # not a multiple of the period
                            (90, 0),     # zero is a value, not "unset"
                            (60, 90)]:   # longer than the planning window
-        with pytest.raises(CampaignError, match="commit interval"):
+        with pytest.raises(ValueError, match="commit interval"):
             run(multimodal, [], stream, horizon_days=120,
                 config=RhConfig(window_days=window, commit_days=commit))

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,10 +8,19 @@ import scipy.optimize
 from scipy import sparse
 
 from lp_text import parse_lp
+from micro import micro_instance
 
 import oosplan
-from oosplan import lp
+from oosplan import horizon, lp
+from oosplan.demand import generate_stream
 from oosplan.lp import BINARY, INTEGER, Model, SolveError, read_solution
+from oosplan.milp import PlanProblem, SolveOptions
+from oosplan.scenario import CustomerSat
+
+# where this test's oosplan and test helpers come from, for the interpreters
+# it starts
+SRC = str(Path(oosplan.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def knapsack() -> Model:
@@ -143,12 +153,10 @@ def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
     # with every integer
     # column moved by integer_offset; it imports the same oosplan as this
     # test, wherever that comes from
-    src = str(Path(oosplan.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
     script = tmp_path / "solver.py"
     script.write_text(
         "import sys\n"
-        f"sys.path[:0] = [{src!r}, {tests!r}]\n"
+        f"sys.path[:0] = [{SRC!r}, {TESTS!r}]\n"
         "from lp_text import parse_lp\n"
         "from oosplan.lp import CONTINUOUS\n"
         "model = parse_lp(sys.argv[1])\n"
@@ -231,7 +239,9 @@ def _both(c, rows, row_lo, row_hi, lb, ub, integrality, time_limit=None):
     args = (np.array(row_lo, dtype=float), np.array(row_hi, dtype=float),
             np.array(lb, dtype=float), np.array(ub, dtype=float),
             np.array(integrality))
-    ours = lp.milp(c, sparse.csc_matrix(a), *args, 0.0, time_limit)
+    csc = sparse.csc_matrix(a)
+    ours = lp.milp(c, csc.indptr, csc.indices, csc.data, *args, 0.0,
+                   time_limit)
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
@@ -317,3 +327,100 @@ def test_presolve_runs_without_probing(monkeypatch):
     _, presolve = made[0].getOptionValue("presolve")
     assert rules_off == lp.PROBING_OFF == 1 << 15
     assert presolve != "off"
+
+
+# -- how oosplan.lp reaches HiGHS ----------------------------------------------
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path[:0] = [{SRC!r}, {TESTS!r}]\n" + code],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    proc = _fresh_python(
+        "import oosplan.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse',\n"
+        "                          'concurrent.futures.process')\n"
+        "             if m in sys.modules))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+@pytest.mark.parametrize("first", ["oosplan.lp", "scipy.optimize"])
+def test_same_highs_in_either_import_order(first):
+    # whichever comes first, oosplan and scipy share one HiGHS module, and
+    # both solvers give the same knapsack result
+    proc = _fresh_python(
+        f"import {first}\n"
+        "import test_lp\n"
+        "from oosplan import lp\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert lp.highs is _core\n"
+        "assert sys.modules['scipy.optimize._highspy._core'] is _core\n"
+        "ours, ref = test_lp._both(*test_lp.PARITY_CASES['knapsack'])\n"
+        "assert ours.status == ref.status == 0\n"
+        "assert ours.fun == ref.fun\n"
+        "assert ours.x.tolist() == ref.x.tolist()\n"
+        "print('same')\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["same"]
+
+
+def _record_highs_inputs(monkeypatch) -> list:
+    """(model, ``lp.milp`` arguments) of every HiGHS call from now on."""
+    calls, models = [], []
+    model_solve, highs_milp = Model.solve, lp.milp
+
+    def recorded_solve(self, *args, **kwargs):
+        models.append(self)
+        return model_solve(self, *args, **kwargs)
+
+    def recorded_milp(*args, **kwargs):
+        calls.append((models[-1], args))
+        return highs_milp(*args, **kwargs)
+    monkeypatch.setattr(Model, "solve", recorded_solve)
+    monkeypatch.setattr(lp, "milp", recorded_milp)
+    return calls
+
+
+def _assert_scipy_csc(model: Model, args: tuple):
+    # the matrix scipy builds from the model's nonzero coefficients, row by
+    # row, is the one HiGHS got, array for array and dtype for dtype
+    rows, cols, data = [], [], []
+    for ri, con in enumerate(model.constraints):
+        for idx, coeff in con.coeffs.items():
+            if coeff != 0.0:
+                rows.append(ri)
+                cols.append(idx)
+                data.append(coeff)
+    ref = sparse.csc_matrix((np.array(data, dtype=float), (rows, cols)),
+                            shape=(len(model.constraints), model.n_vars))
+    for ours, theirs in zip(args[1:4], (ref.indptr, ref.indices, ref.data)):
+        assert ours.dtype == theirs.dtype
+        assert ours.tolist() == theirs.tolist()
+
+
+def test_highs_gets_scipys_csc_matrix(monkeypatch, multimodal):
+    calls = _record_highs_inputs(monkeypatch)
+    scenario, _, net, needs, init = micro_instance(3)
+    assert PlanProblem(scenario, net, needs, init,
+                       SolveOptions(gap=0.0)).solve().feasible
+    # the first window of the one-year five-satellite campaign
+    sats = [CustomerSat(f"gx{i}", lon) for i, lon in
+            enumerate((-160.0, -150.0, -140.0, -130.0, -120.0))]
+    stream = generate_stream(sats, multimodal, horizon=360.0, seed=42)
+    state, investment = horizon.initial_state(multimodal)
+    horizon.step(multimodal, sats, stream, state, horizon.Ledger(investment),
+                 horizon.RhConfig())
+    assert len(calls) >= 2 and max(len(m.constraints) for m, _ in calls) > 500
+    # no rows, and nothing at all
+    no_rows = Model("no-rows")
+    no_rows.add_objective(no_rows.add_var("x", ub=2.0), 1.0)
+    assert no_rows.solve().objective == pytest.approx(2.0)
+    with pytest.raises(SolveError):
+        Model("empty").solve()
+    assert [len(args[1]) for _, args in calls[-2:]] == [2, 1]
+    for model, args in calls:
+        _assert_scipy_csc(model, args)
