@@ -1,9 +1,10 @@
 """Command-line interface: single-window planning, campaign simulation and
 trajectory queries.
 
-Exit codes: 0 success, 1 infeasible or model error, 2 usage or I/O error.
-The default solver backend can be set through the OOSPLAN_BACKEND environment
-variable ("highs" or an external command with {lp}/{sol} placeholders).
+Exit codes: 0 success, 1 infeasible, model or solver error, 2 usage or I/O
+error. The default solver backend can be set through the OOSPLAN_BACKEND
+environment variable ("highs" or an external command with {lp}/{sol}
+placeholders, which receives neither the gap nor the time limit).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import demand, horizon, milp
+from . import demand, horizon, lp, milp
 from .network import NetworkError, build_nodes, build_time_grid, expand
 from .scenario import (Scenario, ScenarioError, default_scenario_path,
                        load_catalog, load_scenario, scenario_from_dict)
@@ -35,6 +36,13 @@ def _resolve_scenario(name: str) -> Scenario:
     return load_scenario(path)
 
 
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--scenario", required=True,
                    help="scenario name (high_thrust, low_thrust, multimodal) "
@@ -42,17 +50,21 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--catalog", required=True,
                    help="customer satellite catalog CSV (name,longitude_deg)")
     p.add_argument("--seed", type=int, default=0, help="demand seed")
-    p.add_argument("--gap", type=float, default=0.01,
+    p.add_argument("--gap", type=_non_negative, default=0.01,
                    help="relative MIP gap tolerance")
     p.add_argument("--breakpoints", type=int, default=20,
                    help="piecewise-linear breakpoints per low-thrust arc")
     p.add_argument("--backend", default=os.environ.get("OOSPLAN_BACKEND",
                                                        "highs"),
                    help="'highs' or an external solver command with "
-                        "{lp} and {sol} placeholders")
+                        "{lp} and {sol} placeholders; the command receives "
+                        "neither the gap nor the time limit")
 
 
 def cmd_plan(args) -> int:
+    if args.time_limit is not None and args.backend != "highs":
+        raise ValueError("--time-limit needs the highs backend: an external "
+                         "command receives no time limit")
     scn = _resolve_scenario(args.scenario)
     sats = load_catalog(args.catalog)
     stream = demand.generate_stream(sats, scn, horizon=float(args.horizon_days),
@@ -60,9 +72,7 @@ def cmd_plan(args) -> int:
     grid = build_time_grid(scn.network.period, scn.network.offsets,
                            args.horizon_days)
     needs = demand.window_needs(stream.needs, scn, grid)
-    state, _ = horizon.initial_state(scn)
-    init = milp.InitialState(vehicle_nodes=dict(state.vehicle_nodes),
-                             commodities=dict(state.commodities))
+    init = horizon.initial_state(scn)[0].start
     nodes = build_nodes(scn, sats, include_earth=True)
     net = expand(nodes, grid, scn, n_breakpoints=args.breakpoints,
                  vehicles=init.active_vehicles(scn))
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve one planning horizon")
     _add_common(p)
     p.add_argument("--horizon-days", type=int, default=90)
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--time-limit", type=_non_negative, default=None,
                    help="solver time limit, seconds")
     p.add_argument("--export-lp", help="also write the model in LP format")
     p.add_argument("--out", help="write the schedule as JSON")
@@ -248,7 +258,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (milp.ModelError, horizon.CampaignError, TrajectoryError) as exc:
+    except (milp.ModelError, lp.SolveError, horizon.CampaignError,
+            TrajectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ScenarioError, NetworkError, OSError, ValueError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,30 +36,16 @@ class RhConfig:
     backend: str = "highs"
 
 
-@dataclass(frozen=True)
-class InFlight:
-    vehicle: str
-    node: str
-    arrive_day: int             # absolute campaign day
-    commodities: dict[str, float]
-
-
-@dataclass(frozen=True)
-class ActiveService:
-    vehicle: str
-    node: str
-    need_id: str
-    start_day: float            # absolute campaign days
-    end_day: float
-
-
 @dataclass
 class WorldState:
+    """The campaign at a commit boundary: the campaign ``day``, the needs
+    served or lost so far, and ``start``, the one record of where every
+    vehicle, cargo and running service is. ``start`` is the
+    ``InitialState`` that the next window is built from, with its times on
+    that window's clock; each step shifts it by the commit interval.
+    """
     day: int = 0
-    vehicle_nodes: dict[str, str] = field(default_factory=dict)
-    commodities: dict[str, dict[str, float]] = field(default_factory=dict)
-    in_flight: list[InFlight] = field(default_factory=list)
-    committed: list[ActiveService] = field(default_factory=list)
+    start: InitialState = field(default_factory=InitialState)
     served: set[str] = field(default_factory=set)
     lost: set[str] = field(default_factory=set)
 
@@ -181,7 +167,8 @@ def initial_state(scenario: Scenario) -> tuple[WorldState, float]:
     the initial investment."""
     parking_by_lon = {lon: f"parking_{i}" for i, lon in
                       enumerate(scenario.network.parking_longitudes)}
-    state = WorldState()
+    vehicle_nodes: dict[str, str] = {}
+    commodities: dict[str, dict[str, float]] = {}
     investment = 0.0
     for dep in scenario.deployments:
         v = scenario.vehicles[dep.vehicle]
@@ -190,18 +177,19 @@ def initial_state(scenario: Scenario) -> tuple[WorldState, float]:
             raise CampaignError(
                 f"deployment of {dep.vehicle}: no parking slot at longitude "
                 f"{dep.longitude}")
-        state.vehicle_nodes[dep.vehicle] = node
+        vehicle_nodes[dep.vehicle] = node
         loads = dict(v.capacities)
-        state.commodities[dep.vehicle] = loads
+        commodities[dep.vehicle] = loads
         investment += v.manufacturing_cost
         investment += sum(scenario.commodities[k].purchase_cost * qty
                           for k, qty in loads.items())
-    return state, investment
+    start = InitialState(vehicle_nodes=vehicle_nodes, commodities=commodities)
+    return WorldState(start=start), investment
 
 
 def visible_needs(stream: DemandStream, scenario: Scenario, state: WorldState,
                   window_days: int) -> list[ServiceNeed]:
-    committed_ids = {c.need_id for c in state.committed}
+    committed_ids = {c.need_id for c in state.start.committed}
     out = []
     for need in stream.needs:
         if need.id in state.served or need.id in state.lost \
@@ -233,33 +221,20 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
         if need.id not in live and need.tau + spec.window <= state.day:
             state.lost.add(need.id)
 
+    start = state.start
     active_sats = {n.satellite for n in local}
-    active_sats |= {c.node for c in state.committed}
-    active_sats |= {f.node for f in state.in_flight}
-    active_sats |= set(state.vehicle_nodes.values())
+    active_sats |= {c.node for c in start.committed}
+    active_sats |= {p.node for p in start.pending_arrivals}
+    active_sats |= set(start.vehicle_nodes.values())
     sats_local = [s for s in sats if s.name in active_sats]
     local = [n for n in local if n.satellite in {s.name for s in sats_local}]
 
-    init = InitialState(
-        vehicle_nodes=dict(state.vehicle_nodes),
-        commodities={v: dict(loads) for v, loads in state.commodities.items()},
-        pending_arrivals=tuple(
-            PendingArrival(vehicle=f.vehicle, node=f.node,
-                           t=f.arrive_day - state.day,
-                           commodities=dict(f.commodities))
-            for f in state.in_flight),
-        committed=tuple(
-            CommittedService(vehicle=c.vehicle, node=c.node,
-                             start_day=c.start_day - state.day,
-                             end_day=c.end_day - state.day,
-                             need_id=c.need_id)
-            for c in state.committed))
     nodes = build_nodes(scenario, sats_local, include_earth=True)
     net = expand(nodes, grid, scenario, registry=registry,
                  n_breakpoints=config.n_breakpoints,
-                 vehicles=init.active_vehicles(scenario))
+                 vehicles=start.active_vehicles(scenario))
     options = SolveOptions(gap=config.gap, backend=config.backend)
-    return PlanProblem(scenario, net, local, init, options)
+    return PlanProblem(scenario, net, local, start, options)
 
 
 def _commit_days(scenario: Scenario, config: RhConfig) -> int:
@@ -300,7 +275,7 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     committed = _committed_event_set(schedule, commit)
     day0 = state.day
     scn = scenario
-
+    started: list[CommittedService] = []   # on the window's clock
     for e in committed:
         abs_day = day0 + e.day
         if e.kind == "launch":
@@ -323,99 +298,80 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
                 ledger.book(abs_day, "delay",
                             spec.delay_penalty_per_day * delay, need_id)
             state.served.add(need_id)
-            state.committed.append(ActiveService(
+            started.append(CommittedService(
                 vehicle=e.vehicle, node=e.detail["satellite"],
-                need_id=need_id, start_day=abs_day,
-                end_day=day0 + e.detail["end_day"]))
+                end_day=e.detail["end_day"], need_id=need_id,
+                start_day=e.day))
 
     # continuous operating cost for every deployed vehicle over the interval
-    for vid in sorted(set(state.vehicle_nodes)
-                      | {f.vehicle for f in state.in_flight}):
+    start = state.start
+    for vid in sorted(set(start.vehicle_nodes)
+                      | {p.vehicle for p in start.pending_arrivals}):
         v = scn.vehicles[vid]
         bucket = "depot_ops" if v.vehicle_class == "depot" else "servicer_ops"
         ledger.book(day0, bucket, v.operating_cost_per_day * commit, vid)
 
-    _advance_state(problem, solution, state, commit)
+    state.start = _advance_state(problem, solution, commit, started)
     state.day = day0 + commit
-    state.committed = [c for c in state.committed if c.end_day > state.day]
     return StepResult(day=day0, schedule=schedule, committed_events=committed,
                       objective=solution.objective)
 
 
-def _advance_state(problem: PlanProblem, solution, state: WorldState,
-                   commit: int):
-    """Read the post-interval world directly from the solved flows."""
+def _advance_state(problem: PlanProblem, solution, commit: int,
+                   started: list[CommittedService]) -> InitialState:
+    """The next window's start, read from the solved flows and shifted by
+    ``commit`` onto that window's clock."""
     values = solution.values
     names = {n.index: n.name for n in problem.net.nodes.nodes}
-    new_nodes: dict[str, str] = {}
-    new_comms: dict[str, dict[str, float]] = {}
-    new_flight: list[InFlight] = []
+    init = problem.init
+    pending = [replace(p, t=p.t - commit) for p in init.pending_arrivals
+               if p.t > commit]
+    committed = tuple(
+        replace(c, start_day=c.start_day - commit, end_day=c.end_day - commit)
+        for c in init.committed + tuple(started) if c.end_day > commit)
 
-    for vid in problem.active:
-        located = None
-        departing = []
-        for i in problem.presence[vid]:
-            if values.get(vn("Y", vid, i, commit), 0.0) > 0.5:
-                located = i
-                break
-            # a departure at exactly the boundary is not committed yet, so
-            # the vehicle still counts as parked at its origin
-            for a in problem.dep_arcs.get((vid, i, commit), ()):
-                if values.get(vn("W", *a.key), 0.0) > 0.5:
-                    located, departing = i, [a]
-                    break
-            if located is not None:
-                break
-        if located is not None:
-            new_nodes[vid] = names[located]
-            stock = {
-                k: values.get(vn("X", vid, located, commit, k), 0.0)
-                for k in problem.carriable[vid]}
-            for a in departing:
-                for k in problem.carriable[vid]:
-                    stock[k] += values.get(vn("U", *a.key, k), 0.0)
-            new_comms[vid] = stock
-            continue
-        pending = next((p for p in problem.init.pending_arrivals
-                        if p.vehicle == vid and p.t > commit), None)
-        if pending is not None:
-            new_flight.append(InFlight(
-                vehicle=vid, node=pending.node,
-                arrive_day=state.day + pending.t,
-                commodities=dict(pending.commodities)))
-            continue
-        for a in problem.arcs:
-            if a.vehicle != vid or a.is_launch:
-                continue
-            if a.t < commit < a.arrival \
-                    and values.get(vn("W", *a.key), 0.0) > 0.5:
-                cargo = {k: _arrival_amount(problem, values, a, k)
-                         for k in problem.carriable[vid]}
-                new_flight.append(InFlight(
-                    vehicle=vid, node=names[a.j],
-                    arrive_day=state.day + a.arrival, commodities=cargo))
-                break
-        else:
-            raise CampaignError(
-                f"vehicle {vid} is neither parked nor in flight at the "
-                f"commit boundary")
-
-    # launch cargo still in flight at the boundary
+    # flights and launch cargo still in the air at the boundary
     for a in problem.arcs:
-        if a.is_launch and a.vehicle in problem.launchers \
-                and a.t < commit < a.arrival \
-                and values.get(vn("W", *a.key), 0.0) > 0.5:
+        if not (a.t < commit < a.arrival
+                and values.get(vn("W", *a.key), 0.0) > 0.5):
+            continue
+        if a.is_launch:
             cargo = {k: values.get(vn("U", *a.key, k), 0.0)
                      for k in problem.carriable[a.vehicle]}
             cargo = {k: v for k, v in cargo.items() if v > 1e-9}
-            if cargo:
-                new_flight.append(InFlight(
-                    vehicle=a.vehicle, node=names[a.j],
-                    arrive_day=state.day + a.arrival, commodities=cargo))
+            if not cargo:
+                continue
+        else:
+            cargo = {k: _arrival_amount(problem, values, a, k)
+                     for k in problem.carriable[a.vehicle]}
+        pending.append(PendingArrival(vehicle=a.vehicle, node=names[a.j],
+                                      t=a.arrival - commit, commodities=cargo))
 
-    state.vehicle_nodes = new_nodes
-    state.commodities = new_comms
-    state.in_flight = new_flight
+    flying = {p.vehicle for p in pending}
+    vehicle_nodes: dict[str, str] = {}
+    commodities: dict[str, dict[str, float]] = {}
+    for vid in problem.active:
+        for i in problem.presence[vid]:
+            # a departure at exactly the boundary is not committed yet, so
+            # the vehicle still counts as parked at its origin, holding the
+            # cargo it would load
+            leaving = [a for a in problem.dep_arcs.get((vid, i, commit), ())
+                       if values.get(vn("W", *a.key), 0.0) > 0.5]
+            if leaving or values.get(vn("Y", vid, i, commit), 0.0) > 0.5:
+                stock = {k: values.get(vn("X", vid, i, commit, k), 0.0)
+                         for k in problem.carriable[vid]}
+                for a in leaving:
+                    for k in stock:
+                        stock[k] += values.get(vn("U", *a.key, k), 0.0)
+                vehicle_nodes[vid], commodities[vid] = names[i], stock
+                break
+        else:
+            if vid not in flying:
+                raise CampaignError(
+                    f"vehicle {vid} is neither parked nor in flight at the "
+                    f"commit boundary")
+    return InitialState(vehicle_nodes=vehicle_nodes, commodities=commodities,
+                        pending_arrivals=tuple(pending), committed=committed)
 
 
 def _arrival_amount(problem: PlanProblem, values: dict, a, k: str) -> float:

@@ -353,14 +353,14 @@ class Model:
         lines.append("End")
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def solve_subprocess(self, command: str,
-                         gap: float = 0.0) -> SolveResult:
+    def solve_subprocess(self, command: str) -> SolveResult:
         """Solve via an external command.
 
-        The command receives ``{lp}`` and ``{sol}`` placeholders; the solution
-        file must contain ``variable_name value`` lines, and may carry one
-        ``status <s>`` line (see ``_read_status``). Without it the status is
-        ``"unknown"``; an infeasible or unbounded file carries no solution.
+        The command receives ``{lp}`` and ``{sol}`` placeholders, and no gap
+        or time limit; the solution file must contain ``variable_name
+        value`` lines, and may carry one ``status <s>`` line (see
+        ``_read_status``). Without it the status is ``"unknown"``; an
+        infeasible or unbounded file carries no solution.
         """
         with tempfile.TemporaryDirectory() as tmp:
             lp = Path(tmp) / "model.lp"

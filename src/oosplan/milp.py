@@ -72,6 +72,11 @@ class CommittedService:
 
 @dataclass(frozen=True)
 class InitialState:
+    """The world a window starts from, on that window's clock (day 0 is its
+    first step): the parked vehicles and their loads, what is still in
+    flight, and the services still running. A campaign carries one such
+    record from window to window, shifted by the commit interval at each
+    boundary."""
     vehicle_nodes: dict[str, str] = field(default_factory=dict)
     commodities: dict[str, dict[str, float]] = field(default_factory=dict)
     pending_arrivals: tuple[PendingArrival, ...] = ()
@@ -97,7 +102,7 @@ class InitialState:
 
 @dataclass
 class SolveOptions:
-    gap: float = 0.01
+    gap: float = 0.01            # gap and time limit reach HiGHS only
     time_limit: Optional[float] = None
     backend: str = "highs"       # "highs" or a shell command with {lp}/{sol}
 
@@ -613,7 +618,7 @@ class PlanProblem:
         opts = self.options
         if opts.backend == "highs":
             return model.solve(gap=opts.gap, time_limit=opts.time_limit)
-        return model.solve_subprocess(opts.backend, gap=opts.gap)
+        return model.solve_subprocess(opts.backend)
 
     def solve(self) -> Solution:
         res = self._run(self.model)

@@ -35,7 +35,11 @@ class NodeSet:
     nodes: tuple[Node, ...]
 
     def __post_init__(self):
+        seen = set()
         for idx, n in enumerate(self.nodes):
+            if n.name in seen:
+                raise NetworkError(f"node name {n.name!r} is used twice")
+            seen.add(n.name)
             if n.index != idx:
                 raise NetworkError("node indices must be dense and ordered")
             if n.tier in ("parking", "customer") and n.longitude is None:

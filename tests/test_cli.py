@@ -97,6 +97,55 @@ def test_network_error_exits_two(catalog_file, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--gap", "-1"],
+    ["plan", "--time-limit", "-5"],
+    ["campaign", "--gap", "-1"],
+])
+def test_negative_gap_or_time_limit_exits_two(catalog_file, capsys, argv):
+    code = main(argv + ["--scenario", "multimodal",
+                        "--catalog", str(catalog_file)])
+    assert code == EXIT_USAGE
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+# a backend command that exits 3 and writes no solution
+FAILING_BACKEND = f"{sys.executable} -c 'raise SystemExit(3)'"
+
+
+@pytest.mark.parametrize("command", ["plan", "campaign"])
+def test_failing_backend_exits_one(catalog_file, tmp_path, capsys, command):
+    code = main([command, "--scenario", "multimodal",
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--backend", FAILING_BACKEND, "--out", str(tmp_path / "o")])
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith(
+        "error: backend command failed (3)")
+
+
+def test_time_limit_needs_highs_backend(catalog_file, capsys):
+    # an external command is never told the limit, so it is refused
+    code = main(["plan", "--scenario", "multimodal",
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--backend", FAILING_BACKEND, "--time-limit", "60"])
+    assert code == EXIT_USAGE
+    assert "--time-limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [
+    ["parking_0"],      # the scenario's parking slot
+    ["satA", "satA"],   # the catalog itself
+])
+def test_catalog_name_reused_exits_two(tmp_path, capsys, names):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("name,longitude_deg\n" + "".join(
+        f"{name},{-150 + 10 * k}\n" for k, name in enumerate(names)))
+    code = main(["plan", "--scenario", "multimodal",
+                 "--catalog", str(catalog), "--horizon-days", "60"])
+    assert code == EXIT_USAGE
+    assert f"node name '{names[0]}' is used twice" in capsys.readouterr().err
+
+
 def test_campaign_outputs(catalog_file, tmp_path, capsys):
     out = tmp_path / "camp"
     code = main(["campaign", "--scenario", "multimodal",

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from oosplan.demand import DemandStream, ServiceNeed
+from oosplan.demand import DemandStream, ServiceNeed, generate_stream
 from oosplan.horizon import (COST_BUCKETS, Ledger, RhConfig, WorldState,
-                             initial_state, run, visible_needs)
+                             initial_state, run, step, visible_needs)
+from oosplan.network import build_time_grid
 from oosplan.scenario import CustomerSat
 
 
@@ -53,16 +54,17 @@ def test_export_csv_round_trips_floats(tmp_path):
 def test_initial_state_investment(multimodal):
     state, investment = initial_state(multimodal)
     deployed = {d.vehicle for d in multimodal.deployments}
-    assert set(state.vehicle_nodes) == deployed
+    assert set(state.start.vehicle_nodes) == deployed
     expected = 0.0
     for vid in deployed:
         v = multimodal.vehicles[vid]
-        assert state.commodities[vid] == v.capacities
+        assert state.start.commodities[vid] == v.capacities
         expected += v.manufacturing_cost
         expected += sum(multimodal.commodities[k].purchase_cost * qty
                         for k, qty in v.capacities.items())
     assert investment == pytest.approx(expected)
-    assert state.day == 0 and not state.in_flight and not state.committed
+    assert state.day == 0 and not state.start.pending_arrivals \
+        and not state.start.committed
 
 
 def _need(nid, tau, service):
@@ -186,3 +188,58 @@ def test_run_rejects_bad_commit(multimodal):
         with pytest.raises(ValueError, match="commit interval"):
             run(multimodal, [], stream, horizon_days=120,
                 config=RhConfig(window_days=window, commit_days=commit))
+
+
+def _drive_checking_handover(scenario, sats, stream, horizon_days, config):
+    """Step a campaign to the horizon, checking the world record that each
+    boundary hands to the next window. Returns how many vehicles were
+    handed over in flight, and how many planned to leave at exactly the
+    boundary."""
+    commit = scenario.network.period
+    steps = build_time_grid(commit, scenario.network.offsets,
+                            config.window_days).steps
+    state, investment = initial_state(scenario)
+    ledger = Ledger(initial_investment=investment)
+    in_flight = at_boundary = 0
+    while state.day < horizon_days:
+        vehicles = set(state.start.active_vehicles(scenario))
+        result = step(scenario, sats, stream, state, ledger, config)
+        start = state.start
+        # each vehicle is parked or in one pending arrival, never both
+        for vid in vehicles:
+            assert (vid in start.vehicle_nodes) + sum(
+                p.vehicle == vid for p in start.pending_arrivals) == 1
+        assert all(p.t > 0 and p.t in steps for p in start.pending_arrivals)
+        assert all(c.end_day > 0 for c in start.committed)
+        assert not (state.served & state.lost)
+        for e in result.schedule.events:
+            if e.kind != "flight":
+                continue
+            if e.day < commit < e.detail["arrive_day"]:
+                assert [(p.node, p.t) for p in start.pending_arrivals
+                        if p.vehicle == e.vehicle] == [
+                    (e.detail["to"], e.detail["arrive_day"] - commit)]
+                in_flight += 1
+            elif e.day == commit:
+                # not committed yet: still parked where it would leave from
+                assert start.vehicle_nodes[e.vehicle] == e.detail["from"]
+                at_boundary += 1
+    return in_flight, at_boundary
+
+
+def test_handover_of_flights_across_the_boundary(multimodal):
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    in_flight, _ = _drive_checking_handover(
+        multimodal, sats, _synthetic_stream(multimodal), 120,
+        RhConfig(gap=0.0))
+    assert in_flight > 0
+
+
+def test_handover_of_departures_at_the_boundary(multimodal):
+    # the one-year five-satellite campaign of the acceptance run
+    sats = [CustomerSat(f"gx{i}", lon) for i, lon in
+            enumerate((-160.0, -150.0, -140.0, -130.0, -120.0))]
+    stream = generate_stream(sats, multimodal, horizon=360.0, seed=42)
+    _, at_boundary = _drive_checking_handover(multimodal, sats, stream, 360,
+                                              RhConfig())
+    assert at_boundary > 0

@@ -427,8 +427,8 @@ def test_second_stage_uses_the_same_backend(tmp_path, monkeypatch):
     solved = []
     through = Model.solve_subprocess
 
-    def logged(m, command, gap=0.0):
-        res = through(m, command, gap)
+    def logged(m, command):
+        res = through(m, command)
         solved.append((m, res))
         return res
 

@@ -8,7 +8,9 @@ the ``write_lp`` text of every model passed to ``lp.Model.solve`` (the
 min-burn LPs included) and prints one JSON object: per workload, the number
 of solves, one SHA-256 over the per-model hashes in solve order, and the
 fingerprints of the workload's outputs. A refactor that claims to leave
-every model unchanged must print the same object before and after.
+every model unchanged must print the same object before and after. A
+workload that fails its own checks has its problems printed to stderr, and
+the exit status is then 1.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     report = {}
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         model_hashes: list[str] = []
@@ -70,13 +73,19 @@ def main(argv=None) -> int:
                 returned = workloads.run_rep(name, inputs, outdir)
                 res = workloads.check(name, inputs, outdir, returned,
                                       list(solves.calls))
+            if res.failed or res.problems:
+                failed = True
+                print(f"{name}: {res.failed} of {res.attempted} operations "
+                      f"failed", file=sys.stderr)
+                for problem in res.problems:
+                    print(f"{name}: {problem}", file=sys.stderr)
             report[name] = {
                 "solves": len(model_hashes),
                 "lp_digest": hashlib.sha256(
                     "\n".join(model_hashes).encode()).hexdigest(),
                 "fingerprints": res.fingerprints}
     print(json.dumps({"seed": args.seed, "workloads": report}, indent=1))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
