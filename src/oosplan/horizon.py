@@ -393,6 +393,9 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     if commit > config.window_days:
         raise ValueError(f"commit interval of {commit} d exceeds the "
                          f"{config.window_days} d planning window")
+    # the campaign starts on day 0, so it would take no step
+    if horizon_days <= 0:
+        raise ValueError("campaign horizon must cover at least one step")
     state, investment = initial_state(scenario)
     ledger = Ledger(initial_investment=investment)
     steps: list[StepResult] = []

@@ -19,6 +19,14 @@ comes after the departure, so ``PlanProblem._prepare`` decides every landing
 in one sweep from the last departure back. Service timing is read from
 ``ServiceNeed.covers``. A column left out reads as zero in every row.
 
+Columns are keyed by ``vn`` tuples, and solution values come back under
+those keys, which ``audit``, ``extract_schedule`` and ``horizon`` read.
+The build looks each column index up once, when it makes the column (Y and X
+per state; W, U, Z and L per arc; H, B and S0), and writes every row family
+with those integer indices straight into the model's row store. A row that
+the indices show to be empty is not assembled; it must hold at zero, or the
+build raises ``ModelError``.
+
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
 returns weights on breakpoints that are not neighbours (an over-burn that
@@ -110,6 +118,17 @@ class SolveOptions:
 @dataclass
 class Solution(SolveResult):
     components: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
+class _ArcColumns:
+    """Column indices of one arc's variables."""
+    w: int
+    u: dict[str, int] = field(default_factory=dict)     # commodity -> U
+    z: Optional[int] = None             # wet mass, on a flight only
+    lam: list[int] = field(default_factory=list)        # L, on a curve
+    propellant: Optional[str] = None    # the commodity a flight burns
+    burn: dict[int, float] = field(default_factory=dict)  # L or Z -> burn
 
 
 class PlanProblem:
@@ -267,40 +286,65 @@ class PlanProblem:
         grid = self.grid
         self.curve_points: dict[tuple, list[tuple[float, float]]] = {}
 
-        for vid, i, t in self.states:
+        def kind_of(k):
+            return INTEGER if scn.commodities[k].is_integer else CONTINUOUS
+
+        # Each column index is looked up once, here, and every row family
+        # is written with these indices: Y and X per state, the columns of
+        # each arc, and H, B and S0.
+        self._y: dict[tuple[str, int, int], int] = {}
+        self._x: dict[tuple[str, int, int], dict[str, int]] = {}
+        for s in self.states:
+            vid = s[0]
             v = self.active[vid]
             # a depot stays at its slot throughout
-            m.add_var(vn("Y", vid, i, t), kind=BINARY,
-                      lb=1.0 if v.vehicle_class == "depot" else 0.0)
-            for k in self.carriable[vid]:
-                kind = INTEGER if scn.commodities[k].is_integer else CONTINUOUS
-                m.add_var(vn("X", vid, i, t, k), ub=v.capacities[k], kind=kind)
+            self._y[s] = m.add_var(vn("Y", *s), kind=BINARY,
+                                   lb=1.0 if v.vehicle_class == "depot" else 0.0)
+            self._x[s] = {k: m.add_var(vn("X", *s, k), ub=v.capacities[k],
+                                       kind=kind_of(k))
+                          for k in self.carriable[vid]}
+        self._arc_cols: list[_ArcColumns] = []
+        self._dep: dict[tuple[str, int, int], list[_ArcColumns]] = {}
+        self._arr: dict[tuple[str, int, int], list[_ArcColumns]] = {}
         for a in self.arcs:
-            m.add_var(vn("W", *a.key), kind=BINARY)
+            key = a.key
+            cols = _ArcColumns(w=m.add_var(vn("W", *key), kind=BINARY))
             caps = (self.launchers.get(a.vehicle) or self.active[a.vehicle]).capacities
-            for k in self.carriable[a.vehicle]:
-                kind = INTEGER if scn.commodities[k].is_integer else CONTINUOUS
-                m.add_var(vn("U", *a.key, k), ub=caps[k], kind=kind)
+            cols.u = {k: m.add_var(vn("U", *key, k), ub=caps[k], kind=kind_of(k))
+                      for k in self.carriable[a.vehicle]}
             if not a.is_launch:
+                cols.propellant = self._mode_of(a).propellant_commodity
                 ub = a.mass_upper_bound if math.isfinite(a.mass_upper_bound) else 1e9
-                m.add_var(vn("Z", *a.key), ub=ub)
+                cols.z = m.add_var(vn("Z", *key), ub=ub)
                 if a.model.burn_fraction is None:
                     pts = [(0.0, 0.0)] + list(a.model.breakpoints)
-                    self.curve_points[a.key] = pts
-                    for n in range(len(pts)):
-                        m.add_var(vn("L", *a.key, n), ub=1.0)
+                    self.curve_points[key] = pts
+                    cols.lam = [m.add_var(vn("L", *key, n), ub=1.0)
+                                for n in range(len(pts))]
+                    cols.burn = {col: f for col, (_, f) in zip(cols.lam, pts)
+                                 if f != 0.0}
+                else:
+                    cols.burn = {cols.z: a.model.burn_fraction}
+            self._arc_cols.append(cols)
+            self._dep.setdefault((a.vehicle, a.i, a.t), []).append(cols)
+            self._arr.setdefault((a.vehicle, a.j, a.arrival), []).append(cols)
+        self._h: dict[tuple[str, str, int], int] = {}
+        self._b: dict[tuple[str, str, int], int] = {}
         for need in self.needs:
             for vid in self.capable[need.id]:
                 for tau in need.window:
-                    m.add_var(vn("H", vid, need.id, tau), kind=BINARY)
+                    self._h[vid, need.id, tau] = m.add_var(
+                        vn("H", vid, need.id, tau), kind=BINARY)
                 for t in grid.steps:
                     if any(need.covers(tau, t) for tau in need.window):
-                        m.add_var(vn("B", vid, need.id, t), kind=BINARY)
+                        self._b[vid, need.id, t] = m.add_var(
+                            vn("B", vid, need.id, t), kind=BINARY)
+        self._s0: dict[str, int] = {}
         for vid in self.active:
             start = self.init.vehicle_nodes.get(vid)
             if start is not None and self.node_by_name[start].tier == "customer" \
                     and (vid, self.node_by_name[start].index, 0) not in self.pinned:
-                m.add_var(vn("S0", vid), ub=1.0)
+                self._s0[vid] = m.add_var(vn("S0", vid), ub=1.0)
 
         self._add_balances()
         self._add_concurrency()
@@ -329,34 +373,19 @@ class PlanProblem:
                 expr[name] = expr.get(name, 0.0) - coeff
         return expr
 
-    def holdover_inflow(self, vid: str, i: int, t_prev: int, k: str) -> dict[tuple, float]:
-        expr = {vn("X", vid, i, t_prev, k): 1.0}
-        v = self.active[vid]
-        if v.station_keeping_rate > 0 and k == v.station_keeping_commodity:
-            dt = self.grid.delta_forward(t_prev)
-            if dt > 0:
-                expr[vn("Y", vid, i, t_prev)] = -v.station_keeping_rate * dt
-        return expr
-
     # -- constraint families -----------------------------------------------
 
-    def _row(self, family: str, expr: dict[tuple, float], sense: str,
+    def _add(self, family: str, row: dict[int, float], sense: str,
              rhs: float):
-        """Add the row ``expr sense rhs``. A column that ``_prepare`` left
-        out is zero in every solution, so it reads as zero here, and a row
-        left with no column is skipped if it holds at zero."""
-        m = self.model
-        coeffs = {m.index(key): c for key, c in expr.items() if key in m}
-        if coeffs:
-            m.add_constr(family, coeffs, sense, rhs)
+        """Add the row ``row sense rhs``, ``row`` mapping column index to
+        coefficient. A column that ``_prepare`` left out is zero in every
+        solution, so the families leave it out of their rows; a row left
+        with no column is skipped if it holds at zero."""
+        if row:
+            self.model.add_constr(family, row, sense, rhs)
         elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "==": rhs == 0.0}[sense]:
             raise ModelError(f"empty {family} row cannot hold: "
                              f"0 {sense} {rhs}")
-
-    def _add_expr(self, into: dict[tuple, float], expr: dict[tuple, float],
-                  sign: float = 1.0):
-        for nm, c in expr.items():
-            into[nm] = into.get(nm, 0.0) + sign * c
 
     def _init_stock(self, vid: str, i: int, k: str, t: int) -> float:
         return sum((load.get(k, 0.0)
@@ -365,22 +394,35 @@ class PlanProblem:
     def _init_presence(self, vid: str, i: int, t: int) -> float:
         return float(len(self.arriving.get((vid, i, t), ())))
 
-    def _commodity_outflow_row(self, vid: str, i: int, t: int,
-                               k: str) -> dict[tuple, float]:
-        """LHS of a mass balance: holdover out + transport out - all inflows."""
-        row: dict[tuple, float] = {}
-        if vn("X", vid, i, t, k) in self.model:
-            row[vn("X", vid, i, t, k)] = 1.0
+    def _outflows(self, rows: dict[str, dict[int, float]], vid: str, i: int,
+                  t: int):
+        """Add to ``rows[k]``, for each commodity ``k`` that vehicle ``vid``
+        moves at ``(i, t)``, the LHS of its mass balance there: holdover out
+        + transport out - all inflows, the inflows written in outflows (a
+        holdover burns station keeping, an arc its propellant)."""
+        x = self._x.get((vid, i, t))
+        if x:
+            for k, col in x.items():
+                rows[k][col] = 1.0
             tp = t - self.grid.delta_backward(t)
             if tp != t:
-                self._add_expr(row, self.holdover_inflow(vid, i, tp, k), -1.0)
-        for a in self.dep_arcs.get((vid, i, t), ()):
-            if k in self.carriable[a.vehicle]:
-                row[vn("U", *a.key, k)] = row.get(vn("U", *a.key, k), 0.0) + 1.0
-        for a in self.arr_arcs.get((vid, i, t), ()):
-            if k in self.carriable[a.vehicle]:
-                self._add_expr(row, self.arc_inflow(a, k), -1.0)
-        return row
+                for k, col in self._x.get((vid, i, tp), {}).items():
+                    rows[k][col] = -1.0
+                v = self.active[vid]
+                k = v.station_keeping_commodity
+                dt = self.grid.delta_forward(tp)
+                y = self._y.get((vid, i, tp))
+                if v.station_keeping_rate > 0 and k in x and dt > 0 \
+                        and y is not None:
+                    rows[k][y] = v.station_keeping_rate * dt
+        for a in self._dep.get((vid, i, t), ()):
+            for k, col in a.u.items():
+                rows[k][col] = 1.0
+        for a in self._arr.get((vid, i, t), ()):
+            for k, col in a.u.items():
+                rows[k][col] = -1.0
+            if a.propellant in a.u:
+                rows[a.propellant].update(a.burn)
 
     def _add_balances(self):
         grid, scn = self.grid, self.scenario
@@ -388,15 +430,16 @@ class PlanProblem:
 
         # commodity balance at customer nodes, per servicer, node by node
         for vid, i, t in sorted(self.customer_states, key=lambda s: s[1]):
-            for k in self.carriable[vid]:
-                row = self._commodity_outflow_row(vid, i, t, k)
+            rows = {k: {} for k in self.carriable[vid]}
+            self._outflows(rows, vid, i, t)
+            for k, row in rows.items():
                 for need in self.needs_at.get(i, ()):
                     mag = need.commodity_demand.get(k, 0.0)
                     if mag and t in need.window and vid in self.capable[need.id]:
                         # nonpositive demand: delivery leaves the servicer
-                        h = vn("H", vid, need.id, t)
+                        h = self._h[vid, need.id, t]
                         row[h] = row.get(h, 0.0) + mag
-                self._row("bal_cust", row, "==",
+                self._add("bal_cust", row, "==",
                           self._init_stock(vid, i, k, t))
 
         # commodity balance at parking nodes, pooled over vehicles
@@ -404,164 +447,168 @@ class PlanProblem:
         for node in self.nodes.parking:
             i = node.index
             for t in grid.steps:
+                rows = {k: {} for k in all_k}
+                rhs = dict.fromkeys(all_k, 0.0)
+                for vid in vids_all:
+                    self._outflows(rows, vid, i, t)
+                    if (vid, i, t) in self.arriving:
+                        for k in all_k:
+                            rhs[k] += self._init_stock(vid, i, k, t)
                 for k in all_k:
-                    row: dict[tuple, float] = {}
-                    rhs = 0.0
-                    for vid in vids_all:
-                        self._add_expr(row, self._commodity_outflow_row(vid, i, t, k))
-                        rhs += self._init_stock(vid, i, k, t)
-                    self._row("bal_park", row, "==", rhs)
+                    self._add("bal_park", rows[k], "==", rhs[k])
 
         # Earth commodity supply caps
         for node in self.nodes.earth:
             i = node.index
             for t in grid.steps:
+                deps = [a for vid in vids_all
+                        for a in self._dep.get((vid, i, t), ())]
                 for k in all_k:
-                    row: dict[tuple, float] = {}
-                    for vid in vids_all:
-                        for a in self.dep_arcs.get((vid, i, t), ()):
-                            if k in self.carriable[a.vehicle]:
-                                row[vn("U", *a.key, k)] = 1.0
-                    self._row("supply", row, "<=", EARTH_SUPPLY)
+                    row = {a.u[k]: 1.0 for a in deps if k in a.u}
+                    self._add("supply", row, "<=", EARTH_SUPPLY)
 
         # vehicle balances at orbital nodes
-        for vid, i, t in self.states:
-            row = {vn("Y", vid, i, t): 1.0}
+        for s in self.states:
+            vid, i, t = s
+            row = {self._y[s]: 1.0}
             tp = t - grid.delta_backward(t)
-            if tp != t:
-                row[vn("Y", vid, i, tp)] = -1.0
-            for a in self.dep_arcs.get((vid, i, t), ()):
-                row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) + 1.0
-            for a in self.arr_arcs.get((vid, i, t), ()):
-                row[vn("W", *a.key)] = row.get(vn("W", *a.key), 0.0) - 1.0
-            self._row("bal_veh", row, "==", self._init_presence(vid, i, t))
+            if tp != t and (vid, i, tp) in self._y:
+                row[self._y[vid, i, tp]] = -1.0
+            for a in self._dep.get(s, ()):
+                row[a.w] = 1.0
+            for a in self._arr.get(s, ()):
+                row[a.w] = -1.0
+            self._add("bal_veh", row, "==", self._init_presence(vid, i, t))
 
         # Earth vehicle supply: one launcher per launch step
         for node in self.nodes.earth:
             i = node.index
             for t in grid.steps:
                 for vid in self.launchers:
-                    row = {vn("W", *a.key): 1.0
-                           for a in self.dep_arcs.get((vid, i, t), ())}
-                    self._row("veh_supply", row, "<=", 1)
+                    row = {a.w: 1.0 for a in self._dep.get((vid, i, t), ())}
+                    self._add("veh_supply", row, "<=", 1)
 
     def _add_concurrency(self):
         # holdover capacity
-        for vid, i, t in self.states:
-            for k in self.carriable[vid]:
-                row = {vn("X", vid, i, t, k): 1.0,
-                       vn("Y", vid, i, t): -self.active[vid].capacities[k]}
-                self._row("cap_hold", row, "<=", 0.0)
+        for s in self.states:
+            y, caps = self._y[s], self.active[s[0]].capacities
+            for k, x in self._x[s].items():
+                self._add("cap_hold", {x: 1.0, y: -caps[k]}, "<=", 0.0)
         # transport capacity
-        for a in self.arcs:
+        for a, cols in zip(self.arcs, self._arc_cols):
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
-            for k in self.carriable[a.vehicle]:
-                row = {vn("U", *a.key, k): 1.0, vn("W", *a.key): -v.capacities[k]}
-                self._row("cap_arc", row, "<=", 0.0)
+            for k, u in cols.u.items():
+                self._add("cap_arc", {u: 1.0, cols.w: -v.capacities[k]},
+                          "<=", 0.0)
             if v.payload_capacity is not None:
-                row = {vn("U", *a.key, k): self.scenario.unit_mass(k)
-                       for k in self.carriable[a.vehicle]}
-                row[vn("W", *a.key)] = -v.payload_capacity
-                self._row("cap_payload", row, "<=", 0.0)
+                row = {u: self.scenario.unit_mass(k)
+                       for k, u in cols.u.items()}
+                row[cols.w] = -v.payload_capacity
+                self._add("cap_payload", row, "<=", 0.0)
 
     def _add_transformation(self):
         scn = self.scenario
         # total wet mass definition and flight-feasibility bound
-        for a in self.arcs:
+        for a, cols in zip(self.arcs, self._arc_cols):
             if a.is_launch:
                 continue
             v = self.active[a.vehicle]
-            row = {vn("Z", *a.key): 1.0, vn("W", *a.key): -v.dry_mass}
-            for k in self.carriable[a.vehicle]:
-                row[vn("U", *a.key, k)] = -scn.unit_mass(k)
-            self._row("wet_mass", row, "==", 0.0)
+            row = {cols.z: 1.0, cols.w: -v.dry_mass}
+            for k, u in cols.u.items():
+                row[u] = -scn.unit_mass(k)
+            self._add("wet_mass", row, "==", 0.0)
             if math.isfinite(a.mass_upper_bound):
-                row = {vn("Z", *a.key): 1.0,
-                       vn("W", *a.key): -a.mass_upper_bound}
-                self._row("mass_ub", row, "<=", 0.0)
+                self._add("mass_ub", {cols.z: 1.0,
+                                      cols.w: -a.mass_upper_bound},
+                          "<=", 0.0)
             # propellant on board must cover the burn
-            mode = self._mode_of(a)
-            row = {vn("U", *a.key, mode.propellant_commodity): 1.0}
-            self._add_expr(row, self.arc_consumption(a), -1.0)
-            self._row("prop_avail", row, ">=", 0.0)
+            row = {}
+            if cols.propellant in cols.u:
+                row[cols.u[cols.propellant]] = 1.0
+            for col, f in cols.burn.items():
+                row[col] = -f
+            self._add("prop_avail", row, ">=", 0.0)
             if a.model.burn_fraction is None:
-                self._add_sos2(a)
+                self._add_sos2(a, cols)
         # depot station keeping stock must cover the holdover burn
-        for vid, i, t in self.states:
-            v = self.active[vid]
+        for s in self.states:
+            v = self.active[s[0]]
             k = v.station_keeping_commodity
-            dt = self.grid.delta_forward(t)
-            if v.station_keeping_rate > 0 and k in self.carriable[vid] \
-                    and dt > 0:
-                row = {vn("X", vid, i, t, k): 1.0,
-                       vn("Y", vid, i, t): -v.station_keeping_rate * dt}
-                self._row("sk_avail", row, ">=", 0.0)
+            dt = self.grid.delta_forward(s[2])
+            if v.station_keeping_rate > 0 and k in self._x[s] and dt > 0:
+                self._add("sk_avail", {self._x[s][k]: 1.0,
+                                       self._y[s]: -v.station_keeping_rate * dt},
+                          ">=", 0.0)
 
-    def _add_sos2(self, a: TransportArc):
+    def _add_sos2(self, a: TransportArc, cols: _ArcColumns):
         # the curve is convex, so the weights alone bound the burn from
         # below; solve() restores adjacency where HiGHS over-burns
         pts = self.curve_points[a.key]
-        lam = [vn("L", *a.key, j) for j in range(len(pts))]
-        self._row("sos2_sum", {v: 1.0 for v in lam}, "==", 1.0)
-        row = {v: pts[j][0] for j, v in enumerate(lam) if pts[j][0] != 0.0}
-        row[vn("Z", *a.key)] = -1.0
-        self._row("sos2_mass", row, "==", 0.0)
+        self._add("sos2_sum", dict.fromkeys(cols.lam, 1.0), "==", 1.0)
+        row = {col: b for col, (b, _) in zip(cols.lam, pts) if b != 0.0}
+        row[cols.z] = -1.0
+        self._add("sos2_mass", row, "==", 0.0)
 
     def _add_service_management(self):
-        m, grid = self.model, self.grid
+        grid = self.grid
         # each need assigned at most once
         for need in self.needs:
-            row = {vn("H", vid, need.id, tau): 1.0
+            row = {self._h[vid, need.id, tau]: 1.0
                    for vid in self.capable[need.id] for tau in need.window}
-            self._row("assign_once", row, "<=", 1.0)
+            self._add("assign_once", row, "<=", 1.0)
         # a vehicle only starts a service it was dispatched for
         for need in self.needs:
             for vid in self.capable[need.id]:
                 for t in grid.steps:
-                    row = {vn("B", vid, need.id, t): 1.0}
+                    b = self._b.get((vid, need.id, t))
+                    row = {} if b is None else {b: 1.0}
                     for tau in need.window:
                         if need.covers(tau, t):
-                            row[vn("H", vid, need.id, tau)] = -1.0
-                    self._row("dispatch", row, "==", 0.0)
+                            row[self._h[vid, need.id, tau]] = -1.0
+                    self._add("dispatch", row, "==", 0.0)
         # one service at a time per customer node
         for i, needs_i in self.needs_at.items():
             for t in grid.steps:
-                row = {vn("B", vid, need.id, t): 1.0 for need in needs_i
-                       for vid in self.capable[need.id]}
-                self._row("one_service", row, "<=", 1.0)
+                row = {self._b[vid, need.id, t]: 1.0 for need in needs_i
+                       for vid in self.capable[need.id]
+                       if (vid, need.id, t) in self._b}
+                self._add("one_service", row, "<=", 1.0)
         # presence at customer nodes equals dispatch
-        for vid, i, t in self.customer_states:
-            row = {vn("Y", vid, i, t): 1.0}
+        for s in self.customer_states:
+            vid, i, t = s
+            row = {self._y[s]: 1.0}
             for need in self.needs_at.get(i, ()):
-                if vid in self.capable[need.id]:
-                    row[vn("B", vid, need.id, t)] = -1.0
-            self._row("presence", row, "==", float((vid, i, t) in self.pinned))
+                if (vid, need.id, t) in self._b:
+                    row[self._b[vid, need.id, t]] = -1.0
+            self._add("presence", row, "==", float(s in self.pinned))
         # the adequate tool must be on board while a service needs it
-        for vid, i, t in self.customer_states:
+        for s in self.customer_states:
+            vid, i, t = s
             for k in self.scenario.tool_ids():
-                row = {vn("B", vid, need.id, t): -1.0
+                row = {self._b[vid, need.id, t]: -1.0
                        for need in self.needs_at.get(i, ())
                        if need.required_tool == k
-                       and vid in self.capable[need.id]}
-                if any(b in m for b in row):
-                    row[vn("X", vid, i, t, k)] = 1.0
-                    self._row("tool", row, ">=", 0.0)
+                       and (vid, need.id, t) in self._b}
+                if row:
+                    if k in self._x[s]:
+                        row[self._x[s][k]] = 1.0
+                    self._add("tool", row, ">=", 0.0)
 
     def _add_flight_rules(self):
         # arrivals at a customer node exactly when a service starts
         # (with an allowance for a servicer that begins the
         # horizon already at a customer node)
         t0 = self.grid.steps[0]
-        for vid, i, t in self.customer_states:
-            row = {vn("W", *a.key): 1.0
-                   for a in self.arr_arcs.get((vid, i, t), ())}
+        for s in self.customer_states:
+            vid, i, t = s
+            row = {a.w: 1.0 for a in self._arr.get(s, ())}
             for need in self.needs_at.get(i, ()):
                 if t in need.window and vid in self.capable[need.id]:
-                    row[vn("H", vid, need.id, t)] = -1.0
-            if t == t0 and self.init.vehicle_nodes.get(vid) \
+                    row[self._h[vid, need.id, t]] = -1.0
+            if t == t0 and vid in self._s0 and self.init.vehicle_nodes.get(vid) \
                     == self.nodes.nodes[i].name:
-                row[vn("S0", vid)] = 1.0
-            self._row("arrival", row, "==", 0.0)
+                row[self._s0[vid]] = 1.0
+            self._add("arrival", row, "==", 0.0)
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
@@ -653,11 +700,8 @@ class PlanProblem:
         curve the least burn for a given mass lies on neighbouring
         breakpoints, so this removes the over-burn without losing profit.
         Leaves ``sol`` as it is when the LP returns no solution."""
-        burn: dict[int, float] = {}
-        for a in self.arcs:
-            if a.key in self.curve_points:
-                for key, f in self.arc_consumption(a).items():
-                    burn[self.model.index(key)] = -f
+        burn = {col: -f for cols in self._arc_cols if cols.lam
+                for col, f in cols.burn.items()}
         lp = self.model.fixed_lp(sol.values, burn)
         z = sol.objective
         lp.add_constr("profit", self.model.objective, ">=",

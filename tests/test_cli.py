@@ -187,6 +187,21 @@ def test_bad_commit_interval_exits_two(catalog_file, tmp_path, capsys,
     assert "commit interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("days", ["0", "-5"])
+def test_campaign_without_a_step_exits_two(catalog_file, tmp_path, capsys,
+                                           days):
+    # a campaign that takes no step would print the initial investment as
+    # its value and write an empty ledger
+    code = main(["campaign", "--scenario", "multimodal",
+                 "--catalog", str(catalog_file), "--horizon-days", days,
+                 "--out", str(tmp_path / "camp")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "horizon must cover at least one step" in captured.err
+    assert "value=" not in captured.out
+    assert not (tmp_path / "camp").exists()
+
+
 def test_infeasible_window_exits_one(catalog_file, tmp_path, capsys):
     # an external backend that finds every window infeasible
     script = tmp_path / "infeasible.py"

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from micro import micro_instance
 import oosplan
 from oosplan import horizon, lp
 from oosplan.demand import generate_stream
-from oosplan.lp import BINARY, INTEGER, Model, SolveError, read_solution
+from oosplan.lp import (BINARY, CONTINUOUS, INTEGER, Model, SolveError,
+                        read_solution)
 from oosplan.milp import PlanProblem, SolveOptions
 from oosplan.scenario import CustomerSat
 
@@ -402,18 +404,48 @@ def _assert_scipy_csc(model: Model, args: tuple):
         assert ours.tolist() == theirs.tolist()
 
 
-def test_highs_gets_scipys_csc_matrix(monkeypatch, multimodal):
+def _assert_views_agree(model: Model, args: tuple, path: Path):
+    # the rows HiGHS got, the constraints view and the LP text read back
+    # hold the same nonzero coefficients, senses and right-hand sides
+    n_rows = len(args[4])
+    a = sparse.csc_matrix((args[3], args[2], args[1]),
+                          shape=(n_rows, model.n_vars)).tocoo()
+    from_highs = [{} for _ in range(n_rows)]
+    for i, j, v in zip(a.row.tolist(), a.col.tolist(), a.data.tolist()):
+        from_highs[i][j] = v
+    model.write_lp(path)
+    text = parse_lp(path)
+    assert text.n_vars == model.n_vars
+    assert len(model.constraints) == len(text.constraints) == n_rows
+    bounds = zip(args[4].tolist(), args[5].tolist())
+    for i, (con, read, arr, (lo, hi)) in enumerate(
+            zip(model.constraints, text.constraints, from_highs, bounds)):
+        assert {j: v for j, v in con.coeffs.items() if v != 0.0} == arr \
+            == {j: v for j, v in read.coeffs.items() if v != 0.0}
+        assert read.name == f"c{i}_{con.name}"
+        assert (read.sense, read.rhs) == (con.sense, con.rhs)
+        assert (lo, hi) == {"<=": (-np.inf, con.rhs), ">=": (con.rhs, np.inf),
+                            "==": (con.rhs, con.rhs)}[con.sense]
+    assert text.var_lb == args[6].tolist() and text.var_ub == args[7].tolist()
+    assert text.var_kind == [INTEGER if k else CONTINUOUS for k in args[8]]
+
+
+def _first_w1_window(scenario):
+    """Run the first window of the one-year five-satellite campaign."""
+    sats = [CustomerSat(f"gx{i}", lon) for i, lon in
+            enumerate((-160.0, -150.0, -140.0, -130.0, -120.0))]
+    stream = generate_stream(sats, scenario, horizon=360.0, seed=42)
+    state, investment = horizon.initial_state(scenario)
+    horizon.step(scenario, sats, stream, state, horizon.Ledger(investment),
+                 horizon.RhConfig())
+
+
+def test_highs_gets_scipys_csc_matrix(monkeypatch, multimodal, tmp_path):
     calls = _record_highs_inputs(monkeypatch)
     scenario, _, net, needs, init = micro_instance(3)
     assert PlanProblem(scenario, net, needs, init,
                        SolveOptions(gap=0.0)).solve().feasible
-    # the first window of the one-year five-satellite campaign
-    sats = [CustomerSat(f"gx{i}", lon) for i, lon in
-            enumerate((-160.0, -150.0, -140.0, -130.0, -120.0))]
-    stream = generate_stream(sats, multimodal, horizon=360.0, seed=42)
-    state, investment = horizon.initial_state(multimodal)
-    horizon.step(multimodal, sats, stream, state, horizon.Ledger(investment),
-                 horizon.RhConfig())
+    _first_w1_window(multimodal)
     assert len(calls) >= 2 and max(len(m.constraints) for m, _ in calls) > 500
     # no rows, and nothing at all
     no_rows = Model("no-rows")
@@ -424,3 +456,84 @@ def test_highs_gets_scipys_csc_matrix(monkeypatch, multimodal):
     assert [len(args[1]) for _, args in calls[-2:]] == [2, 1]
     for model, args in calls:
         _assert_scipy_csc(model, args)
+        _assert_views_agree(model, args, tmp_path / "model.lp")
+
+
+def test_zero_coefficients_stay_out_of_the_matrix(monkeypatch):
+    # a stored zero keeps its row, but HiGHS gets no entry for it
+    calls = _record_highs_inputs(monkeypatch)
+    m = Model("zeros")
+    x, y = m.add_var("x", ub=4.0), m.add_var("y", ub=4.0)
+    m.add_objective(x, 1.0)
+    m.add_objective(y, 1.0)
+    m.add_constr("c", {x: 1.0, y: 0.0}, "<=", 3.0)
+    m.add_constr("zero", {y: 0.0}, ">=", -1.0)
+    assert m.solve().objective == pytest.approx(7.0)
+    assert [con.coeffs for con in m.constraints] == [{x: 1.0, y: 0.0},
+                                                     {y: 0.0}]
+    args = calls[0][1]
+    assert [a.tolist() for a in args[1:4]] == [[0, 1, 1], [0], [1.0]]
+    assert args[4].tolist() == [-np.inf, -1.0]
+    assert args[5].tolist() == [3.0, np.inf]
+
+
+def _census(model: Model) -> dict:
+    """Columns per family, rows and nonzeros per row family, the order in
+    which the row families first appear, and a digest of the family of
+    every row in order: integers and names only, so no float formatting."""
+    cols, rows, nnz = {}, {}, {}
+    for key in model.keys:
+        cols[key[0]] = cols.get(key[0], 0) + 1
+    families = [con.name for con in model.constraints]
+    for con in model.constraints:
+        rows[con.name] = rows.get(con.name, 0) + 1
+        nnz[con.name] = nnz.get(con.name, 0) + sum(
+            1 for v in con.coeffs.values() if v != 0.0)
+    return {"cols": cols, "rows": rows, "nnz": nnz,
+            "first_seen": list(dict.fromkeys(families)),
+            "sequence": hashlib.sha256(
+                "\n".join(families).encode()).hexdigest()}
+
+
+# recorded from the dict-keyed build that preceded the row store
+MICRO0_CENSUS = {
+    "cols": {"Y": 18, "X": 72, "W": 23, "U": 92, "Z": 23, "L": 231, "H": 7,
+             "B": 8},
+    "rows": {"bal_cust": 32, "bal_park": 40, "bal_veh": 18, "cap_hold": 72,
+             "cap_arc": 92, "wet_mass": 23, "mass_ub": 23, "prop_avail": 23,
+             "sos2_sum": 11, "sos2_mass": 11, "assign_once": 2,
+             "dispatch": 8, "one_service": 8, "presence": 8, "tool": 8,
+             "arrival": 7},
+    "nnz": {"bal_cust": 307, "bal_park": 252, "bal_veh": 80, "cap_hold": 144,
+            "cap_arc": 184, "wet_mass": 138, "mass_ub": 46, "prop_avail": 255,
+            "sos2_sum": 231, "sos2_mass": 231, "assign_once": 7,
+            "dispatch": 22, "one_service": 8, "presence": 16, "tool": 16,
+            "arrival": 22},
+    "first_seen": ["bal_cust", "bal_park", "bal_veh", "cap_hold", "cap_arc",
+                   "wet_mass", "mass_ub", "prop_avail", "sos2_sum",
+                   "sos2_mass", "assign_once", "dispatch", "one_service",
+                   "presence", "tool", "arrival"],
+    "sequence": "5871fabb41ddd9b2e08938819904d7035f8c79a53ce2892407418cd014d40460",
+}
+W1_FIRST_CENSUS = {
+    "cols": {"Y": 56, "X": 448, "W": 3, "U": 24},
+    "rows": {"bal_park": 224, "supply": 24, "bal_veh": 56, "veh_supply": 3,
+             "cap_hold": 448, "cap_arc": 24, "cap_payload": 3, "sk_avail": 27},
+    "nnz": {"bal_park": 931, "supply": 24, "bal_veh": 110, "veh_supply": 3,
+            "cap_hold": 896, "cap_arc": 48, "cap_payload": 27, "sk_avail": 54},
+    "first_seen": ["bal_park", "supply", "bal_veh", "veh_supply", "cap_hold",
+                   "cap_arc", "cap_payload", "sk_avail"],
+    "sequence": "3b69a0d5032dfb434e67d48c8221bd53feb23eeb01c9f171708de148a644821c",
+}
+
+
+def test_build_is_model_neutral(monkeypatch, multimodal):
+    # the integer-indexed build makes the same columns and rows, in the
+    # same order, as the build it replaced
+    scenario, _, net, needs, init = micro_instance(0)
+    model = PlanProblem(scenario, net, needs, init,
+                        SolveOptions(gap=0.0)).model
+    assert _census(model) == MICRO0_CENSUS
+    calls = _record_highs_inputs(monkeypatch)
+    _first_w1_window(multimodal)
+    assert _census(calls[0][0]) == W1_FIRST_CENSUS

@@ -559,13 +559,16 @@ def test_a_dropped_landing_strands_the_flight_that_led_to_it():
 
 
 def test_absent_column_reads_as_zero(solved):
+    # a state that _prepare left out has no column, so a row over it alone
+    # is empty: skipped if it holds at zero, an error otherwise
     problem, _, _ = solved
-    rows = len(problem.model.constraints)
-    absent = vn("Y", "mm_versatile", -1, 0)
-    problem._row("presence", {absent: 1.0}, "==", 0.0)
-    assert len(problem.model.constraints) == rows
+    rows = problem.model.n_rows
+    absent = ("mm_versatile", -1, 0)
+    assert absent not in problem._y and vn("Y", *absent) not in problem.model
+    problem._add("presence", {}, "==", 0.0)
+    assert problem.model.n_rows == len(problem.model.constraints) == rows
     with pytest.raises(ModelError, match="cannot hold"):
-        problem._row("presence", {absent: 1.0}, "==", 1.0)
+        problem._add("presence", {}, "==", 1.0)
 
 
 def test_integer_columns_come_back_integral(tmp_path):

@@ -1,6 +1,9 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "model_digest.py"
 
@@ -21,8 +24,10 @@ def _stub_workload(monkeypatch, tool, **outcome):
     monkeypatch.setattr(wl, "run_rep", lambda name, inputs, outdir: 0)
     monkeypatch.setattr(wl, "check", lambda *args: wl.RepResult(
         attempted=1, fingerprints={"out": "x"}, **outcome))
-    # the tool wraps both solve methods for good; undo that after the test
+    # the tool wraps both solve methods and the HiGHS call for good; undo
+    # that after the test
     monkeypatch.setattr(tool.lp.Model, "solve", tool.lp.Model.solve)
+    monkeypatch.setattr(tool.lp, "milp", tool.lp.milp)
     monkeypatch.setattr(wl.milp.PlanProblem, "solve",
                         wl.milp.PlanProblem.solve)
 
@@ -41,3 +46,39 @@ def test_digest_exits_zero_when_every_check_holds(monkeypatch, capsys):
     _stub_workload(monkeypatch, tool)
     assert tool.main(["--workload", "plan_mm20"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _digests(monkeypatch, tool, capsys, rhs: float) -> dict:
+    # the report of a workload that solves one tiny model; each run of the
+    # tool wraps what it finds, so start from the unwrapped calls
+    lp = tool.lp
+    monkeypatch.undo()
+    _stub_workload(monkeypatch, tool)
+
+    def run_rep(name, inputs, outdir):
+        m = lp.Model("tiny")
+        x = m.add_var("x", ub=4.0, kind=lp.INTEGER)
+        m.add_objective(x, 1.0)
+        m.add_constr("cap", {x: 2.0}, "<=", rhs)
+        m.solve()
+        return 0
+    monkeypatch.setattr(tool.workloads, "run_rep", run_rep)
+    assert tool.main(["--workload", "plan_mm20"]) == 0
+    return json.loads(capsys.readouterr().out)["workloads"]["plan_mm20"]
+
+
+def test_highs_digest_hashes_what_highs_gets(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    a, b, c = (_digests(monkeypatch, tool, capsys, rhs)
+               for rhs in (5.0, 5.0, 6.0))
+    assert a == b and a["solves"] == 1
+    assert c["highs_digest"] != a["highs_digest"]
+    assert c["lp_digest"] != a["lp_digest"]
+    # equal values in another dtype are another input for HiGHS
+    ints = (np.array([1, 2]), 0.5)
+    assert tool.highs_hash(ints, {}) == tool.highs_hash(
+        (np.array([1, 2]), 0.5), {})
+    assert tool.highs_hash(ints, {}) != tool.highs_hash(
+        (np.array([1.0, 2.0]), 0.5), {})
+    assert tool.highs_hash(ints, {}) != tool.highs_hash(
+        (np.array([1, 2]), 0.25), {})

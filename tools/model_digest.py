@@ -3,14 +3,16 @@
     python3 tools/model_digest.py                      # all four workloads
     python3 tools/model_digest.py --workload plan_mm20 --seed 0
 
-Runs each workload of ``benchmarks/workloads.py`` once at ``--seed``, hashes
-the ``write_lp`` text of every model passed to ``lp.Model.solve`` (the
-min-burn LPs included) and prints one JSON object: per workload, the number
-of solves, one SHA-256 over the per-model hashes in solve order, and the
-fingerprints of the workload's outputs. A refactor that claims to leave
-every model unchanged must print the same object before and after. A
-workload that fails its own checks has its problems printed to stderr, and
-the exit status is then 1.
+Runs each workload of ``benchmarks/workloads.py`` once at ``--seed`` and
+prints one JSON object: per workload, the number of solves, two digests and
+the fingerprints of the workload's outputs. ``lp_digest`` hashes the
+``write_lp`` text of every model passed to ``lp.Model.solve`` (the min-burn
+LPs included); ``highs_digest`` hashes every argument handed to ``lp.milp``,
+each array with its dtype and shape, so it covers the arrays HiGHS gets
+rather than their text form. Each digest is one SHA-256 over the per-solve
+hashes in solve order. A refactor that claims to leave every model unchanged
+must print the same object before and after. A workload that fails its own
+checks has its problems printed to stderr, and the exit status is then 1.
 """
 
 from __future__ import annotations
@@ -28,20 +30,46 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "tests"))
 sys.path.append(str(ROOT / "benchmarks"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from oosplan import lp  # noqa: E402
 
 
-def install(model_hashes: list[str], workdir: Path):
-    """Hash the LP text of each model before it is solved."""
-    solve = lp.Model.solve
+def highs_hash(args: tuple, kwargs: dict) -> str:
+    """SHA-256 of one ``lp.milp`` call: every argument in order, an array
+    as its dtype, shape and bytes, anything else as its ``repr``."""
+    h = hashlib.sha256()
+    for label, arg in list(enumerate(args)) + sorted(kwargs.items()):
+        h.update(f"{label}=".encode())
+        if isinstance(arg, np.ndarray):
+            h.update(f"{arg.dtype.str}{arg.shape}".encode())
+            h.update(np.ascontiguousarray(arg).tobytes())
+        else:
+            h.update(repr(arg).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def install(model_hashes: list[str], highs_hashes: list[str], workdir: Path):
+    """Hash the LP text of each model before it is solved, and the
+    arguments of each HiGHS call."""
+    solve, highs_milp = lp.Model.solve, lp.milp
 
     def hashed(model, *args, **kwargs):
         path = workdir / "model.lp"
         model.write_lp(path)
         model_hashes.append(hashlib.sha256(path.read_bytes()).hexdigest())
         return solve(model, *args, **kwargs)
+
+    def hashed_milp(*args, **kwargs):
+        highs_hashes.append(highs_hash(args, kwargs))
+        return highs_milp(*args, **kwargs)
     lp.Model.solve = hashed
+    lp.milp = hashed_milp
+
+
+def _digest(hashes: list[str]) -> str:
+    return hashlib.sha256("\n".join(hashes).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -58,7 +86,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         model_hashes: list[str] = []
-        install(model_hashes, tmp)
+        highs_hashes: list[str] = []
+        install(model_hashes, highs_hashes, tmp)
         solves = workloads.SolveLog()
         solves.install()
         for name in args.workload or workloads.WORKLOADS:
@@ -66,6 +95,7 @@ def main(argv=None) -> int:
             outdir = workdir / "out"
             outdir.mkdir(parents=True)
             model_hashes.clear()
+            highs_hashes.clear()
             solves.calls.clear()
             # the program's own output would corrupt the JSON on stdout
             with contextlib.redirect_stdout(sys.stderr):
@@ -81,8 +111,8 @@ def main(argv=None) -> int:
                     print(f"{name}: {problem}", file=sys.stderr)
             report[name] = {
                 "solves": len(model_hashes),
-                "lp_digest": hashlib.sha256(
-                    "\n".join(model_hashes).encode()).hexdigest(),
+                "lp_digest": _digest(model_hashes),
+                "highs_digest": _digest(highs_hashes),
                 "fingerprints": res.fingerprints}
     print(json.dumps({"seed": args.seed, "workloads": report}, indent=1))
     return 1 if failed else 0
