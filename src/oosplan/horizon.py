@@ -17,7 +17,7 @@ from typing import Optional
 
 from .demand import DemandStream, ServiceNeed, window_needs
 from .milp import (CommittedService, InitialState, PendingArrival, PlanProblem,
-                   Schedule, SolveOptions, audit, extract_schedule, vn)
+                   Schedule, SolveOptions, audit, extract_schedule)
 from .network import build_nodes, build_time_grid, expand
 from .scenario import CustomerSat, Scenario
 from .trajectory import PluginRegistry
@@ -321,7 +321,7 @@ def _advance_state(problem: PlanProblem, solution, commit: int,
                    started: list[CommittedService]) -> InitialState:
     """The next window's start, read from the solved flows and shifted by
     ``commit`` onto that window's clock."""
-    values = solution.values
+    x = solution.x
     names = {n.index: n.name for n in problem.net.nodes.nodes}
     init = problem.init
     pending = [replace(p, t=p.t - commit) for p in init.pending_arrivals
@@ -331,19 +331,15 @@ def _advance_state(problem: PlanProblem, solution, commit: int,
         for c in init.committed + tuple(started) if c.end_day > commit)
 
     # flights and launch cargo still in the air at the boundary
-    for a in problem.arcs:
-        if not (a.t < commit < a.arrival
-                and values.get(vn("W", *a.key), 0.0) > 0.5):
+    for a, cols in zip(problem.arcs, problem._arc_cols):
+        if not (a.t < commit < a.arrival and x[cols.w] > 0.5):
             continue
         if a.is_launch:
-            cargo = {k: values.get(vn("U", *a.key, k), 0.0)
-                     for k in problem.carriable[a.vehicle]}
-            cargo = {k: v for k, v in cargo.items() if v > 1e-9}
+            cargo = {k: x[u] for k, u in cols.u.items() if x[u] > 1e-9}
             if not cargo:
                 continue
         else:
-            cargo = {k: _arrival_amount(problem, values, a, k)
-                     for k in problem.carriable[a.vehicle]}
+            cargo = {k: _arrival_amount(x, cols, k) for k in cols.u}
         pending.append(PendingArrival(vehicle=a.vehicle, node=names[a.j],
                                       t=a.arrival - commit, commodities=cargo))
 
@@ -355,14 +351,16 @@ def _advance_state(problem: PlanProblem, solution, commit: int,
             # a departure at exactly the boundary is not committed yet, so
             # the vehicle still counts as parked at its origin, holding the
             # cargo it would load
-            leaving = [a for a in problem.dep_arcs.get((vid, i, commit), ())
-                       if values.get(vn("W", *a.key), 0.0) > 0.5]
-            if leaving or values.get(vn("Y", vid, i, commit), 0.0) > 0.5:
-                stock = {k: values.get(vn("X", vid, i, commit, k), 0.0)
-                         for k in problem.carriable[vid]}
-                for a in leaving:
+            s = (vid, i, commit)
+            leaving = [cols for cols in problem._dep.get(s, ())
+                       if x[cols.w] > 0.5]
+            y = problem._y.get(s)
+            if leaving or (y is not None and x[y] > 0.5):
+                # a vehicle leaves only from a state, so ``s`` has one
+                stock = {k: x[j] for k, j in problem._x[s].items()}
+                for cols in leaving:
                     for k in stock:
-                        stock[k] += values.get(vn("U", *a.key, k), 0.0)
+                        stock[k] += x[cols.u[k]]
                 vehicle_nodes[vid], commodities[vid] = names[i], stock
                 break
         else:
@@ -374,9 +372,13 @@ def _advance_state(problem: PlanProblem, solution, commit: int,
                         pending_arrivals=tuple(pending), committed=committed)
 
 
-def _arrival_amount(problem: PlanProblem, values: dict, a, k: str) -> float:
-    amount = sum(coeff * values.get(name, 0.0)
-                 for name, coeff in problem.arc_inflow(a, k).items())
+def _arrival_amount(x: list[float], cols, k: str) -> float:
+    """What a flight with columns ``cols`` delivers of commodity ``k``: its
+    load, less the burn where ``k`` is the propellant, clipped at 0."""
+    amount = x[cols.u[k]]
+    if k == cols.propellant:
+        for col, f in cols.burn.items():
+            amount -= f * x[col]
     return max(amount, 0.0)
 
 

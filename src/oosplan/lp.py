@@ -4,8 +4,9 @@ Holds variables indexed by hashable keys, linear constraints tagged with their
 family name, and a maximize objective; solves in-process with the HiGHS that
 scipy bundles, or through any external solver via LP-file export and a plain
 ``variable value`` solution file with an optional ``status`` line. Display
-names are formatted only for export and error messages. Solution values come
-back keyed by the column keys.
+names are formatted only for export and error messages. A solution comes back
+as one list of column values in column order (``SolveResult.x``); readers
+find their columns through the indices ``add_var`` returned.
 
 Rows are appended to one flat COO store: a row, column and coefficient per
 entry, plus each row's family, sense and right-hand side. ``solve`` hands
@@ -47,7 +48,7 @@ import subprocess
 import sys
 import tempfile
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 from types import ModuleType
@@ -134,7 +135,9 @@ class SolveResult:
     # external backend states none
     status: str
     objective: Optional[float]
-    values: dict[Hashable, float]
+    # column values in column order, as Python floats; empty without a
+    # solution
+    x: list[float] = field(default_factory=list)
     gap: Optional[float] = None
     dual_bound: Optional[float] = None  # best bound on the objective (HiGHS)
     nodes: Optional[int] = None         # branch-and-bound nodes (HiGHS)
@@ -269,18 +272,18 @@ class Model:
         self.var_lb[idx] = value
         self.var_ub[idx] = value
 
-    def fixed_lp(self, values: dict[Hashable, float],
+    def fixed_lp(self, x: list[float],
                  objective: dict[int, float]) -> Model:
-        """An LP copy of this model: every integer column fixed at its
-        rounded value in ``values``, and ``objective`` maximized. This model
-        is left as it is."""
+        """An LP copy of this model: every integer column ``j`` fixed at
+        ``x[j]`` rounded, and ``objective`` maximized. This model is left as
+        it is."""
         lp = Model(self.name + "-fixed")
         lp._index = dict(self._index)
         lp.var_lb, lp.var_ub = list(self.var_lb), list(self.var_ub)
         lp.var_kind = [CONTINUOUS] * self.n_vars
-        for j, (key, kind) in enumerate(zip(self.keys, self.var_kind)):
+        for j, kind in enumerate(self.var_kind):
             if kind != CONTINUOUS:
-                lp.fix(j, float(round(values.get(key, 0.0))))
+                lp.fix(j, float(round(x[j])))
         lp.objective = dict(objective)
         for attr in ("_entry_row", "_entry_col", "_entry_val", "_family",
                      "_sense", "_rhs"):
@@ -364,11 +367,9 @@ class Model:
                      dual_bound=None if bound is None else -float(bound),
                      nodes=res.mip_node_count)
         if res.x is None:
-            return SolveResult(status=status, objective=None, values={},
-                               **stats)
-        values = dict(zip(self.keys, res.x.tolist()))
+            return SolveResult(status=status, objective=None, **stats)
         return SolveResult(status=status, objective=float(-res.fun),
-                           values=values, **stats)
+                           x=res.x.tolist(), **stats)
 
     # -- LP text format ----------------------------------------------------
 
@@ -428,12 +429,10 @@ class Model:
                 raise SolveError("backend produced no solution file")
             status = _read_status(sol)
             if status in ("infeasible", "unbounded"):
-                return SolveResult(status=status, objective=None, values={})
-            keys = list(self.keys)
-            values = read_solution(sol, keys)
-        obj = sum(coeff * values[keys[idx]]
-                  for idx, coeff in self.objective.items())
-        return SolveResult(status=status, objective=obj, values=values)
+                return SolveResult(status=status, objective=None)
+            x = read_solution(sol, self.n_vars)
+        obj = sum(coeff * x[idx] for idx, coeff in self.objective.items())
+        return SolveResult(status=status, objective=obj, x=x)
 
 
 _SOL_LINE = re.compile(r"x(\d+)_\S*\s+(\S+)")
@@ -450,23 +449,31 @@ def _read_status(path: str | Path) -> str:
     return "unknown"
 
 
-def read_solution(path: str | Path,
-                  keys: list[Hashable]) -> dict[Hashable, float]:
-    """Parse a ``variable_name value`` solution file for a written LP.
+def read_solution(path: str | Path, n: int) -> list[float]:
+    """Parse a ``variable_name value`` solution file for a written LP of
+    ``n`` columns into the column values, in column order.
 
-    Column ``x<j>_...`` maps to ``keys[j]``; columns the file omits are 0 and
-    lines that name no column are skipped.
+    Column ``x<j>_...`` is column ``j``; columns the file omits are 0 and
+    lines that name no column are skipped. A value that is not a finite
+    number raises ``SolveError``.
     """
-    x = [0.0] * len(keys)
-    for line in Path(path).read_text().splitlines():
+    x = [0.0] * n
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         m = _SOL_LINE.fullmatch(line.strip())
         if m:
             j = int(m.group(1))
-            if j >= len(keys):
+            if j >= n:
                 raise SolveError(f"solution names column {j} of a "
-                                 f"{len(keys)}-column model")
-            x[j] = float(m.group(2))
-    return dict(zip(keys, x))
+                                 f"{n}-column model")
+            try:
+                value = float(m.group(2))
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise SolveError(f"{path}:{lineno}: value {m.group(2)!r} "
+                                 f"is not a finite number")
+            x[j] = value
+    return x
 
 
 def _sanitize(name: str) -> str:

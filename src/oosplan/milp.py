@@ -19,13 +19,15 @@ comes after the departure, so ``PlanProblem._prepare`` decides every landing
 in one sweep from the last departure back. Service timing is read from
 ``ServiceNeed.covers``. A column left out reads as zero in every row.
 
-Columns are keyed by ``vn`` tuples, and solution values come back under
-those keys, which ``audit``, ``extract_schedule`` and ``horizon`` read.
-The build looks each column index up once, when it makes the column (Y and X
-per state; W, U, Z and L per arc; H, B and S0), and writes every row family
-with those integer indices straight into the model's row store. A row that
-the indices show to be empty is not assembled; it must hold at zero, or the
-build raises ``ModelError``.
+Columns are keyed by ``vn`` tuples. The build looks each column index up
+once, when it makes the column (Y and X per state; W, U, Z and L per arc; H,
+B and S0), and writes every row family with those integer indices straight
+into the model's row store. A row that the indices show to be empty is not
+assembled; it must hold at zero, or the build raises ``ModelError``. A
+solution comes back as one list of column values, which ``PlanProblem.solve``,
+``extract_schedule`` and ``horizon`` read through the same indices. Only
+``audit`` reads values by ``vn`` key, from ``Solution.values``, so that it
+stays independent of the build's index bookkeeping.
 
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .demand import ServiceNeed
-from .lp import BINARY, CONTINUOUS, INTEGER, Model, SolveResult, col_name
+from .lp import BINARY, CONTINUOUS, INTEGER, Model, SolveResult
 from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
@@ -118,6 +120,9 @@ class SolveOptions:
 @dataclass
 class Solution(SolveResult):
     components: dict[str, float] = field(default_factory=dict)
+    # the rounded column values under their ``vn`` keys, for ``audit``;
+    # empty without a solution
+    values: dict[tuple, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -352,26 +357,6 @@ class PlanProblem:
         self._add_service_management()
         self._add_flight_rules()
         self._add_objective()
-
-    # -- substituted inflow expressions ------------------------------------
-
-    def arc_consumption(self, a: TransportArc) -> dict[tuple, float]:
-        """Linear expression (key -> coeff) for propellant burned on arc."""
-        if a.is_launch:
-            return {}
-        if a.model.burn_fraction is not None:
-            return {vn("Z", *a.key): a.model.burn_fraction}
-        pts = self.curve_points[a.key]
-        return {vn("L", *a.key, n): f for n, (b, f) in enumerate(pts) if f != 0.0}
-
-    def arc_inflow(self, a: TransportArc, k: str) -> dict[tuple, float]:
-        """Commodity k arriving at the arc head, as an expression in outflows."""
-        expr = {vn("U", *a.key, k): 1.0}
-        mode = self._mode_of(a)
-        if mode is not None and k == mode.propellant_commodity:
-            for name, coeff in self.arc_consumption(a).items():
-                expr[name] = expr.get(name, 0.0) - coeff
-        return expr
 
     # -- constraint families -----------------------------------------------
 
@@ -612,52 +597,51 @@ class PlanProblem:
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
-        self.obj_terms: dict[str, dict[tuple, float]] = {
+        # bucket -> column index -> cost (or revenue) coefficient
+        self.obj_terms: dict[str, dict[int, float]] = {
             "revenues": {}, "launch": {}, "pdm": {}, "delay": {},
             "depot_ops": {}, "servicer_ops": {}}
 
         for need in self.needs:
             for vid in self.capable[need.id]:
                 for tau in need.window:
-                    self.obj_terms["revenues"][vn("H", vid, need.id, tau)] = \
-                        need.revenue
+                    h = self._h[vid, need.id, tau]
+                    self.obj_terms["revenues"][h] = need.revenue
                     delay = tau - need.tau_step
                     if delay > 0 and need.delay_penalty_per_day > 0:
-                        self.obj_terms["delay"][vn("H", vid, need.id, tau)] = \
+                        self.obj_terms["delay"][h] = \
                             need.delay_penalty_per_day * delay
-        for a in self.arcs:
+        launch = self.obj_terms["launch"]
+        pdm = self.obj_terms["pdm"]
+        c_l = scn.economics.launch_cost_per_kg
+        for a, cols in zip(self.arcs, self._arc_cols):
             if not a.is_launch:
                 continue
-            launch = self.obj_terms["launch"]
-            pdm = self.obj_terms["pdm"]
-            c_l = scn.economics.launch_cost_per_kg
-            for k in self.carriable[a.vehicle]:
-                u = vn("U", *a.key, k)
-                launch[u] = launch.get(u, 0.0) + c_l * scn.unit_mass(k)
-                pdm[u] = pdm.get(u, 0.0) + scn.commodities[k].purchase_cost
+            for k, u in cols.u.items():
+                launch[u] = c_l * scn.unit_mass(k)
+                pdm[u] = scn.commodities[k].purchase_cost
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
-            w = vn("W", *a.key)
-            launch[w] = launch.get(w, 0.0) + c_l * v.dry_mass
-            pdm[w] = pdm.get(w, 0.0) + v.manufacturing_cost
+            launch[cols.w] = c_l * v.dry_mass
+            pdm[cols.w] = v.manufacturing_cost
         # operating costs: per vehicle, its states then a servicer's flights
-        ops: dict[str, dict[tuple, float]] = {vid: {} for vid in self.active}
+        ops: dict[str, dict[int, float]] = {vid: {} for vid in self.active}
         for vid, i, t in self.states:
             rate, dt = self.active[vid].operating_cost_per_day, grid.delta_forward(t)
             if rate > 0 and dt > 0:
-                ops[vid][vn("Y", vid, i, t)] = rate * dt
-        for a in self.arcs:
+                ops[vid][self._y[vid, i, t]] = rate * dt
+        for a, cols in zip(self.arcs, self._arc_cols):
             v = self.active.get(a.vehicle)
             if not a.is_launch and v.is_servicer and v.operating_cost_per_day > 0:
-                ops[a.vehicle][vn("W", *a.key)] = v.operating_cost_per_day * a.q
+                ops[a.vehicle][cols.w] = v.operating_cost_per_day * a.q
         for vid, terms in ops.items():
             depot = self.active[vid].vehicle_class == "depot"
             self.obj_terms["depot_ops" if depot else "servicer_ops"].update(terms)
 
-        for nm, coeff in self.obj_terms["revenues"].items():
-            m.add_objective(m.index(nm), coeff)
+        for j, coeff in self.obj_terms["revenues"].items():
+            m.add_objective(j, coeff)
         for bucket in ("launch", "pdm", "delay", "depot_ops", "servicer_ops"):
-            for nm, coeff in self.obj_terms[bucket].items():
-                m.add_objective(m.index(nm), -coeff)
+            for j, coeff in self.obj_terms[bucket].items():
+                m.add_objective(j, -coeff)
 
     # -- solving and extraction --------------------------------------------
 
@@ -669,26 +653,32 @@ class PlanProblem:
 
     def solve(self) -> Solution:
         res = self._run(self.model)
-        sol = Solution(status=res.status, objective=res.objective,
-                       values=res.values, gap=res.gap,
-                       dual_bound=res.dual_bound, nodes=res.nodes)
+        sol = Solution(status=res.status, objective=res.objective, x=res.x,
+                       gap=res.gap, dual_bound=res.dual_bound, nodes=res.nodes)
         if sol.feasible:
-            if not self._adjacent(sol.values):
+            if not self._adjacent(sol.x):
                 self._min_burn(sol)
-            _check_integrality(self.model, sol.values)
-            for key, kind in zip(self.model.keys, self.model.var_kind):
+            # integer columns come back within the solver's tolerance:
+            # check and round them in one pass
+            x = sol.x
+            for j, kind in enumerate(self.model.var_kind):
                 if kind != CONTINUOUS:
-                    sol.values[key] = float(round(sol.values[key]))
-            sol.components = self.cost_components(sol.values)
+                    r = round(x[j])
+                    if abs(x[j] - r) > INT_TOL:
+                        raise ModelError(f"non-integral value {x[j]} for "
+                                         f"{self.model.var_names[j]}")
+                    x[j] = float(r)
+            sol.values = dict(zip(self.model.keys, x))
+            sol.components = self.cost_components(x)
             sol.objective = sol.components["profit"]
         return sol
 
-    def _adjacent(self, values: dict[tuple, float]) -> bool:
+    def _adjacent(self, x: list[float]) -> bool:
         """Every curve arc's weights sit on at most two neighbouring
         breakpoints (the tolerance of ``audit``)."""
-        for key, pts in self.curve_points.items():
-            support = [n for n in range(len(pts))
-                       if values.get(vn("L", *key, n), 0.0) > SOS2_TOL]
+        for cols in self._arc_cols:
+            support = [n for n, col in enumerate(cols.lam)
+                       if x[col] > SOS2_TOL]
             if len(support) > 2 or (len(support) == 2
                                     and support[1] - support[0] != 1):
                 return False
@@ -702,32 +692,22 @@ class PlanProblem:
         Leaves ``sol`` as it is when the LP returns no solution."""
         burn = {col: -f for cols in self._arc_cols if cols.lam
                 for col, f in cols.burn.items()}
-        lp = self.model.fixed_lp(sol.values, burn)
+        lp = self.model.fixed_lp(sol.x, burn)
         z = sol.objective
         lp.add_constr("profit", self.model.objective, ">=",
                       z - 1e-7 * max(1.0, abs(z)))
         res = self._run(lp)
         if res.feasible:
-            sol.values = res.values
+            sol.x = res.x
 
-    def cost_components(self, values: dict[tuple, float]) -> dict[str, float]:
+    def cost_components(self, x: list[float]) -> dict[str, float]:
         out = {}
         for bucket, terms in self.obj_terms.items():
-            out[bucket] = sum(coeff * values.get(nm, 0.0)
-                              for nm, coeff in terms.items())
+            out[bucket] = sum(coeff * x[j] for j, coeff in terms.items())
         out["profit"] = out["revenues"] - sum(
             out[b] for b in ("launch", "pdm", "delay", "depot_ops",
                              "servicer_ops"))
         return out
-
-
-def _check_integrality(model: Model, values: dict[tuple, float],
-                       tol: float = INT_TOL):
-    for key, kind in zip(model.keys, model.var_kind):
-        if kind != CONTINUOUS:
-            v = values.get(key, 0.0)
-            if abs(v - round(v)) > tol:
-                raise ModelError(f"non-integral value {v} for {col_name(key)}")
 
 
 # -- independent solution audit --------------------------------------------
@@ -962,18 +942,14 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
                      tol: float = 1e-4) -> Schedule:
     if not solution.feasible:
         raise ModelError("cannot extract a schedule from an infeasible solve")
-    values = solution.values
-    _check_integrality(problem.model, values)
+    x = solution.x
     names = {n.index: n.name for n in problem.net.nodes.nodes}
     events: list[ScheduleEvent] = []
 
-    for a in problem.arcs:
-        w = values.get(vn("W", *a.key), 0.0)
-        if w < 0.5:
+    for a, cols in zip(problem.arcs, problem._arc_cols):
+        if x[cols.w] < 0.5:
             continue
-        cargo = {k: values.get(vn("U", *a.key, k), 0.0)
-                 for k in problem.carriable[a.vehicle]}
-        cargo = {k: v for k, v in cargo.items() if v > tol}
+        cargo = {k: x[u] for k, u in cols.u.items() if x[u] > tol}
         if a.is_launch:
             if not cargo and a.vehicle in problem.launchers:
                 continue        # a launch slot left unused
@@ -982,13 +958,12 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
                 detail={"to": names[a.j], "arrive_day": a.arrival,
                         "cargo": cargo}))
         else:
-            burned = sum((c * values.get(k, 0.0)
-                          for k, c in problem.arc_consumption(a).items()), 0.0)
+            burned = sum((f * x[col] for col, f in cols.burn.items()), 0.0)
             events.append(ScheduleEvent(
                 day=a.t, vehicle=a.vehicle, kind="flight",
                 detail={"from": names[a.i], "to": names[a.j], "mode": a.r,
                         "q_days": a.q, "arrive_day": a.arrival,
-                        "wet_mass_kg": values.get(vn("Z", *a.key), 0.0),
+                        "wet_mass_kg": x[cols.z],
                         "propellant_kg": burned, "cargo": cargo}))
 
     outcomes: dict[str, Optional[tuple[str, int]]] = {}
@@ -996,7 +971,7 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
         outcomes[need.id] = None
         for vid in problem.capable[need.id]:
             for tau in need.window:
-                if values.get(vn("H", vid, need.id, tau), 0.0) > 0.5:
+                if x[problem._h[vid, need.id, tau]] > 0.5:
                     outcomes[need.id] = (vid, tau)
                     events.append(ScheduleEvent(
                         day=tau, vehicle=vid, kind="service_start",

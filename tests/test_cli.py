@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oosplan
 from oosplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
 
@@ -121,6 +125,31 @@ def test_failing_backend_exits_one(catalog_file, tmp_path, capsys, command):
     assert code == EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith(
         "error: backend command failed (3)")
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_backend_value_that_is_not_finite_exits_one(catalog_file, tmp_path,
+                                                    value):
+    # an external backend that writes one integer column's value as text
+    # that is not a finite number
+    script = tmp_path / "bad_value.py"
+    script.write_text(
+        "import sys\n"
+        "lines = open(sys.argv[1]).read().splitlines()\n"
+        "name = lines[lines.index('Generals') + 1].strip()\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        f"    fh.write(f'status optimal\\n{{name}} {value}\\n')\n")
+    src = str(Path(oosplan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "oosplan.cli", "plan",
+         "--scenario", "high_thrust", "--catalog", str(catalog_file),
+         "--horizon-days", "60",
+         "--backend", f"{sys.executable} {script} {{lp}} {{sol}}"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stderr.startswith("error: ")
+    assert f"value '{value}' is not a finite number" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_time_limit_needs_highs_backend(catalog_file, capsys):

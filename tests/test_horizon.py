@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from oosplan.demand import DemandStream, ServiceNeed, generate_stream
 from oosplan.horizon import (COST_BUCKETS, Ledger, RhConfig, WorldState,
                              initial_state, run, step, visible_needs)
+from oosplan.milp import PendingArrival, PlanProblem, vn
 from oosplan.network import build_time_grid
 from oosplan.scenario import CustomerSat
 
@@ -190,14 +192,70 @@ def test_run_rejects_bad_commit(multimodal):
                 config=RhConfig(window_days=window, commit_days=commit))
 
 
-def _drive_checking_handover(scenario, sats, stream, horizon_days, config):
+def _expected_loads(problem, values, commit):
+    """What the next window should start from, read by ``vn`` key from the
+    solved values: each parked vehicle's load at the boundary, and the
+    pending arrivals in the order the campaign hands them over."""
+    names = {n.index: n.name for n in problem.net.nodes.nodes}
+
+    def val(tag, *parts):
+        return values.get(vn(tag, *parts), 0.0)
+
+    def delivered(a, k):
+        amount = val("U", *a.key, k)
+        mode = problem.scenario.vehicles[a.vehicle].mode(a.r)
+        if k == mode.propellant_commodity:
+            if a.model.burn_fraction is not None:
+                amount -= a.model.burn_fraction * val("Z", *a.key)
+            else:
+                for n, (_, f) in enumerate(problem.curve_points[a.key]):
+                    amount -= f * val("L", *a.key, n)
+        return max(amount, 0.0)
+
+    parked = {}
+    for vid in problem.active:
+        for i in problem.presence[vid]:
+            leaving = [a for a in problem.dep_arcs.get((vid, i, commit), ())
+                       if val("W", *a.key) > 0.5]
+            if leaving or val("Y", vid, i, commit) > 0.5:
+                parked[vid] = {k: val("X", vid, i, commit, k) + sum(
+                    val("U", *a.key, k) for a in leaving)
+                    for k in problem.carriable[vid]}
+    pending = [replace(p, t=p.t - commit)
+               for p in problem.init.pending_arrivals if p.t > commit]
+    for a in problem.arcs:
+        if not (a.t < commit < a.arrival and val("W", *a.key) > 0.5):
+            continue
+        if a.is_launch:
+            cargo = {k: val("U", *a.key, k)
+                     for k in problem.carriable[a.vehicle]
+                     if val("U", *a.key, k) > 1e-9}
+            if not cargo:
+                continue
+        else:
+            cargo = {k: delivered(a, k) for k in problem.carriable[a.vehicle]}
+        pending.append(PendingArrival(a.vehicle, names[a.j],
+                                      a.arrival - commit, cargo))
+    return parked, pending
+
+
+def _drive_checking_handover(monkeypatch, scenario, sats, stream,
+                             horizon_days, config):
     """Step a campaign to the horizon, checking the world record that each
-    boundary hands to the next window. Returns how many vehicles were
-    handed over in flight, and how many planned to leave at exactly the
-    boundary."""
+    boundary hands to the next window: where each vehicle is, and what it
+    carries. Returns how many vehicles were handed over in flight, and how
+    many planned to leave at exactly the boundary."""
     commit = scenario.network.period
     steps = build_time_grid(commit, scenario.network.offsets,
                             config.window_days).steps
+    solved = []
+    solve = PlanProblem.solve
+
+    def recorded(problem):
+        solution = solve(problem)
+        solved.append((problem, solution))
+        return solution
+    monkeypatch.setattr(PlanProblem, "solve", recorded)
     state, investment = initial_state(scenario)
     ledger = Ledger(initial_investment=investment)
     in_flight = at_boundary = 0
@@ -205,6 +263,17 @@ def _drive_checking_handover(scenario, sats, stream, horizon_days, config):
         vehicles = set(state.start.active_vehicles(scenario))
         result = step(scenario, sats, stream, state, ledger, config)
         start = state.start
+        problem, solution = solved[-1]
+        parked, pending = _expected_loads(problem, solution.values, commit)
+        assert start.commodities.keys() == start.vehicle_nodes.keys()
+        for vid, loads in start.commodities.items():
+            assert loads == pytest.approx(parked[vid], rel=1e-12, abs=0.0)
+        assert len(start.pending_arrivals) == len(pending)
+        for got, want in zip(start.pending_arrivals, pending):
+            assert (got.vehicle, got.node, got.t) == \
+                (want.vehicle, want.node, want.t)
+            assert got.commodities == pytest.approx(want.commodities,
+                                                    rel=1e-12, abs=0.0)
         # each vehicle is parked or in one pending arrival, never both
         for vid in vehicles:
             assert (vid in start.vehicle_nodes) + sum(
@@ -227,19 +296,19 @@ def _drive_checking_handover(scenario, sats, stream, horizon_days, config):
     return in_flight, at_boundary
 
 
-def test_handover_of_flights_across_the_boundary(multimodal):
+def test_handover_of_flights_across_the_boundary(multimodal, monkeypatch):
     sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
     in_flight, _ = _drive_checking_handover(
-        multimodal, sats, _synthetic_stream(multimodal), 120,
+        monkeypatch, multimodal, sats, _synthetic_stream(multimodal), 120,
         RhConfig(gap=0.0))
     assert in_flight > 0
 
 
-def test_handover_of_departures_at_the_boundary(multimodal):
+def test_handover_of_departures_at_the_boundary(multimodal, monkeypatch):
     # the one-year five-satellite campaign of the acceptance run
     sats = [CustomerSat(f"gx{i}", lon) for i, lon in
             enumerate((-160.0, -150.0, -140.0, -130.0, -120.0))]
     stream = generate_stream(sats, multimodal, horizon=360.0, seed=42)
-    _, at_boundary = _drive_checking_handover(multimodal, sats, stream, 360,
-                                              RhConfig())
+    _, at_boundary = _drive_checking_handover(monkeypatch, multimodal, sats,
+                                              stream, 360, RhConfig())
     assert at_boundary > 0

@@ -40,8 +40,8 @@ def test_solve_knapsack():
     res = knapsack().solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(23.0)
-    assert res.values["x[0]"] == pytest.approx(1.0)
-    assert res.values["x[1]"] == pytest.approx(1.0)
+    assert res.x[0] == pytest.approx(1.0)
+    assert res.x[1] == pytest.approx(1.0)
 
 
 def test_continuous_and_integer():
@@ -53,7 +53,7 @@ def test_continuous_and_integer():
     m.add_constr("c", {x: 1.0, y: 2.0}, "<=", 8.5)
     res = m.solve()
     assert res.status == "optimal"
-    assert res.values["y"] == pytest.approx(round(res.values["y"]))
+    assert res.x[y] == pytest.approx(round(res.x[y]))
     assert res.objective == pytest.approx(8.5)
 
 
@@ -109,11 +109,18 @@ def test_lp_round_trip(tmp_path):
 def test_read_solution(tmp_path):
     p = tmp_path / "model.sol"
     p.write_text("# comment line\nx0_x_a_0_ 1.5\nx1_y 2\n")
-    values = read_solution(p, ["x[a|0]", "y", "z"])
-    assert values == {"x[a|0]": 1.5, "y": 2.0, "z": 0.0}
+    assert read_solution(p, 3) == [1.5, 2.0, 0.0]
     p.write_text("x3_w 1\n")
     with pytest.raises(SolveError, match="column 3"):
-        read_solution(p, ["x[a|0]", "y", "z"])
+        read_solution(p, 3)
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_read_solution_rejects_a_value_that_is_not_finite(tmp_path, value):
+    p = tmp_path / "model.sol"
+    p.write_text(f"status optimal\nx0_y 1\nx1_z {value}\n")
+    with pytest.raises(SolveError, match=f"model.sol:3: value '{value}'"):
+        read_solution(p, 2)
 
 
 def test_lp_names_injective(tmp_path):
@@ -129,8 +136,8 @@ def test_lp_names_injective(tmp_path):
     again = parse_lp(path)
     assert again.n_vars == 2
     res = m.solve_subprocess(_stub_solver(tmp_path))
-    assert res.values == {"x[a|b]": pytest.approx(0.5),
-                          "x[a_b]": pytest.approx(2.0)}
+    assert len(res.x) == 2
+    assert res.x[a] == pytest.approx(0.5) and res.x[b] == pytest.approx(2.0)
     assert res.objective == pytest.approx(6.5)
 
 
@@ -146,7 +153,7 @@ def test_time_limit_without_incumbent_is_not_feasible():
     res = m.solve(time_limit=1e-9)
     assert res.status == "time-limit"
     assert not res.feasible
-    assert res.values == {} and res.objective is None
+    assert res.x == [] and res.objective is None
 
 
 def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
@@ -165,8 +172,8 @@ def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
         "res = model.solve()\n"
         "with open(sys.argv[2], 'w') as fh:\n"
         "    fh.write(f'status {res.status}\\n')\n"
-        "    for (name, val), kind in zip(res.values.items(),\n"
-        "                                 model.var_kind):\n"
+        "    for name, val, kind in zip(model.keys, res.x,\n"
+        "                               model.var_kind):\n"
         "        if kind != CONTINUOUS:\n"
         f"            val += {integer_offset!r}\n"
         "        fh.write(f'{name} {val!r}\\n')\n")
@@ -201,7 +208,7 @@ def test_subprocess_status_comes_from_the_solution_file(tmp_path):
     assert res.status == "time-limit" and res.feasible
     res = m.solve_subprocess(_copying_backend(tmp_path, "status infeasible\n"))
     assert res.status == "infeasible"
-    assert not res.feasible and res.values == {}
+    assert not res.feasible and res.x == []
 
 
 def test_gap_and_mip_gap_reported():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -401,7 +402,8 @@ def test_zero_burn_arcs_get_no_segment_binaries():
     assert _segment_arcs(problem) == curve
 
 
-def _over_burns(values, problem) -> bool:
+def _over_burns(x, problem) -> bool:
+    values = dict(zip(problem.model.keys, x))
     return any(v.family == "sos2_adjacency" for v in audit(problem, values))
 
 
@@ -413,7 +415,7 @@ def test_second_stage_restores_adjacency():
         scenario, _, net, needs, init = micro_instance(seed)
         problem = _solve_against_oracle(scenario, net, needs, init)
         raw = problem.model.solve(gap=0.0)
-        raw_over_burns += _over_burns(raw.values, problem)
+        raw_over_burns += _over_burns(raw.x, problem)
     assert raw_over_burns >= 1
 
 
@@ -440,7 +442,7 @@ def test_second_stage_uses_the_same_backend(tmp_path, monkeypatch):
     # the first stage over-burned in the external solver too, and the
     # min-burn LP went the same way
     assert len(solved) == 2
-    assert _over_burns(solved[0][1].values, problem)
+    assert _over_burns(solved[0][1].x, problem)
     assert solved[1][0] is not model
     assert audit(problem, solution.values) == []
     assert solution.objective == pytest.approx(
@@ -592,3 +594,20 @@ def test_integer_columns_come_back_integral(tmp_path):
     assert audit(problem, solution.values) == []
     assert solution.objective == pytest.approx(
         oracle_best(scenario, net, needs, init), rel=1e-6, abs=1e-3)
+
+
+def test_integer_column_off_by_more_than_the_tolerance_is_an_error(tmp_path):
+    # an external solver returns integer columns 1e-3 off, beyond INT_TOL
+    registry = PluginRegistry.default()
+    registry.register("low_thrust", _line_low_thrust)
+    scenario, _, net, needs, init = micro_instance(0)
+    net = expand(net.nodes, net.grid, scenario, registry=registry)
+    problem = PlanProblem(
+        scenario, net, needs, init,
+        SolveOptions(gap=0.0, backend=_stub_solver(tmp_path, 1e-3)))
+    first = next(name for name, kind in zip(problem.model.var_names,
+                                            problem.model.var_kind)
+                 if kind != CONTINUOUS)
+    with pytest.raises(ModelError,
+                       match=rf"non-integral value .* for {re.escape(first)}"):
+        problem.solve()

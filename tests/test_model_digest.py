@@ -24,12 +24,6 @@ def _stub_workload(monkeypatch, tool, **outcome):
     monkeypatch.setattr(wl, "run_rep", lambda name, inputs, outdir: 0)
     monkeypatch.setattr(wl, "check", lambda *args: wl.RepResult(
         attempted=1, fingerprints={"out": "x"}, **outcome))
-    # the tool wraps both solve methods and the HiGHS call for good; undo
-    # that after the test
-    monkeypatch.setattr(tool.lp.Model, "solve", tool.lp.Model.solve)
-    monkeypatch.setattr(tool.lp, "milp", tool.lp.milp)
-    monkeypatch.setattr(wl.milp.PlanProblem, "solve",
-                        wl.milp.PlanProblem.solve)
 
 
 def test_digest_exits_one_when_a_workload_fails(monkeypatch, capsys):
@@ -49,11 +43,8 @@ def test_digest_exits_zero_when_every_check_holds(monkeypatch, capsys):
 
 
 def _digests(monkeypatch, tool, capsys, rhs: float) -> dict:
-    # the report of a workload that solves one tiny model; each run of the
-    # tool wraps what it finds, so start from the unwrapped calls
+    # the report of a workload that solves one tiny model
     lp = tool.lp
-    monkeypatch.undo()
-    _stub_workload(monkeypatch, tool)
 
     def run_rep(name, inputs, outdir):
         m = lp.Model("tiny")
@@ -67,8 +58,21 @@ def _digests(monkeypatch, tool, capsys, rhs: float) -> dict:
     return json.loads(capsys.readouterr().out)["workloads"]["plan_mm20"]
 
 
+def test_digest_restores_what_it_wraps(monkeypatch, capsys):
+    # a second run in the same process solves through the unwrapped calls,
+    # not through the first run's wrappers and its deleted directory
+    tool = _load_tool(monkeypatch)
+    _stub_workload(monkeypatch, tool)
+    plan_problem = tool.workloads.milp.PlanProblem
+    unwrapped = (tool.lp.Model.solve, tool.lp.milp, plan_problem.solve)
+    first = _digests(monkeypatch, tool, capsys, 5.0)
+    assert (tool.lp.Model.solve, tool.lp.milp, plan_problem.solve) == unwrapped
+    assert _digests(monkeypatch, tool, capsys, 5.0) == first
+
+
 def test_highs_digest_hashes_what_highs_gets(monkeypatch, capsys):
     tool = _load_tool(monkeypatch)
+    _stub_workload(monkeypatch, tool)
     a, b, c = (_digests(monkeypatch, tool, capsys, rhs)
                for rhs in (5.0, 5.0, 6.0))
     assert a == b and a["solves"] == 1

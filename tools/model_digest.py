@@ -13,6 +13,7 @@ rather than their text form. Each digest is one SHA-256 over the per-solve
 hashes in solve order. A refactor that claims to leave every model unchanged
 must print the same object before and after. A workload that fails its own
 checks has its problems printed to stderr, and the exit status is then 1.
+Every function the tool wraps is restored when ``main`` returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ sys.path.append(str(ROOT / "benchmarks"))
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from oosplan import lp  # noqa: E402
+from oosplan import lp, milp  # noqa: E402
 
 
 def highs_hash(args: tuple, kwargs: dict) -> str:
@@ -81,6 +82,17 @@ def main(argv=None) -> int:
                    help="input seed; 0 gives the reference inputs")
     args = p.parse_args(argv)
 
+    originals = (lp.Model.solve, lp.milp, milp.PlanProblem.solve)
+    try:
+        report, failed = _run(args)
+    finally:
+        lp.Model.solve, lp.milp, milp.PlanProblem.solve = originals
+    print(json.dumps({"seed": args.seed, "workloads": report}, indent=1))
+    return 1 if failed else 0
+
+
+def _run(args) -> tuple[dict, bool]:
+    """The report per workload, and whether a workload failed its checks."""
     report = {}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,8 +126,7 @@ def main(argv=None) -> int:
                 "lp_digest": _digest(model_hashes),
                 "highs_digest": _digest(highs_hashes),
                 "fingerprints": res.fingerprints}
-    print(json.dumps({"seed": args.seed, "workloads": report}, indent=1))
-    return 1 if failed else 0
+    return report, failed
 
 
 if __name__ == "__main__":
