@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .demand import DemandStream, ServiceNeed, window_needs
-from .milp import (CommittedService, InitialState, PendingArrival, PlanProblem,
-                   Schedule, SolveOptions, audit, extract_schedule)
+from .milp import (CommittedService, InitialState, PlanProblem, Schedule,
+                   SolveOptions, audit, extract_schedule, start_after)
 from .network import build_nodes, build_time_grid, expand
 from .scenario import CustomerSat, Scenario
 from .trajectory import PluginRegistry
@@ -172,12 +172,7 @@ def initial_state(scenario: Scenario) -> tuple[WorldState, float]:
     investment = 0.0
     for dep in scenario.deployments:
         v = scenario.vehicles[dep.vehicle]
-        node = parking_by_lon.get(dep.longitude)
-        if node is None:
-            raise CampaignError(
-                f"deployment of {dep.vehicle}: no parking slot at longitude "
-                f"{dep.longitude}")
-        vehicle_nodes[dep.vehicle] = node
+        vehicle_nodes[dep.vehicle] = parking_by_lon[dep.longitude]
         loads = dict(v.capacities)
         commodities[dep.vehicle] = loads
         investment += v.manufacturing_cost
@@ -311,75 +306,10 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
         bucket = "depot_ops" if v.vehicle_class == "depot" else "servicer_ops"
         ledger.book(day0, bucket, v.operating_cost_per_day * commit, vid)
 
-    state.start = _advance_state(problem, solution, commit, started)
+    state.start = start_after(problem, solution, commit, started)
     state.day = day0 + commit
     return StepResult(day=day0, schedule=schedule, committed_events=committed,
                       objective=solution.objective)
-
-
-def _advance_state(problem: PlanProblem, solution, commit: int,
-                   started: list[CommittedService]) -> InitialState:
-    """The next window's start, read from the solved flows and shifted by
-    ``commit`` onto that window's clock."""
-    x = solution.x
-    names = {n.index: n.name for n in problem.net.nodes.nodes}
-    init = problem.init
-    pending = [replace(p, t=p.t - commit) for p in init.pending_arrivals
-               if p.t > commit]
-    committed = tuple(
-        replace(c, start_day=c.start_day - commit, end_day=c.end_day - commit)
-        for c in init.committed + tuple(started) if c.end_day > commit)
-
-    # flights and launch cargo still in the air at the boundary
-    for a, cols in zip(problem.arcs, problem._arc_cols):
-        if not (a.t < commit < a.arrival and x[cols.w] > 0.5):
-            continue
-        if a.is_launch:
-            cargo = {k: x[u] for k, u in cols.u.items() if x[u] > 1e-9}
-            if not cargo:
-                continue
-        else:
-            cargo = {k: _arrival_amount(x, cols, k) for k in cols.u}
-        pending.append(PendingArrival(vehicle=a.vehicle, node=names[a.j],
-                                      t=a.arrival - commit, commodities=cargo))
-
-    flying = {p.vehicle for p in pending}
-    vehicle_nodes: dict[str, str] = {}
-    commodities: dict[str, dict[str, float]] = {}
-    for vid in problem.active:
-        for i in problem.presence[vid]:
-            # a departure at exactly the boundary is not committed yet, so
-            # the vehicle still counts as parked at its origin, holding the
-            # cargo it would load
-            s = (vid, i, commit)
-            leaving = [cols for cols in problem._dep.get(s, ())
-                       if x[cols.w] > 0.5]
-            y = problem._y.get(s)
-            if leaving or (y is not None and x[y] > 0.5):
-                # a vehicle leaves only from a state, so ``s`` has one
-                stock = {k: x[j] for k, j in problem._x[s].items()}
-                for cols in leaving:
-                    for k in stock:
-                        stock[k] += x[cols.u[k]]
-                vehicle_nodes[vid], commodities[vid] = names[i], stock
-                break
-        else:
-            if vid not in flying:
-                raise CampaignError(
-                    f"vehicle {vid} is neither parked nor in flight at the "
-                    f"commit boundary")
-    return InitialState(vehicle_nodes=vehicle_nodes, commodities=commodities,
-                        pending_arrivals=tuple(pending), committed=committed)
-
-
-def _arrival_amount(x: list[float], cols, k: str) -> float:
-    """What a flight with columns ``cols`` delivers of commodity ``k``: its
-    load, less the burn where ``k`` is the propellant, clipped at 0."""
-    amount = x[cols.u[k]]
-    if k == cols.propellant:
-        for col, f in cols.burn.items():
-            amount -= f * x[col]
-    return max(amount, 0.0)
 
 
 def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,

@@ -255,9 +255,6 @@ class Model:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._index
 
-    def index(self, key: Hashable) -> int:
-        return self._index[key]
-
     @property
     def keys(self):
         """Column keys, in column order."""

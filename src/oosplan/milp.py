@@ -25,9 +25,10 @@ B and S0), and writes every row family with those integer indices straight
 into the model's row store. A row that the indices show to be empty is not
 assembled; it must hold at zero, or the build raises ``ModelError``. A
 solution comes back as one list of column values, which ``PlanProblem.solve``,
-``extract_schedule`` and ``horizon`` read through the same indices. Only
-``audit`` reads values by ``vn`` key, from ``Solution.values``, so that it
-stays independent of the build's index bookkeeping.
+``extract_schedule`` and ``start_after`` read through the same indices; no
+other module knows them. Only ``audit`` reads values by ``vn`` key, from
+``Solution.values``, so that it stays independent of the build's index
+bookkeeping.
 
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
@@ -39,7 +40,7 @@ minimizes the curve-arc burn at the same profit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .demand import ServiceNeed
@@ -982,3 +983,63 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
                                 "end_day": tau + need.duration}))
     events.sort(key=lambda e: (e.day, e.vehicle, e.kind))
     return Schedule(events=tuple(events), outcomes=outcomes)
+
+
+def start_after(problem: PlanProblem, solution: Solution, commit: int,
+                started: list[CommittedService]) -> InitialState:
+    """The next window's start: the world ``commit`` days into ``problem``'s
+    window, read from the solved flows, with the services ``started`` in
+    that interval, every time shifted onto the next window's clock."""
+    x = solution.x
+    names = {n.index: n.name for n in problem.net.nodes.nodes}
+    init = problem.init
+    pending = [replace(p, t=p.t - commit) for p in init.pending_arrivals
+               if p.t > commit]
+    committed = tuple(
+        replace(c, start_day=c.start_day - commit, end_day=c.end_day - commit)
+        for c in init.committed + tuple(started) if c.end_day > commit)
+
+    # flights and launch cargo still in the air at the boundary
+    for a, cols in zip(problem.arcs, problem._arc_cols):
+        if not (a.t < commit < a.arrival and x[cols.w] > 0.5):
+            continue
+        if a.is_launch:
+            cargo = {k: x[u] for k, u in cols.u.items() if x[u] > 1e-9}
+            if not cargo:
+                continue
+        else:
+            # the load, less the burn where it is the propellant, clipped at 0
+            cargo = {}
+            for k, u in cols.u.items():
+                amount = x[u]
+                if k == cols.propellant:
+                    for col, f in cols.burn.items():
+                        amount -= f * x[col]
+                cargo[k] = max(amount, 0.0)
+        pending.append(PendingArrival(vehicle=a.vehicle, node=names[a.j],
+                                      t=a.arrival - commit, commodities=cargo))
+
+    # A vehicle leaves only from a state, so every parked vehicle is found
+    # at a state on the boundary step. A departure at exactly the boundary
+    # is not committed yet: the vehicle still counts as parked at its
+    # origin, holding the cargo it would load.
+    vehicle_nodes: dict[str, str] = {}
+    commodities: dict[str, dict[str, float]] = {}
+    for s in problem.states:
+        vid, i, t = s
+        if t != commit:
+            continue
+        leaving = [cols for cols in problem._dep.get(s, ()) if x[cols.w] > 0.5]
+        if leaving or x[problem._y[s]] > 0.5:
+            stock = {k: x[j] for k, j in problem._x[s].items()}
+            for cols in leaving:
+                for k in stock:
+                    stock[k] += x[cols.u[k]]
+            vehicle_nodes[vid], commodities[vid] = names[i], stock
+    flying = {p.vehicle for p in pending}
+    for vid in problem.active:
+        if vid not in vehicle_nodes and vid not in flying:
+            raise ModelError(f"vehicle {vid} is neither parked nor in flight "
+                             f"at the commit boundary")
+    return InitialState(vehicle_nodes=vehicle_nodes, commodities=commodities,
+                        pending_arrivals=tuple(pending), committed=committed)

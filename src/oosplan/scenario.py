@@ -178,6 +178,10 @@ class NetworkConfig:
     parking_longitudes: tuple[float, ...] = (-170.0,)
     launch_duration: int = 2            # days, Earth -> parking flight time
 
+    def __post_init__(self):
+        if self.period <= 0:
+            raise ScenarioError("network: period must be > 0")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -212,6 +216,13 @@ class Scenario:
             for k in s.commodity_demand:
                 if k not in self.commodities:
                     raise ScenarioError(f"service {s.id}: unknown commodity {k!r}")
+        for d in self.deployments:
+            if d.vehicle not in self.vehicles:
+                raise ScenarioError(
+                    f"deployment references unknown vehicle {d.vehicle!r}")
+            if d.longitude not in self.network.parking_longitudes:
+                raise ScenarioError(f"deployment of {d.vehicle}: no parking slot "
+                                    f"at longitude {d.longitude}")
 
     @property
     def servicers(self) -> list[VehicleDesign]:
@@ -291,12 +302,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         deployments = tuple(Deployment(**d) for d in cfg.get("deployments", ()))
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
-    scn = Scenario(commodities=commodities, vehicles=vehicles, services=services,
-                   economics=economics, network=network, deployments=deployments)
-    for d in scn.deployments:
-        if d.vehicle not in scn.vehicles:
-            raise ScenarioError(f"deployment references unknown vehicle {d.vehicle!r}")
-    return scn
+    return Scenario(commodities=commodities, vehicles=vehicles, services=services,
+                    economics=economics, network=network, deployments=deployments)
 
 
 def load_scenario(path: str | Path) -> Scenario:

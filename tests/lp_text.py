@@ -79,18 +79,18 @@ def parse_lp(path: str | Path) -> Model:
         elif section == "generals":
             generals.add(stripped)
 
+    cols: dict[str, int] = {}   # name -> the index add_var returned
     for nm, lb, ub in bounds:
-        model.add_var(nm, lb=lb, ub=math.inf if ub is None else ub,
-                      kind=INTEGER if nm in generals else CONTINUOUS)
+        cols[nm] = model.add_var(nm, lb=lb, ub=math.inf if ub is None else ub,
+                                 kind=INTEGER if nm in generals else CONTINUOUS)
+
+    def col(nm: str) -> int:
+        if nm not in cols:
+            cols[nm] = model.add_var(nm)
+        return cols[nm]
     for nm, coeff in objective.items():
-        if nm not in model:
-            model.add_var(nm)
-        model.add_objective(model.index(nm), coeff)
+        model.add_objective(col(nm), coeff)
     for cname, coeffs, sense, rhs in constrs:
-        idx_coeffs = {}
-        for nm, coeff in coeffs.items():
-            if nm not in model:
-                model.add_var(nm)
-            idx_coeffs[model.index(nm)] = coeff
-        model.add_constr(cname, idx_coeffs, sense, rhs)
+        model.add_constr(cname, {col(nm): coeff for nm, coeff in coeffs.items()},
+                         sense, rhs)
     return model

@@ -231,6 +231,37 @@ def test_campaign_without_a_step_exits_two(catalog_file, tmp_path, capsys,
     assert not (tmp_path / "camp").exists()
 
 
+def _scenario_file(tmp_path, cfg: dict) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_zero_grid_period_exits_two(multimodal, catalog_file, tmp_path,
+                                    capsys):
+    # a period of 0 once reached ``horizon.run`` and divided by it
+    cfg = multimodal.to_dict()
+    cfg["network"]["period"] = 0
+    code = main(["campaign", "--scenario", _scenario_file(tmp_path, cfg),
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--commit-days", "10", "--out", str(tmp_path / "camp")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "period must be > 0" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "campaign"])
+def test_deployment_without_a_parking_slot_exits_two(
+        multimodal, catalog_file, tmp_path, capsys, command):
+    cfg = multimodal.to_dict()
+    cfg["deployments"][0]["longitude"] = -160.0
+    code = main([command, "--scenario", _scenario_file(tmp_path, cfg),
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "no parking slot at longitude -160.0" in capsys.readouterr().err
+
+
 def test_infeasible_window_exits_one(catalog_file, tmp_path, capsys):
     # an external backend that finds every window infeasible
     script = tmp_path / "infeasible.py"

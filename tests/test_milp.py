@@ -17,7 +17,7 @@ from oosplan.demand import ServiceNeed, build_window
 from oosplan.lp import CONTINUOUS, Model
 from oosplan.milp import (CommittedService, InitialState, ModelError,
                           PendingArrival, PlanProblem, SolveOptions, audit,
-                          extract_schedule, vn)
+                          extract_schedule, start_after, vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
 from oosplan.trajectory import (PluginRegistry, TrajectoryError,
@@ -101,9 +101,10 @@ def test_depot_presence_is_fixed(solved):
     depots = [vid for vid, v in problem.active.items()
               if v.vehicle_class == "depot"]
     assert depots
+    col = {key: j for j, key in enumerate(model.keys)}
     for vid in depots:
         for t in problem.grid.steps:
-            j = model.index(vn("Y", vid, problem.presence[vid][0], t))
+            j = col[vn("Y", vid, problem.presence[vid][0], t)]
             assert model.var_lb[j] == model.var_ub[j] == 1.0
 
 
@@ -122,7 +123,8 @@ def test_model_names_are_family_tagged(solved):
             "dispatch", "one_service", "presence", "tool", "arrival"}
     assert {con.name for con in model.constraints} <= rows
     a = problem.arcs[0]
-    assert model.var_names[model.index(vn("W", *a.key))] \
+    col = {key: j for j, key in enumerate(model.keys)}
+    assert model.var_names[col[vn("W", *a.key)]] \
         == "W[" + "|".join(map(str, a.key)) + "]"
 
 
@@ -251,6 +253,36 @@ def test_model_text_independent_of_hash_seed(multimodal, tmp_path):
         # lines, not one string: pytest diffs long strings very slowly
         texts.append(path.read_text().splitlines())
     assert texts[0] == texts[1]
+
+
+def test_start_after_rejects_a_vehicle_neither_parked_nor_in_flight(solved):
+    # the servicer, parked at the commit step, is taken off its state there
+    # and off every flight leaving it
+    problem, solution, _ = solved
+    commit = problem.scenario.network.period
+    vid = "mm_versatile"
+    node = start_after(problem, solution, commit, []).vehicle_nodes[vid]
+    s = (vid, problem.node_by_name[node].index, commit)
+    col = {key: j for j, key in enumerate(problem.model.keys)}
+    x = list(solution.x)
+    x[col[vn("Y", *s)]] = 0.0
+    for a in problem.dep_arcs.get(s, ()):
+        x[col[vn("W", *a.key)]] = 0.0
+    with pytest.raises(ModelError, match=f"vehicle {vid} is neither parked "
+                                         f"nor in flight"):
+        start_after(problem, replace(solution, x=x), commit, [])
+
+
+def test_only_milp_reads_the_column_layout():
+    # the build's column indices are private to ``milp``: no other module
+    # reads a ``PlanProblem`` private attribute
+    src = Path(__file__).resolve().parents[1] / "src" / "oosplan"
+    layout = re.compile(r"\bproblem\._|\._(arc_cols|dep|arr|y|x|h|b|s0)\b")
+    readers = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+               if path.name != "milp.py"
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if layout.search(line)]
+    assert readers == []
 
 
 def test_servicer_left_at_a_customer_leaves_at_once(multimodal):

@@ -57,6 +57,26 @@ def test_servicer_needs_propulsion():
         })
 
 
+@pytest.mark.parametrize("period", [0, -10])
+def test_grid_period_must_be_positive(multimodal, period):
+    cfg = multimodal.to_dict()
+    cfg["network"]["period"] = period
+    with pytest.raises(ScenarioError, match="period must be > 0"):
+        scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("deployment, message", [
+    ({"vehicle": "nope", "longitude": -170.0}, "unknown vehicle 'nope'"),
+    ({"vehicle": "depot", "longitude": -160.0},
+     "no parking slot at longitude -160.0"),
+])
+def test_deployment_rejected(multimodal, deployment, message):
+    cfg = multimodal.to_dict()
+    cfg["deployments"].append(deployment)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(cfg)
+
+
 def test_malformed_json_names_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"commodities": [,]}')
