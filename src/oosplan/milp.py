@@ -105,7 +105,9 @@ class InitialState:
             design = scenario.vehicles[v]
             for k, qty in loads.items():
                 cap = design.capacities.get(k, 0.0)
-                if qty > cap + 1e-9:
+                # relative for large capacities: a stock summed from the
+                # solved flows can sit round-off above a full tank
+                if qty > cap + 1e-9 * max(1.0, cap):
                     raise ModelError(
                         f"initial load of {k} on {v} exceeds capacity "
                         f"({qty} > {cap})")

@@ -10,6 +10,8 @@ import pytest
 import oosplan
 from oosplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
                          main)
+from oosplan.demand import generate_stream
+from oosplan.scenario import load_catalog
 
 
 def test_plan_runs_clean(catalog_file, tmp_path, capsys):
@@ -159,6 +161,24 @@ def test_time_limit_needs_highs_backend(catalog_file, capsys):
                  "--backend", FAILING_BACKEND, "--time-limit", "60"])
     assert code == EXIT_USAGE
     assert "--time-limit" in capsys.readouterr().err
+
+
+def test_time_limit_stop_without_incumbent_is_no_plan(tmp_path, capsys,
+                                                     multimodal):
+    # the 20-satellite catalog of the benchmark's 90-day plan, whose
+    # first incumbent HiGHS finds only after about 0.2 s
+    catalog = tmp_path / "twenty.csv"
+    catalog.write_text("name,longitude_deg\n" + "".join(
+        f"s{i},{-175.0 + 9.0 * i}\n" for i in range(20)))
+    sats = load_catalog(catalog)
+    assert generate_stream(sats, multimodal, horizon=90.0, seed=0).needs
+    out = tmp_path / "plan.json"
+    code = main(["plan", "--scenario", "multimodal",
+                 "--catalog", str(catalog), "--horizon-days", "90",
+                 "--time-limit", "0.05", "--out", str(out)])
+    assert code == EXIT_INFEASIBLE
+    assert "plan: time-limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("names", [

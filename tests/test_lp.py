@@ -322,7 +322,9 @@ def test_one_highs_call_per_solve(monkeypatch):
     assert res.nodes == results[0].mip_node_count
 
 
-def test_presolve_runs_without_probing(monkeypatch):
+@pytest.fixture
+def highs_made(monkeypatch):
+    """Every HiGHS solver made while the test runs, in order."""
     made = []
 
     class Recorded(lp.highs._Highs):
@@ -330,12 +332,40 @@ def test_presolve_runs_without_probing(monkeypatch):
             super().__init__()
             made.append(self)
     monkeypatch.setattr(lp.highs, "_Highs", Recorded)
+    return made
+
+
+def test_presolve_runs_without_probing(highs_made):
+    made = highs_made
     assert knapsack().solve().objective == pytest.approx(23.0)
     assert len(made) == 1
     _, rules_off = made[0].getOptionValue("presolve_rule_off")
     _, presolve = made[0].getOptionValue("presolve")
     assert rules_off == lp.PROBING_OFF == 1 << 15
     assert presolve != "off"
+
+
+def test_feasibility_jump_off_other_heuristics_at_default(highs_made):
+    assert knapsack().solve().objective == pytest.approx(23.0)
+    [solver] = highs_made
+    _, jump = solver.getOptionValue("mip_heuristic_run_feasibility_jump")
+    assert jump is False
+    _, effort = solver.getOptionValue("mip_heuristic_effort")
+    _, default = lp.highs._Highs().getOptionValue("mip_heuristic_effort")
+    assert effort == default
+
+
+@pytest.mark.parametrize("key", sorted(lp.HIGHS_OPTIONS))
+def test_highs_option_table_moves_a_default(key):
+    # a HiGHS that renamed the option, or made the value its default,
+    # would silently undo what the table is for
+    value = lp.HIGHS_OPTIONS[key]
+    solver = lp.highs._Highs()
+    known, default = solver.getOptionValue(key)
+    assert known == lp.highs.HighsStatus.kOk
+    assert default != value
+    assert solver.setOptionValue(key, value) == lp.highs.HighsStatus.kOk
+    assert solver.getOptionValue(key)[1] == value
 
 
 # -- how oosplan.lp reaches HiGHS ----------------------------------------------

@@ -314,6 +314,14 @@ def test_initial_overload_rejected(multimodal):
                      ).validate(multimodal)
 
 
+def test_initial_load_round_off_over_capacity_accepted(multimodal):
+    # a full depot tank as a campaign hand-over summed it: 6.5e-14
+    # relative over its 20,000 kg capacity
+    InitialState(vehicle_nodes={"depot": "parking_0"},
+                 commodities={"depot": {"bipropellant": 20000.000000001302}}
+                 ).validate(multimodal)
+
+
 def test_extract_requires_feasible(solved):
     problem, _, _ = solved
     from oosplan.milp import Solution
