@@ -1,6 +1,11 @@
 """Command-line interface: single-window planning, campaign simulation and
 trajectory queries.
 
+``campaign`` runs a list of jobs, each a scenario and an output tag: the
+loaded scenario alone, or one copy per servicer dry mass of a sweep. One
+worker runs every job, in a process pool when ``--jobs`` is above 1 and
+there is more than one job.
+
 Exit codes: 0 success, 1 infeasible, model or solver error, 2 usage or I/O
 error. The default solver backend can be set through the OOSPLAN_BACKEND
 environment variable ("highs" or an external command with {lp}/{sol}
@@ -15,12 +20,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import demand, horizon, lp, milp
 from .network import NetworkError, build_nodes, build_time_grid, expand
-from .scenario import (Scenario, ScenarioError, default_scenario_path,
-                       load_catalog, load_scenario, scenario_from_dict)
+from .scenario import (CustomerSat, Scenario, ScenarioError,
+                       default_scenario_path, load_catalog, load_scenario)
 from .trajectory import (DAY_S, PluginRegistry, TrajectoryError,
                          TrajectoryQuery)
 
@@ -40,6 +47,13 @@ def _non_negative(text: str) -> float:
     value = float(text)
     if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -112,16 +126,11 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _run_campaign(scn_dict: dict, catalog: str, seed: int, horizon_days: int,
-                  window_days: int, commit_days, gap: float, breakpoints: int,
-                  backend: str, outdir: str, tag: str = "") -> str:
-    scn = scenario_from_dict(scn_dict)
-    sats = load_catalog(catalog)
+def _run_campaign(scn: Scenario, tag: str, sats: list[CustomerSat], seed: int,
+                  horizon_days: int, config: horizon.RhConfig,
+                  outdir: str) -> str:
     stream = demand.generate_stream(sats, scn, horizon=float(horizon_days),
                                     seed=seed)
-    config = horizon.RhConfig(window_days=window_days, commit_days=commit_days,
-                              gap=gap, n_breakpoints=breakpoints,
-                              backend=backend)
     result = horizon.run(scn, sats, stream, horizon_days=horizon_days,
                          config=config)
     out = Path(outdir)
@@ -137,34 +146,32 @@ def _run_campaign(scn_dict: dict, catalog: str, seed: int, horizon_days: int,
 def cmd_campaign(args) -> int:
     scn = _resolve_scenario(args.scenario)
     outdir = args.out or "."
-    common = dict(catalog=args.catalog, seed=args.seed,
-                  horizon_days=args.horizon_days, window_days=args.window_days,
-                  commit_days=args.commit_days, gap=args.gap,
-                  breakpoints=args.breakpoints, backend=args.backend,
-                  outdir=outdir)
+    config = horizon.RhConfig(window_days=args.window_days,
+                              commit_days=args.commit_days, gap=args.gap,
+                              n_breakpoints=args.breakpoints,
+                              backend=args.backend)
     if args.sweep_dry_mass:
-        masses = [float(x) for x in args.sweep_dry_mass.split(",")]
         jobs = []
-        for m in masses:
-            cfg = scn.to_dict()
-            for v in cfg["vehicles"]:
-                if v["class"] == "servicer":
-                    v["dry_mass"] = m
-            jobs.append((cfg, f"dry{m:g}"))
-        if args.jobs > 1:
-            # imported here: it pulls in multiprocessing, which no other
-            # command needs
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_campaign, cfg, tag=tag, **common)
-                           for cfg, tag in jobs]
-                for f in futures:
-                    print(f.result())
-        else:
-            for cfg, tag in jobs:
-                print(_run_campaign(cfg, tag=tag, **common))
+        for m in (float(x) for x in args.sweep_dry_mass.split(",")):
+            vehicles = {vid: replace(v, dry_mass=m) if v.is_servicer else v
+                        for vid, v in scn.vehicles.items()}
+            jobs.append((replace(scn, vehicles=vehicles), f"dry{m:g}"))
     else:
-        print(_run_campaign(scn.to_dict(), **common))
+        jobs = [(scn, "")]
+    run = partial(_run_campaign, sats=load_catalog(args.catalog),
+                  seed=args.seed, horizon_days=args.horizon_days,
+                  config=config, outdir=outdir)
+    if args.jobs > 1 and len(jobs) > 1:
+        # imported here: it pulls in multiprocessing, which no other
+        # command needs
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(args.jobs,
+                                                 len(jobs))) as pool:
+            for future in [pool.submit(run, *job) for job in jobs]:
+                print(future.result())
+    else:
+        for job in jobs:
+            print(run(*job))
     print(f"outputs in {outdir}/")
     return EXIT_OK
 
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-dry-mass",
                    help="comma-separated servicer dry masses; one ledger per "
                         "value")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="concurrent sweep runs")
     p.add_argument("--out", help="output directory (default: current)")
     p.set_defaults(func=cmd_campaign)

@@ -1,8 +1,8 @@
 """Rolling-horizon campaign simulation with an economic ledger.
 
 The campaign advances in commit intervals: each step plans over a finite
-look-ahead window, commits only the decisions falling inside the next commit
-interval, advances the world state from the solved flows, and books the
+look-ahead window, takes from ``milp.commit`` the decisions that the next
+commit interval keeps and the world state at its end, and books the
 committed cash events. Deterministic needs become visible a full window ahead;
 random needs only once they occur.
 """
@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .demand import DemandStream, ServiceNeed, window_needs
-from .milp import (CommittedService, InitialState, PlanProblem, Schedule,
-                   SolveOptions, audit, extract_schedule, start_after)
+from .milp import (InitialState, PlanProblem, Schedule, SolveOptions, audit,
+                   commit, extract_schedule)
 from .network import build_nodes, build_time_grid, expand
 from .scenario import CustomerSat, Scenario
 from .trajectory import PluginRegistry
@@ -240,23 +240,11 @@ def _commit_days(scenario: Scenario, config: RhConfig) -> int:
     return config.commit_days
 
 
-def _committed_event_set(schedule: Schedule, commit: int) -> list:
-    """Events inside the commit interval, plus service starts already en route."""
-    committed = [e for e in schedule.events if e.day < commit]
-    flights = {(e.vehicle, e.detail["to"], e.detail["arrive_day"])
-               for e in committed if e.kind == "flight"}
-    for e in schedule.events:
-        if e.kind == "service_start" and e.day >= commit:
-            if (e.vehicle, e.detail["satellite"], e.day) in flights:
-                committed.append(e)
-    return committed
-
-
 def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
          state: WorldState, ledger: Ledger, config: RhConfig,
          registry: Optional[PluginRegistry] = None) -> StepResult:
     """Plan one window, commit one interval, and advance the world state."""
-    commit = _commit_days(scenario, config)
+    days = _commit_days(scenario, config)
     problem = _local_problem(scenario, sats, stream, state, config, registry)
     solution = problem.solve()
     if not solution.feasible:
@@ -267,10 +255,9 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
         raise CampaignError(
             f"solution audit failed at day {state.day}: {violations[:5]}")
     schedule = extract_schedule(problem, solution)
-    committed = _committed_event_set(schedule, commit)
+    committed, next_start = commit(problem, solution, schedule, days)
     day0 = state.day
     scn = scenario
-    started: list[CommittedService] = []   # on the window's clock
     for e in committed:
         abs_day = day0 + e.day
         if e.kind == "launch":
@@ -293,10 +280,6 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
                 ledger.book(abs_day, "delay",
                             spec.delay_penalty_per_day * delay, need_id)
             state.served.add(need_id)
-            started.append(CommittedService(
-                vehicle=e.vehicle, node=e.detail["satellite"],
-                end_day=e.detail["end_day"], need_id=need_id,
-                start_day=e.day))
 
     # continuous operating cost for every deployed vehicle over the interval
     start = state.start
@@ -304,10 +287,10 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
                       | {p.vehicle for p in start.pending_arrivals}):
         v = scn.vehicles[vid]
         bucket = "depot_ops" if v.vehicle_class == "depot" else "servicer_ops"
-        ledger.book(day0, bucket, v.operating_cost_per_day * commit, vid)
+        ledger.book(day0, bucket, v.operating_cost_per_day * days, vid)
 
-    state.start = start_after(problem, solution, commit, started)
-    state.day = day0 + commit
+    state.start = next_start
+    state.day = day0 + days
     return StepResult(day=day0, schedule=schedule, committed_events=committed,
                       objective=solution.objective)
 
@@ -317,13 +300,13 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
         registry: Optional[PluginRegistry] = None) -> CampaignResult:
     """Simulate a full campaign and return its ledger and event history."""
     config = config or RhConfig()
-    commit = _commit_days(scenario, config)
+    days = _commit_days(scenario, config)
     # a bad interval is the caller's input, not a campaign failure
-    if commit <= 0 or commit % scenario.network.period != 0:
+    if days <= 0 or days % scenario.network.period != 0:
         raise ValueError("commit interval must be a positive multiple "
                          "of the grid period")
-    if commit > config.window_days:
-        raise ValueError(f"commit interval of {commit} d exceeds the "
+    if days > config.window_days:
+        raise ValueError(f"commit interval of {days} d exceeds the "
                          f"{config.window_days} d planning window")
     # the campaign starts on day 0, so it would take no step
     if horizon_days <= 0:

@@ -30,6 +30,12 @@ other module knows them. Only ``audit`` reads values by ``vn`` key, from
 ``Solution.values``, so that it stays independent of the build's index
 bookkeeping.
 
+``commit`` holds the whole rolling-horizon commit rule: from a solved
+window it picks the events that the commit interval keeps, and builds the
+next window's start (``start_after``) with the services those events begin.
+The campaign loop in ``horizon`` only books the events and carries the
+start on.
+
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
 returns weights on breakpoints that are not neighbours (an over-burn that
@@ -927,7 +933,7 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
 class ScheduleEvent:
     day: int
     vehicle: str
-    kind: str                   # flight | launch | service_start | service_end
+    kind: str                   # flight | launch | service_start
     detail: dict
 
     def to_dict(self) -> dict:
@@ -1045,3 +1051,22 @@ def start_after(problem: PlanProblem, solution: Solution, commit: int,
                              f"at the commit boundary")
     return InitialState(vehicle_nodes=vehicle_nodes, commodities=commodities,
                         pending_arrivals=tuple(pending), committed=committed)
+
+
+def commit(problem: PlanProblem, solution: Solution, schedule: Schedule,
+           days: int) -> tuple[list[ScheduleEvent], InitialState]:
+    """What a campaign keeps of a solved window when it commits its first
+    ``days``: the events before that boundary, then the service starts that
+    a committed flight is flying to, each group in schedule order; and the
+    next window's start, which holds the services begun among them."""
+    events = [e for e in schedule.events if e.day < days]
+    flights = {(e.vehicle, e.detail["to"], e.detail["arrive_day"])
+               for e in events if e.kind == "flight"}
+    events += [e for e in schedule.events
+               if e.kind == "service_start" and e.day >= days
+               and (e.vehicle, e.detail["satellite"], e.day) in flights]
+    started = [CommittedService(vehicle=e.vehicle, node=e.detail["satellite"],
+                                end_day=e.detail["end_day"],
+                                need_id=e.detail["need"], start_day=e.day)
+               for e in events if e.kind == "service_start"]
+    return events, start_after(problem, solution, days, started)

@@ -80,6 +80,10 @@ class VehicleDesign:
             raise ScenarioError(f"vehicle {self.id}: unknown class {self.vehicle_class!r}")
         if any(c < 0 for c in self.capacities.values()):
             raise ScenarioError(f"vehicle {self.id}: capacities must be >= 0")
+        for name in ("dry_mass", "operating_cost_per_day",
+                     "manufacturing_cost", "station_keeping_rate"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"vehicle {self.id}: {name} must be >= 0")
         if self.vehicle_class == "depot" and self.propulsion:
             raise ScenarioError(f"vehicle {self.id}: depots carry no propulsion modes")
         if self.vehicle_class == "servicer":
@@ -181,6 +185,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.period <= 0:
             raise ScenarioError("network: period must be > 0")
+        if self.launch_duration <= 0:
+            raise ScenarioError("network: launch_duration must be > 0")
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,53 @@ def test_zero_grid_period_exits_two(multimodal, catalog_file, tmp_path,
     assert err.startswith("error: ") and "period must be > 0" in err
 
 
+@pytest.mark.parametrize("duration", [0, -10])
+def test_launch_that_lands_before_it_leaves_exits_two(
+        multimodal, catalog_file, tmp_path, capsys, duration):
+    cfg = multimodal.to_dict()
+    cfg["network"]["launch_duration"] = duration
+    code = main(["plan", "--scenario", _scenario_file(tmp_path, cfg),
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(tmp_path / "plan.json")])
+    assert code == EXIT_USAGE
+    assert "launch_duration must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("field, extra, message", [
+    ("dry_mass", (), "vehicle mm_versatile: dry_mass must be >= 0"),
+    ("operating_cost_per_day", (),
+     "vehicle mm_versatile: operating_cost_per_day must be >= 0"),
+    ("manufacturing_cost", (),
+     "vehicle mm_versatile: manufacturing_cost must be >= 0"),
+    ("station_keeping_rate", (),
+     "vehicle mm_versatile: station_keeping_rate must be >= 0"),
+    (None, ("--sweep-dry-mass=3000,-100",),
+     "vehicle mm_versatile: dry_mass must be >= 0"),
+    (None, ("--sweep-dry-mass", "3000,4000", "--jobs", "0"),
+     "--jobs: must be >= 1, got 0"),
+    (None, ("--sweep-dry-mass", "3000,4000", "--jobs", "-3"),
+     "--jobs: must be >= 1, got -3"),
+])
+def test_out_of_range_input_exits_two(multimodal, catalog_file, tmp_path,
+                                      capsys, field, extra, message):
+    # each is refused where it enters, before any campaign runs: a negative
+    # station-keeping rate would make a holdover create propellant, and a
+    # negative dry mass once failed late in the trajectory layer
+    cfg = multimodal.to_dict()
+    if field is not None:
+        vehicle = next(v for v in cfg["vehicles"] if v["id"] == "mm_versatile")
+        vehicle[field] = -1.0
+    code = main(["campaign", "--scenario", _scenario_file(tmp_path, cfg),
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(tmp_path / "camp"), *extra])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "value=" not in captured.out
+    assert not (tmp_path / "camp").exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "campaign"])
 def test_deployment_without_a_parking_slot_exits_two(
         multimodal, catalog_file, tmp_path, capsys, command):

@@ -17,7 +17,7 @@ from oosplan.demand import ServiceNeed, build_window
 from oosplan.lp import CONTINUOUS, Model
 from oosplan.milp import (CommittedService, InitialState, ModelError,
                           PendingArrival, PlanProblem, SolveOptions, audit,
-                          extract_schedule, start_after, vn)
+                          commit, extract_schedule, start_after, vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
 from oosplan.trajectory import (PluginRegistry, TrajectoryError,
@@ -283,6 +283,43 @@ def test_only_milp_reads_the_column_layout():
                for n, line in enumerate(path.read_text().splitlines(), 1)
                if layout.search(line)]
     assert readers == []
+
+
+def test_only_milp_decides_a_commit_and_cli_keeps_the_scenario():
+    # the commit rule, and the world record it hands over, live in ``milp``
+    # alone; the CLI runs the scenario it loaded, never a dict round trip
+    src = Path(__file__).resolve().parents[1] / "src" / "oosplan"
+    rule = re.compile(r"\b(CommittedService|PendingArrival|start_after)\("
+                      r"|_committed_event_set")
+    round_trip = re.compile(r"\bscenario_from_dict\b|\b(scn|scenario)"
+                            r"\.to_dict\(")
+    found = [f"{name}:{n}" for name, pattern in [("horizon.py", rule),
+                                                 ("cli.py", round_trip)]
+             for n, line in enumerate(
+                 (src / name).read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
+
+
+def test_commit_keeps_the_service_start_a_committed_flight_flies_to(solved):
+    # the servicer leaves on day 10 and lands on its service start on day
+    # 20: a 20-day commit keeps the flight and, after every event before the
+    # boundary, the start it flies to
+    problem, solution, need = solved
+    schedule = extract_schedule(problem, solution)
+    days = 20
+    flight, start = [e for e in schedule.events
+                     if e.vehicle == "mm_versatile"][:2]
+    assert flight.kind == "flight" and flight.day < days
+    assert start.kind == "service_start"
+    assert start.day == flight.detail["arrive_day"] >= days
+    events, next_start = commit(problem, solution, schedule, days)
+    assert events == [e for e in schedule.events if e.day < days] + [start]
+    # the next window starts with the servicer busy, on its own clock
+    assert next_start.committed == (CommittedService(
+        vehicle="mm_versatile", node="satA", need_id=need.id,
+        start_day=start.day - days, end_day=start.detail["end_day"] - days),)
+    assert "mm_versatile" in next_start.vehicle_nodes
 
 
 def test_servicer_left_at_a_customer_leaves_at_once(multimodal):

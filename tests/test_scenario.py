@@ -65,6 +65,15 @@ def test_grid_period_must_be_positive(multimodal, period):
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("duration", [0, -10])
+def test_launch_duration_must_be_positive(multimodal, duration):
+    # a launch of -10 days once left Earth on day 30 and landed on day 20
+    cfg = multimodal.to_dict()
+    cfg["network"]["launch_duration"] = duration
+    with pytest.raises(ScenarioError, match="launch_duration must be > 0"):
+        scenario_from_dict(cfg)
+
+
 @pytest.mark.parametrize("deployment, message", [
     ({"vehicle": "nope", "longitude": -170.0}, "unknown vehicle 'nope'"),
     ({"vehicle": "depot", "longitude": -160.0},
