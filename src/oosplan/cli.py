@@ -117,12 +117,10 @@ def cmd_plan(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=2, default=str) + "\n")
     served = sum(1 for r in schedule.outcomes.values() if r)
-    comp = solution.components
     print(f"status={solution.status} objective={solution.objective:.2f} "
           f"served={served}/{len(schedule.outcomes)} audit=clean")
-    print("revenues={revenues:.2f} launch={launch:.2f} pdm={pdm:.2f} "
-          "delay={delay:.2f} depot_ops={depot_ops:.2f} "
-          "servicer_ops={servicer_ops:.2f}".format(**comp))
+    print(" ".join(f"{b}={solution.components[b]:.2f}"
+                   for b in ("revenues",) + milp.COST_BUCKETS))
     return EXIT_OK
 
 
@@ -156,6 +154,10 @@ def cmd_campaign(args) -> int:
             vehicles = {vid: replace(v, dry_mass=m) if v.is_servicer else v
                         for vid, v in scn.vehicles.items()}
             jobs.append((replace(scn, vehicles=vehicles), f"dry{m:g}"))
+        # two equal masses would write the same files
+        if len({tag for _, tag in jobs}) < len(jobs):
+            raise ValueError(f"--sweep-dry-mass repeats a value: "
+                             f"{args.sweep_dry_mass}")
     else:
         jobs = [(scn, "")]
     run = partial(_run_campaign, sats=load_catalog(args.catalog),

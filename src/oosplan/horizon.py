@@ -2,22 +2,23 @@
 
 The campaign advances in commit intervals: each step plans over a finite
 look-ahead window, takes from ``milp.commit`` the decisions that the next
-commit interval keeps and the world state at its end, and books the
-committed cash events. Deterministic needs become visible a full window ahead;
-random needs only once they occur.
+commit interval keeps and the world state at its end, and books the cash
+that the plan priced each committed event at, plus each deployed vehicle's
+operating cost over the interval. Deterministic needs become visible a full
+window ahead; random needs only once they occur.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import Optional
 
 from .demand import DemandStream, ServiceNeed, window_needs
-from .milp import (InitialState, PlanProblem, Schedule, SolveOptions, audit,
-                   commit, extract_schedule)
+from .milp import (COST_BUCKETS, InitialState, PlanProblem, Schedule,
+                   SolveOptions, audit, commit, extract_schedule, ops_bucket)
 from .network import build_nodes, build_time_grid, expand
 from .scenario import CustomerSat, Scenario
 from .trajectory import PluginRegistry
@@ -50,27 +51,16 @@ class WorldState:
     lost: set[str] = field(default_factory=set)
 
 
-COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
-
-
 @dataclass(frozen=True)
 class Booking:
     day: float                  # absolute campaign day
     bucket: str                 # "revenues" or a cost bucket
     amount: float
-    label: str = ""
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    day: int
-    revenues: float
-    launch: float
-    pdm: float
-    delay: float
-    depot_ops: float
-    servicer_ops: float
-    value: float
+# a ledger row and CSV line: the day, each bucket to date, and the value
+LEDGER_COLUMNS = ("day", "revenues") + COST_BUCKETS + ("value",)
+LedgerRow = make_dataclass("LedgerRow", LEDGER_COLUMNS, frozen=True)
 
 
 @dataclass
@@ -84,9 +74,9 @@ class Ledger:
     initial_investment: float = 0.0
     bookings: list[Booking] = field(default_factory=list)
 
-    def book(self, day: float, bucket: str, amount: float, label: str = ""):
+    def book(self, day: float, bucket: str, amount: float):
         if amount != 0.0:
-            self.bookings.append(Booking(day, bucket, amount, label))
+            self.bookings.append(Booking(day, bucket, amount))
 
     def total(self, bucket: str) -> float:
         return sum(b.amount for b in self.bookings if b.bucket == bucket)
@@ -102,7 +92,7 @@ class Ledger:
         final row absorbs any booking at or beyond the last boundary.
         """
         out = []
-        acc = {b: 0.0 for b in ("revenues",) + COST_BUCKETS}
+        acc = dict.fromkeys(("revenues",) + COST_BUCKETS, 0.0)
         remaining = sorted(self.bookings, key=lambda b: b.day)
         pos = 0
         for n, boundary in enumerate(days):
@@ -113,19 +103,15 @@ class Ledger:
                 pos += 1
             value = acc["revenues"] - self.initial_investment \
                 - sum(acc[b] for b in COST_BUCKETS)
-            out.append(LedgerRow(day=boundary, value=value,
-                                 **{b: acc[b] for b in acc}))
+            out.append(LedgerRow(day=boundary, value=value, **acc))
         return out
 
     def export_csv(self, path: str | Path, days: list[int]):
         with Path(path).open("w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["day", "revenues", "launch", "pdm", "delay",
-                        "depot_ops", "servicer_ops", "value"])
+            w.writerow(LEDGER_COLUMNS)
             for row in self.rows(days):
-                w.writerow([row.day] + [repr(getattr(row, b)) for b in
-                                        ("revenues", "launch", "pdm", "delay",
-                                         "depot_ops", "servicer_ops", "value")])
+                w.writerow([repr(getattr(row, c)) for c in LEDGER_COLUMNS])
 
 
 @dataclass
@@ -257,37 +243,16 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     schedule = extract_schedule(problem, solution)
     committed, next_start = commit(problem, solution, schedule, days)
     day0 = state.day
-    scn = scenario
     for e in committed:
-        abs_day = day0 + e.day
-        if e.kind == "launch":
-            cargo_mass = sum(scn.unit_mass(k) * q
-                             for k, q in e.detail["cargo"].items())
-            v = scn.vehicles[e.vehicle]
-            ledger.book(abs_day, "launch",
-                        scn.economics.launch_cost_per_kg
-                        * (cargo_mass + v.dry_mass), e.vehicle)
-            ledger.book(abs_day, "pdm",
-                        v.manufacturing_cost + sum(
-                            scn.commodities[k].purchase_cost * q
-                            for k, q in e.detail["cargo"].items()), e.vehicle)
-        elif e.kind == "service_start":
-            need_id = e.detail["need"]
-            ledger.book(abs_day, "revenues", e.detail["revenue"], need_id)
-            delay = e.detail["delay_days"]
-            if delay > 0:
-                spec = scn.services[e.detail["service_type"]]
-                ledger.book(abs_day, "delay",
-                            spec.delay_penalty_per_day * delay, need_id)
-            state.served.add(need_id)
+        for bucket, amount in e.cash.items():
+            ledger.book(day0 + e.day, bucket, amount)
+        if e.kind == "service_start":
+            state.served.add(e.detail["need"])
 
-    # continuous operating cost for every deployed vehicle over the interval
-    start = state.start
-    for vid in sorted(set(start.vehicle_nodes)
-                      | {p.vehicle for p in start.pending_arrivals}):
-        v = scn.vehicles[vid]
-        bucket = "depot_ops" if v.vehicle_class == "depot" else "servicer_ops"
-        ledger.book(day0, bucket, v.operating_cost_per_day * days, vid)
+    # operating cost over the interval for every depot and servicer
+    # deployed: the vehicles whose operating cost the plan prices
+    for vid, v in sorted(state.start.active_vehicles(scenario).items()):
+        ledger.book(day0, ops_bucket(v), v.operating_cost_per_day * days)
 
     state.start = next_start
     state.day = day0 + days

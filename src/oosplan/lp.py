@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -221,7 +222,16 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
             raise SolveError(f"HiGHS rejects option {key}={value!r}")
     if solver.passModel(lp) == highs.HighsStatus.kError:
         return HighsResult(2, "model error")
-    ran = solver.run() != highs.HighsStatus.kError
+    # HiGHS can print to file descriptor 1 even with output off; keep that
+    # on stderr, off the standard output of the program that solves
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        ran = solver.run() != highs.HighsStatus.kError
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
     status = solver.getModelStatus()
     res = HighsResult(_SCIPY_STATUS.get(status, 4),
                       solver.modelStatusToString(status))

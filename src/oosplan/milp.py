@@ -30,11 +30,13 @@ other module knows them. Only ``audit`` reads values by ``vn`` key, from
 ``Solution.values``, so that it stays independent of the build's index
 bookkeeping.
 
-``commit`` holds the whole rolling-horizon commit rule: from a solved
-window it picks the events that the commit interval keeps, and builds the
-next window's start (``start_after``) with the services those events begin.
-The campaign loop in ``horizon`` only books the events and carries the
-start on.
+``milp`` alone prices a plan: ``COST_BUCKETS`` names the objective's cost
+buckets, and ``extract_schedule`` gives each launch and service start the
+cash that the objective prices it at. ``commit`` holds the whole
+rolling-horizon commit rule: from a solved window it picks the events that
+the commit interval keeps, and builds the next window's start
+(``start_after``) with the services those events begin. The campaign loop in
+``horizon`` only books the events' cash and carries the start on.
 
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
@@ -55,6 +57,8 @@ from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
 INT_TOL = 1e-6
+# the objective's cost buckets, each charged against ``revenues``
+COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
 EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
 SOS2_TOL = 1e-6                 # weight counted in a curve arc's support
 
@@ -66,6 +70,11 @@ class ModelError(Exception):
 def vn(tag: str, *parts) -> tuple:
     """Column key of variable family ``tag`` at index ``parts``."""
     return (tag, *parts)
+
+
+def ops_bucket(vehicle: VehicleDesign) -> str:
+    """The cost bucket of ``vehicle``'s operating cost."""
+    return "depot_ops" if vehicle.vehicle_class == "depot" else "servicer_ops"
 
 
 @dataclass(frozen=True)
@@ -608,8 +617,7 @@ class PlanProblem:
         m, scn, grid = self.model, self.scenario, self.grid
         # bucket -> column index -> cost (or revenue) coefficient
         self.obj_terms: dict[str, dict[int, float]] = {
-            "revenues": {}, "launch": {}, "pdm": {}, "delay": {},
-            "depot_ops": {}, "servicer_ops": {}}
+            b: {} for b in ("revenues",) + COST_BUCKETS}
 
         for need in self.needs:
             for vid in self.capable[need.id]:
@@ -632,23 +640,21 @@ class PlanProblem:
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
             launch[cols.w] = c_l * v.dry_mass
             pdm[cols.w] = v.manufacturing_cost
-        # operating costs: per vehicle, its states then a servicer's flights
-        ops: dict[str, dict[int, float]] = {vid: {} for vid in self.active}
+        # operating costs: each vehicle's states, then each servicer flight
         for vid, i, t in self.states:
-            rate, dt = self.active[vid].operating_cost_per_day, grid.delta_forward(t)
-            if rate > 0 and dt > 0:
-                ops[vid][self._y[vid, i, t]] = rate * dt
+            v, dt = self.active[vid], grid.delta_forward(t)
+            if v.operating_cost_per_day > 0 and dt > 0:
+                self.obj_terms[ops_bucket(v)][self._y[vid, i, t]] = \
+                    v.operating_cost_per_day * dt
         for a, cols in zip(self.arcs, self._arc_cols):
             v = self.active.get(a.vehicle)
             if not a.is_launch and v.is_servicer and v.operating_cost_per_day > 0:
-                ops[a.vehicle][cols.w] = v.operating_cost_per_day * a.q
-        for vid, terms in ops.items():
-            depot = self.active[vid].vehicle_class == "depot"
-            self.obj_terms["depot_ops" if depot else "servicer_ops"].update(terms)
+                self.obj_terms[ops_bucket(v)][cols.w] = \
+                    v.operating_cost_per_day * a.q
 
         for j, coeff in self.obj_terms["revenues"].items():
             m.add_objective(j, coeff)
-        for bucket in ("launch", "pdm", "delay", "depot_ops", "servicer_ops"):
+        for bucket in COST_BUCKETS:
             for j, coeff in self.obj_terms[bucket].items():
                 m.add_objective(j, -coeff)
 
@@ -713,9 +719,7 @@ class PlanProblem:
         out = {}
         for bucket, terms in self.obj_terms.items():
             out[bucket] = sum(coeff * x[j] for j, coeff in terms.items())
-        out["profit"] = out["revenues"] - sum(
-            out[b] for b in ("launch", "pdm", "delay", "depot_ops",
-                             "servicer_ops"))
+        out["profit"] = out["revenues"] - sum(out[b] for b in COST_BUCKETS)
         return out
 
 
@@ -935,6 +939,9 @@ class ScheduleEvent:
     vehicle: str
     kind: str                   # flight | launch | service_start
     detail: dict
+    # what the objective prices a launch or a service start at, per bucket
+    # ("revenues" or a cost bucket); ``to_dict`` leaves it out
+    cash: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"day": self.day, "vehicle": self.vehicle, "kind": self.kind,
@@ -955,6 +962,12 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
     names = {n.index: n.name for n in problem.net.nodes.nodes}
     events: list[ScheduleEvent] = []
 
+    def cash(cols: list[int]) -> dict[str, float]:
+        # the objective's terms over ``cols``, in the order it sums them
+        return {b: amount for b, terms in problem.obj_terms.items()
+                if (amount := sum(terms[j] * x[j] for j in cols
+                                  if j in terms))}
+
     for a, cols in zip(problem.arcs, problem._arc_cols):
         if x[cols.w] < 0.5:
             continue
@@ -965,7 +978,8 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
             events.append(ScheduleEvent(
                 day=a.t, vehicle=a.vehicle, kind="launch",
                 detail={"to": names[a.j], "arrive_day": a.arrival,
-                        "cargo": cargo}))
+                        "cargo": cargo},
+                cash=cash([*cols.u.values(), cols.w])))
         else:
             burned = sum((f * x[col] for col, f in cols.burn.items()), 0.0)
             events.append(ScheduleEvent(
@@ -988,7 +1002,8 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
                                 "service_type": need.service_type,
                                 "revenue": need.revenue,
                                 "delay_days": tau - need.tau_step,
-                                "end_day": tau + need.duration}))
+                                "end_day": tau + need.duration},
+                        cash=cash([problem._h[vid, need.id, tau]])))
     events.sort(key=lambda e: (e.day, e.vehicle, e.kind))
     return Schedule(events=tuple(events), outcomes=outcomes)
 

@@ -84,6 +84,10 @@ class VehicleDesign:
                      "manufacturing_cost", "station_keeping_rate"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"vehicle {self.id}: {name} must be >= 0")
+        if self.payload_capacity is not None and self.payload_capacity < 0:
+            raise ScenarioError(f"vehicle {self.id}: payload_capacity must be >= 0")
+        if any(q <= 0 for p in self.propulsion for q in p.flight_durations):
+            raise ScenarioError(f"vehicle {self.id}: flight_durations must be > 0")
         if self.vehicle_class == "depot" and self.propulsion:
             raise ScenarioError(f"vehicle {self.id}: depots carry no propulsion modes")
         if self.vehicle_class == "servicer":
@@ -132,6 +136,8 @@ class ServiceTypeSpec:
     def __post_init__(self):
         if self.revenue < 0:
             raise ScenarioError(f"service {self.id}: revenue must be >= 0")
+        if self.delay_penalty_per_day < 0:
+            raise ScenarioError(f"service {self.id}: delay_penalty_per_day must be >= 0")
         if self.duration <= 0:
             raise ScenarioError(f"service {self.id}: duration must be > 0")
         if self.window <= 0:

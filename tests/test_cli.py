@@ -317,6 +317,45 @@ def test_out_of_range_input_exits_two(multimodal, catalog_file, tmp_path,
     assert not (tmp_path / "camp").exists()
 
 
+def _entry(cfg, section, name):
+    return next(x for x in cfg[section] if x["id"] == name)
+
+
+@pytest.mark.parametrize("edit, extra, message", [
+    # the model ignored it, and the ledger booked it as a negative cost
+    (lambda cfg: _entry(cfg, "services", "refueling").update(
+        delay_penalty_per_day=-1.0), (),
+     "service refueling: delay_penalty_per_day must be >= 0"),
+    # the launcher silently never launched
+    (lambda cfg: _entry(cfg, "vehicles", "falcon9").update(
+        payload_capacity=-1.0), (),
+     "vehicle falcon9: payload_capacity must be >= 0"),
+    # these failed late, in the trajectory layer, naming no vehicle
+    (lambda cfg: _entry(cfg, "vehicles", "mm_versatile")["propulsion"][0]
+     .update(flight_durations=[0, 4]), (),
+     "vehicle mm_versatile: flight_durations must be > 0"),
+    (lambda cfg: _entry(cfg, "vehicles", "mm_versatile")["propulsion"][1]
+     .update(flight_durations=[10, -14]), (),
+     "vehicle mm_versatile: flight_durations must be > 0"),
+    # two runs that wrote the same files
+    (lambda cfg: None, ("--sweep-dry-mass", "3000,3000"),
+     "--sweep-dry-mass repeats a value: 3000,3000"),
+], ids=["delay_penalty", "payload", "flight_zero", "flight_negative",
+        "sweep_repeat"])
+def test_out_of_range_scenario_value_or_sweep_exits_two(
+        multimodal, catalog_file, tmp_path, capsys, edit, extra, message):
+    cfg = multimodal.to_dict()
+    edit(cfg)
+    code = main(["campaign", "--scenario", _scenario_file(tmp_path, cfg),
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(tmp_path / "camp"), *extra])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "value=" not in captured.out
+    assert not (tmp_path / "camp").exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "campaign"])
 def test_deployment_without_a_parking_slot_exits_two(
         multimodal, catalog_file, tmp_path, capsys, command):

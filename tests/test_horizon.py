@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from oosplan.demand import DemandStream, ServiceNeed, generate_stream
+from oosplan.demand import (DemandStream, ServiceNeed, generate_stream,
+                            window_needs)
 from oosplan.horizon import (COST_BUCKETS, Ledger, RhConfig, WorldState,
                              initial_state, run, step, visible_needs)
-from oosplan.milp import PendingArrival, PlanProblem, vn
-from oosplan.network import build_time_grid
+from oosplan.milp import (InitialState, PendingArrival, PlanProblem,
+                          SolveOptions, commit, extract_schedule, vn)
+from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
 
 
@@ -107,22 +109,21 @@ def test_campaign_no_satellites_burns_ops(multimodal):
     assert result.value == values[-1]
 
 
+def _make(nid, sat, spec, tau):
+    return ServiceNeed(id=nid, satellite=sat, service_type=spec.id,
+                       tau=tau, duration=spec.duration, revenue=spec.revenue,
+                       delay_penalty_per_day=spec.delay_penalty_per_day,
+                       commodity_demand=dict(spec.commodity_demand),
+                       required_tool=spec.required_tool)
+
+
 def _synthetic_stream(multimodal):
     # service intervals are measured in thousands of days per satellite, so a
     # 120-day window needs a hand-built stream to exercise actual servicing
     ref = multimodal.services["refueling"]
     rep = multimodal.services["repositioning"]
-
-    def make(nid, sat, spec, tau):
-        return ServiceNeed(id=nid, satellite=sat, service_type=spec.id,
-                           tau=tau, duration=spec.duration,
-                           revenue=spec.revenue,
-                           delay_penalty_per_day=spec.delay_penalty_per_day,
-                           commodity_demand=dict(spec.commodity_demand),
-                           required_tool=spec.required_tool)
-
-    needs = (make("satA/refueling/0", "satA", ref, 12.0),
-             make("satB/repositioning/0", "satB", rep, 40.0))
+    needs = (_make("satA/refueling/0", "satA", ref, 12.0),
+             _make("satB/repositioning/0", "satB", rep, 40.0))
     return DemandStream(needs=needs, seed=0, horizon=120.0)
 
 
@@ -312,3 +313,83 @@ def test_handover_of_departures_at_the_boundary(multimodal, monkeypatch):
     _, at_boundary = _drive_checking_handover(monkeypatch, multimodal, sats,
                                               stream, 360, RhConfig())
     assert at_boundary > 0
+
+
+# -- a launch, end to end ------------------------------------------------------
+
+def _launch_case(multimodal, launch_duration=2):
+    """A 90-day window whose plan launches spares on day 0: neither the depot
+    nor the servicer carries any, and a repair at satA on day 35 needs 50.
+    The repair is made deterministic, so that a campaign step on day 0
+    already sees it."""
+    spec = multimodal.services["repair"]
+    scn = replace(
+        multimodal,
+        services=dict(multimodal.services, repair=replace(
+            spec, occurrence=replace(spec.occurrence, kind="deterministic"))),
+        network=replace(multimodal.network, launch_duration=launch_duration))
+    sats = [CustomerSat("satA", -160.0)]
+    stream = DemandStream(needs=(_make("satA/repair/0", "satA", spec, 35.0),),
+                          seed=0, horizon=90.0)
+    start = InitialState(
+        vehicle_nodes={"depot": "parking_0", "mm_versatile": "parking_0"},
+        commodities={vid: dict(scn.vehicles[vid].capacities, spares=0.0)
+                     for vid in ("depot", "mm_versatile")})
+    grid = build_time_grid(scn.network.period, scn.network.offsets, 90)
+    net = expand(build_nodes(scn, sats, include_earth=True), grid, scn)
+    problem = PlanProblem(scn, net, window_needs(stream.needs, scn, grid),
+                          start, SolveOptions(gap=0.0))
+    solution = problem.solve()
+    return scn, sats, stream, problem, solution, \
+        extract_schedule(problem, solution)
+
+
+@pytest.fixture(scope="module")
+def launch(multimodal):
+    return _launch_case(multimodal)
+
+
+def test_plan_launches_the_spares_a_repair_needs(launch):
+    _, _, _, _, solution, schedule = launch
+    assert solution.status == "optimal"
+    [e] = [e for e in schedule.events if e.kind == "launch"]
+    assert (e.day, e.vehicle, e.detail) == (
+        0, "falcon9", {"to": "parking_0", "arrive_day": 2,
+                       "cargo": {"spares": 50.0}})
+    assert solution.components["launch"] == 565000.0
+    assert solution.components["pdm"] == 50000.0
+
+
+def test_events_carry_the_cash_the_plan_prices(launch):
+    _, _, _, _, solution, schedule = launch
+    booked = dict.fromkeys(("revenues", "launch", "pdm", "delay"), 0.0)
+    for e in schedule.events:
+        assert e.cash.keys() <= booked.keys()
+        for bucket, amount in e.cash.items():
+            booked[bucket] += amount
+    assert booked == {b: solution.components[b] for b in booked}
+    assert booked["revenues"] > 0.0
+    # the cash stays out of the exported events
+    assert all("cash" not in e.to_dict() for e in schedule.events)
+
+
+def test_step_books_the_launch_the_plan_priced(launch):
+    scn, sats, stream, problem, solution, _ = launch
+    ledger = Ledger()
+    state = WorldState(start=problem.init)
+    step(scn, sats, stream, state, ledger, RhConfig(gap=0.0))
+    assert [(b.day, b.bucket, b.amount) for b in ledger.bookings
+            if b.bucket in ("launch", "pdm")] == [
+        (0, "launch", solution.components["launch"]),
+        (0, "pdm", solution.components["pdm"])]
+
+
+def test_commit_hands_over_cargo_launched_into_the_next_window(multimodal):
+    # the launch lands on day 12, after a 10-day commit ends
+    *_, problem, solution, schedule = _launch_case(multimodal,
+                                                   launch_duration=12)
+    events, start = commit(problem, solution, schedule, 10)
+    assert [e.kind for e in events] == ["launch"]
+    assert start.pending_arrivals == (PendingArrival(
+        vehicle="falcon9", node="parking_0", t=2,
+        commodities={"spares": 50.0}),)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +354,28 @@ def test_feasibility_jump_off_other_heuristics_at_default(highs_made):
     _, effort = solver.getOptionValue("mip_heuristic_effort")
     _, default = lp.highs._Highs().getOptionValue("mip_heuristic_effort")
     assert effort == default
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_highs_writes_to_stderr_not_stdout(monkeypatch, capfd, fails):
+    # HiGHS can print to file descriptor 1 with its output off; that must
+    # not reach the standard output of a program that solves
+    class Chatty(lp.highs._Highs):
+        def run(self):
+            os.write(1, b"stray solver line\n")
+            if fails:
+                raise RuntimeError("solver failed")
+            return super().run()
+    monkeypatch.setattr(lp.highs, "_Highs", Chatty)
+    if fails:
+        with pytest.raises(RuntimeError, match="solver failed"):
+            knapsack().solve()
+    else:
+        assert knapsack().solve().objective == pytest.approx(23.0)
+    os.write(1, b"after the solve\n")
+    out, err = capfd.readouterr()
+    assert out == "after the solve\n"
+    assert err == "stray solver line\n"
 
 
 @pytest.mark.parametrize("key", sorted(lp.HIGHS_OPTIONS))

@@ -688,3 +688,104 @@ def test_integer_column_off_by_more_than_the_tolerance_is_an_error(tmp_path):
     with pytest.raises(ModelError,
                        match=rf"non-integral value .* for {re.escape(first)}"):
         problem.solve()
+
+
+# -- every audit family fires ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def two_needs(multimodal):
+    # an inspection and a refueling at satA, both served by one servicer, in
+    # a window with launch, line and curve arcs
+    scn = multimodal
+    grid = build_time_grid(scn.network.period, scn.network.offsets, 90)
+    net = expand(build_nodes(scn, [CustomerSat("satA", -160.0)],
+                             include_earth=True), grid, scn)
+    needs = [make_need(scn, s, "satA", 15.0, grid)
+             for s in ("refueling", "inspection")]
+    init = InitialState(
+        vehicle_nodes={"depot": "parking_0", "mm_versatile": "parking_0"},
+        commodities={vid: full_loads(scn, vid)
+                     for vid in ("depot", "mm_versatile")})
+    problem = PlanProblem(scn, net, needs, init, SolveOptions(gap=0.0))
+    solution = problem.solve()
+    assert audit(problem, solution.values) == []
+    return problem, solution
+
+
+def _breaks(problem, values, family):
+    """A column of the solved window, a value for it that breaks one row of
+    audit ``family``, and the key of that row."""
+    sv, ref, ins = "mm_versatile", "satA/refueling/0", "satA/inspection/0"
+    park, sat = problem.presence["depot"][0], problem.node_by_name["satA"].index
+    t = problem.grid.steps[3]
+    # the servicer serves the refueling on this step, and the inspection
+    # could be served on it too
+    serve = next(t for t in problem.grid.steps
+                 if values.get(vn("B", sv, ref, t)) == 1.0
+                 and vn("B", sv, ins, t) in problem.model)
+
+    def flight(flown, curve=None, to=None):
+        return next(a for a in problem.arcs if not a.is_launch
+                    and (values[vn("W", *a.key)] > 0.5) == flown
+                    and (curve is None
+                         or (a.model.burn_fraction is None) == curve)
+                    and (to is None or a.j == to)
+                    and math.isfinite(a.mass_upper_bound))
+
+    flown, idle, curve = flight(True), flight(False), flight(False, True)
+    prop = problem._mode_of(flown).propellant_commodity
+    landing = flight(True, to=sat)
+    launch = next(a for a in problem.arcs if a.is_launch)
+    payload = problem.launchers[launch.vehicle].payload_capacity
+    x_sv = vn("X", sv, sat, serve, "monopropellant")
+    x_depot = vn("X", "depot", park, t, "spares")
+    return {
+        "mass_balance_customer": (x_sv, values[x_sv] + 1.0,
+                                  (sv, sat, serve, "monopropellant")),
+        "mass_balance_parking": (x_depot, values[x_depot] + 1.0,
+                                 (park, t, "spares")),
+        "vehicle_balance": (vn("Y", "depot", park, t), 0.0,
+                            ("depot", park, t)),
+        "capacity_holdover": (x_depot, 20001.0, ("depot", park, t, "spares")),
+        "capacity_arc": (vn("U", *idle.key, prop), 1.0, (*idle.key, prop)),
+        "negative_inflow": (vn("U", *flown.key, prop), 0.0,
+                            (*flown.key, prop)),
+        "capacity_payload": (vn("U", *launch.key, "spares"), payload + 1.0,
+                             launch.key),
+        "wet_mass": (vn("Z", *flown.key), values[vn("Z", *flown.key)] + 1.0,
+                     flown.key),
+        "mass_upper_bound": (vn("Z", *idle.key), 1.0, idle.key),
+        "sos2_sum": (vn("L", *curve.key, 0), 0.5, curve.key),
+        "sos2_mass": (vn("Z", *curve.key), 1.0, curve.key),
+        "sos2_adjacency": (vn("L", *curve.key, 2), 1.0, curve.key),
+        "assign_once": (vn("H", sv, ref, problem.needs[0].window[0]), 1.0,
+                        (ref,)),
+        "dispatch_coupling": (vn("B", sv, ref, serve), 0.0, (sv, ref, serve)),
+        "one_service_at_a_time": (vn("B", sv, ins, serve), 1.0, (sat, serve)),
+        "presence_dispatch": (vn("Y", sv, sat, serve), 0.0, (sv, sat, serve)),
+        "tool_on_board": (vn("X", sv, sat, serve, "T1"), 0.0,
+                          (sv, sat, serve, "T1")),
+        "arrival_at_start": (vn("W", *landing.key), 0.0,
+                             (sv, sat, landing.arrival)),
+    }[family]
+
+
+AUDIT_FAMILIES = (
+    "mass_balance_customer", "mass_balance_parking", "vehicle_balance",
+    "capacity_holdover", "capacity_arc", "negative_inflow",
+    "capacity_payload", "wet_mass", "mass_upper_bound", "sos2_sum",
+    "sos2_mass", "sos2_adjacency", "assign_once", "dispatch_coupling",
+    "one_service_at_a_time", "presence_dispatch", "tool_on_board",
+    "arrival_at_start")
+
+
+@pytest.mark.parametrize("family", AUDIT_FAMILIES)
+def test_audit_family_fires_on_the_row_of_a_perturbed_value(two_needs,
+                                                            family):
+    problem, solution = two_needs
+    values = dict(solution.values)
+    col, value, key = _breaks(problem, values, family)
+    assert col in problem.model and values[col] != value
+    values[col] = value
+    fired = {(v.family, v.key) for v in audit(problem, values)}
+    assert (family, "|".join(map(str, key))) in fired

@@ -9,8 +9,11 @@ and ``twenty`` (the twenty of ``campaign_ht20``). Each run is a fresh
 process on this checkout's ``src``. For each it prints one line: the exit
 code, the SHA-256 of ``ledger.csv`` and ``events.json`` (``-`` for a file
 not written) and the first error line on stderr (the first line starting
-with ``error``, else the last line, which ends a traceback). The exit
-status is 1 if any run exits non-zero. The 48 runs take about 2.5 minutes.
+with ``error``, else the last line, which ends a traceback). A run whose
+standard output holds a line that the CLI does not print itself (its
+``campaign: value=…`` and ``outputs in …/`` lines) gets ` stdout=<line>`
+appended, with the first such line. The exit status is 1 if any run exits
+non-zero. The 48 runs take about 2.5 minutes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ SEEDS = range(1, 9)
 SCENARIOS = ("high_thrust", "multimodal", "low_thrust")
 CATALOGS = {"five": FIVE_SATS, "twenty": TWENTY_SATS}
 OUTPUTS = ("ledger.csv", "events.json")
+CLI_STDOUT = ("campaign: value=", "outputs in ")
 
 
 def _sha256(path: Path) -> str:
@@ -49,8 +53,14 @@ def _first_error(stderr: str) -> str:
     return lines[-1] if lines else ""
 
 
+def _stray_line(stdout: str) -> str:
+    return next((line for line in stdout.splitlines()
+                 if not line.startswith(CLI_STDOUT)), "")
+
+
 def run_one(scenario: str, catalog: Path, seed: int, out: Path) -> tuple:
-    """Exit code, output digests and first error line of one campaign."""
+    """Exit code, output digests, first error line and first stray
+    standard-output line of one campaign."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "oosplan.cli", "campaign",
@@ -58,7 +68,8 @@ def run_one(scenario: str, catalog: Path, seed: int, out: Path) -> tuple:
          "--seed", str(seed), "--horizon-days", "360", "--out", str(out)],
         capture_output=True, text=True, env=env)
     return (proc.returncode, *(_sha256(out / name) for name in OUTPUTS),
-            _first_error(proc.stderr) if proc.returncode else "")
+            _first_error(proc.stderr) if proc.returncode else "",
+            _stray_line(proc.stdout))
 
 
 def main() -> int:
@@ -74,12 +85,12 @@ def main() -> int:
                 w.writerows(sats)
         runs = list(itertools.product(SCENARIOS, CATALOGS, SEEDS))
         for k, (scenario, catalog, seed) in enumerate(runs):
-            code, ledger, events, error = run_one(
+            code, ledger, events, error, stray = run_one(
                 scenario, catalogs[catalog], seed, tmp / f"run{k}")
             failed += code != 0
             print(f"{scenario} {catalog} seed={seed} exit={code} "
-                  f"ledger={ledger} events={events} error={error}",
-                  flush=True)
+                  f"ledger={ledger} events={events} error={error}"
+                  + (f" stdout={stray}" if stray else ""), flush=True)
     print(f"{failed} of {len(runs)} runs failed")
     return 1 if failed else 0
 
