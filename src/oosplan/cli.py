@@ -6,10 +6,11 @@ loaded scenario alone, or one copy per servicer dry mass of a sweep. One
 worker runs every job, in a process pool when ``--jobs`` is above 1 and
 there is more than one job.
 
+Every model is solved in-process by the HiGHS that scipy bundles; ``plan
+--export-lp`` also writes the model as a CPLEX LP file.
+
 Exit codes: 0 success, 1 infeasible, model or solver error, 2 usage or I/O
-error. The default solver backend can be set through the OOSPLAN_BACKEND
-environment variable ("highs" or an external command with {lp}/{sol}
-placeholders, which receives neither the gap nor the time limit).
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -68,17 +68,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="relative MIP gap tolerance")
     p.add_argument("--breakpoints", type=int, default=20,
                    help="piecewise-linear breakpoints per low-thrust arc")
-    p.add_argument("--backend", default=os.environ.get("OOSPLAN_BACKEND",
-                                                       "highs"),
-                   help="'highs' or an external solver command with "
-                        "{lp} and {sol} placeholders; the command receives "
-                        "neither the gap nor the time limit")
 
 
 def cmd_plan(args) -> int:
-    if args.time_limit is not None and args.backend != "highs":
-        raise ValueError("--time-limit needs the highs backend: an external "
-                         "command receives no time limit")
     scn = _resolve_scenario(args.scenario)
     sats = load_catalog(args.catalog)
     stream = demand.generate_stream(sats, scn, horizon=float(args.horizon_days),
@@ -90,8 +82,7 @@ def cmd_plan(args) -> int:
     nodes = build_nodes(scn, sats, include_earth=True)
     net = expand(nodes, grid, scn, n_breakpoints=args.breakpoints,
                  vehicles=init.active_vehicles(scn))
-    options = milp.SolveOptions(gap=args.gap, backend=args.backend,
-                                time_limit=args.time_limit)
+    options = milp.SolveOptions(gap=args.gap, time_limit=args.time_limit)
     problem = milp.PlanProblem(scn, net, needs, init, options)
     if args.export_lp:
         problem.model.write_lp(args.export_lp)
@@ -146,8 +137,7 @@ def cmd_campaign(args) -> int:
     outdir = args.out or "."
     config = horizon.RhConfig(window_days=args.window_days,
                               commit_days=args.commit_days, gap=args.gap,
-                              n_breakpoints=args.breakpoints,
-                              backend=args.backend)
+                              n_breakpoints=args.breakpoints)
     if args.sweep_dry_mass:
         jobs = []
         for m in (float(x) for x in args.sweep_dry_mass.split(",")):

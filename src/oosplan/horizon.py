@@ -34,7 +34,6 @@ class RhConfig:
     commit_days: Optional[int] = None    # default: one grid period
     gap: float = 0.01
     n_breakpoints: int = 20
-    backend: str = "highs"
 
 
 @dataclass
@@ -214,7 +213,7 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
     net = expand(nodes, grid, scenario, registry=registry,
                  n_breakpoints=config.n_breakpoints,
                  vehicles=start.active_vehicles(scenario))
-    options = SolveOptions(gap=config.gap, backend=config.backend)
+    options = SolveOptions(gap=config.gap)
     return PlanProblem(scenario, net, local, start, options)
 
 

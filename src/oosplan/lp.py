@@ -1,9 +1,8 @@
-"""Generic mixed-integer linear model container with pluggable solving.
+"""Generic mixed-integer linear model container.
 
 Holds variables indexed by hashable keys, linear constraints tagged with their
 family name, and a maximize objective; solves in-process with the HiGHS that
-scipy bundles, or through any external solver via LP-file export and a plain
-``variable value`` solution file with an optional ``status`` line. Display
+scipy bundles, and writes the model as a CPLEX LP file for export. Display
 names are formatted only for export and error messages. A solution comes back
 as one list of column values in column order (``SolveResult.x``); readers
 find their columns through the indices ``add_var`` returned.
@@ -59,10 +58,7 @@ import importlib.util
 import math
 import os
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -152,9 +148,7 @@ class Constraint:
 
 @dataclass
 class SolveResult:
-    # optimal | time-limit | infeasible | unbounded, or unknown where an
-    # external backend states none
-    status: str
+    status: str     # optimal | time-limit | infeasible | unbounded
     objective: Optional[float]
     # column values in column order, as Python floats; empty without a
     # solution
@@ -431,76 +425,6 @@ class Model:
                 lines.append(" " + names[idx])
         lines.append("End")
         Path(path).write_text("\n".join(lines) + "\n")
-
-    def solve_subprocess(self, command: str) -> SolveResult:
-        """Solve via an external command.
-
-        The command receives ``{lp}`` and ``{sol}`` placeholders, and no gap
-        or time limit; the solution file must contain ``variable_name
-        value`` lines, and may carry one ``status <s>`` line (see
-        ``_read_status``). Without it the status is ``"unknown"``; an
-        infeasible or unbounded file carries no solution.
-        """
-        with tempfile.TemporaryDirectory() as tmp:
-            lp = Path(tmp) / "model.lp"
-            sol = Path(tmp) / "model.sol"
-            self.write_lp(lp)
-            cmd = command.format(lp=lp, sol=sol)
-            proc = subprocess.run(shlex.split(cmd), capture_output=True,
-                                  text=True)
-            if proc.returncode != 0:
-                raise SolveError(
-                    f"backend command failed ({proc.returncode}): "
-                    f"{proc.stderr.strip()[:500]}")
-            if not sol.exists():
-                raise SolveError("backend produced no solution file")
-            status = _read_status(sol)
-            if status in ("infeasible", "unbounded"):
-                return SolveResult(status=status, objective=None)
-            x = read_solution(sol, self.n_vars)
-        obj = sum(coeff * x[idx] for idx, coeff in self.objective.items())
-        return SolveResult(status=status, objective=obj, x=x)
-
-
-_SOL_LINE = re.compile(r"x(\d+)_\S*\s+(\S+)")
-_STATUS_LINE = re.compile(r"status\s+(\S+)")
-
-
-def _read_status(path: str | Path) -> str:
-    """The solver status a solution file states on a ``status <s>`` line,
-    one of the ``SolveResult`` statuses; ``"unknown"`` if it states none."""
-    for line in Path(path).read_text().splitlines():
-        m = _STATUS_LINE.fullmatch(line.strip())
-        if m and m.group(1) in _STATUS.values():
-            return m.group(1)
-    return "unknown"
-
-
-def read_solution(path: str | Path, n: int) -> list[float]:
-    """Parse a ``variable_name value`` solution file for a written LP of
-    ``n`` columns into the column values, in column order.
-
-    Column ``x<j>_...`` is column ``j``; columns the file omits are 0 and
-    lines that name no column are skipped. A value that is not a finite
-    number raises ``SolveError``.
-    """
-    x = [0.0] * n
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        m = _SOL_LINE.fullmatch(line.strip())
-        if m:
-            j = int(m.group(1))
-            if j >= n:
-                raise SolveError(f"solution names column {j} of a "
-                                 f"{n}-column model")
-            try:
-                value = float(m.group(2))
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise SolveError(f"{path}:{lineno}: value {m.group(2)!r} "
-                                 f"is not a finite number")
-            x[j] = value
-    return x
 
 
 def _sanitize(name: str) -> str:

@@ -130,9 +130,8 @@ class InitialState:
 
 @dataclass
 class SolveOptions:
-    gap: float = 0.01            # gap and time limit reach HiGHS only
+    gap: float = 0.01
     time_limit: Optional[float] = None
-    backend: str = "highs"       # "highs" or a shell command with {lp}/{sol}
 
 
 @dataclass
@@ -661,10 +660,7 @@ class PlanProblem:
     # -- solving and extraction --------------------------------------------
 
     def _run(self, model: Model) -> SolveResult:
-        opts = self.options
-        if opts.backend == "highs":
-            return model.solve(gap=opts.gap, time_limit=opts.time_limit)
-        return model.solve_subprocess(opts.backend)
+        return model.solve(self.options.gap, self.options.time_limit)
 
     def solve(self) -> Solution:
         res = self._run(self.model)
@@ -973,13 +969,14 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
             continue
         cargo = {k: x[u] for k, u in cols.u.items() if x[u] > tol}
         if a.is_launch:
-            if not cargo and a.vehicle in problem.launchers:
-                continue        # a launch slot left unused
+            priced = cash([*cols.u.values(), cols.w])
+            if not cargo and not priced:
+                continue        # a launch slot left unused, at no cost
             events.append(ScheduleEvent(
                 day=a.t, vehicle=a.vehicle, kind="launch",
                 detail={"to": names[a.j], "arrive_day": a.arrival,
                         "cargo": cargo},
-                cash=cash([*cols.u.values(), cols.w])))
+                cash=priced))
         else:
             burned = sum((f * x[col] for col, f in cols.burn.items()), 0.0)
             events.append(ScheduleEvent(

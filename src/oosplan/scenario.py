@@ -228,6 +228,7 @@ class Scenario:
             for k in s.commodity_demand:
                 if k not in self.commodities:
                     raise ScenarioError(f"service {s.id}: unknown commodity {k!r}")
+        deployed = set()
         for d in self.deployments:
             if d.vehicle not in self.vehicles:
                 raise ScenarioError(
@@ -235,6 +236,12 @@ class Scenario:
             if d.longitude not in self.network.parking_longitudes:
                 raise ScenarioError(f"deployment of {d.vehicle}: no parking slot "
                                     f"at longitude {d.longitude}")
+            if self.vehicles[d.vehicle].vehicle_class == "launcher":
+                raise ScenarioError(f"deployment of {d.vehicle}: a launcher "
+                                    f"flies only from Earth")
+            if d.vehicle in deployed:
+                raise ScenarioError(f"deployment of {d.vehicle}: deployed twice")
+            deployed.add(d.vehicle)
 
     @property
     def servicers(self) -> list[VehicleDesign]:

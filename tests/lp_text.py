@@ -1,8 +1,7 @@
 """Independent reader of the LP files that ``oosplan.lp`` writes.
 
-The test oracle for ``Model.write_lp`` round trips and the engine of the stub
-external solver: a model written to text and read back here must solve to
-the same optimum as the model it came from.
+The test oracle for ``Model.write_lp`` round trips: a model written to text
+and read back here must solve to the same optimum as the model it came from.
 """
 
 from __future__ import annotations

@@ -1,16 +1,11 @@
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import oosplan
-from oosplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
-                         main)
+from oosplan.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from oosplan.demand import generate_stream
+from oosplan.lp import HighsResult
 from oosplan.scenario import load_catalog
 
 
@@ -115,52 +110,21 @@ def test_negative_gap_or_time_limit_exits_two(catalog_file, capsys, argv):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-# a backend command that exits 3 and writes no solution
-FAILING_BACKEND = f"{sys.executable} -c 'raise SystemExit(3)'"
+def _highs_run(status: int, message: str):
+    # lp.milp as a HiGHS run that ends with scipy's status code ``status``
+    return lambda *args, **kwargs: HighsResult(status, message)
 
 
 @pytest.mark.parametrize("command", ["plan", "campaign"])
-def test_failing_backend_exits_one(catalog_file, tmp_path, capsys, command):
+def test_failing_backend_exits_one(catalog_file, tmp_path, capsys,
+                                   monkeypatch, command):
+    monkeypatch.setattr("oosplan.lp.milp", _highs_run(4, "Solve error"))
     code = main([command, "--scenario", "multimodal",
                  "--catalog", str(catalog_file), "--horizon-days", "60",
-                 "--backend", FAILING_BACKEND, "--out", str(tmp_path / "o")])
+                 "--out", str(tmp_path / "o")])
     assert code == EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith(
-        "error: backend command failed (3)")
-
-
-@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
-def test_backend_value_that_is_not_finite_exits_one(catalog_file, tmp_path,
-                                                    value):
-    # an external backend that writes one integer column's value as text
-    # that is not a finite number
-    script = tmp_path / "bad_value.py"
-    script.write_text(
-        "import sys\n"
-        "lines = open(sys.argv[1]).read().splitlines()\n"
-        "name = lines[lines.index('Generals') + 1].strip()\n"
-        "with open(sys.argv[2], 'w') as fh:\n"
-        f"    fh.write(f'status optimal\\n{{name}} {value}\\n')\n")
-    src = str(Path(oosplan.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "oosplan.cli", "plan",
-         "--scenario", "high_thrust", "--catalog", str(catalog_file),
-         "--horizon-days", "60",
-         "--backend", f"{sys.executable} {script} {{lp}} {{sol}}"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == EXIT_INFEASIBLE
-    assert proc.stderr.startswith("error: ")
-    assert f"value '{value}' is not a finite number" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_time_limit_needs_highs_backend(catalog_file, capsys):
-    # an external command is never told the limit, so it is refused
-    code = main(["plan", "--scenario", "multimodal",
-                 "--catalog", str(catalog_file), "--horizon-days", "60",
-                 "--backend", FAILING_BACKEND, "--time-limit", "60"])
-    assert code == EXIT_USAGE
-    assert "--time-limit" in capsys.readouterr().err
+        "error: solver failure: Solve error")
 
 
 def test_time_limit_stop_without_incumbent_is_no_plan(tmp_path, capsys,
@@ -368,14 +332,11 @@ def test_deployment_without_a_parking_slot_exits_two(
     assert "no parking slot at longitude -160.0" in capsys.readouterr().err
 
 
-def test_infeasible_window_exits_one(catalog_file, tmp_path, capsys):
-    # an external backend that finds every window infeasible
-    script = tmp_path / "infeasible.py"
-    script.write_text("import sys\n"
-                      "open(sys.argv[1], 'w').write('status infeasible\\n')\n")
-    backend = f"{sys.executable} {script} {{sol}}"
-    assert _campaign(catalog_file, tmp_path, "--backend",
-                     backend) == EXIT_INFEASIBLE
+def test_infeasible_window_exits_one(catalog_file, tmp_path, capsys,
+                                    monkeypatch):
+    # HiGHS finds every window infeasible
+    monkeypatch.setattr("oosplan.lp.milp", _highs_run(2, "Infeasible"))
+    assert _campaign(catalog_file, tmp_path) == EXIT_INFEASIBLE
     assert "is infeasible" in capsys.readouterr().err
 
 
@@ -384,10 +345,3 @@ def test_campaign_sweep_in_two_processes(catalog_file, tmp_path, capsys):
                      "--jobs", "2") == EXIT_OK
     assert "dry4000" in capsys.readouterr().out
     assert (tmp_path / "camp" / "ledger_dry4000.csv").exists()
-
-
-def test_backend_env_default(monkeypatch):
-    monkeypatch.setenv("OOSPLAN_BACKEND", "mysolver {lp} {sol}")
-    args = build_parser().parse_args(
-        ["plan", "--scenario", "s", "--catalog", "c"])
-    assert args.backend == "mysolver {lp} {sol}"

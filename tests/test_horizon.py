@@ -393,3 +393,27 @@ def test_commit_hands_over_cargo_launched_into_the_next_window(multimodal):
     assert start.pending_arrivals == (PendingArrival(
         vehicle="falcon9", node="parking_0", t=2,
         commodities={"spares": 50.0}),)
+
+
+def test_an_empty_launch_the_plan_prices_is_an_event(multimodal):
+    # a launcher with a dry mass and a manufacturing cost prices every
+    # launch it makes, with cargo or without
+    falcon9 = replace(multimodal.vehicles["falcon9"], dry_mass=1000.0,
+                      manufacturing_cost=2e6)
+    scn = replace(multimodal,
+                  vehicles=dict(multimodal.vehicles, falcon9=falcon9))
+    *_, problem, solution, _ = _launch_case(scn)
+    # a plan within the gap may keep an idle launch arc's W at 1
+    a, cols = next((a, cols) for a, cols in zip(problem.arcs,
+                                                 problem._arc_cols)
+                   if a.is_launch and solution.x[cols.w] < 0.5)
+    solution.x[cols.w] = 1.0
+    schedule = extract_schedule(problem, solution)
+    [e] = [e for e in schedule.events
+           if e.kind == "launch" and not e.detail["cargo"]]
+    assert (e.day, e.vehicle) == (a.t, "falcon9")
+    assert e.cash == {"launch": 1.13e7, "pdm": 2e6}
+    priced = problem.cost_components(solution.x)
+    for bucket in ("launch", "pdm"):
+        assert sum(e.cash.get(bucket, 0.0) for e in schedule.events
+                   if e.kind == "launch") == pytest.approx(priced[bucket])

@@ -15,8 +15,7 @@ from micro import micro_instance
 import oosplan
 from oosplan import horizon, lp
 from oosplan.demand import generate_stream
-from oosplan.lp import (BINARY, CONTINUOUS, INTEGER, Model, SolveError,
-                        read_solution)
+from oosplan.lp import BINARY, CONTINUOUS, INTEGER, Model, SolveError
 from oosplan.milp import PlanProblem, SolveOptions
 from oosplan.scenario import CustomerSat
 
@@ -107,23 +106,6 @@ def test_lp_round_trip(tmp_path):
     assert r1.objective == pytest.approx(r2.objective, rel=1e-9)
 
 
-def test_read_solution(tmp_path):
-    p = tmp_path / "model.sol"
-    p.write_text("# comment line\nx0_x_a_0_ 1.5\nx1_y 2\n")
-    assert read_solution(p, 3) == [1.5, 2.0, 0.0]
-    p.write_text("x3_w 1\n")
-    with pytest.raises(SolveError, match="column 3"):
-        read_solution(p, 3)
-
-
-@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
-def test_read_solution_rejects_a_value_that_is_not_finite(tmp_path, value):
-    p = tmp_path / "model.sol"
-    p.write_text(f"status optimal\nx0_y 1\nx1_z {value}\n")
-    with pytest.raises(SolveError, match=f"model.sol:3: value '{value}'"):
-        read_solution(p, 2)
-
-
 def test_lp_names_injective(tmp_path):
     # two display names that sanitize to the same text stay two columns
     m = Model("clash")
@@ -136,7 +118,7 @@ def test_lp_names_injective(tmp_path):
     m.write_lp(path)
     again = parse_lp(path)
     assert again.n_vars == 2
-    res = m.solve_subprocess(_stub_solver(tmp_path))
+    res = again.solve()
     assert len(res.x) == 2
     assert res.x[a] == pytest.approx(0.5) and res.x[b] == pytest.approx(2.0)
     assert res.objective == pytest.approx(6.5)
@@ -155,61 +137,6 @@ def test_time_limit_without_incumbent_is_not_feasible():
     assert res.status == "time-limit"
     assert not res.feasible
     assert res.x == [] and res.objective is None
-
-
-def _stub_solver(tmp_path, integer_offset: float = 0.0) -> str:
-    # external backend stub: parse the LP with the test reader, solve with
-    # HiGHS, emit its status line and a plain name/value solution file,
-    # with every integer
-    # column moved by integer_offset; it imports the same oosplan as this
-    # test, wherever that comes from
-    script = tmp_path / "solver.py"
-    script.write_text(
-        "import sys\n"
-        f"sys.path[:0] = [{SRC!r}, {TESTS!r}]\n"
-        "from lp_text import parse_lp\n"
-        "from oosplan.lp import CONTINUOUS\n"
-        "model = parse_lp(sys.argv[1])\n"
-        "res = model.solve()\n"
-        "with open(sys.argv[2], 'w') as fh:\n"
-        "    fh.write(f'status {res.status}\\n')\n"
-        "    for name, val, kind in zip(model.keys, res.x,\n"
-        "                               model.var_kind):\n"
-        "        if kind != CONTINUOUS:\n"
-        f"            val += {integer_offset!r}\n"
-        "        fh.write(f'{name} {val!r}\\n')\n")
-    return f"{sys.executable} {script} {{lp}} {{sol}}"
-
-
-def test_solve_subprocess_round_trip(tmp_path):
-    m = knapsack()
-    res = m.solve_subprocess(_stub_solver(tmp_path))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(23.0)
-
-
-def _copying_backend(tmp_path, text: str) -> str:
-    # external backend stub that writes a prepared solution file
-    prepared = tmp_path / "prepared.sol"
-    prepared.write_text(text)
-    script = tmp_path / "copy.py"
-    script.write_text("import shutil, sys\n"
-                      f"shutil.copy({str(prepared)!r}, sys.argv[1])\n")
-    return f"{sys.executable} {script} {{sol}}"
-
-
-def test_subprocess_status_comes_from_the_solution_file(tmp_path):
-    m = knapsack()
-    values = "x0_x_0_ 1\nx1_x_1_ 1\n"
-    res = m.solve_subprocess(_copying_backend(tmp_path, values))
-    assert res.status == "unknown"
-    assert res.objective == pytest.approx(23.0)
-    res = m.solve_subprocess(
-        _copying_backend(tmp_path, "status time-limit\n" + values))
-    assert res.status == "time-limit" and res.feasible
-    res = m.solve_subprocess(_copying_backend(tmp_path, "status infeasible\n"))
-    assert res.status == "infeasible"
-    assert not res.feasible and res.x == []
 
 
 def test_gap_and_mip_gap_reported():

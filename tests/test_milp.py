@@ -11,7 +11,6 @@ import pytest
 from enum_oracle import oracle_best
 from lp_text import parse_lp
 from micro import micro_instance, micro_scenario
-from test_lp import _stub_solver
 
 from oosplan.demand import ServiceNeed, build_window
 from oosplan.lp import CONTINUOUS, Model
@@ -496,28 +495,23 @@ def test_second_stage_restores_adjacency():
     assert raw_over_burns >= 1
 
 
-def test_second_stage_uses_the_same_backend(tmp_path, monkeypatch):
+def test_second_stage_uses_the_same_backend(monkeypatch):
     scenario, _, net, needs, init = micro_instance(1)
-    problem = PlanProblem(scenario, net, needs, init,
-                          SolveOptions(gap=0.0, backend=_stub_solver(tmp_path)))
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
     model = problem.model
     built = (list(model.var_lb), list(model.var_ub), list(model.var_kind),
              dict(model.objective), len(model.constraints))
     solved = []
-    through = Model.solve_subprocess
+    through = Model.solve
 
-    def logged(m, command):
-        res = through(m, command)
+    def logged(m, *args, **kwargs):
+        res = through(m, *args, **kwargs)
         solved.append((m, res))
         return res
-
-    def in_process(m, *args, **kwargs):
-        raise AssertionError("solved in process")
-    monkeypatch.setattr(Model, "solve_subprocess", logged)
-    monkeypatch.setattr(Model, "solve", in_process)
+    monkeypatch.setattr(Model, "solve", logged)
     solution = problem.solve()
-    # the first stage over-burned in the external solver too, and the
-    # min-burn LP went the same way
+    # the first stage over-burned, and the min-burn LP was solved the same
+    # way
     assert len(solved) == 2
     assert _over_burns(solved[0][1].x, problem)
     assert solved[1][0] is not model
@@ -650,16 +644,27 @@ def test_absent_column_reads_as_zero(solved):
         problem._add("presence", {}, "==", 1.0)
 
 
-def test_integer_columns_come_back_integral(tmp_path):
-    # an external solver returns integer columns within its integrality
-    # tolerance; solve() hands back exact integers and their profit
+def _solve_off_integral(monkeypatch, offset: float):
+    # Model.solve with every integer column of its result moved by offset
+    through = Model.solve
+
+    def moved(m, *args, **kwargs):
+        res = through(m, *args, **kwargs)
+        res.x = [v if kind == CONTINUOUS else v + offset
+                 for v, kind in zip(res.x, m.var_kind)]
+        return res
+    monkeypatch.setattr(Model, "solve", moved)
+
+
+def test_integer_columns_come_back_integral(monkeypatch):
+    # a solver returns integer columns within its integrality tolerance;
+    # solve() hands back exact integers and their profit
     registry = PluginRegistry.default()
     registry.register("low_thrust", _line_low_thrust)
     scenario, _, net, needs, init = micro_instance(0)
     net = expand(net.nodes, net.grid, scenario, registry=registry)
-    problem = PlanProblem(
-        scenario, net, needs, init,
-        SolveOptions(gap=0.0, backend=_stub_solver(tmp_path, 1e-9)))
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    _solve_off_integral(monkeypatch, 1e-9)
     assert not problem.curve_points
     solution = problem.solve()
     integer = [solution.values[k] for k, kind in
@@ -673,15 +678,15 @@ def test_integer_columns_come_back_integral(tmp_path):
         oracle_best(scenario, net, needs, init), rel=1e-6, abs=1e-3)
 
 
-def test_integer_column_off_by_more_than_the_tolerance_is_an_error(tmp_path):
-    # an external solver returns integer columns 1e-3 off, beyond INT_TOL
+def test_integer_column_off_by_more_than_the_tolerance_is_an_error(
+        monkeypatch):
+    # a solver returns integer columns 1e-3 off, beyond INT_TOL
     registry = PluginRegistry.default()
     registry.register("low_thrust", _line_low_thrust)
     scenario, _, net, needs, init = micro_instance(0)
     net = expand(net.nodes, net.grid, scenario, registry=registry)
-    problem = PlanProblem(
-        scenario, net, needs, init,
-        SolveOptions(gap=0.0, backend=_stub_solver(tmp_path, 1e-3)))
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    _solve_off_integral(monkeypatch, 1e-3)
     first = next(name for name, kind in zip(problem.model.var_names,
                                             problem.model.var_kind)
                  if kind != CONTINUOUS)

@@ -78,6 +78,11 @@ def test_launch_duration_must_be_positive(multimodal, duration):
     ({"vehicle": "nope", "longitude": -170.0}, "unknown vehicle 'nope'"),
     ({"vehicle": "depot", "longitude": -160.0},
      "no parking slot at longitude -160.0"),
+    # the model holds one copy of each deployed vehicle, and no launcher
+    ({"vehicle": "depot", "longitude": -170.0},
+     "deployment of depot: deployed twice"),
+    ({"vehicle": "falcon9", "longitude": -170.0},
+     "deployment of falcon9: a launcher flies only from Earth"),
 ])
 def test_deployment_rejected(multimodal, deployment, message):
     cfg = multimodal.to_dict()

@@ -6,7 +6,8 @@ Runs ``oosplan campaign --horizon-days 360`` for demand seeds 1-8, for each
 shipped scenario (``high_thrust``, ``multimodal``, ``low_thrust``), on the
 benchmark's two catalogs: ``five`` (the five satellites of ``campaign_mm5``)
 and ``twenty`` (the twenty of ``campaign_ht20``). Each run is a fresh
-process on this checkout's ``src``. For each it prints one line: the exit
+process on this checkout's ``src``, one per CPU at a time
+(``os.cpu_count()``). For each, in run order, it prints one line: the exit
 code, the SHA-256 of ``ledger.csv`` and ``events.json`` (``-`` for a file
 not written) and the first error line on stderr (the first line starting
 with ``error``, else the last line, which ends a traceback). A run whose
@@ -25,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,13 +86,17 @@ def main() -> int:
                 w.writerow(["name", "longitude_deg"])
                 w.writerows(sats)
         runs = list(itertools.product(SCENARIOS, CATALOGS, SEEDS))
-        for k, (scenario, catalog, seed) in enumerate(runs):
-            code, ledger, events, error, stray = run_one(
-                scenario, catalogs[catalog], seed, tmp / f"run{k}")
-            failed += code != 0
-            print(f"{scenario} {catalog} seed={seed} exit={code} "
-                  f"ledger={ledger} events={events} error={error}"
-                  + (f" stdout={stray}" if stray else ""), flush=True)
+        args = [(scenario, catalogs[catalog], seed, tmp / f"run{k}")
+                for k, (scenario, catalog, seed) in enumerate(runs)]
+        # each thread waits on its campaign's process; map keeps run order
+        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+            for (scenario, catalog, seed), result in zip(
+                    runs, pool.map(lambda a: run_one(*a), args)):
+                code, ledger, events, error, stray = result
+                failed += code != 0
+                print(f"{scenario} {catalog} seed={seed} exit={code} "
+                      f"ledger={ledger} events={events} error={error}"
+                      + (f" stdout={stray}" if stray else ""), flush=True)
     print(f"{failed} of {len(runs)} runs failed")
     return 1 if failed else 0
 
