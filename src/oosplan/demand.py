@@ -44,16 +44,6 @@ class ServiceNeed:
         return start <= t < start + self.duration
 
 
-def _need_from_spec(need_id: str, sat: str, spec: ServiceTypeSpec,
-                    tau: float) -> ServiceNeed:
-    return ServiceNeed(
-        id=need_id, satellite=sat, service_type=spec.id, tau=tau,
-        duration=spec.duration, revenue=spec.revenue,
-        delay_penalty_per_day=spec.delay_penalty_per_day,
-        commodity_demand=dict(spec.commodity_demand),
-        required_tool=spec.required_tool)
-
-
 def _sat_rng(seed: int, sat_name: str, service_id: str) -> np.random.Generator:
     # independent, process-stable stream per (satellite, service type)
     digest = hashlib.sha256(f"{sat_name}|{service_id}".encode()).digest()
@@ -61,41 +51,33 @@ def _sat_rng(seed: int, sat_name: str, service_id: str) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def generate_deterministic(sats: list[CustomerSat], spec: ServiceTypeSpec,
-                           horizon: float, seed: int) -> list[ServiceNeed]:
-    """Regularly spaced needs with a seeded random phase per satellite."""
-    if spec.occurrence.kind != "deterministic":
-        raise ValueError(f"service {spec.id} is not deterministic")
-    freq = spec.occurrence.interval
+def generate_needs(sats: list[CustomerSat], spec: ServiceTypeSpec,
+                   horizon: float, seed: int) -> list[ServiceNeed]:
+    """Every need of one service type on each satellite up to ``horizon``.
+
+    A deterministic need recurs every ``interval`` days after a seeded
+    uniform phase in [0, interval); a random one follows a Poisson process
+    whose exponential gaps have mean ``interval``.
+    """
+    interval = spec.occurrence.interval
+    regular = spec.occurrence.kind == "deterministic"
     needs = []
     for sat in sats:
         rng = _sat_rng(seed, sat.name, spec.id)
-        phase = float(rng.uniform(0.0, freq))
-        k = 0
-        while phase + k * freq <= horizon:
-            tau = phase + k * freq
-            needs.append(_need_from_spec(
-                f"{sat.name}/{spec.id}/{k}", sat.name, spec, tau))
-            k += 1
-    return needs
-
-
-def generate_random(sats: list[CustomerSat], spec: ServiceTypeSpec,
-                    horizon: float, seed: int) -> list[ServiceNeed]:
-    """Poisson-process needs with the configured mean inter-occurrence time."""
-    if spec.occurrence.kind != "random":
-        raise ValueError(f"service {spec.id} is not random")
-    mean = spec.occurrence.interval
-    needs = []
-    for sat in sats:
-        rng = _sat_rng(seed, sat.name, spec.id)
-        tau = float(rng.exponential(mean))
-        k = 0
+        first = float(rng.uniform(0.0, interval) if regular
+                      else rng.exponential(interval))
+        k, tau = 0, first
         while tau <= horizon:
-            needs.append(_need_from_spec(
-                f"{sat.name}/{spec.id}/{k}", sat.name, spec, tau))
-            tau += float(rng.exponential(mean))
+            needs.append(ServiceNeed(
+                id=f"{sat.name}/{spec.id}/{k}", satellite=sat.name,
+                service_type=spec.id, tau=tau, duration=spec.duration,
+                revenue=spec.revenue,
+                delay_penalty_per_day=spec.delay_penalty_per_day,
+                commodity_demand=dict(spec.commodity_demand),
+                required_tool=spec.required_tool))
             k += 1
+            tau = (first + k * interval if regular
+                   else tau + float(rng.exponential(interval)))
     return needs
 
 
@@ -120,8 +102,6 @@ class DemandStream:
     """All service needs over a campaign, ordered by occurrence date."""
 
     needs: tuple[ServiceNeed, ...]
-    seed: int
-    horizon: float
 
     def __post_init__(self):
         taus = [n.tau for n in self.needs]
@@ -134,12 +114,9 @@ def generate_stream(sats: list[CustomerSat], scenario: Scenario,
     """Generate the full demand stream over the campaign horizon."""
     needs: list[ServiceNeed] = []
     for spec in scenario.services.values():
-        if spec.occurrence.kind == "deterministic":
-            needs += generate_deterministic(sats, spec, horizon, seed)
-        else:
-            needs += generate_random(sats, spec, horizon, seed)
+        needs += generate_needs(sats, spec, horizon, seed)
     needs.sort(key=lambda n: (n.tau, n.id))
-    return DemandStream(needs=tuple(needs), seed=seed, horizon=horizon)
+    return DemandStream(needs=tuple(needs))
 
 
 def window_needs(stream_needs: Iterable[ServiceNeed], scenario: Scenario,
@@ -153,6 +130,6 @@ def window_needs(stream_needs: Iterable[ServiceNeed], scenario: Scenario,
         local = replace(need, tau=need.tau - day_offset)
         spec = scenario.services[need.service_type]
         built = build_window(local, grid, spec.window)
-        if built is not None and built.tau >= -spec.window:
+        if built is not None:
             out.append(built)
     return out

@@ -42,11 +42,14 @@ A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
 returns weights on breakpoints that are not neighbours (an over-burn that
 earns nothing), ``PlanProblem.solve`` fixes the plan and solves one LP that
-minimizes the curve-arc burn at the same profit.
+minimizes the curve-arc burn at the same profit. Where that LP ties on a
+near-straight curve and still leaves such weights, they move onto the two
+breakpoints that bracket the arc's wet mass if the burn barely changes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -61,6 +64,10 @@ INT_TOL = 1e-6
 COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
 EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
 SOS2_TOL = 1e-6                 # weight counted in a curve arc's support
+# Most burn (kg) that moving a curve arc's weights onto neighbours may change.
+# The least-burn LP's ties on near-straight curves leave at most 4.3e-8 kg;
+# the move lands on the arc's arrival balance, which the audit holds to 1e-6.
+NEIGHBOUR_BURN_TOL = 1e-7
 
 
 class ModelError(Exception):
@@ -667,8 +674,9 @@ class PlanProblem:
         sol = Solution(status=res.status, objective=res.objective, x=res.x,
                        gap=res.gap, dual_bound=res.dual_bound, nodes=res.nodes)
         if sol.feasible:
-            if not self._adjacent(sol.x):
+            if not all(self._neighbours(c, sol.x) for c in self._arc_cols):
                 self._min_burn(sol)
+                self._to_neighbours(sol.x)
             # integer columns come back within the solver's tolerance:
             # check and round them in one pass
             x = sol.x
@@ -684,16 +692,33 @@ class PlanProblem:
             sol.objective = sol.components["profit"]
         return sol
 
-    def _adjacent(self, x: list[float]) -> bool:
-        """Every curve arc's weights sit on at most two neighbouring
-        breakpoints (the tolerance of ``audit``)."""
-        for cols in self._arc_cols:
-            support = [n for n, col in enumerate(cols.lam)
-                       if x[col] > SOS2_TOL]
-            if len(support) > 2 or (len(support) == 2
-                                    and support[1] - support[0] != 1):
-                return False
-        return True
+    @staticmethod
+    def _neighbours(cols: _ArcColumns, x: list[float]) -> bool:
+        """The arc's weights sit on at most two neighbouring breakpoints
+        (the tolerance of ``audit``)."""
+        support = [n for n, col in enumerate(cols.lam) if x[col] > SOS2_TOL]
+        return len(support) < 2 or support == [support[0], support[0] + 1]
+
+    def _to_neighbours(self, x: list[float]):
+        """Move the weights of each curve arc that the least-burn LP left on
+        breakpoints that are not neighbours (a tie on a near-straight curve)
+        onto the two that bracket its Z, where that changes the arc's burn by
+        at most ``NEIGHBOUR_BURN_TOL``; otherwise leave them for ``audit``."""
+        for a, cols in zip(self.arcs, self._arc_cols):
+            if self._neighbours(cols, x):
+                continue
+            pts = self.curve_points[a.key]
+            masses = [b for b, _ in pts]
+            z = min(max(x[cols.z], masses[0]), masses[-1])
+            hi = min(bisect.bisect_right(masses, z), len(masses) - 1)
+            (b0, f0), (b1, f1) = pts[hi - 1], pts[hi]
+            share = (z - b0) / (b1 - b0)
+            burn = sum(x[col] * f for col, (_, f) in zip(cols.lam, pts))
+            if abs((1.0 - share) * f0 + share * f1 - burn) > NEIGHBOUR_BURN_TOL:
+                continue
+            for col in cols.lam:
+                x[col] = 0.0
+            x[cols.lam[hi - 1]], x[cols.lam[hi]] = 1.0 - share, share
 
     def _min_burn(self, sol: Solution):
         """Second stage: with every integer column fixed and the profit held

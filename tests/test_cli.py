@@ -6,6 +6,7 @@ import pytest
 from oosplan.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from oosplan.demand import generate_stream
 from oosplan.lp import HighsResult
+from oosplan.milp import Violation
 from oosplan.scenario import load_catalog
 
 
@@ -125,6 +126,24 @@ def test_failing_backend_exits_one(catalog_file, tmp_path, capsys,
     assert code == EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith(
         "error: solver failure: Solve error")
+
+
+@pytest.mark.parametrize("command, audit, message", [
+    ("plan", "oosplan.milp.audit", "audit FAILED: [Violation(wet_mass"),
+    ("campaign", "oosplan.horizon.audit",
+     "error: solution audit failed at day 0: [Violation(wet_mass"),
+], ids=["plan", "campaign"])
+def test_audit_failure_exits_one_and_writes_nothing(
+        catalog_file, tmp_path, capsys, monkeypatch, command, audit, message):
+    monkeypatch.setattr(audit, lambda problem, values: [
+        Violation("wet_mass", "servicer|0|1|10|high_thrust|2", 1.0)])
+    out = tmp_path / "o"
+    code = main([command, "--scenario", "multimodal",
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(out)])
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_time_limit_stop_without_incumbent_is_no_plan(tmp_path, capsys,

@@ -1,8 +1,7 @@
 import pytest
 
 from oosplan.demand import (DemandStream, ServiceNeed, build_window,
-                            generate_deterministic, generate_random,
-                            generate_stream, window_needs)
+                            generate_needs, generate_stream, window_needs)
 from oosplan.network import build_time_grid
 from oosplan.scenario import CustomerSat
 
@@ -11,7 +10,7 @@ SATS = [CustomerSat("a", 10.0), CustomerSat("b", -50.0)]
 
 def test_deterministic_spacing(multimodal):
     spec = multimodal.services["refueling"]
-    needs = generate_deterministic(SATS, spec, horizon=9000.0, seed=1)
+    needs = generate_needs(SATS, spec, horizon=9000.0, seed=1)
     per_sat = {}
     for n in needs:
         per_sat.setdefault(n.satellite, []).append(n.tau)
@@ -19,30 +18,26 @@ def test_deterministic_spacing(multimodal):
         gaps = [b - a for a, b in zip(taus, taus[1:])]
         assert all(g == pytest.approx(spec.occurrence.interval) for g in gaps)
         assert 0.0 <= taus[0] < spec.occurrence.interval
+        # each date is phase + k * interval, not a running sum
+        assert taus == [taus[0] + k * spec.occurrence.interval
+                        for k in range(len(taus))]
 
 
 def test_deterministic_reproducible(multimodal):
     spec = multimodal.services["refueling"]
-    a = generate_deterministic(SATS, spec, horizon=9000.0, seed=3)
-    b = generate_deterministic(SATS, spec, horizon=9000.0, seed=3)
+    a = generate_needs(SATS, spec, horizon=9000.0, seed=3)
+    b = generate_needs(SATS, spec, horizon=9000.0, seed=3)
     assert [(n.id, n.tau) for n in a] == [(n.id, n.tau) for n in b]
-    c = generate_deterministic(SATS, spec, horizon=9000.0, seed=4)
+    c = generate_needs(SATS, spec, horizon=9000.0, seed=4)
     assert [n.tau for n in a] != [n.tau for n in c]
 
 
 def test_random_poisson_mean(multimodal):
     spec = multimodal.services["repositioning"]
     sats = [CustomerSat(f"s{i}", float(i - 170)) for i in range(200)]
-    needs = generate_random(sats, spec, horizon=50000.0, seed=5)
+    needs = generate_needs(sats, spec, horizon=50000.0, seed=5)
     rate = len(needs) / (200 * 50000.0)
     assert rate == pytest.approx(1.0 / spec.occurrence.interval, rel=0.1)
-
-
-def test_kind_mismatch_raises(multimodal):
-    with pytest.raises(ValueError):
-        generate_deterministic(SATS, multimodal.services["repair"], 100.0, 0)
-    with pytest.raises(ValueError):
-        generate_random(SATS, multimodal.services["refueling"], 100.0, 0)
 
 
 def _need(tau, duration=10):
@@ -75,7 +70,7 @@ def test_stream_sorted_and_export(multimodal):
 
 def test_stream_rejects_unsorted():
     with pytest.raises(ValueError):
-        DemandStream(needs=(_need(5.0), _need(1.0)), seed=0, horizon=10.0)
+        DemandStream(needs=(_need(5.0), _need(1.0)))
 
 
 def test_window_needs_offset(multimodal):

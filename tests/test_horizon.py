@@ -11,6 +11,7 @@ from oosplan.milp import (InitialState, PendingArrival, PlanProblem,
                           SolveOptions, commit, extract_schedule, vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
+from oosplan.trajectory import PluginRegistry, TrajectoryModel, lt_model
 
 
 def test_ledger_value_identity():
@@ -85,7 +86,7 @@ def test_visible_needs_reveal_rules(multimodal):
              _need("r0", 50.0, "repositioning"),
              _need("r1", 80.0, "repositioning"),
              _need("d1", 200.0, "refueling"))
-    stream = DemandStream(needs=needs, seed=0, horizon=300.0)
+    stream = DemandStream(needs=needs)
     state = WorldState(day=60)
     seen = {n.id for n in visible_needs(stream, multimodal, state, 90)}
     # deterministic needs are announced a window ahead; random ones only once
@@ -98,7 +99,7 @@ def test_visible_needs_reveal_rules(multimodal):
 
 
 def test_campaign_no_satellites_burns_ops(multimodal):
-    stream = DemandStream(needs=(), seed=0, horizon=120.0)
+    stream = DemandStream(needs=())
     result = run(multimodal, [], stream, horizon_days=120,
                  config=RhConfig(gap=0.0))
     led = result.ledger
@@ -124,7 +125,7 @@ def _synthetic_stream(multimodal):
     rep = multimodal.services["repositioning"]
     needs = (_make("satA/refueling/0", "satA", ref, 12.0),
              _make("satB/repositioning/0", "satB", rep, 40.0))
-    return DemandStream(needs=needs, seed=0, horizon=120.0)
+    return DemandStream(needs=needs)
 
 
 def _synthetic_campaign(multimodal):
@@ -166,6 +167,42 @@ def test_campaign_repeat_is_identical(multimodal, campaign):
     assert runs[0].state.served == runs[1].state.served
 
 
+def test_campaign_with_a_user_defined_trajectory_plugin(multimodal,
+                                                        monkeypatch):
+    # a low-thrust plugin of the user's: the chord through the origin and
+    # the heaviest point of the shipped curve, so every low-thrust arc is
+    # a line
+    queries = []
+
+    def line(query, n_breakpoints):
+        queries.append(query)
+        curve = lt_model(query, n_breakpoints)
+        (m0, _), (m1, p1) = curve.breakpoints[0], curve.breakpoints[-1]
+        f = p1 / m1
+        return TrajectoryModel(breakpoints=((m0, f * m0), (m1, f * m1)),
+                               mass_upper_bound=curve.mass_upper_bound,
+                               kind="low_thrust", burn_fraction=f)
+    registry = PluginRegistry.default()
+    registry.register("low_thrust", line)
+    low_thrust_arcs = []
+    solve = PlanProblem.solve
+
+    def recorded(problem):
+        low_thrust_arcs.extend(a for a in problem.arcs if a.r == "low_thrust")
+        return solve(problem)
+    monkeypatch.setattr(PlanProblem, "solve", recorded)
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    result = run(multimodal, sats, _synthetic_stream(multimodal),
+                 horizon_days=60, config=RhConfig(gap=0.0), registry=registry)
+    assert queries and low_thrust_arcs
+    assert all(a.model.burn_fraction is not None for a in low_thrust_arcs)
+    assert result.boundaries[-1] == 60
+    led = result.ledger
+    assert led.value() == pytest.approx(
+        led.total("revenues") - led.initial_investment
+        - sum(led.total(b) for b in COST_BUCKETS))
+
+
 def test_export_events_on_campaign_clock(campaign, tmp_path):
     stream, result = campaign
     path = tmp_path / "events.json"
@@ -184,7 +221,7 @@ def test_export_events_on_campaign_clock(campaign, tmp_path):
 
 
 def test_run_rejects_bad_commit(multimodal):
-    stream = DemandStream(needs=(), seed=0, horizon=120.0)
+    stream = DemandStream(needs=())
     for window, commit in [(90, 7),     # not a multiple of the period
                            (90, 0),     # zero is a value, not "unset"
                            (60, 90)]:   # longer than the planning window
@@ -329,8 +366,7 @@ def _launch_case(multimodal, launch_duration=2):
             spec, occurrence=replace(spec.occurrence, kind="deterministic"))),
         network=replace(multimodal.network, launch_duration=launch_duration))
     sats = [CustomerSat("satA", -160.0)]
-    stream = DemandStream(needs=(_make("satA/repair/0", "satA", spec, 35.0),),
-                          seed=0, horizon=90.0)
+    stream = DemandStream(needs=(_make("satA/repair/0", "satA", spec, 35.0),))
     start = InitialState(
         vehicle_nodes={"depot": "parking_0", "mm_versatile": "parking_0"},
         commodities={vid: dict(scn.vehicles[vid].capacities, spares=0.0)

@@ -524,6 +524,37 @@ def test_second_stage_uses_the_same_backend(monkeypatch):
                      model.objective, len(model.constraints))
 
 
+@pytest.mark.parametrize("seed", [157, 404])
+def test_least_burn_tie_ends_on_neighbouring_weights(monkeypatch, seed):
+    # on a near-straight curve the least-burn LP ties and leaves one arc's
+    # weights on breakpoints that are not neighbours; solve() moves them
+    # onto the two that bracket Z, and the plan stays optimal
+    solved = []
+    through = Model.solve
+
+    def logged(m, *args, **kwargs):
+        res = through(m, *args, **kwargs)
+        solved.append(list(res.x))
+        return res
+    monkeypatch.setattr(Model, "solve", logged)
+    scenario, _, net, needs, init = micro_instance(seed)
+    problem = _solve_against_oracle(scenario, net, needs, init)
+    assert len(solved) == 2
+    assert _over_burns(solved[1], problem)
+
+
+def test_an_over_burn_is_not_moved_onto_neighbours():
+    # a first-stage over-burn costs more than a tie's round-off, so the
+    # move leaves it for audit to flag
+    scenario, _, net, needs, init = micro_instance(1)
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    x = problem.model.solve(gap=0.0).x
+    assert _over_burns(x, problem)
+    moved = list(x)
+    problem._to_neighbours(moved)
+    assert moved == x
+
+
 def test_customer_states_only_where_a_row_lets_them_be_nonzero():
     scenario = micro_scenario(np.random.default_rng(7))
     sats = [CustomerSat("sat0", -160.0), CustomerSat("sat1", 100.0)]

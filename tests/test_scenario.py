@@ -91,6 +91,58 @@ def test_deployment_rejected(multimodal, deployment, message):
         scenario_from_dict(cfg)
 
 
+# mm_versatile is vehicle 2, with a high-thrust then a low-thrust mode;
+# refueling is service 1
+MM = ("vehicles", 2)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("commodities", 0, "kind"), "gas",
+     "commodity bipropellant: unknown kind 'gas'"),
+    (("commodities", 0, "unit_mass"), 0.0, "unit_mass must be > 0"),
+    (("commodities", 0, "purchase_cost"), -1.0, "purchase_cost must be >= 0"),
+    (MM + ("propulsion", 0, "kind"), "warp", "unknown kind 'warp'"),
+    (MM + ("propulsion", 0, "isp"), 0.0, "isp must be > 0"),
+    (MM + ("propulsion", 1, "thrust"), 0.0, "requires thrust > 0"),
+    (MM + ("propulsion", 0, "flight_durations"), [],
+     "flight_durations is empty"),
+    (MM + ("class",), "tug", "mm_versatile: unknown class 'tug'"),
+    (MM + ("capacities", "xenon"), -1.0, "capacities must be >= 0"),
+    (MM + ("propulsion", 1, "kind"), "high_thrust",
+     "at most one high-thrust and one low-thrust mode"),
+    (MM + ("tools_installed",), ["T9"], "mm_versatile: unknown tool 'T9'"),
+    (MM + ("propulsion", 0, "propellant_commodity"), "nope",
+     "unknown propellant 'nope'"),
+    (("vehicles", 0, "station_keeping_commodity"), "nope",
+     "depot: unknown station-keeping commodity"),
+    (("services", 1, "occurrence", "kind"), "sometimes",
+     "occurrence: unknown kind 'sometimes'"),
+    (("services", 1, "occurrence", "interval"), 0.0,
+     "occurrence interval must be > 0"),
+    (("services", 1, "revenue"), -1.0, "refueling: revenue must be >= 0"),
+    (("services", 1, "duration"), 0, "refueling: duration must be > 0"),
+    (("services", 1, "window"), 0, "refueling: window must be > 0"),
+    (("services", 1, "commodity_demand", "monopropellant"), -1.0,
+     "demand magnitudes must be >= 0"),
+    (("services", 1, "required_tool"), "T9", "refueling: unknown tool 'T9'"),
+    (("services", 1, "commodity_demand", "nope"), 1.0,
+     "refueling: unknown commodity 'nope'"),
+    (("economics", "launch_cost_per_kg"), 0.0,
+     "launch_cost_per_kg must be > 0"),
+    (("economics", "forbidden_radius_km"), 50000.0,
+     "forbidden_radius must be below geo_radius"),
+    (("commodities", 0, "colour"), "red", "malformed scenario config"),
+])
+def test_invalid_input_rejected(multimodal, path, value, message):
+    cfg = multimodal.to_dict()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(cfg)
+
+
 def test_malformed_json_names_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"commodities": [,]}')
@@ -121,6 +173,13 @@ def test_load_catalog_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("nm,lon\nA,0\n")
     with pytest.raises(ScenarioError, match="header"):
+        load_catalog(p)
+
+
+def test_load_catalog_malformed_row(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("name,longitude_deg\nA,10\nB\n")
+    with pytest.raises(ScenarioError, match=":3: malformed row"):
         load_catalog(p)
 
 
