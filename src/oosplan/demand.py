@@ -120,16 +120,16 @@ def generate_stream(sats: list[CustomerSat], scenario: Scenario,
 
 
 def window_needs(stream_needs: Iterable[ServiceNeed], scenario: Scenario,
-                 grid: TimeGrid, day_offset: float = 0.0) -> list[ServiceNeed]:
-    """Clip needs to a planning grid, shifting occurrence dates by day_offset.
+                 grid: TimeGrid) -> list[ServiceNeed]:
+    """Clip needs to a planning grid. The grid and the occurrence dates are
+    both on the campaign clock, so a need keeps its date.
 
     Needs whose window has no grid step are dropped.
     """
     out = []
     for need in stream_needs:
-        local = replace(need, tau=need.tau - day_offset)
         spec = scenario.services[need.service_type]
-        built = build_window(local, grid, spec.window)
+        built = build_window(need, grid, spec.window)
         if built is not None:
             out.append(built)
     return out

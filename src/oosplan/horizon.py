@@ -41,8 +41,8 @@ class WorldState:
     """The campaign at a commit boundary: the campaign ``day``, the needs
     served or lost so far, and ``start``, the one record of where every
     vehicle, cargo and running service is. ``start`` is the
-    ``InitialState`` that the next window is built from, with its times on
-    that window's clock; each step shifts it by the commit interval.
+    ``InitialState`` that the next window is built from; like every time in
+    a campaign, its times are campaign days.
     """
     day: int = 0
     start: InitialState = field(default_factory=InitialState)
@@ -137,13 +137,7 @@ class CampaignResult:
 
     def export_events(self, path: str | Path):
         """Write the committed events as JSON in campaign days."""
-        events = []
-        for s in self.steps:
-            for e in s.committed_events:
-                detail = {k: v + s.day if k in ("arrive_day", "end_day")
-                          else v for k, v in e.detail.items()}
-                events.append(dict(e.to_dict(), day=e.day + s.day,
-                                   detail=detail))
+        events = [e.to_dict() for s in self.steps for e in s.committed_events]
         Path(path).write_text(json.dumps(events, indent=2) + "\n")
 
 
@@ -191,9 +185,9 @@ def _local_problem(scenario: Scenario, sats: list[CustomerSat],
                    config: RhConfig,
                    registry: Optional[PluginRegistry] = None) -> PlanProblem:
     grid = build_time_grid(scenario.network.period, scenario.network.offsets,
-                           config.window_days)
+                           config.window_days, start=state.day)
     candidates = visible_needs(stream, scenario, state, config.window_days)
-    local = window_needs(candidates, scenario, grid, day_offset=state.day)
+    local = window_needs(candidates, scenario, grid)
     # needs whose admissible window has entirely passed are lost for good
     live = {n.id for n in local}
     for need in candidates:
@@ -240,11 +234,11 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
         raise CampaignError(
             f"solution audit failed at day {state.day}: {violations[:5]}")
     schedule = extract_schedule(problem, solution)
-    committed, next_start = commit(problem, solution, schedule, days)
     day0 = state.day
+    committed, next_start = commit(problem, solution, schedule, day0 + days)
     for e in committed:
         for bucket, amount in e.cash.items():
-            ledger.book(day0 + e.day, bucket, amount)
+            ledger.book(e.day, bucket, amount)
         if e.kind == "service_start":
             state.served.add(e.detail["need"])
 

@@ -114,11 +114,11 @@ HIGHS_OPTIONS = {"output_flag": False, "presolve_rule_off": PROBING_OFF,
                  "mip_heuristic_run_feasibility_jump": False}
 
 _HMS = highs.HighsModelStatus
-# scipy.optimize.milp's status code per HiGHS model status, as in
-# scipy.optimize._linprog_highs; every other status (unbounded-or-infeasible,
-# an empty model, ...) is 4
+# scipy.optimize.milp's status code per HiGHS model status, except that a
+# model HiGHS rejects (kModelError) is 4, a solver failure, not infeasible;
+# every other status (unbounded-or-infeasible, an empty model, ...) is 4 too
 _SCIPY_STATUS = {_HMS.kOptimal: 0, _HMS.kTimeLimit: 1, _HMS.kIterationLimit: 1,
-                 _HMS.kInfeasible: 2, _HMS.kModelError: 2, _HMS.kUnbounded: 3}
+                 _HMS.kInfeasible: 2, _HMS.kUnbounded: 3}
 # limits after which a MILP's incumbent, if HiGHS holds one, comes back
 _LIMITS = (_HMS.kTimeLimit, _HMS.kIterationLimit, _HMS.kSolutionLimit)
 # HiGHS's column type per integrality code 0 and 1
@@ -215,7 +215,7 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise SolveError(f"HiGHS rejects option {key}={value!r}")
     if solver.passModel(lp) == highs.HighsStatus.kError:
-        return HighsResult(2, "model error")
+        return HighsResult(4, "HiGHS rejects the model")
     # HiGHS can print to file descriptor 1 even with output off; keep that
     # on stderr, off the standard output of the program that solves
     sys.stdout.flush()

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .demand import ServiceNeed
@@ -89,7 +89,7 @@ class PendingArrival:
     """A vehicle (with cargo) already in flight toward a node at horizon start."""
     vehicle: str
     node: str
-    t: int                      # arrival step on the local grid
+    t: int                      # arrival step, a campaign day
     commodities: dict[str, float] = field(default_factory=dict)
 
 
@@ -98,18 +98,18 @@ class CommittedService:
     """A service started in a previous horizon that still occupies a servicer."""
     vehicle: str
     node: str                   # customer satellite name
-    end_day: float              # local day at which the service completes
+    end_day: float              # campaign day on which the service completes
     need_id: str = ""
-    start_day: float = 0.0      # local day at which the service began
+    start_day: float = 0.0      # campaign day on which the service began
 
 
 @dataclass(frozen=True)
 class InitialState:
-    """The world a window starts from, on that window's clock (day 0 is its
-    first step): the parked vehicles and their loads, what is still in
-    flight, and the services still running. A campaign carries one such
-    record from window to window, shifted by the commit interval at each
-    boundary."""
+    """The world a window starts from on its first step: the parked
+    vehicles and their loads, what is still in flight, and the services
+    still running. Its times are campaign days, the clock of every window's
+    grid, so a campaign carries one such record from window to window as it
+    stands."""
     vehicle_nodes: dict[str, str] = field(default_factory=dict)
     commodities: dict[str, dict[str, float]] = field(default_factory=dict)
     pending_arrivals: tuple[PendingArrival, ...] = ()
@@ -370,9 +370,9 @@ class PlanProblem:
                             vn("B", vid, need.id, t), kind=BINARY)
         self._s0: dict[str, int] = {}
         for vid in self.active:
-            start = self.init.vehicle_nodes.get(vid)
-            if start is not None and self.node_by_name[start].tier == "customer" \
-                    and (vid, self.node_by_name[start].index, 0) not in self.pinned:
+            node = self.node_by_name.get(self.init.vehicle_nodes.get(vid))
+            if node is not None and node.tier == "customer" \
+                    and (vid, node.index, grid.steps[0]) not in self.pinned:
                 self._s0[vid] = m.add_var(vn("S0", vid), ub=1.0)
 
         self._add_balances()
@@ -1030,23 +1030,21 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
     return Schedule(events=tuple(events), outcomes=outcomes)
 
 
-def start_after(problem: PlanProblem, solution: Solution, commit: int,
+def start_after(problem: PlanProblem, solution: Solution, boundary: int,
                 started: list[CommittedService]) -> InitialState:
-    """The next window's start: the world ``commit`` days into ``problem``'s
-    window, read from the solved flows, with the services ``started`` in
-    that interval, every time shifted onto the next window's clock."""
+    """The next window's start: the world on campaign day ``boundary``,
+    read from ``problem``'s solved flows, with the services ``started``
+    before it; its times stay campaign days."""
     x = solution.x
     names = {n.index: n.name for n in problem.net.nodes.nodes}
     init = problem.init
-    pending = [replace(p, t=p.t - commit) for p in init.pending_arrivals
-               if p.t > commit]
-    committed = tuple(
-        replace(c, start_day=c.start_day - commit, end_day=c.end_day - commit)
-        for c in init.committed + tuple(started) if c.end_day > commit)
+    pending = [p for p in init.pending_arrivals if p.t > boundary]
+    committed = tuple(c for c in init.committed + tuple(started)
+                      if c.end_day > boundary)
 
     # flights and launch cargo still in the air at the boundary
     for a, cols in zip(problem.arcs, problem._arc_cols):
-        if not (a.t < commit < a.arrival and x[cols.w] > 0.5):
+        if not (a.t < boundary < a.arrival and x[cols.w] > 0.5):
             continue
         if a.is_launch:
             cargo = {k: x[u] for k, u in cols.u.items() if x[u] > 1e-9}
@@ -1062,7 +1060,7 @@ def start_after(problem: PlanProblem, solution: Solution, commit: int,
                         amount -= f * x[col]
                 cargo[k] = max(amount, 0.0)
         pending.append(PendingArrival(vehicle=a.vehicle, node=names[a.j],
-                                      t=a.arrival - commit, commodities=cargo))
+                                      t=a.arrival, commodities=cargo))
 
     # A vehicle leaves only from a state, so every parked vehicle is found
     # at a state on the boundary step. A departure at exactly the boundary
@@ -1072,7 +1070,7 @@ def start_after(problem: PlanProblem, solution: Solution, commit: int,
     commodities: dict[str, dict[str, float]] = {}
     for s in problem.states:
         vid, i, t = s
-        if t != commit:
+        if t != boundary:
             continue
         leaving = [cols for cols in problem._dep.get(s, ()) if x[cols.w] > 0.5]
         if leaving or x[problem._y[s]] > 0.5:
@@ -1091,19 +1089,19 @@ def start_after(problem: PlanProblem, solution: Solution, commit: int,
 
 
 def commit(problem: PlanProblem, solution: Solution, schedule: Schedule,
-           days: int) -> tuple[list[ScheduleEvent], InitialState]:
-    """What a campaign keeps of a solved window when it commits its first
-    ``days``: the events before that boundary, then the service starts that
-    a committed flight is flying to, each group in schedule order; and the
+           boundary: int) -> tuple[list[ScheduleEvent], InitialState]:
+    """What a campaign keeps of a solved window up to campaign day
+    ``boundary``: the events before it, then the service starts that a
+    committed flight is flying to, each group in schedule order; and the
     next window's start, which holds the services begun among them."""
-    events = [e for e in schedule.events if e.day < days]
+    events = [e for e in schedule.events if e.day < boundary]
     flights = {(e.vehicle, e.detail["to"], e.detail["arrive_day"])
                for e in events if e.kind == "flight"}
     events += [e for e in schedule.events
-               if e.kind == "service_start" and e.day >= days
+               if e.kind == "service_start" and e.day >= boundary
                and (e.vehicle, e.detail["satellite"], e.day) in flights]
     started = [CommittedService(vehicle=e.vehicle, node=e.detail["satellite"],
                                 end_day=e.detail["end_day"],
                                 need_id=e.detail["need"], start_day=e.day)
                for e in events if e.kind == "service_start"]
-    return events, start_after(problem, solution, days, started)
+    return events, start_after(problem, solution, boundary, started)

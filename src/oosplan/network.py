@@ -81,8 +81,8 @@ def build_nodes(scenario: Scenario, sats: list[CustomerSat],
 class TimeGrid:
     period: int
     offsets: tuple[int, ...]
-    horizon: int
-    steps: tuple[int, ...]
+    horizon: int                # last campaign day the grid covers
+    steps: tuple[int, ...]      # campaign days
     _pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,8 +117,9 @@ class TimeGrid:
 
 
 def build_time_grid(period: int, offsets: list[int] | tuple[int, ...],
-                    horizon: int) -> TimeGrid:
-    """Periodic grid {k*period + o : o in {0} | offsets} clipped to [0, horizon]."""
+                    horizon: int, start: int = 0) -> TimeGrid:
+    """Periodic grid {start + k*period + o : o in {0} | offsets} clipped to
+    [start, start + horizon]: the campaign days of a window from ``start``."""
     offsets = tuple(int(o) for o in offsets)
     if any(o1 <= o0 for o0, o1 in zip(offsets, offsets[1:])):
         raise NetworkError("offsets must be strictly increasing")
@@ -132,10 +133,10 @@ def build_time_grid(period: int, offsets: list[int] | tuple[int, ...],
         for o in (0,) + offsets:
             t = k * period + o
             if t <= horizon:
-                steps.append(t)
+                steps.append(start + t)
         k += 1
-    return TimeGrid(period=int(period), offsets=offsets, horizon=int(horizon),
-                    steps=tuple(steps))
+    return TimeGrid(period=int(period), offsets=offsets,
+                    horizon=int(start + horizon), steps=tuple(steps))
 
 
 def phase_angle(from_lon: float, to_lon: float) -> float:
@@ -209,8 +210,8 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
     the registered plugin. Trajectory models are cached per (vehicle, mode,
     duration, phase angle) since the propellant depends only on the phase
     geometry, not node identity. Arcs whose mass upper bound falls below the
-    servicer dry mass are pruned. Launch arcs run Earth to parking at the
-    configured cadence for each launcher.
+    servicer dry mass are pruned. Launch arcs run Earth to parking for each
+    launcher on the campaign days that are multiples of the launcher cadence.
     """
     registry = registry or PluginRegistry.default()
     eco = scenario.economics

@@ -330,8 +330,12 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
+
+    def non_finite(token: str):
+        # json reads NaN and the infinities; NaN passes every ``< 0`` check
+        raise ScenarioError(f"{path}: non-finite number {token}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "

@@ -29,3 +29,8 @@ def test_a_run_line_shows_stray_stdout(monkeypatch, capsys, stdout, marker):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 49 and lines[-1] == "0 of 48 runs failed"
     assert all(line.endswith(" error=" + marker) for line in lines[:-1])
+    # the CLI's own summary, before the digests
+    assert all(" exit=0 value=-1.00 served=0 lost=0 ledger=- events=- " in line
+               for line in lines[:-1])
+    # a run that printed no summary, as one that fails
+    assert tool._summary("") == "value=-"

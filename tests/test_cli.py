@@ -1,8 +1,11 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from oosplan import lp
 from oosplan.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from oosplan.demand import generate_stream
 from oosplan.lp import HighsResult
@@ -351,12 +354,44 @@ def test_deployment_without_a_parking_slot_exits_two(
     assert "no parking slot at longitude -160.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_in_a_scenario_exits_two(
+        high_thrust_scn, catalog_file, tmp_path, capsys, token):
+    # json reads the three tokens, and NaN passes every ``< 0`` check
+    cfg = high_thrust_scn.to_dict()
+    [inspection] = [s for s in cfg["services"] if s["id"] == "inspection"]
+    inspection["revenue"] = float(token)
+    path = _scenario_file(tmp_path, cfg)
+    assert token in Path(path).read_text()
+    code = main(["plan", "--scenario", path, "--catalog", str(catalog_file),
+                 "--horizon-days", "60", "--out", str(tmp_path / "plan.json")])
+    assert code == EXIT_USAGE
+    assert f"{path}: non-finite number {token}" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_infeasible_window_exits_one(catalog_file, tmp_path, capsys,
                                     monkeypatch):
     # HiGHS finds every window infeasible
     monkeypatch.setattr("oosplan.lp.milp", _highs_run(2, "Infeasible"))
     assert _campaign(catalog_file, tmp_path) == EXIT_INFEASIBLE
     assert "is infeasible" in capsys.readouterr().err
+
+
+def test_a_window_highs_rejects_exits_one_as_a_solver_failure(
+        catalog_file, tmp_path, capsys, monkeypatch):
+    # an infinite coefficient makes HiGHS refuse every window's model
+    highs_milp = lp.milp
+
+    def poisoned(c, start, index, value, *args, **kwargs):
+        value = value.copy()
+        value[0] = math.inf
+        return highs_milp(c, start, index, value, *args, **kwargs)
+    monkeypatch.setattr("oosplan.lp.milp", poisoned)
+    assert _campaign(catalog_file, tmp_path) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "solver failure: HiGHS rejects the model" in err
+    assert "infeasible" not in err
 
 
 def test_campaign_sweep_in_two_processes(catalog_file, tmp_path, capsys):

@@ -74,13 +74,16 @@ def test_stream_rejects_unsorted():
 
 
 def test_window_needs_offset(multimodal):
-    grid = build_time_grid(10, (2, 4), 30)
+    # a window that starts on campaign day 100 plans on campaign days
+    grid = build_time_grid(10, (2, 4), 30, start=100)
+    assert (grid.steps[0], grid.final, grid.horizon) == (100, 130, 130)
     spec = multimodal.services["refueling"]
     need = ServiceNeed(id="a/r/0", satellite="a", service_type="refueling",
                        tau=105.0, duration=spec.duration, revenue=spec.revenue)
-    local = window_needs([need], multimodal, grid, day_offset=100.0)
+    local = window_needs([need], multimodal, grid)
     assert len(local) == 1
-    assert local[0].tau == pytest.approx(5.0)
-    assert local[0].window[0] == 10
+    assert local[0].tau == 105.0
+    assert local[0].window[0] == 110
     # fully in the past: dropped
-    assert not window_needs([need], multimodal, grid, day_offset=300.0)
+    assert not window_needs([need], multimodal,
+                            build_time_grid(10, (2, 4), 30, start=300))

@@ -230,9 +230,9 @@ def test_run_rejects_bad_commit(multimodal):
                 config=RhConfig(window_days=window, commit_days=commit))
 
 
-def _expected_loads(problem, values, commit):
+def _expected_loads(problem, values, boundary):
     """What the next window should start from, read by ``vn`` key from the
-    solved values: each parked vehicle's load at the boundary, and the
+    solved values: each parked vehicle's load on the boundary day, and the
     pending arrivals in the order the campaign hands them over."""
     names = {n.index: n.name for n in problem.net.nodes.nodes}
 
@@ -253,16 +253,15 @@ def _expected_loads(problem, values, commit):
     parked = {}
     for vid in problem.active:
         for i in problem.presence[vid]:
-            leaving = [a for a in problem.dep_arcs.get((vid, i, commit), ())
+            leaving = [a for a in problem.dep_arcs.get((vid, i, boundary), ())
                        if val("W", *a.key) > 0.5]
-            if leaving or val("Y", vid, i, commit) > 0.5:
-                parked[vid] = {k: val("X", vid, i, commit, k) + sum(
+            if leaving or val("Y", vid, i, boundary) > 0.5:
+                parked[vid] = {k: val("X", vid, i, boundary, k) + sum(
                     val("U", *a.key, k) for a in leaving)
                     for k in problem.carriable[vid]}
-    pending = [replace(p, t=p.t - commit)
-               for p in problem.init.pending_arrivals if p.t > commit]
+    pending = [p for p in problem.init.pending_arrivals if p.t > boundary]
     for a in problem.arcs:
-        if not (a.t < commit < a.arrival and val("W", *a.key) > 0.5):
+        if not (a.t < boundary < a.arrival and val("W", *a.key) > 0.5):
             continue
         if a.is_launch:
             cargo = {k: val("U", *a.key, k)
@@ -272,8 +271,8 @@ def _expected_loads(problem, values, commit):
                 continue
         else:
             cargo = {k: delivered(a, k) for k in problem.carriable[a.vehicle]}
-        pending.append(PendingArrival(a.vehicle, names[a.j],
-                                      a.arrival - commit, cargo))
+        pending.append(PendingArrival(a.vehicle, names[a.j], a.arrival,
+                                      cargo))
     return parked, pending
 
 
@@ -282,10 +281,8 @@ def _drive_checking_handover(monkeypatch, scenario, sats, stream,
     """Step a campaign to the horizon, checking the world record that each
     boundary hands to the next window: where each vehicle is, and what it
     carries. Returns how many vehicles were handed over in flight, and how
-    many planned to leave at exactly the boundary."""
-    commit = scenario.network.period
-    steps = build_time_grid(commit, scenario.network.offsets,
-                            config.window_days).steps
+    many planned to leave at exactly the boundary. Every time is a
+    campaign day."""
     solved = []
     solve = PlanProblem.solve
 
@@ -300,9 +297,13 @@ def _drive_checking_handover(monkeypatch, scenario, sats, stream,
     while state.day < horizon_days:
         vehicles = set(state.start.active_vehicles(scenario))
         result = step(scenario, sats, stream, state, ledger, config)
-        start = state.start
+        start, boundary = state.start, state.day
+        steps = build_time_grid(scenario.network.period,
+                                scenario.network.offsets, config.window_days,
+                                start=boundary).steps
         problem, solution = solved[-1]
-        parked, pending = _expected_loads(problem, solution.values, commit)
+        assert boundary == problem.grid.steps[0] + scenario.network.period
+        parked, pending = _expected_loads(problem, solution.values, boundary)
         assert start.commodities.keys() == start.vehicle_nodes.keys()
         for vid, loads in start.commodities.items():
             assert loads == pytest.approx(parked[vid], rel=1e-12, abs=0.0)
@@ -316,18 +317,19 @@ def _drive_checking_handover(monkeypatch, scenario, sats, stream,
         for vid in vehicles:
             assert (vid in start.vehicle_nodes) + sum(
                 p.vehicle == vid for p in start.pending_arrivals) == 1
-        assert all(p.t > 0 and p.t in steps for p in start.pending_arrivals)
-        assert all(c.end_day > 0 for c in start.committed)
+        assert all(p.t > boundary and p.t in steps
+                   for p in start.pending_arrivals)
+        assert all(c.end_day > boundary for c in start.committed)
         assert not (state.served & state.lost)
         for e in result.schedule.events:
             if e.kind != "flight":
                 continue
-            if e.day < commit < e.detail["arrive_day"]:
+            if e.day < boundary < e.detail["arrive_day"]:
                 assert [(p.node, p.t) for p in start.pending_arrivals
                         if p.vehicle == e.vehicle] == [
-                    (e.detail["to"], e.detail["arrive_day"] - commit)]
+                    (e.detail["to"], e.detail["arrive_day"])]
                 in_flight += 1
-            elif e.day == commit:
+            elif e.day == boundary:
                 # not committed yet: still parked where it would leave from
                 assert start.vehicle_nodes[e.vehicle] == e.detail["from"]
                 at_boundary += 1
@@ -421,13 +423,13 @@ def test_step_books_the_launch_the_plan_priced(launch):
 
 
 def test_commit_hands_over_cargo_launched_into_the_next_window(multimodal):
-    # the launch lands on day 12, after a 10-day commit ends
+    # the launch lands on day 12, after a commit up to day 10
     *_, problem, solution, schedule = _launch_case(multimodal,
                                                    launch_duration=12)
     events, start = commit(problem, solution, schedule, 10)
     assert [e.kind for e in events] == ["launch"]
     assert start.pending_arrivals == (PendingArrival(
-        vehicle="falcon9", node="parking_0", t=2,
+        vehicle="falcon9", node="parking_0", t=12,
         commodities={"spares": 50.0}),)
 
 
@@ -453,3 +455,55 @@ def test_an_empty_launch_the_plan_prices_is_an_event(multimodal):
     for bucket in ("launch", "pdm"):
         assert sum(e.cash.get(bucket, 0.0) for e in schedule.events
                    if e.kind == "launch") == pytest.approx(priced[bucket])
+
+
+# -- launch slots on the campaign clock -------------------------------------
+
+W1_SATS = [CustomerSat(f"gx{i}", lon) for i, lon in
+           enumerate((-160.0, -150.0, -140.0, -130.0, -120.0))]
+
+
+def test_launch_slots_keep_the_launcher_cadence(multimodal, monkeypatch):
+    # the first four windows of the acceptance campaign: each offers a
+    # launch only on the campaign days that are multiples of the cadence,
+    # from its own start on
+    problems = []
+    solve = PlanProblem.solve
+
+    def recorded(problem):
+        problems.append(problem)
+        return solve(problem)
+    monkeypatch.setattr(PlanProblem, "solve", recorded)
+    stream = generate_stream(W1_SATS, multimodal, horizon=360.0, seed=42)
+    run(multimodal, W1_SATS, stream, horizon_days=40)
+    assert multimodal.economics.launcher_cadence == 30
+    assert [sorted({a.t for a in p.net.arcs if a.is_launch})
+            for p in problems] == [[0, 30, 60], [30, 60, 90], [30, 60, 90],
+                                   [30, 60, 90]]
+
+
+def test_committed_launches_are_a_cadence_apart(multimodal):
+    # three repairs that need spares nobody carries, each seen only once it
+    # occurs: two in parallel, then one after the servicers are back; with
+    # a window every 10 days, launches could be 10 days apart
+    scn = multimodal
+    spec = scn.services["repair"]
+    stream = DemandStream(needs=tuple(
+        _make(f"{sat}/repair/{k}", sat, spec, tau) for k, (sat, tau) in
+        enumerate((("satA", 15.0), ("satB", 25.0), ("satA", 85.0)))))
+    vids = ("depot", "mm_versatile", "mm_specialized_3")
+    state = WorldState(start=InitialState(
+        vehicle_nodes=dict.fromkeys(vids, "parking_0"),
+        commodities={vid: dict(scn.vehicles[vid].capacities, spares=0.0)
+                     for vid in vids}))
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    launches = []
+    while state.day < 110:
+        result = step(scn, sats, stream, state, Ledger(), RhConfig(gap=0.0))
+        launches += [e.day for e in result.committed_events
+                     if e.kind == "launch"]
+    assert state.served == {n.id for n in stream.needs}
+    cadence = scn.economics.launcher_cadence
+    assert len(launches) >= 2
+    assert all(day % cadence == 0 for day in launches)
+    assert all(b - a >= cadence for a, b in zip(launches, launches[1:]))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,18 @@ def test_status_four_raises():
         m.solve()
     with pytest.raises(SolveError):
         Model("empty").solve()
+
+
+@pytest.mark.parametrize("coeff, rhs", [(math.inf, 1.0), (1.0, math.nan)],
+                         ids=["infinite-coefficient", "nan-rhs"])
+def test_a_model_highs_rejects_is_a_solver_failure(coeff, rhs):
+    # HiGHS refuses the model itself; that says nothing about feasibility
+    m = Model()
+    x = m.add_var("x", ub=1.0)
+    m.add_objective(x, 1.0)
+    m.add_constr("c", {x: coeff}, "<=", rhs)
+    with pytest.raises(SolveError, match="HiGHS rejects the model"):
+        m.solve()
 
 
 def test_one_highs_call_per_solve(monkeypatch):

@@ -306,18 +306,20 @@ def test_commit_keeps_the_service_start_a_committed_flight_flies_to(solved):
     # boundary, the start it flies to
     problem, solution, need = solved
     schedule = extract_schedule(problem, solution)
-    days = 20
+    boundary = 20
     flight, start = [e for e in schedule.events
                      if e.vehicle == "mm_versatile"][:2]
-    assert flight.kind == "flight" and flight.day < days
+    assert flight.kind == "flight" and flight.day < boundary
     assert start.kind == "service_start"
-    assert start.day == flight.detail["arrive_day"] >= days
-    events, next_start = commit(problem, solution, schedule, days)
-    assert events == [e for e in schedule.events if e.day < days] + [start]
-    # the next window starts with the servicer busy, on its own clock
+    assert start.day == flight.detail["arrive_day"] >= boundary
+    events, next_start = commit(problem, solution, schedule, boundary)
+    assert events == [e for e in schedule.events if e.day < boundary] + [start]
+    # the next window starts with the servicer busy, its service on the
+    # campaign days the plan gave it
     assert next_start.committed == (CommittedService(
         vehicle="mm_versatile", node="satA", need_id=need.id,
-        start_day=start.day - days, end_day=start.detail["end_day"] - days),)
+        start_day=20, end_day=50),)
+    assert (start.day, start.detail["end_day"]) == (20, 50)
     assert "mm_versatile" in next_start.vehicle_nodes
 
 
