@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import demand, horizon, lp, milp
-from .network import NetworkError, build_nodes, build_time_grid, expand
+from .network import NetworkError, build_time_grid
 from .scenario import (CustomerSat, Scenario, ScenarioError,
                        default_scenario_path, load_catalog, load_scenario)
 from .trajectory import (DAY_S, PluginRegistry, TrajectoryError,
@@ -77,25 +77,14 @@ def cmd_plan(args) -> int:
                                     seed=args.seed)
     grid = build_time_grid(scn.network.period, scn.network.offsets,
                            args.horizon_days)
-    needs = demand.window_needs(stream.needs, scn, grid)
-    init = horizon.initial_state(scn)[0].start
-    nodes = build_nodes(scn, sats, include_earth=True)
-    net = expand(nodes, grid, scn, n_breakpoints=args.breakpoints,
-                 vehicles=init.active_vehicles(scn))
-    options = milp.SolveOptions(gap=args.gap, time_limit=args.time_limit)
-    problem = milp.PlanProblem(scn, net, needs, init, options)
+    problem = horizon.window_problem(
+        scn, sats, stream.needs, horizon.initial_state(scn)[0].start, grid,
+        milp.SolveOptions(gap=args.gap, time_limit=args.time_limit),
+        args.breakpoints)
     if args.export_lp:
         problem.model.write_lp(args.export_lp)
         print(f"model written to {args.export_lp}")
-    solution = problem.solve()
-    if not solution.feasible:
-        print(f"plan: {solution.status}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    violations = milp.audit(problem, solution.values)
-    if violations:
-        print(f"audit FAILED: {violations[:5]}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    schedule = milp.extract_schedule(problem, solution)
+    solution, schedule = horizon.solve_window(problem)
     out = {
         "status": solution.status,
         "objective": solution.objective,

@@ -18,8 +18,9 @@ from typing import Optional
 
 from .demand import DemandStream, ServiceNeed, window_needs
 from .milp import (COST_BUCKETS, InitialState, PlanProblem, Schedule,
-                   SolveOptions, audit, commit, extract_schedule, ops_bucket)
-from .network import build_nodes, build_time_grid, expand
+                   Solution, SolveOptions, audit, commit, extract_schedule,
+                   ops_bucket)
+from .network import TimeGrid, build_nodes, build_time_grid, expand
 from .scenario import CustomerSat, Scenario
 from .trajectory import PluginRegistry
 
@@ -180,35 +181,39 @@ def visible_needs(stream: DemandStream, scenario: Scenario, state: WorldState,
     return out
 
 
-def _local_problem(scenario: Scenario, sats: list[CustomerSat],
-                   stream: DemandStream, state: WorldState,
-                   config: RhConfig,
+def window_problem(scenario: Scenario, sats: list[CustomerSat],
+                   needs: list[ServiceNeed], start: InitialState,
+                   grid: TimeGrid, options: SolveOptions, n_breakpoints: int,
                    registry: Optional[PluginRegistry] = None) -> PlanProblem:
-    grid = build_time_grid(scenario.network.period, scenario.network.offsets,
-                           config.window_days, start=state.day)
-    candidates = visible_needs(stream, scenario, state, config.window_days)
-    local = window_needs(candidates, scenario, grid)
-    # needs whose admissible window has entirely passed are lost for good
-    live = {n.id for n in local}
-    for need in candidates:
-        spec = scenario.services[need.service_type]
-        if need.id not in live and need.tau + spec.window <= state.day:
-            state.lost.add(need.id)
-
-    start = state.start
-    active_sats = {n.satellite for n in local}
-    active_sats |= {c.node for c in start.committed}
-    active_sats |= {p.node for p in start.pending_arrivals}
-    active_sats |= set(start.vehicle_nodes.values())
-    sats_local = [s for s in sats if s.name in active_sats]
-    local = [n for n in local if n.satellite in {s.name for s in sats_local}]
-
-    nodes = build_nodes(scenario, sats_local, include_earth=True)
+    """One window's MILP: ``needs`` clipped to ``grid``, over only the
+    customers that a need, a running service, a flight or a vehicle touches
+    (one that nothing touches has no state and no landing arc). The whole
+    catalog is checked, so a malformed one is refused all the same."""
+    build_nodes(scenario, sats)
+    needs = window_needs(needs, scenario, grid)
+    touched = {n.satellite for n in needs} | set(start.vehicle_nodes.values())
+    touched |= {x.node for x in start.committed + start.pending_arrivals}
+    nodes = build_nodes(scenario, [s for s in sats if s.name in touched])
     net = expand(nodes, grid, scenario, registry=registry,
-                 n_breakpoints=config.n_breakpoints,
+                 n_breakpoints=n_breakpoints,
                  vehicles=start.active_vehicles(scenario))
-    options = SolveOptions(gap=config.gap)
-    return PlanProblem(scenario, net, local, start, options)
+    return PlanProblem(scenario, net, needs, start, options)
+
+
+def solve_window(problem: PlanProblem) -> tuple[Solution, Schedule]:
+    """Solve, audit and read out one window. A window with no plan, or
+    whose plan fails the audit, raises ``CampaignError`` naming the
+    window's first day."""
+    day = problem.grid.steps[0]
+    solution = problem.solve()
+    if not solution.feasible:
+        raise CampaignError(
+            f"planning window at day {day} is {solution.status}")
+    violations = audit(problem, solution.values)
+    if violations:
+        raise CampaignError(
+            f"solution audit failed at day {day}: {violations[:5]}")
+    return solution, extract_schedule(problem, solution)
 
 
 def _commit_days(scenario: Scenario, config: RhConfig) -> int:
@@ -224,17 +229,20 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
          registry: Optional[PluginRegistry] = None) -> StepResult:
     """Plan one window, commit one interval, and advance the world state."""
     days = _commit_days(scenario, config)
-    problem = _local_problem(scenario, sats, stream, state, config, registry)
-    solution = problem.solve()
-    if not solution.feasible:
-        raise CampaignError(
-            f"planning window at day {state.day} is {solution.status}")
-    violations = audit(problem, solution.values)
-    if violations:
-        raise CampaignError(
-            f"solution audit failed at day {state.day}: {violations[:5]}")
-    schedule = extract_schedule(problem, solution)
     day0 = state.day
+    grid = build_time_grid(scenario.network.period, scenario.network.offsets,
+                           config.window_days, start=day0)
+    candidates = visible_needs(stream, scenario, state, config.window_days)
+    problem = window_problem(scenario, sats, candidates, state.start, grid,
+                             SolveOptions(gap=config.gap),
+                             config.n_breakpoints, registry)
+    # needs whose admissible window has entirely passed are lost for good
+    live = {n.id for n in problem.needs}
+    for need in candidates:
+        spec = scenario.services[need.service_type]
+        if need.id not in live and need.tau + spec.window <= day0:
+            state.lost.add(need.id)
+    solution, schedule = solve_window(problem)
     committed, next_start = commit(problem, solution, schedule, day0 + days)
     for e in committed:
         for bucket, amount in e.cash.items():

@@ -64,6 +64,7 @@ INT_TOL = 1e-6
 COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
 EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
 SOS2_TOL = 1e-6                 # weight counted in a curve arc's support
+CARGO_TOL = 1e-4                # cargo that a flight or launch event lists
 # Most burn (kg) that moving a curve arc's weights onto neighbours may change.
 # The least-burn LP's ties on near-straight curves leave at most 4.3e-8 kg;
 # the move lands on the arc's arrival balance, which the audit holds to 1e-6.
@@ -975,8 +976,7 @@ class Schedule:
     outcomes: dict[str, Optional[tuple[str, int]]]  # need id -> (vehicle, tau) | None
 
 
-def extract_schedule(problem: PlanProblem, solution: Solution,
-                     tol: float = 1e-4) -> Schedule:
+def extract_schedule(problem: PlanProblem, solution: Solution) -> Schedule:
     if not solution.feasible:
         raise ModelError("cannot extract a schedule from an infeasible solve")
     x = solution.x
@@ -992,7 +992,7 @@ def extract_schedule(problem: PlanProblem, solution: Solution,
     for a, cols in zip(problem.arcs, problem._arc_cols):
         if x[cols.w] < 0.5:
             continue
-        cargo = {k: x[u] for k, u in cols.u.items() if x[u] > tol}
+        cargo = {k: x[u] for k, u in cols.u.items() if x[u] > CARGO_TOL}
         if a.is_launch:
             priced = cash([*cols.u.values(), cols.w])
             if not cargo and not priced:

@@ -230,8 +230,7 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
         for mode in veh.propulsion:
             plugin = registry.get(mode.kind)
             for q in mode.flight_durations:
-                departures = [t for t in grid.steps
-                              if grid.contains(t + q) and t + q <= grid.horizon]
+                departures = [t for t in grid.steps if grid.contains(t + q)]
                 if not departures:
                     raise NetworkError(
                         f"flight duration {q} d of {veh.id}/{mode.kind} never "

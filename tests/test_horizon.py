@@ -6,7 +6,8 @@ import pytest
 from oosplan.demand import (DemandStream, ServiceNeed, generate_stream,
                             window_needs)
 from oosplan.horizon import (COST_BUCKETS, Ledger, RhConfig, WorldState,
-                             initial_state, run, step, visible_needs)
+                             initial_state, run, step, visible_needs,
+                             window_problem)
 from oosplan.milp import (InitialState, PendingArrival, PlanProblem,
                           SolveOptions, commit, extract_schedule, vn)
 from oosplan.network import build_nodes, build_time_grid, expand
@@ -507,3 +508,39 @@ def test_committed_launches_are_a_cadence_apart(multimodal):
     assert len(launches) >= 2
     assert all(day % cadence == 0 for day in launches)
     assert all(b - a >= cadence for a, b in zip(launches, launches[1:]))
+
+
+# -- one window path over the customers it touches ---------------------------
+
+def _model_arrays(problem):
+    m = problem.model
+    return (m._entry_row, m._entry_col, m._entry_val, m._family, m._sense,
+            m._rhs, m.var_lb, m.var_ub, m.var_kind, m.objective)
+
+
+@pytest.mark.parametrize("parked", ["parking_0", "gx4"])
+def test_idle_customers_change_no_window_model(multimodal, parked):
+    # the acceptance campaign's first window, its servicer parked at the
+    # depot or at a customer: satellites that nothing touches get no node,
+    # and expanding them in, as a plan over the whole catalog would, adds
+    # no column and no row either
+    init = initial_state(multimodal)[0].start
+    start = replace(init, vehicle_nodes=dict(init.vehicle_nodes,
+                                             mm_versatile=parked))
+    needs = list(generate_stream(W1_SATS, multimodal, horizon=360.0,
+                                 seed=42).needs)
+    grid = build_time_grid(multimodal.network.period,
+                           multimodal.network.offsets, 90)
+    idle = [CustomerSat("idle0", -175.0), CustomerSat("idle1", 100.0)]
+    padded = idle[:1] + W1_SATS + idle[1:]
+    problems = [window_problem(multimodal, sats, needs, start, grid,
+                               SolveOptions(), 20)
+                for sats in (W1_SATS, padded)]
+    assert not {"idle0", "idle1"} & {n.name for n in problems[1].nodes.nodes}
+    net = expand(build_nodes(multimodal, padded), grid, multimodal,
+                 vehicles=start.active_vehicles(multimodal))
+    whole = PlanProblem(multimodal, net, window_needs(needs, multimodal, grid),
+                        start, SolveOptions())
+    assert len(whole.nodes.customer) == len(padded)
+    assert _model_arrays(problems[0]) == _model_arrays(problems[1]) \
+        == _model_arrays(whole)

@@ -16,7 +16,7 @@ change of behaviour reads as numbers, not only as hashes. A run whose
 standard output holds a line that the CLI does not print itself (its
 ``campaign: value=…`` and ``outputs in …/`` lines) gets ` stdout=<line>`
 appended, with the first such line. The exit status is 1 if any run exits
-non-zero. The 48 runs take about 2.5 minutes.
+non-zero. The 48 runs take 60–70 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
