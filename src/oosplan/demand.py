@@ -32,13 +32,6 @@ class ServiceNeed:
     commodity_demand: dict[str, float] = field(default_factory=dict)
     required_tool: str = ""
 
-    @property
-    def tau_step(self) -> int:
-        """Earliest admissible start step; delays are measured from here."""
-        if not self.window:
-            raise ValueError(f"need {self.id} has no window built")
-        return self.window[0]
-
     def covers(self, start: int, t: int) -> bool:
         """Whether a service started on step ``start`` is under way at ``t``."""
         return start <= t < start + self.duration
@@ -83,18 +76,13 @@ def generate_needs(sats: list[CustomerSat], spec: ServiceTypeSpec,
 
 def build_window(need: ServiceNeed, grid: TimeGrid,
                  window_days: float) -> Optional[ServiceNeed]:
-    """Attach the service window: grid steps in [snap_up(tau), tau + window).
+    """Attach the service window: grid steps in [tau, tau + window).
 
     Returns None (need dropped) when no grid step falls inside the window.
     """
-    start = grid.next_step_at_or_after(need.tau)
-    if start is None:
-        return None
     steps = tuple(t for t in grid.steps
-                  if start <= t < need.tau + window_days)
-    if not steps:
-        return None
-    return replace(need, window=steps)
+                  if need.tau <= t < need.tau + window_days)
+    return replace(need, window=steps) if steps else None
 
 
 @dataclass(frozen=True)

@@ -627,11 +627,12 @@ class PlanProblem:
             b: {} for b in ("revenues",) + COST_BUCKETS}
 
         for need in self.needs:
+            first = grid.next_step_at_or_after(need.tau)
             for vid in self.capable[need.id]:
                 for tau in need.window:
                     h = self._h[vid, need.id, tau]
                     self.obj_terms["revenues"][h] = need.revenue
-                    delay = tau - need.tau_step
+                    delay = tau - first
                     if delay > 0 and need.delay_penalty_per_day > 0:
                         self.obj_terms["delay"][h] = \
                             need.delay_penalty_per_day * delay
@@ -1014,6 +1015,7 @@ def extract_schedule(problem: PlanProblem, solution: Solution) -> Schedule:
     outcomes: dict[str, Optional[tuple[str, int]]] = {}
     for need in problem.needs:
         outcomes[need.id] = None
+        first = problem.grid.next_step_at_or_after(need.tau)
         for vid in problem.capable[need.id]:
             for tau in need.window:
                 if x[problem._h[vid, need.id, tau]] > 0.5:
@@ -1023,7 +1025,7 @@ def extract_schedule(problem: PlanProblem, solution: Solution) -> Schedule:
                         detail={"need": need.id, "satellite": need.satellite,
                                 "service_type": need.service_type,
                                 "revenue": need.revenue,
-                                "delay_days": tau - need.tau_step,
+                                "delay_days": tau - first,
                                 "end_day": tau + need.duration},
                         cash=cash([problem._h[vid, need.id, tau]])))
     events.sort(key=lambda e: (e.day, e.vehicle, e.kind))

@@ -110,10 +110,15 @@ class TimeGrid:
         return t - self.steps[i - 1] if i > 0 else 0
 
     def next_step_at_or_after(self, day: float) -> Optional[int]:
-        for t in self.steps:
-            if t >= day:
-                return t
-        return None
+        """The first step of the grid's lattice (its first step plus whole
+        periods plus an offset) at or after ``day``, None past the horizon.
+        It may precede the first step: every window's grid lies on one
+        lattice, so a need that waits across windows keeps its delay."""
+        t0 = self.steps[0]
+        base = t0 + math.floor((day - t0) / self.period) * self.period
+        t = next((base + o for o in (0,) + self.offsets if base + o >= day),
+                 base + self.period)
+        return t if t <= self.horizon else None
 
 
 def build_time_grid(period: int, offsets: list[int] | tuple[int, ...],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -82,8 +83,8 @@ class VehicleDesign:
             raise ScenarioError(f"vehicle {self.id}: capacities must be >= 0")
         for name in ("dry_mass", "operating_cost_per_day",
                      "manufacturing_cost", "station_keeping_rate"):
-            if getattr(self, name) < 0:
-                raise ScenarioError(f"vehicle {self.id}: {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ScenarioError(f"vehicle {self.id}: {name} must be >= 0 and finite")
         if self.payload_capacity is not None and self.payload_capacity < 0:
             raise ScenarioError(f"vehicle {self.id}: payload_capacity must be >= 0")
         if any(q <= 0 for p in self.propulsion for q in p.flight_durations):

@@ -10,7 +10,7 @@ propellant consumption model plus a servicer mass upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 DAY_S = 86400.0
@@ -40,6 +40,9 @@ class TrajectoryQuery:
     mass_max: float = 4000.0    # kg
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.time_of_flight <= 0:
             raise ValueError("time_of_flight must be positive")
         if self.mass_min >= self.mass_max:

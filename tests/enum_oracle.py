@@ -133,7 +133,8 @@ def oracle_best(scenario: Scenario, net: DynamicNetwork,
         if any(a == b for (a, _), (b, _) in zip(plan, plan[1:])):
             continue            # one servicer cannot start two services at once
         gain = sum(need.revenue
-                   - need.delay_penalty_per_day * (tau - need.tau_step)
+                   - need.delay_penalty_per_day
+                   * (tau - first_step_at_or_after(need.tau))
                    for tau, need in plan)
         if base + gain <= best + TOL:
             continue            # cannot beat the incumbent even if feasible

@@ -72,6 +72,17 @@ def test_trajectory_infeasible_exits_one(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_trajectory_non_finite_time_of_flight_exits_two(tmp_path, capsys):
+    # it once wrote NaN breakpoints and exited 0
+    out = tmp_path / "lt.csv"
+    code = main(["trajectory", "--mode", "low_thrust", "--phase-deg", "90",
+                 "--tof-days", "nan", "--isp", "1790", "--thrust", "1.16",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "time_of_flight must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_scenario_exits_two(catalog_file, capsys):
     code = main(["plan", "--scenario", "/no/such/scenario.json",
                  "--catalog", str(catalog_file)])
@@ -316,6 +327,11 @@ def test_launch_that_lands_before_it_leaves_exits_two(
      "--jobs: must be >= 1, got 0"),
     (None, ("--sweep-dry-mass", "3000,4000", "--jobs", "-3"),
      "--jobs: must be >= 1, got -3"),
+    # these ran, or failed late in the trajectory layer, naming no vehicle
+    (None, ("--sweep-dry-mass=3000,nan",),
+     "vehicle mm_versatile: dry_mass must be >= 0 and finite"),
+    (None, ("--sweep-dry-mass=3000,inf",),
+     "vehicle mm_versatile: dry_mass must be >= 0 and finite"),
 ])
 def test_out_of_range_input_exits_two(multimodal, catalog_file, tmp_path,
                                       capsys, field, extra, message):

@@ -49,9 +49,14 @@ def test_build_window():
     grid = build_time_grid(10, (2, 4), 30)
     built = build_window(_need(5.0), grid, 15.0)
     assert built.window == (10, 12, 14)
-    assert built.tau_step == 10
+    assert grid.next_step_at_or_after(5.0) == 10
     assert build_window(_need(29.0), grid, 0.5) is None
     assert build_window(_need(50.0), grid, 30.0) is None
+    # a need that waited from before a window's first day keeps the window's
+    # steps from that day on
+    late = build_time_grid(10, (2, 4), 30, start=10)
+    assert build_window(_need(3.0), late, 30.0).window == (
+        10, 12, 14, 20, 22, 24, 30, 32)
 
 
 def test_covers_duration():

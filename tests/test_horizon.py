@@ -221,6 +221,24 @@ def test_export_events_on_campaign_clock(campaign, tmp_path):
             assert detail["end_day"] - e["day"] == duration[detail["need"]]
 
 
+def test_a_need_that_waits_across_windows_keeps_its_delay(multimodal):
+    # a need on day 3 that is served on day 12, in the window that starts
+    # on day 10: its delay runs from day 4, its step on the campaign grid,
+    # not from that window's first day
+    rep = multimodal.services["repositioning"]
+    stream = DemandStream(needs=(_make("satA/repositioning/0", "satA", rep,
+                                       3.0),))
+    result = run(multimodal, [CustomerSat("satA", -160.0)], stream,
+                 horizon_days=30, config=RhConfig(gap=0.0))
+    starts = [e for s in result.steps for e in s.committed_events
+              if e.kind == "service_start"]
+    assert [(e.day, e.detail["delay_days"]) for e in starts] == [(12, 8)]
+    assert starts[0].cash["delay"] == pytest.approx(
+        8 * rep.delay_penalty_per_day)
+    assert result.ledger.total("delay") == pytest.approx(
+        8 * rep.delay_penalty_per_day)
+
+
 def test_run_rejects_bad_commit(multimodal):
     stream = DemandStream(needs=())
     for window, commit in [(90, 7),     # not a multiple of the period

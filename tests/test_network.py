@@ -32,6 +32,27 @@ def test_time_grid_steps():
     assert grid.next_step_at_or_after(31.0) is None
 
 
+def test_step_at_or_after_lies_on_the_lattice():
+    # a window's grid from day 10 maps an earlier day to the step of the
+    # lattice it lies on, so a need's delay clock does not restart there
+    grid = build_time_grid(10, (2, 4), 30, start=10)
+    assert grid.steps[0] == 10 and grid.horizon == 40
+    assert grid.next_step_at_or_after(3.0) == 4
+    assert grid.next_step_at_or_after(-1.0) == 0
+    assert grid.next_step_at_or_after(10.0) == 10
+    assert grid.next_step_at_or_after(14.5) == 20
+    assert grid.next_step_at_or_after(40.0) == 40
+    assert grid.next_step_at_or_after(40.5) is None
+
+
+def test_step_at_or_after_matches_a_scan_of_the_steps():
+    grid = build_time_grid(10, (2, 4), 60, start=20)
+    for tenth in range(200, 900):
+        day = tenth / 10
+        scan = next((t for t in grid.steps if t >= day), None)
+        assert grid.next_step_at_or_after(day) == scan
+
+
 def test_time_grid_validation():
     with pytest.raises(NetworkError):
         build_time_grid(10, (4, 2), 30)

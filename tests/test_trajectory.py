@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -153,6 +154,15 @@ class TestModelAndRegistry:
             TrajectoryModel(breakpoints=((1.0, 0.1), (2.0, 0.3)),
                             mass_upper_bound=2.0, kind="high_thrust",
                             burn_fraction=0.1)
+
+    def test_query_refuses_non_finite_fields(self):
+        # a NaN or infinite time of flight once made ht_enumerate's
+        # candidate list grow without limit
+        for f in fields(TrajectoryQuery):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError,
+                                   match=f"{f.name} must be finite"):
+                    lt_query(**{f.name: bad})
 
     def test_registry_default_and_unknown(self):
         reg = PluginRegistry.default()
