@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="simulate a rolling-horizon campaign")
     _add_common(p)
-    p.add_argument("--horizon-days", type=int, default=365)
+    p.add_argument("--horizon-days", type=int, default=360)
     p.add_argument("--window-days", type=int, default=90)
     p.add_argument("--commit-days", type=int, default=None)
     p.add_argument("--sweep-dry-mass",

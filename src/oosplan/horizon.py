@@ -277,6 +277,10 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     # the campaign starts on day 0, so it would take no step
     if horizon_days <= 0:
         raise ValueError("campaign horizon must cover at least one step")
+    # the last step commits up to the horizon, not past it
+    if horizon_days % days != 0:
+        raise ValueError(f"campaign horizon of {horizon_days} d is not a "
+                         f"whole number of {days} d commit intervals")
     state, investment = initial_state(scenario)
     ledger = Ledger(initial_investment=investment)
     steps: list[StepResult] = []

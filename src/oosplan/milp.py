@@ -19,9 +19,12 @@ comes after the departure, so ``PlanProblem._prepare`` decides every landing
 in one sweep from the last departure back. Service timing is read from
 ``ServiceNeed.covers``. A column left out reads as zero in every row.
 
+A service starts only where its servicer lands, on every step, the first
+included; one service at a time runs at a customer, a committed one too.
+
 Columns are keyed by ``vn`` tuples. The build looks each column index up
-once, when it makes the column (Y and X per state; W, U, Z and L per arc; H,
-B and S0), and writes every row family with those integer indices straight
+once, when it makes the column (Y and X per state; W, U, Z and L per arc; H
+and B), and writes every row family with those integer indices straight
 into the model's row store. A row that the indices show to be empty is not
 assembled; it must hold at zero, or the build raises ``ModelError``. A
 solution comes back as one list of column values, which ``PlanProblem.solve``,
@@ -35,8 +38,10 @@ buckets, and ``extract_schedule`` gives each launch and service start the
 cash that the objective prices it at. ``commit`` holds the whole
 rolling-horizon commit rule: from a solved window it picks the events that
 the commit interval keeps, and builds the next window's start
-(``start_after``) with the services those events begin. The campaign loop in
-``horizon`` only books the events' cash and carries the start on.
+(``start_after``) with the services those events begin. A flight in the air
+that lands to start one of them is handed over with the demand delivered,
+and a service stays in the start while it pins its servicer. The campaign
+loop in ``horizon`` only books the events' cash and carries the start on.
 
 A curve is convex in initial mass, so its weights need no segment binaries:
 their convex combination already bounds the burn from below. Where HiGHS
@@ -102,6 +107,10 @@ class CommittedService:
     end_day: float              # campaign day on which the service completes
     need_id: str = ""
     start_day: float = 0.0      # campaign day on which the service began
+
+    def covers(self, node: str, t: int) -> bool:
+        """Whether the service is under way at customer ``node`` on ``t``."""
+        return node == self.node and self.start_day <= t < self.end_day
 
 
 @dataclass(frozen=True)
@@ -321,7 +330,7 @@ class PlanProblem:
 
         # Each column index is looked up once, here, and every row family
         # is written with these indices: Y and X per state, the columns of
-        # each arc, and H, B and S0.
+        # each arc, and H and B.
         self._y: dict[tuple[str, int, int], int] = {}
         self._x: dict[tuple[str, int, int], dict[str, int]] = {}
         for s in self.states:
@@ -369,12 +378,6 @@ class PlanProblem:
                     if any(need.covers(tau, t) for tau in need.window):
                         self._b[vid, need.id, t] = m.add_var(
                             vn("B", vid, need.id, t), kind=BINARY)
-        self._s0: dict[str, int] = {}
-        for vid in self.active:
-            node = self.node_by_name.get(self.init.vehicle_nodes.get(vid))
-            if node is not None and node.tier == "customer" \
-                    and (vid, node.index, grid.steps[0]) not in self.pinned:
-                self._s0[vid] = m.add_var(vn("S0", vid), ub=1.0)
 
         self._add_balances()
         self._add_concurrency()
@@ -576,13 +579,15 @@ class PlanProblem:
                         if need.covers(tau, t):
                             row[self._h[vid, need.id, tau]] = -1.0
                     self._add("dispatch", row, "==", 0.0)
-        # one service at a time per customer node
+        # one service at a time per customer node, a committed one included
         for i, needs_i in self.needs_at.items():
+            name = self.nodes.nodes[i].name
             for t in grid.steps:
                 row = {self._b[vid, need.id, t]: 1.0 for need in needs_i
                        for vid in self.capable[need.id]
                        if (vid, need.id, t) in self._b}
-                self._add("one_service", row, "<=", 1.0)
+                running = sum(c.covers(name, t) for c in self.init.committed)
+                self._add("one_service", row, "<=", 1.0 - running)
         # presence at customer nodes equals dispatch
         for s in self.customer_states:
             vid, i, t = s
@@ -605,19 +610,15 @@ class PlanProblem:
                     self._add("tool", row, ">=", 0.0)
 
     def _add_flight_rules(self):
-        # arrivals at a customer node exactly when a service starts
-        # (with an allowance for a servicer that begins the
-        # horizon already at a customer node)
-        t0 = self.grid.steps[0]
+        # arrivals at a customer node exactly when a service starts, on
+        # every step: a servicer that starts the window there unpinned
+        # flies before it serves there
         for s in self.customer_states:
             vid, i, t = s
             row = {a.w: 1.0 for a in self._arr.get(s, ())}
             for need in self.needs_at.get(i, ()):
                 if t in need.window and vid in self.capable[need.id]:
                     row[self._h[vid, need.id, t]] = -1.0
-            if t == t0 and vid in self._s0 and self.init.vehicle_nodes.get(vid) \
-                    == self.nodes.nodes[i].name:
-                row[self._s0[vid]] = 1.0
             self._add("arrival", row, "==", 0.0)
 
     def _add_objective(self):
@@ -912,9 +913,11 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                                for tau in need.window if need.covers(tau, t))
                 flag("dispatch_coupling", b - expected, vid, need.id, t)
     for i, needs_i in problem.needs_at.items():
+        name = net.nodes.nodes[i].name
         for t in grid.steps:
             total = sum(val("B", vid, need.id, t) for need in needs_i
                         for vid in problem.capable[need.id])
+            total += sum(c.covers(name, t) for c in problem.init.committed)
             if total > 1.0 + tol:
                 flag("one_service_at_a_time", total - 1.0, i, t)
     for vid, v in problem.active.items():
@@ -945,10 +948,6 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                              for need in problem.needs_at.get(i, ())
                              if t in need.window
                              and vid in problem.capable[need.id])
-                if t == grid.steps[0] and vn("S0", vid) in problem.model \
-                        and problem.node_by_name[
-                            problem.init.vehicle_nodes[vid]].index == i:
-                    starts -= val("S0", vid)
                 flag("arrival_at_start", arrivals - starts, vid, i, t)
 
     return out
@@ -1041,8 +1040,16 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
     names = {n.index: n.name for n in problem.net.nodes.nodes}
     init = problem.init
     pending = [p for p in init.pending_arrivals if p.t > boundary]
-    committed = tuple(c for c in init.committed + tuple(started)
-                      if c.end_day > boundary)
+    # a service runs on while it holds its servicer: to its end, or to the
+    # first step at or after its end from which the servicer can fly
+    committed = tuple(
+        c for c in init.committed + tuple(started) if c.end_day > boundary
+        or (c.vehicle, problem.node_by_name[c.node].index, boundary)
+        in problem.pinned)
+    # a flight in the air that lands to start a service delivers its demand
+    demand = {n.id: n.commodity_demand for n in problem.needs}
+    delivered = {(c.vehicle, c.node, c.start_day): demand[c.need_id]
+                 for c in started}
 
     # flights and launch cargo still in the air at the boundary
     for a, cols in zip(problem.arcs, problem._arc_cols):
@@ -1053,10 +1060,12 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
             if not cargo:
                 continue
         else:
-            # the load, less the burn where it is the propellant, clipped at 0
+            # the load, less the burn where it is the propellant and the
+            # demand of a service it lands for, clipped at 0
+            drop = delivered.get((a.vehicle, names[a.j], a.arrival), {})
             cargo = {}
             for k, u in cols.u.items():
-                amount = x[u]
+                amount = x[u] - drop.get(k, 0.0)
                 if k == cols.propellant:
                     for col, f in cols.burn.items():
                         amount -= f * x[col]

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from oosplan import lp
-from oosplan.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from oosplan.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser,
+                         main)
 from oosplan.demand import generate_stream, window_needs
 from oosplan.lp import HighsResult
 from oosplan.milp import Violation
@@ -279,6 +280,24 @@ def test_campaign_without_a_step_exits_two(catalog_file, tmp_path, capsys,
     assert "horizon must cover at least one step" in captured.err
     assert "value=" not in captured.out
     assert not (tmp_path / "camp").exists()
+
+
+def test_campaign_past_its_horizon_exits_two(catalog_file, tmp_path, capsys):
+    # a 25-day horizon would end on day 30 and book operating cost to it
+    code = main(["campaign", "--scenario", "multimodal",
+                 "--catalog", str(catalog_file), "--horizon-days", "25",
+                 "--out", str(tmp_path / "camp")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "not a whole number of 10 d commit intervals" in captured.err
+    assert "value=" not in captured.out
+    assert not (tmp_path / "camp").exists()
+
+
+def test_campaign_horizon_defaults_to_whole_intervals():
+    args = build_parser().parse_args(["campaign", "--scenario", "multimodal",
+                                      "--catalog", "sats.csv"])
+    assert args.horizon_days == 360
 
 
 def _scenario_file(tmp_path, cfg: dict) -> str:

@@ -239,6 +239,43 @@ def test_a_need_that_waits_across_windows_keeps_its_delay(multimodal):
         8 * rep.delay_penalty_per_day)
 
 
+def test_a_start_committed_past_the_boundary_delivers_its_cargo(multimodal):
+    # the refueling at satA on day 12 starts as a flight lands that is in
+    # the air at boundary 10: the next window gets the load that the plan
+    # holds after the landing, less the 200 kg of monopropellant delivered,
+    # and the servicer keeps that load while it serves
+    ref = multimodal.services["refueling"]
+    assert ref.commodity_demand == {"monopropellant": 200.0}
+    stream = DemandStream(needs=(_make("satA/refueling/0", "satA", ref,
+                                       12.0),))
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    start = initial_state(multimodal)[0].start
+    grid = build_time_grid(multimodal.network.period,
+                           multimodal.network.offsets, 90)
+    problem = window_problem(multimodal, sats, stream.needs, start, grid,
+                             SolveOptions(gap=0.0), 20)
+    solution = problem.solve()
+    events, start = commit(problem, solution,
+                           extract_schedule(problem, solution), 10)
+    assert [(e.day, e.kind) for e in events if e.vehicle == "mm_versatile"] \
+        == [(2, "flight"), (12, "service_start")]
+    landed = solution.values[vn("X", "mm_versatile",
+                                problem.node_by_name["satA"].index, 12,
+                                "monopropellant")]
+    [p] = start.pending_arrivals
+    assert (p.vehicle, p.node, p.t) == ("mm_versatile", "satA", 12)
+    assert p.commodities["monopropellant"] == pytest.approx(landed)
+    [flight] = [e for e in events
+                if e.kind == "flight" and e.detail["arrive_day"] == 12]
+    assert landed == pytest.approx(
+        flight.detail["cargo"]["monopropellant"] - 200.0)
+    result = run(multimodal, sats, stream, horizon_days=20,
+                 config=RhConfig(gap=0.0))
+    assert result.state.start.vehicle_nodes["mm_versatile"] == "satA"
+    assert result.state.start.commodities["mm_versatile"][
+        "monopropellant"] == pytest.approx(landed)
+
+
 def test_run_rejects_bad_commit(multimodal):
     stream = DemandStream(needs=())
     for window, commit in [(90, 7),     # not a multiple of the period
@@ -252,14 +289,19 @@ def test_run_rejects_bad_commit(multimodal):
 def _expected_loads(problem, values, boundary):
     """What the next window should start from, read by ``vn`` key from the
     solved values: each parked vehicle's load on the boundary day, and the
-    pending arrivals in the order the campaign hands them over."""
+    pending arrivals in the order the campaign hands them over. A flight in
+    the air lands with its load less its burn and less the demand of the
+    service that it lands to start."""
     names = {n.index: n.name for n in problem.net.nodes.nodes}
 
     def val(tag, *parts):
         return values.get(vn(tag, *parts), 0.0)
 
     def delivered(a, k):
-        amount = val("U", *a.key, k)
+        amount = val("U", *a.key, k) - sum(
+            need.commodity_demand.get(k, 0.0)
+            for need in problem.needs if need.satellite == names[a.j]
+            and val("H", a.vehicle, need.id, a.arrival) > 0.5)
         mode = problem.scenario.vehicles[a.vehicle].mode(a.r)
         if k == mode.propellant_commodity:
             if a.model.burn_fraction is not None:

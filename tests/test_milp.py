@@ -112,7 +112,7 @@ def test_model_names_are_family_tagged(solved):
     # their family
     problem, _, _ = solved
     model = problem.model
-    families = {"Y", "X", "W", "U", "Z", "L", "H", "B", "S0"}
+    families = {"Y", "X", "W", "U", "Z", "L", "H", "B"}
     assert model.var_names
     assert all(nm.split("[", 1)[0] in families and nm.endswith("]")
                for nm in model.var_names)
@@ -162,7 +162,9 @@ def test_unserved_without_capable_vehicle(multimodal):
 
 
 def test_service_in_place_at_start(multimodal):
-    # a servicer already sitting at the customer may begin serving immediately
+    # a servicer that starts the window parked at the customer, with no
+    # service holding it there, serves there only once it lands, as on every
+    # other step: it flies off on day 0 and starts the refueling on arrival
     scn = multimodal
     sats = [CustomerSat("satA", -160.0)]
     nodes = build_nodes(scn, sats, include_earth=False)
@@ -177,7 +179,12 @@ def test_service_in_place_at_start(multimodal):
     solution = problem.solve()
     assert solution.feasible
     schedule = extract_schedule(problem, solution)
-    assert schedule.outcomes[need.id] == ("mm_versatile", 0)
+    vid, tau = schedule.outcomes[need.id]
+    assert vid == "mm_versatile" and tau > 0
+    flights = [e for e in schedule.events if e.kind == "flight"]
+    assert (flights[0].day, flights[0].detail["from"]) == (0, "satA")
+    assert tau in [e.detail["arrive_day"] for e in flights
+                   if e.detail["to"] == "satA"]
     assert audit(problem, solution.values) == []
 
 
@@ -203,6 +210,73 @@ def test_committed_service_pins_vehicle(multimodal):
     assert solution.values[vn("Y", "mm_versatile", sat_idx, 20)] \
         == pytest.approx(0.0)
     assert audit(problem, solution.values) == []
+
+
+def test_one_service_at_a_time_counts_a_committed_service(multimodal):
+    # mm_versatile runs a committed service at satA on days 0-60, so
+    # mm_specialized_1 may not fly in and start the refueling of day 5
+    # beside it: the refueling's window closes before day 60
+    scn = multimodal
+    nodes = build_nodes(scn, [CustomerSat("satA", -160.0)],
+                        include_earth=False)
+    grid = build_time_grid(10, (2, 4), 90)
+    net = expand(nodes, grid, scn)
+    need = make_need(scn, "refueling", "satA", 5.0, grid)
+    assert need.window[-1] < 60
+    vids = ("mm_versatile", "mm_specialized_1")
+    init = InitialState(
+        vehicle_nodes={"mm_versatile": "satA",
+                       "mm_specialized_1": "parking_0"},
+        commodities={vid: full_loads(scn, vid) for vid in vids},
+        committed=(CommittedService(vehicle="mm_versatile", node="satA",
+                                    start_day=0.0, end_day=60.0,
+                                    need_id="prior"),))
+    problem = PlanProblem(scn, net, [need], init, SolveOptions(gap=0.0))
+    solution = problem.solve()
+    assert solution.feasible
+    assert extract_schedule(problem, solution).outcomes[need.id] is None
+    assert audit(problem, solution.values) == []
+    # the audit counts the committed service too
+    i = problem.node_by_name["satA"].index
+    values = {vn("B", "mm_specialized_1", need.id, t): 1.0 for t in (10, 12)}
+    assert {v.key for v in audit(problem, values)
+            if v.family == "one_service_at_a_time"} == {f"{i}|10", f"{i}|12"}
+
+
+def test_a_committed_service_stays_while_it_pins_its_servicer(multimodal):
+    # mm_versatile flies only 6-day high-thrust arcs, which leave x4 steps
+    # alone: its service at satA ends on day 20, but it is held there until
+    # day 24, so the window that starts on day 20 still holds the service
+    v = multimodal.vehicles["mm_versatile"]
+    v = replace(v, propulsion=(replace(v.mode("high_thrust"),
+                                       flight_durations=(6,)),))
+    scn = replace(multimodal, vehicles=dict(multimodal.vehicles,
+                                            mm_versatile=v))
+    nodes = build_nodes(scn, [CustomerSat("satA", -160.0)],
+                        include_earth=False)
+    service = CommittedService(vehicle="mm_versatile", node="satA",
+                               start_day=0.0, end_day=20.0, need_id="prior")
+
+    def solve(start, day):
+        grid = build_time_grid(10, (2, 4), 90, start=day)
+        problem = PlanProblem(scn, expand(nodes, grid, scn), [], start,
+                              SolveOptions(gap=0.0))
+        assert {a.t % 10 for a in problem.arcs} == {4}
+        solution = problem.solve()
+        assert solution.feasible
+        assert audit(problem, solution.values) == []
+        return problem, solution, extract_schedule(problem, solution)
+
+    problem, solution, schedule = solve(InitialState(
+        vehicle_nodes={"mm_versatile": "satA"},
+        commodities={"mm_versatile": full_loads(scn, "mm_versatile")},
+        committed=(service,)), 0)
+    _, start = commit(problem, solution, schedule, 20)
+    assert start.committed == (service,)
+    assert start.vehicle_nodes == {"mm_versatile": "satA"}
+    *_, schedule = solve(start, 20)
+    flight = next(e for e in schedule.events if e.kind == "flight")
+    assert (flight.day, flight.detail["from"]) == (24, "satA")
 
 
 def pinned_instance_with_arrival(scn) -> PlanProblem:

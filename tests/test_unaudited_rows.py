@@ -25,7 +25,7 @@ from oosplan.milp import EARTH_SUPPLY, PlanProblem, SolveOptions, vn
 
 TOL = 1e-6
 # families whose columns are binary, or weights in [0, 1]
-UNIT = {"Y", "W", "H", "B", "L", "S0"}
+UNIT = {"Y", "W", "H", "B", "L"}
 
 
 def unaudited(problem: PlanProblem, values: dict[tuple, float]) -> list:
