@@ -9,18 +9,22 @@ arc transformation relations, which keeps the model smaller and makes the
 transformation constraints hold by construction; nonnegativity of the
 substituted inflows is enforced explicitly.
 
-The model holds only columns that its rows let be nonzero: a servicer has a
-state at a customer node only on the steps of the needs it can serve, its
-commitments, its start and its in-flight arrivals. It leaves a customer only
-on a release step (a service end, the end of a commitment, its start or an
-in-flight arrival), and lands on a customer only on a window step whose
-service it can leave again, or that runs past the horizon. That release
-comes after the departure, so ``PlanProblem._prepare`` decides every landing
-in one sweep from the last departure back. Service timing is read from
-``ServiceNeed.covers``. A column left out reads as zero in every row.
-
-A service starts only where its servicer lands, on every step, the first
-included; one service at a time runs at a customer, a committed one too.
+The model holds only columns that its rows let be nonzero, but for starts
+that no flight lands for (below). ``PlanProblem._prepare`` admits each
+service start once, into ``PlanProblem.starts``, which every row, the
+objective and ``extract_schedule`` read: a capable servicer on a step of the
+need's window, whose service (``ServiceNeed.covers``) overlaps no committed
+service at that customer, so the ``one_service`` rows need not count one. A
+servicer has a state at a customer node only on the steps of its starts and
+their services, its commitments, its start and its in-flight arrivals. It
+leaves a customer only on a release step (a service end, the end of a
+commitment, its start or an in-flight arrival), and lands there only on a
+start step whose service it can leave again, or that runs past the horizon.
+That release comes after the departure, so ``_prepare`` decides every landing
+in one sweep from the last departure back. A service starts only where its
+servicer lands, on every step, the first included: the ``arrival`` rows force
+to zero a start that no kept flight lands for, and such a start is still
+built. A column left out reads as zero in every row.
 
 Columns are keyed by ``vn`` tuples. The build looks each column index up
 once, when it makes the column (Y and X per state; W, U, Z and L per arc; H
@@ -236,11 +240,14 @@ class PlanProblem:
                 (p.vehicle, self.node_by_name[p.node].index, p.t), []
             ).append(p.commodities)
 
-        # needs: capable vehicles and windows; ends[v, i, tau] holds the
-        # steps at which a service that v starts at node i on tau releases
-        # it (None where it runs past the horizon)
+        # needs: capable vehicles and ``starts``, the window steps on which
+        # each may start the need, with no step of its service under way
+        # beside a committed service at the customer (so the one_service
+        # rows need not count one); ends[v, i, tau] holds the steps at which
+        # such a start releases v (None where it runs past the horizon)
         self.needs_at: dict[int, list[ServiceNeed]] = {}
         self.capable: dict[str, list[str]] = {}
+        self.starts: list[tuple[ServiceNeed, str, tuple[int, ...]]] = []
         ends: dict[tuple[str, int, int], set[Optional[int]]] = {}
         held = set(self.pinned)
         for need in self.needs:
@@ -254,22 +261,27 @@ class PlanProblem:
             self.capable[need.id] = [
                 vid for vid, v in self.active.items()
                 if v.is_servicer and v.capacities.get(need.required_tool, 0) > 0]
+            taus = tuple(tau for tau in need.window if not any(
+                c.covers(need.satellite, t) for t in grid.steps
+                if need.covers(tau, t) for c in self.init.committed))
             busy = [t for t in grid.steps
-                    if any(need.covers(tau, t) for tau in need.window)]
-            for vid in self.capable[need.id]:
-                for tau in need.window:
+                    if any(need.covers(tau, t) for tau in taus)]
+            for vid in self.capable[need.id] if taus else ():
+                self.starts.append((need, vid, taus))
+                for tau in taus:
                     ends.setdefault((vid, node.index, tau), set()).add(
                         grid.next_step_at_or_after(tau + need.duration))
                 held |= {(vid, node.index, t) for t in busy}
 
         # A servicer gets a state at a customer node only where a row lets
-        # it be there or leave: the window and service steps of a need it
-        # can serve, its pinned steps, its start, its in-flight arrivals and
-        # its release steps. The presence rows force every other customer
-        # state to zero. They hold Y to the services and the pinned run, and
-        # a service starts only on an arrival, so the servicer leaves only on
-        # a release step: a service end, the end of its pinned run, its start
-        # or an in-flight arrival.
+        # it be there or leave: the steps and service steps of its starts,
+        # its pinned steps, its start, its in-flight arrivals and its
+        # release steps. The presence rows force every other customer state
+        # to zero. They hold Y to the services and the pinned run, and a
+        # service starts only on an arrival, so the servicer leaves only on
+        # a release step: a service end, the end of its pinned run, its
+        # start or an in-flight arrival. A start on which no kept flight
+        # (below) lands keeps its state; the arrival rows force it to zero.
         release |= set(self.arriving)
         release |= {(vid, i, e) for (vid, i, _), es in ends.items()
                     for e in es}
@@ -287,7 +299,7 @@ class PlanProblem:
         has_state = set(self.states)
 
         # A flight leaves a state, a customer only on a release step. It
-        # lands at a parking node, or on a window step whose service can be
+        # lands at a parking node, or on a start step whose service can be
         # left: the service runs past the horizon, or a kept flight leaves
         # at its end. A service lasts at least a day, so that end comes
         # after the departure, and one sweep from the last departure back
@@ -367,17 +379,25 @@ class PlanProblem:
             self._arc_cols.append(cols)
             self._dep.setdefault((a.vehicle, a.i, a.t), []).append(cols)
             self._arr.setdefault((a.vehicle, a.j, a.arrival), []).append(cols)
+        # H per start; B per step its service covers, and its dispatch row
         self._h: dict[tuple[str, str, int], int] = {}
-        self._b: dict[tuple[str, str, int], int] = {}
-        for need in self.needs:
-            for vid in self.capable[need.id]:
-                for tau in need.window:
-                    self._h[vid, need.id, tau] = m.add_var(
-                        vn("H", vid, need.id, tau), kind=BINARY)
-                for t in grid.steps:
-                    if any(need.covers(tau, t) for tau in need.window):
-                        self._b[vid, need.id, t] = m.add_var(
-                            vn("B", vid, need.id, t), kind=BINARY)
+        self._dispatch: list[dict[int, float]] = []
+        self._starts_at: dict[tuple, list] = {}     # (v, i, t): (need, H)
+        self._under_way: dict[tuple, list] = {}     # (i, t): (v, need, B)
+        for need, vid, taus in self.starts:
+            i = self.node_by_name[need.satellite].index
+            for tau in taus:
+                h = self._h[vid, need.id, tau] = m.add_var(
+                    vn("H", vid, need.id, tau), kind=BINARY)
+                self._starts_at.setdefault((vid, i, tau), []).append((need, h))
+            for t in grid.steps:
+                hs = [self._h[vid, need.id, tau] for tau in taus
+                      if need.covers(tau, t)]
+                if hs:
+                    b = m.add_var(vn("B", vid, need.id, t), kind=BINARY)
+                    self._dispatch.append({b: 1.0, **dict.fromkeys(hs, -1.0)})
+                    self._under_way.setdefault((i, t), []).append(
+                        (vid, need, b))
 
         self._add_balances()
         self._add_concurrency()
@@ -446,12 +466,10 @@ class PlanProblem:
             rows = {k: {} for k in self.carriable[vid]}
             self._outflows(rows, vid, i, t)
             for k, row in rows.items():
-                for need in self.needs_at.get(i, ()):
-                    mag = need.commodity_demand.get(k, 0.0)
-                    if mag and t in need.window and vid in self.capable[need.id]:
+                for need, h in self._starts_at.get((vid, i, t), ()):
+                    if need.commodity_demand.get(k):
                         # nonpositive demand: delivery leaves the servicer
-                        h = self._h[vid, need.id, t]
-                        row[h] = row.get(h, 0.0) + mag
+                        row[h] = need.commodity_demand[k]
                 self._add("bal_cust", row, "==",
                           self._init_stock(vid, i, k, t))
 
@@ -563,47 +581,34 @@ class PlanProblem:
         self._add("sos2_mass", row, "==", 0.0)
 
     def _add_service_management(self):
-        grid = self.grid
         # each need assigned at most once
-        for need in self.needs:
-            row = {self._h[vid, need.id, tau]: 1.0
-                   for vid in self.capable[need.id] for tau in need.window}
+        once = {need.id: {} for need in self.needs}
+        for (_, need_id, _), h in self._h.items():
+            once[need_id][h] = 1.0
+        for row in once.values():
             self._add("assign_once", row, "<=", 1.0)
         # a vehicle only starts a service it was dispatched for
-        for need in self.needs:
-            for vid in self.capable[need.id]:
-                for t in grid.steps:
-                    b = self._b.get((vid, need.id, t))
-                    row = {} if b is None else {b: 1.0}
-                    for tau in need.window:
-                        if need.covers(tau, t):
-                            row[self._h[vid, need.id, tau]] = -1.0
-                    self._add("dispatch", row, "==", 0.0)
-        # one service at a time per customer node, a committed one included
-        for i, needs_i in self.needs_at.items():
-            name = self.nodes.nodes[i].name
-            for t in grid.steps:
-                row = {self._b[vid, need.id, t]: 1.0 for need in needs_i
-                       for vid in self.capable[need.id]
-                       if (vid, need.id, t) in self._b}
-                running = sum(c.covers(name, t) for c in self.init.committed)
-                self._add("one_service", row, "<=", 1.0 - running)
+        for row in self._dispatch:
+            self._add("dispatch", row, "==", 0.0)
+        # one service at a time per customer node; no admitted start runs
+        # beside a committed service, so the rows count the window's own
+        for i in self.needs_at:
+            for t in self.grid.steps:
+                row = {b: 1.0 for _, _, b in self._under_way.get((i, t), ())}
+                self._add("one_service", row, "<=", 1.0)
         # presence at customer nodes equals dispatch
         for s in self.customer_states:
             vid, i, t = s
             row = {self._y[s]: 1.0}
-            for need in self.needs_at.get(i, ()):
-                if (vid, need.id, t) in self._b:
-                    row[self._b[vid, need.id, t]] = -1.0
+            row.update((b, -1.0) for v, _, b in self._under_way.get((i, t), ())
+                       if v == vid)
             self._add("presence", row, "==", float(s in self.pinned))
         # the adequate tool must be on board while a service needs it
         for s in self.customer_states:
             vid, i, t = s
             for k in self.scenario.tool_ids():
-                row = {self._b[vid, need.id, t]: -1.0
-                       for need in self.needs_at.get(i, ())
-                       if need.required_tool == k
-                       and (vid, need.id, t) in self._b}
+                row = {b: -1.0 for v, n, b in self._under_way.get((i, t), ())
+                       if v == vid and n.required_tool == k}
                 if row:
                     if k in self._x[s]:
                         row[self._x[s][k]] = 1.0
@@ -611,14 +616,10 @@ class PlanProblem:
 
     def _add_flight_rules(self):
         # arrivals at a customer node exactly when a service starts, on
-        # every step: a servicer that starts the window there unpinned
-        # flies before it serves there
+        # every step: a servicer parked there unpinned flies in first
         for s in self.customer_states:
-            vid, i, t = s
             row = {a.w: 1.0 for a in self._arr.get(s, ())}
-            for need in self.needs_at.get(i, ()):
-                if t in need.window and vid in self.capable[need.id]:
-                    row[self._h[vid, need.id, t]] = -1.0
+            row.update((h, -1.0) for _, h in self._starts_at.get(s, ()))
             self._add("arrival", row, "==", 0.0)
 
     def _add_objective(self):
@@ -627,16 +628,15 @@ class PlanProblem:
         self.obj_terms: dict[str, dict[int, float]] = {
             b: {} for b in ("revenues",) + COST_BUCKETS}
 
-        for need in self.needs:
+        for need, vid, taus in self.starts:
             first = grid.next_step_at_or_after(need.tau)
-            for vid in self.capable[need.id]:
-                for tau in need.window:
-                    h = self._h[vid, need.id, tau]
-                    self.obj_terms["revenues"][h] = need.revenue
-                    delay = tau - first
-                    if delay > 0 and need.delay_penalty_per_day > 0:
-                        self.obj_terms["delay"][h] = \
-                            need.delay_penalty_per_day * delay
+            for tau in taus:
+                h = self._h[vid, need.id, tau]
+                self.obj_terms["revenues"][h] = need.revenue
+                delay = tau - first
+                if delay > 0 and need.delay_penalty_per_day > 0:
+                    self.obj_terms["delay"][h] = \
+                        need.delay_penalty_per_day * delay
         launch = self.obj_terms["launch"]
         pdm = self.obj_terms["pdm"]
         c_l = scn.economics.launch_cost_per_kg
@@ -1011,22 +1011,21 @@ def extract_schedule(problem: PlanProblem, solution: Solution) -> Schedule:
                         "wet_mass_kg": x[cols.z],
                         "propellant_kg": burned, "cargo": cargo}))
 
-    outcomes: dict[str, Optional[tuple[str, int]]] = {}
-    for need in problem.needs:
-        outcomes[need.id] = None
+    outcomes = dict.fromkeys(need.id for need in problem.needs)
+    for need, vid, taus in problem.starts:
         first = problem.grid.next_step_at_or_after(need.tau)
-        for vid in problem.capable[need.id]:
-            for tau in need.window:
-                if x[problem._h[vid, need.id, tau]] > 0.5:
-                    outcomes[need.id] = (vid, tau)
-                    events.append(ScheduleEvent(
-                        day=tau, vehicle=vid, kind="service_start",
-                        detail={"need": need.id, "satellite": need.satellite,
-                                "service_type": need.service_type,
-                                "revenue": need.revenue,
-                                "delay_days": tau - first,
-                                "end_day": tau + need.duration},
-                        cash=cash([problem._h[vid, need.id, tau]])))
+        for tau in taus:
+            h = problem._h[vid, need.id, tau]
+            if x[h] > 0.5:
+                outcomes[need.id] = (vid, tau)
+                events.append(ScheduleEvent(
+                    day=tau, vehicle=vid, kind="service_start",
+                    detail={"need": need.id, "satellite": need.satellite,
+                            "service_type": need.service_type,
+                            "revenue": need.revenue,
+                            "delay_days": tau - first,
+                            "end_day": tau + need.duration},
+                    cash=cash([h])))
     events.sort(key=lambda e: (e.day, e.vehicle, e.kind))
     return Schedule(events=tuple(events), outcomes=outcomes)
 

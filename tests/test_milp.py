@@ -215,7 +215,9 @@ def test_committed_service_pins_vehicle(multimodal):
 def test_one_service_at_a_time_counts_a_committed_service(multimodal):
     # mm_versatile runs a committed service at satA on days 0-60, so
     # mm_specialized_1 may not fly in and start the refueling of day 5
-    # beside it: the refueling's window closes before day 60
+    # beside it: the refueling's window closes before day 60. The build
+    # admits no such start, and of a refueling whose window straddles day
+    # 60 only the starts whose service runs wholly after it
     scn = multimodal
     nodes = build_nodes(scn, [CustomerSat("satA", -160.0)],
                         include_earth=False)
@@ -223,6 +225,9 @@ def test_one_service_at_a_time_counts_a_committed_service(multimodal):
     net = expand(nodes, grid, scn)
     need = make_need(scn, "refueling", "satA", 5.0, grid)
     assert need.window[-1] < 60
+    later = replace(make_need(scn, "refueling", "satA", 45.0, grid),
+                    id="satA/refueling/1")
+    assert later.window[0] < 60 <= later.window[-1]
     vids = ("mm_versatile", "mm_specialized_1")
     init = InitialState(
         vehicle_nodes={"mm_versatile": "satA",
@@ -231,7 +236,15 @@ def test_one_service_at_a_time_counts_a_committed_service(multimodal):
         committed=(CommittedService(vehicle="mm_versatile", node="satA",
                                     start_day=0.0, end_day=60.0,
                                     need_id="prior"),))
-    problem = PlanProblem(scn, net, [need], init, SolveOptions(gap=0.0))
+    problem = PlanProblem(scn, net, [need, later], init,
+                          SolveOptions(gap=0.0))
+    keys = problem.model.keys
+    assert not [k for k in keys if k[0] in ("H", "B") and k[2] == need.id]
+    after = [tau for tau in later.window if all(
+        t >= 60 for t in grid.steps if later.covers(tau, t))]
+    assert 0 < len(after) < len(later.window)
+    assert [k for k in keys if k[0] == "H" and k[2] == later.id] == [
+        vn("H", vid, later.id, tau) for vid in vids for tau in after]
     solution = problem.solve()
     assert solution.feasible
     assert extract_schedule(problem, solution).outcomes[need.id] is None

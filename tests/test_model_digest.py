@@ -86,3 +86,26 @@ def test_highs_digest_hashes_what_highs_gets(monkeypatch, capsys):
         (np.array([1.0, 2.0]), 0.5), {})
     assert tool.highs_hash(ints, {}) != tool.highs_hash(
         (np.array([1, 2]), 0.25), {})
+
+
+def test_objectives_list_each_plan_solve(monkeypatch, capsys):
+    # one entry per PlanProblem.solve, in solve order; a bare model solve
+    # (as the least-burn LP is) adds none
+    tool = _load_tool(monkeypatch)
+    _stub_workload(monkeypatch, tool)
+    from micro import micro_instance
+    milp, solved = tool.milp, []
+
+    def run_rep(name, inputs, outdir):
+        for seed in (1, 2):
+            scenario, _, net, needs, init = micro_instance(seed)
+            problem = milp.PlanProblem(scenario, net, needs, init,
+                                       milp.SolveOptions(gap=0.0))
+            solved.append(repr(problem.solve().objective))
+            problem.model.solve()
+        return 0
+    monkeypatch.setattr(tool.workloads, "run_rep", run_rep)
+    assert tool.main(["--workload", "plan_mm20"]) == 0
+    report = json.loads(capsys.readouterr().out)["workloads"]["plan_mm20"]
+    assert report["objectives"] == solved
+    assert report["solves"] > len(solved) == 2

@@ -4,15 +4,18 @@
     python3 tools/model_digest.py --workload plan_mm20 --seed 0
 
 Runs each workload of ``benchmarks/workloads.py`` once at ``--seed`` and
-prints one JSON object: per workload, the number of solves, two digests and
-the fingerprints of the workload's outputs. ``lp_digest`` hashes the
-``write_lp`` text of every model passed to ``lp.Model.solve`` (the min-burn
-LPs included); ``highs_digest`` hashes every argument handed to ``lp.milp``,
-each array with its dtype and shape, so it covers the arrays HiGHS gets
-rather than their text form. Each digest is one SHA-256 over the per-solve
-hashes in solve order. A refactor that claims to leave every model unchanged
-must print the same object before and after. A workload that fails its own
-checks has its problems printed to stderr, and the exit status is then 1.
+prints one JSON object: per workload, the number of solves, two digests, the
+``repr`` of every ``PlanProblem.solve`` objective in solve order
+(``objectives``) and the fingerprints of the workload's outputs.
+``lp_digest`` hashes the ``write_lp`` text of every model passed to
+``lp.Model.solve`` (the min-burn LPs included); ``highs_digest`` hashes every
+argument handed to ``lp.milp``, each array with its dtype and shape, so it
+covers the arrays HiGHS gets rather than their text form. Each digest is one
+SHA-256 over the per-solve hashes in solve order. A refactor that claims to
+leave every model unchanged must print the same object before and after; one
+that changes models but claims to keep every optimum must print the same
+``objectives`` and fingerprints. A workload that fails its own checks has its
+problems printed to stderr, and the exit status is then 1.
 Every function the tool wraps is restored when ``main`` returns.
 """
 
@@ -51,10 +54,12 @@ def highs_hash(args: tuple, kwargs: dict) -> str:
     return h.hexdigest()
 
 
-def install(model_hashes: list[str], highs_hashes: list[str], workdir: Path):
-    """Hash the LP text of each model before it is solved, and the
-    arguments of each HiGHS call."""
+def install(model_hashes: list[str], highs_hashes: list[str],
+            objectives: list[str], workdir: Path):
+    """Hash the LP text of each model before it is solved and the
+    arguments of each HiGHS call, and log each plan's objective."""
     solve, highs_milp = lp.Model.solve, lp.milp
+    plan_solve = milp.PlanProblem.solve
 
     def hashed(model, *args, **kwargs):
         path = workdir / "model.lp"
@@ -65,8 +70,14 @@ def install(model_hashes: list[str], highs_hashes: list[str], workdir: Path):
     def hashed_milp(*args, **kwargs):
         highs_hashes.append(highs_hash(args, kwargs))
         return highs_milp(*args, **kwargs)
+
+    def logged_plan(problem):
+        sol = plan_solve(problem)
+        objectives.append(repr(sol.objective))
+        return sol
     lp.Model.solve = hashed
     lp.milp = hashed_milp
+    milp.PlanProblem.solve = logged_plan
 
 
 def _digest(hashes: list[str]) -> str:
@@ -99,7 +110,8 @@ def _run(args) -> tuple[dict, bool]:
         tmp = Path(tmp)
         model_hashes: list[str] = []
         highs_hashes: list[str] = []
-        install(model_hashes, highs_hashes, tmp)
+        objectives: list[str] = []
+        install(model_hashes, highs_hashes, objectives, tmp)
         solves = workloads.SolveLog()
         solves.install()
         for name in args.workload or workloads.WORKLOADS:
@@ -108,6 +120,7 @@ def _run(args) -> tuple[dict, bool]:
             outdir.mkdir(parents=True)
             model_hashes.clear()
             highs_hashes.clear()
+            objectives.clear()
             solves.calls.clear()
             # the program's own output would corrupt the JSON on stdout
             with contextlib.redirect_stdout(sys.stderr):
@@ -125,6 +138,7 @@ def _run(args) -> tuple[dict, bool]:
                 "solves": len(model_hashes),
                 "lp_digest": _digest(model_hashes),
                 "highs_digest": _digest(highs_hashes),
+                "objectives": list(objectives),
                 "fingerprints": res.fingerprints}
     return report, failed
 
