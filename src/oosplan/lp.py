@@ -156,6 +156,7 @@ class SolveResult:
     gap: Optional[float] = None
     dual_bound: Optional[float] = None  # best bound on the objective (HiGHS)
     nodes: Optional[int] = None         # branch-and-bound nodes (HiGHS)
+    iterations: Optional[int] = None    # simplex iterations (HiGHS)
 
     @property
     def feasible(self) -> bool:
@@ -174,6 +175,7 @@ class HighsResult:
     mip_gap: Optional[float] = None
     mip_dual_bound: Optional[float] = None
     mip_node_count: Optional[int] = None
+    simplex_iteration_count: Optional[int] = None   # set once HiGHS ran
 
 
 def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
@@ -227,9 +229,10 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
         os.dup2(saved, 1)
         os.close(saved)
     status = solver.getModelStatus()
-    res = HighsResult(_SCIPY_STATUS.get(status, 4),
-                      solver.modelStatusToString(status))
     info = solver.getInfo()
+    res = HighsResult(_SCIPY_STATUS.get(status, 4),
+                      solver.modelStatusToString(status),
+                      simplex_iteration_count=info.simplex_iteration_count)
     is_mip = bool(np.any(integrality))
     solved = status == _HMS.kOptimal or (
         is_mip and status in _LIMITS
@@ -386,7 +389,8 @@ class Model:
         bound = res.mip_dual_bound
         stats = dict(gap=res.mip_gap,
                      dual_bound=None if bound is None else -float(bound),
-                     nodes=res.mip_node_count)
+                     nodes=res.mip_node_count,
+                     iterations=res.simplex_iteration_count)
         if res.x is None:
             return SolveResult(status=status, objective=None, **stats)
         return SolveResult(status=status, objective=float(-res.fun),

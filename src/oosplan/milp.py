@@ -27,15 +27,15 @@ to zero a start that no kept flight lands for, and such a start is still
 built. A column left out reads as zero in every row.
 
 Columns are keyed by ``vn`` tuples. The build looks each column index up
-once, when it makes the column (Y and X per state; W, U, Z and L per arc; H
-and B), and writes every row family with those integer indices straight
-into the model's row store. A row that the indices show to be empty is not
-assembled; it must hold at zero, or the build raises ``ModelError``. A
-solution comes back as one list of column values, which ``PlanProblem.solve``,
-``extract_schedule`` and ``start_after`` read through the same indices; no
-other module knows them. Only ``audit`` reads values by ``vn`` key, from
-``Solution.values``, so that it stays independent of the build's index
-bookkeeping.
+once, when it makes the column (Y and X per state; W, U and Z per arc, and
+the burn L per curve arc; H and B), and writes every row family with those
+integer indices straight into the model's row store. A row that the indices
+show to be empty is not assembled; it must hold at zero, or the build raises
+``ModelError``. A solution comes back as one list of column values, which
+``PlanProblem.solve``, ``extract_schedule`` and ``start_after`` read through
+the same indices; no other module knows them. Only ``audit`` reads values by
+``vn`` key, from ``Solution.values``, so that it stays independent of the
+build's index bookkeeping.
 
 ``milp`` alone prices a plan: ``COST_BUCKETS`` names the objective's cost
 buckets, and ``extract_schedule`` gives each launch and service start the
@@ -47,18 +47,21 @@ that lands to start one of them is handed over with the demand delivered,
 and a service stays in the start while it pins its servicer. The campaign
 loop in ``horizon`` only books the events' cash and carries the start on.
 
-A curve is convex in initial mass, so its weights need no segment binaries:
-their convex combination already bounds the burn from below. Where HiGHS
-returns weights on breakpoints that are not neighbours (an over-burn that
-earns nothing), ``PlanProblem.solve`` fixes the plan and solves one LP that
-minimizes the curve-arc burn at the same profit. Where that LP ties on a
-near-straight curve and still leaves such weights, they move onto the two
-breakpoints that bracket the arc's wet mass if the burn barely changes.
+A curve, with the origin prepended, is convex in initial mass
+(``network.expand`` refuses one that is not), so its chord interpolant is the
+largest of its chord lines. A curve arc's burn is one column ``L``, at or
+above each chord (one ``sos2_seg`` row each) and at most the burn at the last
+breakpoint, which keeps the wet mass within the breakpoints. A burn above the
+curve earns nothing but dumps propellant, which can lighten a later flight;
+where HiGHS returns one, ``PlanProblem.solve`` fixes the plan and solves one
+LP that minimizes the curve-arc burn at the same profit. The two tags are
+those of the weights and segment rows they replace: the benchmark's census
+(``benchmarks/spans.py``) counts only the families it lists, and they change
+with its next revision.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -72,12 +75,8 @@ INT_TOL = 1e-6
 # the objective's cost buckets, each charged against ``revenues``
 COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
 EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
-SOS2_TOL = 1e-6                 # weight counted in a curve arc's support
+SOS2_TOL = 1e-6                 # burn (kg) above a curve that solve() lets be
 CARGO_TOL = 1e-4                # cargo that a flight or launch event lists
-# Most burn (kg) that moving a curve arc's weights onto neighbours may change.
-# The least-burn LP's ties on near-straight curves leave at most 4.3e-8 kg;
-# the move lands on the arc's arrival balance, which the audit holds to 1e-6.
-NEIGHBOUR_BURN_TOL = 1e-7
 
 
 class ModelError(Exception):
@@ -157,6 +156,7 @@ class SolveOptions:
 
 @dataclass
 class Solution(SolveResult):
+    # ``iterations`` counts both stages of ``PlanProblem.solve``
     components: dict[str, float] = field(default_factory=dict)
     # the rounded column values under their ``vn`` keys, for ``audit``;
     # empty without a solution
@@ -169,7 +169,8 @@ class _ArcColumns:
     w: int
     u: dict[str, int] = field(default_factory=dict)     # commodity -> U
     z: Optional[int] = None             # wet mass, on a flight only
-    lam: list[int] = field(default_factory=list)        # L, on a curve
+    # (slope, intercept) per chord of a curve: burn >= slope * Z + intercept
+    chords: list[tuple[float, float]] = field(default_factory=list)
     propellant: Optional[str] = None    # the commodity a flight burns
     burn: dict[int, float] = field(default_factory=dict)  # L or Z -> burn
 
@@ -335,7 +336,6 @@ class PlanProblem:
         m = self.model
         scn = self.scenario
         grid = self.grid
-        self.curve_points: dict[tuple, list[tuple[float, float]]] = {}
 
         def kind_of(k):
             return INTEGER if scn.commodities[k].is_integer else CONTINUOUS
@@ -368,12 +368,11 @@ class PlanProblem:
                 ub = a.mass_upper_bound if math.isfinite(a.mass_upper_bound) else 1e9
                 cols.z = m.add_var(vn("Z", *key), ub=ub)
                 if a.model.burn_fraction is None:
-                    pts = [(0.0, 0.0)] + list(a.model.breakpoints)
-                    self.curve_points[key] = pts
-                    cols.lam = [m.add_var(vn("L", *key, n), ub=1.0)
-                                for n in range(len(pts))]
-                    cols.burn = {col: f for col, (_, f) in zip(cols.lam, pts)
-                                 if f != 0.0}
+                    pts = [(0.0, 0.0), *a.model.breakpoints]
+                    for (b0, f0), (b1, f1) in zip(pts, pts[1:]):
+                        slope = (f1 - f0) / (b1 - b0)
+                        cols.chords.append((slope, f0 - slope * b0))
+                    cols.burn = {m.add_var(vn("L", *key), ub=pts[-1][1]): 1.0}
                 else:
                     cols.burn = {cols.z: a.model.burn_fraction}
             self._arc_cols.append(cols)
@@ -559,8 +558,10 @@ class PlanProblem:
             for col, f in cols.burn.items():
                 row[col] = -f
             self._add("prop_avail", row, ">=", 0.0)
-            if a.model.burn_fraction is None:
-                self._add_sos2(a, cols)
+            # a curve arc burns at least each chord of its curve
+            for slope, intercept in cols.chords:
+                self._add("sos2_seg", {**cols.burn, cols.z: -slope}, ">=",
+                          intercept)
         # depot station keeping stock must cover the holdover burn
         for s in self.states:
             v = self.active[s[0]]
@@ -570,15 +571,6 @@ class PlanProblem:
                 self._add("sk_avail", {self._x[s][k]: 1.0,
                                        self._y[s]: -v.station_keeping_rate * dt},
                           ">=", 0.0)
-
-    def _add_sos2(self, a: TransportArc, cols: _ArcColumns):
-        # the curve is convex, so the weights alone bound the burn from
-        # below; solve() restores adjacency where HiGHS over-burns
-        pts = self.curve_points[a.key]
-        self._add("sos2_sum", dict.fromkeys(cols.lam, 1.0), "==", 1.0)
-        row = {col: b for col, (b, _) in zip(cols.lam, pts) if b != 0.0}
-        row[cols.z] = -1.0
-        self._add("sos2_mass", row, "==", 0.0)
 
     def _add_service_management(self):
         # each need assigned at most once
@@ -675,11 +667,11 @@ class PlanProblem:
     def solve(self) -> Solution:
         res = self._run(self.model)
         sol = Solution(status=res.status, objective=res.objective, x=res.x,
-                       gap=res.gap, dual_bound=res.dual_bound, nodes=res.nodes)
+                       gap=res.gap, dual_bound=res.dual_bound, nodes=res.nodes,
+                       iterations=res.iterations)
         if sol.feasible:
-            if not all(self._neighbours(c, sol.x) for c in self._arc_cols):
+            if not all(self._on_curve(c, sol.x) for c in self._arc_cols):
                 self._min_burn(sol)
-                self._to_neighbours(sol.x)
             # integer columns come back within the solver's tolerance:
             # check and round them in one pass
             x = sol.x
@@ -696,46 +688,27 @@ class PlanProblem:
         return sol
 
     @staticmethod
-    def _neighbours(cols: _ArcColumns, x: list[float]) -> bool:
-        """The arc's weights sit on at most two neighbouring breakpoints
-        (the tolerance of ``audit``)."""
-        support = [n for n, col in enumerate(cols.lam) if x[col] > SOS2_TOL]
-        return len(support) < 2 or support == [support[0], support[0] + 1]
-
-    def _to_neighbours(self, x: list[float]):
-        """Move the weights of each curve arc that the least-burn LP left on
-        breakpoints that are not neighbours (a tie on a near-straight curve)
-        onto the two that bracket its Z, where that changes the arc's burn by
-        at most ``NEIGHBOUR_BURN_TOL``; otherwise leave them for ``audit``."""
-        for a, cols in zip(self.arcs, self._arc_cols):
-            if self._neighbours(cols, x):
-                continue
-            pts = self.curve_points[a.key]
-            masses = [b for b, _ in pts]
-            z = min(max(x[cols.z], masses[0]), masses[-1])
-            hi = min(bisect.bisect_right(masses, z), len(masses) - 1)
-            (b0, f0), (b1, f1) = pts[hi - 1], pts[hi]
-            share = (z - b0) / (b1 - b0)
-            burn = sum(x[col] * f for col, (_, f) in zip(cols.lam, pts))
-            if abs((1.0 - share) * f0 + share * f1 - burn) > NEIGHBOUR_BURN_TOL:
-                continue
-            for col in cols.lam:
-                x[col] = 0.0
-            x[cols.lam[hi - 1]], x[cols.lam[hi]] = 1.0 - share, share
+    def _on_curve(cols: _ArcColumns, x: list[float]) -> bool:
+        """The arc burns at most its curve's chord interpolant at its wet
+        mass, the largest of its chord lines, plus ``SOS2_TOL``; a line
+        burns exactly."""
+        return not cols.chords or sum(x[j] for j in cols.burn) <= max(
+            s * x[cols.z] + c for s, c in cols.chords) + SOS2_TOL
 
     def _min_burn(self, sol: Solution):
         """Second stage: with every integer column fixed and the profit held
-        at the first stage's, minimize the total curve-arc burn. On a convex
-        curve the least burn for a given mass lies on neighbouring
-        breakpoints, so this removes the over-burn without losing profit.
-        Leaves ``sol`` as it is when the LP returns no solution."""
-        burn = {col: -f for cols in self._arc_cols if cols.lam
-                for col, f in cols.burn.items()}
+        at the first stage's, minimize the total curve-arc burn. The least
+        burn at a given mass lies on the curve, so this removes the
+        over-burn without losing profit. Leaves ``sol`` as it is when the LP
+        returns no solution."""
+        burn = {j: -1.0 for cols in self._arc_cols if cols.chords
+                for j in cols.burn}
         lp = self.model.fixed_lp(sol.x, burn)
         z = sol.objective
         lp.add_constr("profit", self.model.objective, ">=",
                       z - 1e-7 * max(1.0, abs(z)))
         res = self._run(lp)
+        sol.iterations += res.iterations
         if res.feasible:
             sol.x = res.x
 
@@ -777,8 +750,16 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
             return 0.0
         if a.model.burn_fraction is not None:
             return a.model.burn_fraction * val("Z", *a.key)
-        pts = problem.curve_points[a.key]
-        return sum(val("L", *a.key, n) * f for n, (_, f) in enumerate(pts))
+        return val("L", *a.key)
+
+    def on_curve(a: TransportArc, z: float) -> float:
+        # the chord interpolant of the origin and the breakpoints at z,
+        # extended along the end chords past them
+        pts = [(0.0, 0.0), *a.model.breakpoints]
+        for (b0, f0), (b1, f1) in zip(pts, pts[1:]):
+            if z <= b1:
+                break
+        return f0 + (f1 - f0) * (z - b0) / (b1 - b0)
 
     def inflow(a: TransportArc, k: str) -> float:
         u = val("U", *a.key, k)
@@ -875,7 +856,7 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
             if excess > tol:
                 flag("capacity_payload", excess, *a.key)
 
-    # wet mass, mass upper bound, SOS2 structure
+    # wet mass, mass upper bound, the burn on a curve
     for a in problem.arcs:
         if a.is_launch:
             continue
@@ -890,15 +871,7 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
             if excess > tol:
                 flag("mass_upper_bound", excess, *a.key)
         if a.model.burn_fraction is None:
-            pts = problem.curve_points[a.key]
-            lam = [val("L", *a.key, n) for n in range(len(pts))]
-            flag("sos2_sum", sum(lam) - 1.0, *a.key)
-            flag("sos2_mass", sum(l * b for l, (b, _) in zip(lam, pts)) - z,
-                 *a.key)
-            support = [n for n, l in enumerate(lam) if l > tol]
-            if len(support) > 2 or (len(support) == 2
-                                    and support[1] - support[0] != 1):
-                flag("sos2_adjacency", float(len(support)), *a.key)
+            flag("curve_burn", consumption(a) - on_curve(a, z), *a.key)
 
     # service management
     for need in problem.needs:

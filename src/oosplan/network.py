@@ -203,6 +203,23 @@ def _mass_range(vehicle: VehicleDesign, scenario: Scenario) -> tuple[float, floa
     return vehicle.dry_mass, vehicle.dry_mass + payload
 
 
+def _refuse_non_convex(model: TrajectoryModel, kind: str,
+                       query: TrajectoryQuery, rtol: float = 1e-9):
+    """Raise ``NetworkError`` unless the curve's slopes, with the origin
+    prepended, do not decrease (within ``rtol``, relative): the model prices
+    a curve arc's burn as the largest of its chord lines, which is the curve
+    only where the curve is convex."""
+    pts = [(0.0, 0.0), *model.breakpoints]
+    if pts[1][0] > 0.0:
+        slopes = [(f1 - f0) / (b1 - b0)
+                  for (b0, f0), (b1, f1) in zip(pts, pts[1:])]
+        if all(s1 >= s0 - rtol * abs(s0)
+               for s0, s1 in zip(slopes, slopes[1:])):
+            return
+    raise NetworkError(f"the {kind} plugin returned a burn curve that is "
+                       f"not convex from the origin for {query}")
+
+
 def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
            registry: Optional[PluginRegistry] = None,
            n_breakpoints: int = 20,
@@ -215,8 +232,10 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
     the registered plugin. Trajectory models are cached per (vehicle, mode,
     duration, phase angle) since the propellant depends only on the phase
     geometry, not node identity. Arcs whose mass upper bound falls below the
-    servicer dry mass are pruned. Launch arcs run Earth to parking for each
-    launcher on the campaign days that are multiples of the launcher cadence.
+    servicer dry mass are pruned, and a curve that is not convex from the
+    origin is refused (``NetworkError``). Launch arcs run Earth to parking for
+    each launcher on the campaign days that are multiples of the launcher
+    cadence.
     """
     registry = registry or PluginRegistry.default()
     eco = scenario.economics
@@ -260,6 +279,8 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
                                 model = plugin(query, n_breakpoints)
                             except TrajectoryError:
                                 model = None    # arc infeasible for this geometry
+                            if model is not None and model.burn_fraction is None:
+                                _refuse_non_convex(model, mode.kind, query)
                             cache[key] = model
                         model = cache[key]
                         if model is None or model.mass_upper_bound < veh.dry_mass:

@@ -13,6 +13,8 @@ from oosplan.lp import HighsResult
 from oosplan.milp import Violation
 from oosplan.network import build_time_grid, expand
 from oosplan.scenario import load_catalog
+from oosplan.trajectory import PluginRegistry
+from test_milp import _concave_high_thrust
 
 
 def test_plan_runs_clean(catalog_file, tmp_path, capsys):
@@ -157,6 +159,27 @@ def test_audit_failure_exits_one_and_writes_nothing(
     assert code == EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith(
         "error: solution audit failed at day 0: [Violation(wet_mass")
+    assert not out.exists()
+
+
+def test_a_non_convex_plugin_curve_exits_two(catalog_file, tmp_path, capsys,
+                                             monkeypatch):
+    # a user plugin's curve that the model cannot price is a usage error
+    registry = PluginRegistry.default()
+    registry.register("high_thrust", _concave_high_thrust)
+    monkeypatch.setattr(PluginRegistry, "default",
+                        staticmethod(lambda: registry))
+    out = tmp_path / "plan.json"
+    # demand seed 2 puts a need at a customer in the window, so flights
+    # there are expanded
+    code = main(["plan", "--scenario", "multimodal", "--seed", "2",
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the high_thrust plugin returned a burn "
+                          "curve that is not convex from the origin for "
+                          "TrajectoryQuery(")
     assert not out.exists()
 
 

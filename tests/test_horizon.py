@@ -12,7 +12,8 @@ from oosplan.milp import (InitialState, PendingArrival, PlanProblem,
                           SolveOptions, commit, extract_schedule, vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
-from oosplan.trajectory import PluginRegistry, TrajectoryModel, lt_model
+from oosplan.trajectory import (PluginRegistry, TrajectoryError,
+                                TrajectoryModel, lt_model)
 
 
 def test_ledger_value_identity():
@@ -239,11 +240,20 @@ def test_a_need_that_waits_across_windows_keeps_its_delay(multimodal):
         8 * rep.delay_penalty_per_day)
 
 
+def _no_flight(query, n_breakpoints):
+    raise TrajectoryError("no flight in this mode")
+
+
 def test_a_start_committed_past_the_boundary_delivers_its_cargo(multimodal):
     # the refueling at satA on day 12 starts as a flight lands that is in
     # the air at boundary 10: the next window gets the load that the plan
     # holds after the landing, less the 200 kg of monopropellant delivered,
-    # and the servicer keeps that load while it serves
+    # and the servicer keeps that load while it serves. Only low-thrust
+    # flights are built, so that the one from day 2 is the only way there
+    # (a two-day high-thrust flight from day 10, which the boundary does not
+    # commit, earns the same)
+    registry = PluginRegistry.default()
+    registry.register("high_thrust", _no_flight)
     ref = multimodal.services["refueling"]
     assert ref.commodity_demand == {"monopropellant": 200.0}
     stream = DemandStream(needs=(_make("satA/refueling/0", "satA", ref,
@@ -253,7 +263,7 @@ def test_a_start_committed_past_the_boundary_delivers_its_cargo(multimodal):
     grid = build_time_grid(multimodal.network.period,
                            multimodal.network.offsets, 90)
     problem = window_problem(multimodal, sats, stream.needs, start, grid,
-                             SolveOptions(gap=0.0), 20)
+                             SolveOptions(gap=0.0), 20, registry)
     solution = problem.solve()
     events, start = commit(problem, solution,
                            extract_schedule(problem, solution), 10)
@@ -270,7 +280,7 @@ def test_a_start_committed_past_the_boundary_delivers_its_cargo(multimodal):
     assert landed == pytest.approx(
         flight.detail["cargo"]["monopropellant"] - 200.0)
     result = run(multimodal, sats, stream, horizon_days=20,
-                 config=RhConfig(gap=0.0))
+                 config=RhConfig(gap=0.0), registry=registry)
     assert result.state.start.vehicle_nodes["mm_versatile"] == "satA"
     assert result.state.start.commodities["mm_versatile"][
         "monopropellant"] == pytest.approx(landed)
@@ -307,8 +317,7 @@ def _expected_loads(problem, values, boundary):
             if a.model.burn_fraction is not None:
                 amount -= a.model.burn_fraction * val("Z", *a.key)
             else:
-                for n, (_, f) in enumerate(problem.curve_points[a.key]):
-                    amount -= f * val("L", *a.key, n)
+                amount -= val("L", *a.key)
         return max(amount, 0.0)
 
     parked = {}

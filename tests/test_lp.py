@@ -495,25 +495,27 @@ def _census(model: Model) -> dict:
                 "\n".join(families).encode()).hexdigest()}
 
 
-# recorded from the dict-keyed build that preceded the row store
+# recorded from the dict-keyed build that preceded the row store, then with
+# each of the 11 curve arcs' 21 weights L and its sos2_sum and sos2_mass
+# rows replaced by one burn column L and 20 chord rows sos2_seg; the rows
+# that read the burn (bal_cust, bal_park, prop_avail) hold one entry for it
+# instead of one per weight
 MICRO0_CENSUS = {
-    "cols": {"Y": 18, "X": 72, "W": 23, "U": 92, "Z": 23, "L": 231, "H": 7,
+    "cols": {"Y": 18, "X": 72, "W": 23, "U": 92, "Z": 23, "L": 11, "H": 7,
              "B": 8},
     "rows": {"bal_cust": 32, "bal_park": 40, "bal_veh": 18, "cap_hold": 72,
              "cap_arc": 92, "wet_mass": 23, "mass_ub": 23, "prop_avail": 23,
-             "sos2_sum": 11, "sos2_mass": 11, "assign_once": 2,
-             "dispatch": 8, "one_service": 8, "presence": 8, "tool": 8,
-             "arrival": 7},
-    "nnz": {"bal_cust": 307, "bal_park": 252, "bal_veh": 80, "cap_hold": 144,
-            "cap_arc": 184, "wet_mass": 138, "mass_ub": 46, "prop_avail": 255,
-            "sos2_sum": 231, "sos2_mass": 231, "assign_once": 7,
-            "dispatch": 22, "one_service": 8, "presence": 16, "tool": 16,
-            "arrival": 22},
+             "sos2_seg": 220, "assign_once": 2, "dispatch": 8,
+             "one_service": 8, "presence": 8, "tool": 8, "arrival": 7},
+    "nnz": {"bal_cust": 174, "bal_park": 176, "bal_veh": 80, "cap_hold": 144,
+            "cap_arc": 184, "wet_mass": 138, "mass_ub": 46, "prop_avail": 46,
+            "sos2_seg": 440, "assign_once": 7, "dispatch": 22,
+            "one_service": 8, "presence": 16, "tool": 16, "arrival": 22},
     "first_seen": ["bal_cust", "bal_park", "bal_veh", "cap_hold", "cap_arc",
-                   "wet_mass", "mass_ub", "prop_avail", "sos2_sum",
-                   "sos2_mass", "assign_once", "dispatch", "one_service",
-                   "presence", "tool", "arrival"],
-    "sequence": "5871fabb41ddd9b2e08938819904d7035f8c79a53ce2892407418cd014d40460",
+                   "wet_mass", "mass_ub", "prop_avail", "sos2_seg",
+                   "assign_once", "dispatch", "one_service", "presence",
+                   "tool", "arrival"],
+    "sequence": "eac18b9c0fcea51180f3fcc7d91eaff5023342603444a3d911d5cceba04410c9",
 }
 W1_FIRST_CENSUS = {
     "cols": {"Y": 56, "X": 448, "W": 3, "U": 24},

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import re
@@ -13,11 +14,11 @@ from lp_text import parse_lp
 from micro import micro_instance, micro_scenario
 
 from oosplan.demand import ServiceNeed, build_window
-from oosplan.lp import CONTINUOUS, Model
+from oosplan.lp import CONTINUOUS, Model, SolveResult
 from oosplan.milp import (CommittedService, InitialState, ModelError,
                           PendingArrival, PlanProblem, SolveOptions, audit,
                           commit, extract_schedule, start_after, vn)
-from oosplan.network import build_nodes, build_time_grid, expand
+from oosplan.network import NetworkError, build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
 from oosplan.trajectory import (PluginRegistry, TrajectoryError,
                                 TrajectoryModel, ht_model, linearize,
@@ -118,9 +119,18 @@ def test_model_names_are_family_tagged(solved):
                for nm in model.var_names)
     rows = {"bal_cust", "bal_park", "supply", "bal_veh", "veh_supply",
             "cap_hold", "cap_arc", "cap_payload", "wet_mass", "mass_ub",
-            "prop_avail", "sk_avail", "sos2_sum", "sos2_mass", "assign_once",
-            "dispatch", "one_service", "presence", "tool", "arrival"}
+            "prop_avail", "sk_avail", "sos2_seg", "assign_once", "dispatch",
+            "one_service", "presence", "tool", "arrival"}
     assert {con.name for con in model.constraints} <= rows
+    # a curve arc has one burn column L, and one sos2_seg row per chord of
+    # its curve, the origin's included
+    curves = [a for a in problem.arcs if not a.is_launch
+              and a.model.burn_fraction is None]
+    assert curves
+    assert [k[1:] for k in model.keys if k[0] == "L"] \
+        == [a.key for a in curves]
+    assert sum(con.name == "sos2_seg" for con in model.constraints) == sum(
+        len(a.model.breakpoints) for a in curves)
     a = problem.arcs[0]
     col = {key: j for j, key in enumerate(model.keys)}
     assert model.var_names[col[vn("W", *a.key)]] \
@@ -467,7 +477,7 @@ def test_lp_export_cross_check(solved, tmp_path):
 
 
 def _segment_arcs(problem) -> set:
-    """Arc keys carrying lambda weights; no column is a segment binary."""
+    """Arc keys carrying a burn column; no column is a segment binary."""
     assert not any(k[0] == "G" for k in problem.model.keys)
     return {k[1:7] for k in problem.model.keys if k[0] == "L"}
 
@@ -487,6 +497,16 @@ def _curve_high_thrust(query, n_breakpoints):
     f = ht_model(query).burn_fraction
     bps = linearize(lambda m: f * m * m / query.mass_max, query.mass_min,
                     query.mass_max, 5)
+    return TrajectoryModel(breakpoints=bps, mass_upper_bound=query.mass_max,
+                           kind="high_thrust")
+
+
+def _concave_high_thrust(query, n_breakpoints):
+    # a concave curve, 0.5·f·m·(2 − m/m_max) for the rocket-equation
+    # fraction f: from the origin on, each chord is flatter than the last
+    f = ht_model(query).burn_fraction
+    bps = linearize(lambda m: 0.5 * f * m * (2.0 - m / query.mass_max),
+                    query.mass_min, query.mass_max, 5)
     return TrajectoryModel(breakpoints=bps, mass_upper_bound=query.mass_max,
                            kind="high_thrust")
 
@@ -522,6 +542,51 @@ def test_embedding_follows_model_shape_not_mode(seed):
     assert curve == {a.key for a in problem.arcs if a.r == "high_thrust"}
     assert problem.arcs
     assert _segment_arcs(problem) == curve
+
+
+def test_a_concave_curve_is_refused_where_it_enters():
+    # the model would price its burn as the largest chord line, above the
+    # curve; a plan on it used to fail the audit instead
+    registry = PluginRegistry.default()
+    registry.register("high_thrust", _concave_high_thrust)
+    scenario, _, net, _, _ = micro_instance(0)
+    with pytest.raises(NetworkError, match=r"^the high_thrust plugin returned "
+                       r"a burn curve that is not convex from the origin "
+                       r"for TrajectoryQuery\(phase_angle="):
+        expand(net.nodes, net.grid, scenario, registry=registry)
+
+
+@pytest.mark.parametrize("drop, refused", [(1e-12, False), (1e-6, True)])
+def test_convexity_is_checked_to_a_relative_tolerance(drop, refused):
+    # a line through the origin, bent at its first breakpoint to a slope
+    # ``drop`` (relative) below the first
+    def bent(query, n_breakpoints):
+        f = ht_model(query).burn_fraction
+        lo, hi = query.mass_min, query.mass_max
+        bent_at = f * lo + f * (1.0 - drop) * (hi - lo)
+        return TrajectoryModel(breakpoints=((lo, f * lo), (hi, bent_at)),
+                               mass_upper_bound=hi, kind="high_thrust")
+    registry = PluginRegistry.default()
+    registry.register("high_thrust", bent)
+    scenario, _, net, _, _ = micro_instance(0)
+    if refused:
+        with pytest.raises(NetworkError, match="not convex"):
+            expand(net.nodes, net.grid, scenario, registry=registry)
+    else:
+        net = expand(net.nodes, net.grid, scenario, registry=registry)
+        assert any(a.r == "high_thrust" for a in net.arcs)
+
+
+def test_oracle_suite_plans_pass_the_audit():
+    # the burn column's upper bound caps the propellant that a burn above
+    # the curve dumps: without it, seed 26 dumps 60 kg of xenon on its
+    # low-thrust flight to lighten its high-thrust flight back, a plan of
+    # the oracle's profit that the least-burn LP cannot repair
+    for seed in range(50):
+        scenario, _, net, needs, init = micro_instance(seed)
+        problem = PlanProblem(scenario, net, needs, init,
+                              SolveOptions(gap=0.0))
+        assert audit(problem, problem.solve().values) == [], seed
 
 
 def test_embedding_seeds_hold_both_shapes():
@@ -569,12 +634,13 @@ def test_zero_burn_arcs_get_no_segment_binaries():
 
 def _over_burns(x, problem) -> bool:
     values = dict(zip(problem.model.keys, x))
-    return any(v.family == "sos2_adjacency" for v in audit(problem, values))
+    return any(v.family == "curve_burn" for v in audit(problem, values))
 
 
 def test_second_stage_restores_adjacency():
-    # without segment binaries HiGHS may spread an arc's weights over
-    # breakpoints that are not neighbours; solve() must repair that exactly
+    # nothing holds a curve arc's burn down onto its curve, so HiGHS may
+    # leave it above the chord of the two adjacent breakpoints that bracket
+    # Z; solve() must put it back exactly
     raw_over_burns = 0
     for seed in range(10):
         scenario, _, net, needs, init = micro_instance(seed)
@@ -585,7 +651,7 @@ def test_second_stage_restores_adjacency():
 
 
 def test_second_stage_uses_the_same_backend(monkeypatch):
-    scenario, _, net, needs, init = micro_instance(1)
+    scenario, _, net, needs, init = micro_instance(8)
     problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
     model = problem.model
     built = (list(model.var_lb), list(model.var_ub), list(model.var_kind),
@@ -615,9 +681,10 @@ def test_second_stage_uses_the_same_backend(monkeypatch):
 
 @pytest.mark.parametrize("seed", [157, 404])
 def test_least_burn_tie_ends_on_neighbouring_weights(monkeypatch, seed):
-    # on a near-straight curve the least-burn LP ties and leaves one arc's
-    # weights on breakpoints that are not neighbours; solve() moves them
-    # onto the two that bracket Z, and the plan stays optimal
+    # near-straight curves, on which the least-burn LP over weights tied
+    # and left one arc on breakpoints that were not neighbours: with the
+    # burn as one column the first stage already ends on the chord of the
+    # two that bracket Z, with no second stage, and the plan is optimal
     solved = []
     through = Model.solve
 
@@ -628,20 +695,30 @@ def test_least_burn_tie_ends_on_neighbouring_weights(monkeypatch, seed):
     monkeypatch.setattr(Model, "solve", logged)
     scenario, _, net, needs, init = micro_instance(seed)
     problem = _solve_against_oracle(scenario, net, needs, init)
-    assert len(solved) == 2
-    assert _over_burns(solved[1], problem)
+    assert len(solved) == 1
+    assert not _over_burns(solved[0], problem)
+    assert _segment_arcs(problem)
 
 
-def test_an_over_burn_is_not_moved_onto_neighbours():
-    # a first-stage over-burn costs more than a tie's round-off, so the
-    # move leaves it for audit to flag
-    scenario, _, net, needs, init = micro_instance(1)
+def test_an_over_burn_is_not_moved_onto_neighbours(monkeypatch):
+    # only the least-burn LP lowers a first-stage over-burn: where it
+    # returns no solution, solve() keeps the plan as HiGHS gave it, and
+    # audit flags the burn above the curve
+    scenario, _, net, needs, init = micro_instance(8)
     problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
     x = problem.model.solve(gap=0.0).x
     assert _over_burns(x, problem)
-    moved = list(x)
-    problem._to_neighbours(moved)
-    assert moved == x
+    through = Model.solve
+
+    def no_lp(m, *args, **kwargs):
+        if m is problem.model:
+            return through(m, *args, **kwargs)
+        return SolveResult(status="infeasible", objective=None, iterations=0)
+    monkeypatch.setattr(Model, "solve", no_lp)
+    solution = problem.solve()
+    assert solution.x == pytest.approx(x, abs=1e-6)
+    assert {v.family for v in audit(problem, solution.values)} \
+        == {"curve_burn"}
 
 
 def test_customer_states_only_where_a_row_lets_them_be_nonzero():
@@ -785,7 +862,7 @@ def test_integer_columns_come_back_integral(monkeypatch):
     net = expand(net.nodes, net.grid, scenario, registry=registry)
     problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
     _solve_off_integral(monkeypatch, 1e-9)
-    assert not problem.curve_points
+    assert not _segment_arcs(problem)
     solution = problem.solve()
     integer = [solution.values[k] for k, kind in
                zip(problem.model.keys, problem.model.var_kind)
@@ -880,9 +957,7 @@ def _breaks(problem, values, family):
         "wet_mass": (vn("Z", *flown.key), values[vn("Z", *flown.key)] + 1.0,
                      flown.key),
         "mass_upper_bound": (vn("Z", *idle.key), 1.0, idle.key),
-        "sos2_sum": (vn("L", *curve.key, 0), 0.5, curve.key),
-        "sos2_mass": (vn("Z", *curve.key), 1.0, curve.key),
-        "sos2_adjacency": (vn("L", *curve.key, 2), 1.0, curve.key),
+        "curve_burn": (vn("L", *curve.key), 1.0, curve.key),
         "assign_once": (vn("H", sv, ref, problem.needs[0].window[0]), 1.0,
                         (ref,)),
         "dispatch_coupling": (vn("B", sv, ref, serve), 0.0, (sv, ref, serve)),
@@ -898,10 +973,9 @@ def _breaks(problem, values, family):
 AUDIT_FAMILIES = (
     "mass_balance_customer", "mass_balance_parking", "vehicle_balance",
     "capacity_holdover", "capacity_arc", "negative_inflow",
-    "capacity_payload", "wet_mass", "mass_upper_bound", "sos2_sum",
-    "sos2_mass", "sos2_adjacency", "assign_once", "dispatch_coupling",
-    "one_service_at_a_time", "presence_dispatch", "tool_on_board",
-    "arrival_at_start")
+    "capacity_payload", "wet_mass", "mass_upper_bound", "curve_burn",
+    "assign_once", "dispatch_coupling", "one_service_at_a_time",
+    "presence_dispatch", "tool_on_board", "arrival_at_start")
 
 
 @pytest.mark.parametrize("family", AUDIT_FAMILIES)
@@ -914,3 +988,49 @@ def test_audit_family_fires_on_the_row_of_a_perturbed_value(two_needs,
     values[col] = value
     fired = {(v.family, v.key) for v in audit(problem, values)}
     assert (family, "|".join(map(str, key))) in fired
+
+
+@pytest.mark.parametrize("shift", [1.0, -1.0])
+def test_audit_flags_a_burn_off_the_curve(two_needs, shift):
+    # one flown curve arc burns a kilogram above or below its curve
+    problem, solution = two_needs
+    values = dict(solution.values)
+    a = next(a for a in problem.arcs if not a.is_launch
+             and a.model.burn_fraction is None
+             and values[vn("W", *a.key)] > 0.5)
+    assert values[vn("L", *a.key)] > 1.0
+    values[vn("L", *a.key)] += shift
+    fired = {v.key: v.residual for v in audit(problem, values)
+             if v.family == "curve_burn"}
+    assert fired == {"|".join(map(str, a.key)): pytest.approx(shift)}
+
+
+def _census_families():
+    """The column and row families that the benchmark's census counts."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return set(spans.COL_FAMILIES), set(spans.ROW_FAMILIES)
+
+
+def test_every_model_family_is_in_the_benchmark_census(solved):
+    # a tag that the census does not list makes every per-family metric of
+    # a traced benchmark run unreadable
+    cols, rows = _census_families()
+    scenario, _, net, needs, init = micro_instance(0)
+    micro = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    assert _segment_arcs(micro)
+    for problem in (solved[0], micro):
+        model = problem.model
+        assert {k[0] for k in model.keys} <= cols
+        assert {con.name for con in model.constraints} <= rows
+
+
+def test_highs_reports_its_simplex_iterations():
+    scenario, _, net, needs, init = micro_instance(0)
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    res = problem.model.solve(gap=0.0)
+    assert type(res.iterations) is int and res.iterations > 0
+    solution = problem.solve()
+    assert solution.iterations == res.iterations

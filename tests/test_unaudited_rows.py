@@ -24,8 +24,8 @@ from oosplan.cli import EXIT_OK, main
 from oosplan.milp import EARTH_SUPPLY, PlanProblem, SolveOptions, vn
 
 TOL = 1e-6
-# families whose columns are binary, or weights in [0, 1]
-UNIT = {"Y", "W", "H", "B", "L"}
+# families whose columns are binary
+UNIT = {"Y", "W", "H", "B"}
 
 
 def unaudited(problem: PlanProblem, values: dict[tuple, float]) -> list:
@@ -73,6 +73,9 @@ def unaudited(problem: PlanProblem, values: dict[tuple, float]) -> list:
             hi = scn.vehicles[key[1]].capacities[key[-1]]
         elif tag == "Z":
             hi = arcs[key[1:]].model.mass_upper_bound
+        elif tag == "L":
+            # a curve arc's burn, at most its curve's at its heaviest point
+            hi = arcs[key[1:]].model.breakpoints[-1][1]
         elif tag not in UNIT:
             raise AssertionError(f"no bounds for column {key}")
         flag("bounds", key, max(lo - value, value - hi))
