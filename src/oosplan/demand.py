@@ -32,9 +32,10 @@ class ServiceNeed:
     commodity_demand: dict[str, float] = field(default_factory=dict)
     required_tool: str = ""
 
-    def covers(self, start: int, t: int) -> bool:
-        """Whether a service started on step ``start`` is under way at ``t``."""
-        return start <= t < start + self.duration
+    def covers(self, start, t):
+        """Whether a service started on step ``start`` is under way at
+        ``t``; elementwise where either is a numpy array."""
+        return (start <= t) & (t < start + self.duration)
 
 
 def _sat_rng(seed: int, sat_name: str, service_id: str) -> np.random.Generator:

@@ -7,16 +7,27 @@ names are formatted only for export and error messages. A solution comes back
 as one list of column values in column order (``SolveResult.x``); readers
 find their columns through the indices ``add_var`` returned.
 
-Rows are appended to one flat COO store: a row, column and coefficient per
-entry, plus each row's family, sense and right-hand side. ``solve`` hands
-that store to numpy with no per-row Python loop; ``constraints`` is a
-read-only view derived from it, for ``write_lp`` and for readers outside the
-solve path. On the one-year five-satellite multimodal campaign (36 models,
-six runs on a shared 2-vCPU VM), building the models took 0.62-0.73 s and
-``solve``'s own work around HiGHS 0.11-0.13 s when rows were dicts keyed by
-column tuples and walked row by row; with the store and the integer-indexed
-build in ``oosplan.milp`` they take 0.22-0.30 s and 0.05-0.06 s, and HiGHS
-gets byte-identical arrays.
+Rows go into one COO store: a row, column and coefficient per entry, plus
+each row's family, sense and right-hand side. ``add_constr`` appends one
+row; ``add_rows`` appends a block of rows as three entry arrays, the rows
+counted from the block's first, and ``add_vars`` a block of columns. The
+store keeps each block's arrays as they come, and ``entries`` concatenates
+them once, so ``solve`` hands HiGHS the matrix with no Python pass over its
+columns or entries: it sorts the entries by column and then row, the order
+scipy's CSC conversion gives, whatever their order within a row, and
+``milp`` passes the arrays to HiGHS as they are (``passModel``'s array
+form, with no ``HighsLp`` and no list of column types).
+``constraints`` is a read-only view derived from the store, for
+``write_lp`` and for readers outside the solve path. On the one-year
+five-satellite multimodal campaign (36 models, a shared 2-vCPU VM),
+building the models took 0.62-0.73 s and ``solve``'s own work around HiGHS
+0.11-0.13 s when rows were dicts keyed by column tuples and walked row by
+row, and 0.22-0.30 s and 0.05-0.06 s with one integer-indexed row per
+``add_constr``. With the blocks that ``oosplan.milp`` now writes, the
+build (``_prepare`` included) took 0.115-0.116 s → 0.066-0.070 s and
+``solve``'s work outside ``milp`` 0.021-0.022 s → 0.009-0.010 s (three
+alternated replays of that campaign's 36 models, HiGHS's results replayed),
+and HiGHS gets byte-identical arrays.
 
 HiGHS is called directly (``milp``) rather than through
 ``scipy.optimize.milp``, because only the direct call can switch off one
@@ -62,6 +73,7 @@ import sys
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from itertools import islice
 from pathlib import Path
 from types import ModuleType
 from typing import Optional
@@ -121,8 +133,9 @@ _SCIPY_STATUS = {_HMS.kOptimal: 0, _HMS.kTimeLimit: 1, _HMS.kIterationLimit: 1,
                  _HMS.kInfeasible: 2, _HMS.kUnbounded: 3}
 # limits after which a MILP's incumbent, if HiGHS holds one, comes back
 _LIMITS = (_HMS.kTimeLimit, _HMS.kIterationLimit, _HMS.kSolutionLimit)
-# HiGHS's column type per integrality code 0 and 1
-_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+# the matrix layout and objective sense of every model ``milp`` passes
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
 
 
 class SolveError(Exception):
@@ -195,28 +208,21 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
     A solution comes back for an optimum, and for a MILP stopped at a limit
     only if HiGHS holds an incumbent, as ``scipy.optimize.milp`` does.
     """
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    lp.col_cost_ = c
-    lp.col_lower_ = col_lower
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    # pybind takes only a list of the enum values here
-    lp.integrality_ = [_VAR_TYPES[k] for k in integrality.tolist()]
     solver = highs._Highs()
     options = dict(HIGHS_OPTIONS, mip_rel_gap=float(gap))
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    for key, value in options.items():
-        if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
-            raise SolveError(f"HiGHS rejects option {key}={value!r}")
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    for key, setting in options.items():
+        if solver.setOptionValue(key, setting) != highs.HighsStatus.kOk:
+            raise SolveError(f"HiGHS rejects option {key}={setting!r}")
+    passed = solver.passModel(
+        len(c), len(row_lower), len(value), _COLWISE, _MINIMIZE, 0.0,
+        *(np.asarray(a, dtype=float) for a in (c, col_lower, col_upper,
+                                                row_lower, row_upper)),
+        *(np.asarray(a, dtype=np.int32) for a in (start, index)),
+        np.asarray(value, dtype=float),
+        np.asarray(integrality, dtype=np.int32))
+    if passed == highs.HighsStatus.kError:
         return HighsResult(4, "HiGHS rejects the model")
     # HiGHS can print to file descriptor 1 even with output off; keep that
     # on stderr, off the standard output of the program that solves
@@ -257,8 +263,11 @@ class Model:
         self.var_kind: list[str] = []
         self._index: dict[Hashable, int] = {}     # key -> column, in order
         self.objective: dict[int, float] = {}
-        # the rows: one (row, column, coefficient) per entry, in row order,
-        # and each row's family, sense code and right-hand side
+        # the rows: blocks of (row, column, coefficient) entry arrays, the
+        # rows numbered in the model, in the order they were added; the
+        # entries of ``add_constr`` since the last block, not yet one; and
+        # each row's family, sense code and right-hand side
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._entry_row: list[int] = []
         self._entry_col: list[int] = []
         self._entry_val: list[float] = []
@@ -278,6 +287,24 @@ class Model:
         self.var_kind.append(kind)
         self._index[key] = idx
         return idx
+
+    def add_vars(self, keys: list[Hashable], lb: list[float],
+                 ub: list[float], kind: list[str]) -> int:
+        """Append one column per key, in order, with the bounds and kind at
+        its position in ``lb``, ``ub`` and ``kind``; returns the index of
+        the first. A binary column's bounds must lie in [0, 1] already:
+        unlike ``add_var``, this does not clamp them."""
+        first = len(self._index)
+        index = dict(zip(keys, range(first, first + len(keys))))
+        if len(index) != len(keys) or not self._index.keys().isdisjoint(index):
+            seen = set(self._index)
+            key = next(k for k in keys if k in seen or seen.add(k))
+            raise ValueError(f"duplicate variable {col_name(key)!r}")
+        self._index.update(index)
+        self.var_lb.extend(lb)
+        self.var_ub.extend(ub)
+        self.var_kind.extend(kind)
+        return first
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._index
@@ -309,9 +336,10 @@ class Model:
             if kind != CONTINUOUS:
                 lp.fix(j, float(round(x[j])))
         lp.objective = dict(objective)
-        for attr in ("_entry_row", "_entry_col", "_entry_val", "_family",
-                     "_sense", "_rhs"):
-            setattr(lp, attr, list(getattr(self, attr)))
+        # the entry arrays are never written to, so the copy shares them
+        lp._blocks = [self.entries()]
+        lp._family, lp._sense = list(self._family), list(self._sense)
+        lp._rhs = list(self._rhs)
         return lp
 
     def add_objective(self, idx: int, coeff: float):
@@ -332,6 +360,49 @@ class Model:
         self._sense.append(code)
         self._rhs.append(rhs)
 
+    def add_rows(self, family: str | list[str], row: np.ndarray,
+                 col: np.ndarray, val: np.ndarray, sense: str | list[str],
+                 rhs: np.ndarray):
+        """Append ``len(rhs)`` rows ``sense rhs`` as one block: entry ``e``
+        puts ``val[e]`` in column ``col[e]`` of the ``row[e]``-th new row,
+        counted from 0. ``family`` and ``sense`` hold for every row, or
+        list one per row. Zero coefficients are stored, as ``add_constr``
+        stores them."""
+        n = len(rhs)
+        try:
+            codes = ([_SENSE_CODE[sense]] * n if isinstance(sense, str)
+                     else list(map(_SENSE_CODE.__getitem__, sense)))
+        except KeyError as e:
+            raise ValueError(f"bad sense {e.args[0]!r}") from None
+        self._flush()
+        self._blocks.append((np.asarray(row, dtype=np.intp) + self.n_rows,
+                             np.asarray(col, dtype=np.intp),
+                             np.asarray(val, dtype=float)))
+        self._family.extend([family] * n if isinstance(family, str)
+                            else family)
+        self._sense.extend(codes)
+        self._rhs.extend(np.asarray(rhs, dtype=float).tolist())
+
+    def _flush(self):
+        """Turn the entries of ``add_constr`` since the last block into
+        one."""
+        if self._entry_row:
+            self._blocks.append((np.array(self._entry_row, dtype=np.intp),
+                                 np.array(self._entry_col, dtype=np.intp),
+                                 np.array(self._entry_val, dtype=float)))
+            self._entry_row, self._entry_col, self._entry_val = [], [], []
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row, column and coefficient of every entry, in the order the
+        rows were added; within a row, in no set order."""
+        self._flush()
+        if not self._blocks:
+            return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                    np.zeros(0))
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(map(np.concatenate, zip(*self._blocks)))]
+        return self._blocks[0]
+
     @property
     def n_rows(self) -> int:
         return len(self._family)
@@ -339,18 +410,13 @@ class Model:
     @property
     def constraints(self) -> tuple[Constraint, ...]:
         """The rows in order, read back from the store."""
-        ends = np.cumsum(np.bincount(
-            np.array(self._entry_row, dtype=np.intp),
-            minlength=self.n_rows)).tolist()
-        cols, vals = self._entry_col, self._entry_val
-        out, start = [], 0
-        for name, code, rhs, end in zip(self._family, self._sense,
-                                        self._rhs, ends):
-            out.append(Constraint(name, dict(zip(cols[start:end],
-                                                 vals[start:end])),
-                                  _SENSES[code], rhs))
-            start = end
-        return tuple(out)
+        rows, cols, vals = self.entries()
+        order = np.argsort(rows, kind="stable")
+        entries = zip(cols[order].tolist(), vals[order].tolist())
+        sizes = np.bincount(rows, minlength=self.n_rows).tolist()
+        return tuple(map(Constraint, self._family,
+                         [dict(islice(entries, n)) for n in sizes],
+                         map(_SENSES.__getitem__, self._sense), self._rhs))
 
     @property
     def n_vars(self) -> int:
@@ -362,26 +428,26 @@ class Model:
         both cost time and changed no optimum (see the module docstring)."""
         n = self.n_vars
         c = np.zeros(n)
-        for idx, coeff in self.objective.items():
-            c[idx] = -coeff     # HiGHS minimizes
+        terms = len(self.objective)
+        c[np.fromiter(self.objective, np.intp, terms)] = -np.fromiter(
+            self.objective.values(), float, terms)      # HiGHS minimizes
         integrality = np.array(
             [0 if k == CONTINUOUS else 1 for k in self.var_kind])
-        rows = np.array(self._entry_row, dtype=np.int32)
-        cols = np.array(self._entry_col, dtype=np.int32)
-        data = np.array(self._entry_val, dtype=float)
+        rows, cols, data = self.entries()
         nonzero = data != 0.0
         rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
         sense = np.array(self._sense, dtype=np.int8)
         rhs = np.array(self._rhs, dtype=float)
-        # column-major order: a stable sort keeps each column's rows
-        # ascending, the order scipy's CSC conversion gives
-        order = np.argsort(cols, kind="stable")
+        # column-major order, each column's rows ascending: the order
+        # scipy's CSC conversion gives
+        order = np.argsort(cols * self.n_rows + rows, kind="stable")
         start = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-        res = milp(c, start, rows[order], data[order],
+        res = milp(c, start, rows[order].astype(np.int32), data[order],
                    np.where(sense == _SENSE_CODE["<="], -np.inf, rhs),
                    np.where(sense == _SENSE_CODE[">="], np.inf, rhs),
-                   np.array(self.var_lb), np.array(self.var_ub), integrality,
+                   np.array(self.var_lb, dtype=float),
+                   np.array(self.var_ub, dtype=float), integrality,
                    gap, time_limit)
         status = _STATUS.get(res.status, "error")
         if status == "error":

@@ -3,7 +3,7 @@
 Builds the time-expanded multi-commodity flow model over a DynamicNetwork and
 a set of service needs: profit objective, mass balances, payload concurrency,
 propellant transformation (exact where the trajectory model is a line,
-piecewise-linear with SOS2 weights where it is a curve), service management
+the epigraph of its chords where it is a convex curve), service management
 and flight rules. Inflow ("minus") variables are substituted out through the
 arc transformation relations, which keeps the model smaller and makes the
 transformation constraints hold by construction; nonnegativity of the
@@ -26,16 +26,29 @@ servicer lands, on every step, the first included: the ``arrival`` rows force
 to zero a start that no kept flight lands for, and such a start is still
 built. A column left out reads as zero in every row.
 
-Columns are keyed by ``vn`` tuples. The build looks each column index up
-once, when it makes the column (Y and X per state; W, U and Z per arc, and
-the burn L per curve arc; H and B), and writes every row family with those
-integer indices straight into the model's row store. A row that the indices
-show to be empty is not assembled; it must hold at zero, or the build raises
-``ModelError``. A solution comes back as one list of column values, which
-``PlanProblem.solve``, ``extract_schedule`` and ``start_after`` read through
-the same indices; no other module knows them. Only ``audit`` reads values by
-``vn`` key, from ``Solution.values``, so that it stays independent of the
-build's index bookkeeping.
+Columns are keyed by ``vn`` tuples. The build makes them as blocks of the
+model's store: Y then X per state, each vehicle's states one run; W, U, Z
+and the burn L per arc; H and B per start. It keeps their indices as arrays
+over the states, arcs and commodities (``_ycol``, ``_xcol``, ``_wcol``,
+``_ucol``, ...), writes each large row family as array expressions over
+them, and adds every row to the model as one block (``_RowBlock``). The
+rows come family by family, in the order of ``_build``'s calls, each
+family's rows in the order its comment gives, so equal inputs give HiGHS
+equal arrays; within a row the entries are in no set order, as HiGHS's
+matrix and ``write_lp`` sort them. A row left with no entry is not
+assembled; it must hold at zero, or the build raises ``ModelError``. A solution comes back as one list of column
+values, which ``PlanProblem.solve``, ``extract_schedule`` and
+``start_after`` read through the same indices; no other module knows them.
+
+``audit`` reads none of those indices. It reads ``values`` once, by ``vn``
+key, into dense arrays of its own enumeration: Y and X per active vehicle,
+node, step and commodity, W, Z, L and U per arc (by ``TransportArc.key``),
+and H and B per need, active vehicle and step. A key outside that
+enumeration is ignored and an absent one reads 0; which X columns exist it
+takes from the model's keys. It then checks each family as array
+expressions over those arrays. Its test oracle, ``tests/audit_reference.py``,
+checks the same families one value at a time; both return the same
+violations in the same order.
 
 ``milp`` alone prices a plan: ``COST_BUCKETS`` names the objective's cost
 buckets, and ``extract_schedule`` gives each launch and service start the
@@ -64,7 +77,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
+
+import numpy as np
 
 from .demand import ServiceNeed
 from .lp import BINARY, CONTINUOUS, INTEGER, Model, SolveResult
@@ -167,12 +183,100 @@ class Solution(SolveResult):
 class _ArcColumns:
     """Column indices of one arc's variables."""
     w: int
-    u: dict[str, int] = field(default_factory=dict)     # commodity -> U
-    z: Optional[int] = None             # wet mass, on a flight only
+    u: dict[str, int]                   # commodity -> U
+    z: Optional[int]                    # wet mass, on a flight only
     # (slope, intercept) per chord of a curve: burn >= slope * Z + intercept
-    chords: list[tuple[float, float]] = field(default_factory=list)
-    propellant: Optional[str] = None    # the commodity a flight burns
-    burn: dict[int, float] = field(default_factory=dict)  # L or Z -> burn
+    chords: list[tuple[float, float]]
+    propellant: Optional[str]           # the commodity a flight burns
+    burn: dict[int, float]              # L or Z -> burn
+
+
+# the row of an entry that is not there: below -1, so that it stays below 0
+# when a block shifts its rows
+NO_ROW = -(1 << 40)
+
+
+class _RowBlock:
+    """Rows gathered family by family and added to a model as one block.
+
+    Each family appends its rows in order (``add``) and gives its entries
+    as arrays of rows, counted from its first, of columns and of
+    coefficients (an array or one for all). A row of ``NO_ROW`` or a column
+    of -1 marks an entry that is not there. A column that
+    ``PlanProblem._prepare`` left out is zero in every solution, so the
+    families leave it out of their rows; ``commit`` skips a row left with
+    no entry if it holds at zero, and raises ``ModelError`` if not.
+    """
+
+    def __init__(self):
+        self.rows: list[np.ndarray] = []
+        self.firsts: list[int] = []      # the first row of each family
+        self.cols: list[np.ndarray] = []
+        self.vals: list = []
+        self.family: list[str] = []
+        self.sense: list[str] = []
+        self.rhs: list[float] = []
+
+    def add(self, family: str | list[str], sense: str | list[str], rhs,
+            *entries):
+        """The rows ``sense rhs`` of ``family``, one per item of ``rhs``;
+        ``family`` and ``sense`` are one for all of them or one each."""
+        first, n = len(self.rhs), len(rhs)
+        self.family += [family] * n if isinstance(family, str) else family
+        self.sense += [sense] * n if isinstance(sense, str) else sense
+        self.rhs += rhs.tolist() if isinstance(rhs, np.ndarray) else rhs
+        for row, col, val in entries:
+            self.rows.append(row)
+            self.firsts.append(first)
+            self.cols.append(col)
+            self.vals.append(val)
+
+    def add_dicts(self, rows: list[tuple[str, dict[int, float], str, float]]):
+        """Rows given as ``family, {column: coefficient}, sense, rhs``."""
+        if rows:
+            family, coeffs, sense, rhs = map(list, zip(*rows))
+            self.add(family, sense, rhs, (
+                np.repeat(np.arange(len(rows)), [len(c) for c in coeffs]),
+                np.array([j for c in coeffs for j in c], dtype=np.intp),
+                np.array([v for c in coeffs for v in c.values()],
+                         dtype=float)))
+
+    def commit(self, model: Model):
+        sizes = [len(c) for c in self.cols]
+        row = np.concatenate(self.rows) + np.repeat(self.firsts, sizes) \
+            if sizes else np.zeros(0, np.intp)
+        col = np.concatenate(self.cols) if sizes else np.zeros(0, np.intp)
+        val = np.repeat([0.0 if isinstance(v, np.ndarray) else v
+                         for v in self.vals], sizes)
+        end = 0
+        for v, n in zip(self.vals, sizes):
+            end += n
+            if isinstance(v, np.ndarray):
+                val[end - n:end] = v
+        there = (row >= 0) & (col >= 0)
+        row, col, val = row[there], col[there], val[there]
+        rhs = np.array(self.rhs, dtype=float)
+        family, sense = self.family, self.sense
+        used = np.bincount(row, minlength=len(rhs)).astype(bool)
+        if not used.all():
+            # an empty row holds at zero where its right-hand side is 0
+            for n in (~used & (rhs != 0.0)).nonzero()[0].tolist():
+                if not {"<=": 0.0 <= rhs[n], ">=": 0.0 >= rhs[n],
+                        "==": rhs[n] == 0.0}[sense[n]]:
+                    raise ModelError(f"empty {family[n]} row cannot hold: "
+                                     f"0 {sense[n]} {self.rhs[n]}")
+            row = (np.cumsum(used) - 1)[row]
+            rhs = rhs[used]
+            keep = used.tolist()
+            family, sense = (list(compress(f, keep)) for f in (family, sense))
+        model.add_rows(family, row, col, val, sense, rhs)
+
+
+def _ranks(keys: list) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct ``keys`` in sorted order, and
+    how many there are: rows numbered in the order of their keys."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.intp), len(rank)
 
 
 class PlanProblem:
@@ -218,7 +322,8 @@ class PlanProblem:
         # service ending near the horizon edge does not strand it; that step
         # releases it
         departs = {(a.vehicle, a.i, a.t) for a in net.arcs
-                   if not a.is_launch and a.vehicle in self.active}
+                   if a.model is not None and a.vehicle in self.active
+                   } if self.init.committed else set()
         self.pinned: set[tuple[str, int, int]] = set()
         release: set[tuple[str, int, int]] = set()   # (vehicle, node, step)
         for c in self.init.committed:
@@ -251,6 +356,7 @@ class PlanProblem:
         self.starts: list[tuple[ServiceNeed, str, tuple[int, ...]]] = []
         ends: dict[tuple[str, int, int], set[Optional[int]]] = {}
         held = set(self.pinned)
+        steps = np.array(grid.steps)
         for need in self.needs:
             node = self.node_by_name.get(need.satellite)
             if node is None or node.tier != "customer":
@@ -262,11 +368,14 @@ class PlanProblem:
             self.capable[need.id] = [
                 vid for vid, v in self.active.items()
                 if v.is_servicer and v.capacities.get(need.required_tool, 0) > 0]
-            taus = tuple(tau for tau in need.window if not any(
-                c.covers(need.satellite, t) for t in grid.steps
-                if need.covers(tau, t) for c in self.init.committed))
-            busy = [t for t in grid.steps
-                    if any(need.covers(tau, t) for tau in taus)]
+            # (start, step): whether a start in the window covers the step
+            covers = need.covers(np.array(need.window)[:, None], steps)
+            blocked = np.array([any(c.covers(need.satellite, t)
+                                    for c in self.init.committed)
+                                for t in grid.steps], dtype=bool)
+            free = ~(covers & blocked).any(axis=1)
+            taus = tuple(np.array(need.window)[free].tolist())
+            busy = steps[covers[free].any(axis=0)].tolist()
             for vid in self.capable[need.id] if taus else ():
                 self.starts.append((need, vid, taus))
                 for tau in taus:
@@ -306,9 +415,12 @@ class PlanProblem:
         # after the departure, and one sweep from the last departure back
         # decides every landing.
         leaving: set[tuple[str, int, int]] = set()
-        flown = set()
-        for a in sorted(net.arcs, key=lambda a: -a.t):
-            if a.is_launch or (a.vehicle, a.i, a.t) not in (
+        arcs = net.arcs
+        kept = [a.model is None and a.vehicle in self.launchers for a in arcs]
+        flights = [n for n, a in enumerate(arcs) if a.model is not None]
+        for n in sorted(flights, key=lambda n: -arcs[n].t):
+            a = arcs[n]
+            if (a.vehicle, a.i, a.t) not in (
                     release if a.i in customer else has_state):
                 continue
             if a.j in customer and not any(
@@ -316,9 +428,8 @@ class PlanProblem:
                     for e in ends.get((a.vehicle, a.j, a.arrival), ())):
                 continue
             leaving.add((a.vehicle, a.i, a.t))
-            flown.add(a.key)
-        self.arcs = [a for a in net.arcs if (
-            a.vehicle in self.launchers if a.is_launch else a.key in flown)]
+            kept[n] = True
+        self.arcs = [a for a, k in zip(arcs, kept) if k]
         self.dep_arcs: dict[tuple, list[TransportArc]] = {}
         self.arr_arcs: dict[tuple, list[TransportArc]] = {}
         for a in self.arcs:
@@ -333,91 +444,216 @@ class PlanProblem:
     # -- variable creation -------------------------------------------------
 
     def _build(self):
-        m = self.model
-        scn = self.scenario
-        grid = self.grid
+        m, scn, grid = self.model, self.scenario, self.grid
+        kpos = self._kpos = {k: n for n, k in enumerate(scn.commodities)}
+        tpos = {t: n for n, t in enumerate(grid.steps)}
+        K = len(kpos)
+        kind_of = {k: INTEGER if c.is_integer else CONTINUOUS
+                   for k, c in scn.commodities.items()}
 
-        def kind_of(k):
-            return INTEGER if scn.commodities[k].is_integer else CONTINUOUS
+        # per vehicle, the active ones first: its position, and each
+        # commodity's position among those it carries (-1 where none)
+        vehicles = {**self.active, **self.launchers}
+        vpos = {vid: r for r, vid in enumerate(vehicles)}
+        rank = np.full((len(vehicles), K), -1, dtype=np.intp)
+        for r, vid in enumerate(vehicles):
+            ks = self.carriable[vid]
+            rank[r, [kpos[k] for k in ks]] = range(len(ks))
 
-        # Each column index is looked up once, here, and every row family
-        # is written with these indices: Y and X per state, the columns of
-        # each arc, and H and B.
-        self._y: dict[tuple[str, int, int], int] = {}
-        self._x: dict[tuple[str, int, int], dict[str, int]] = {}
+        # Y then X per state, in one block, the X columns in carriable
+        # order: a vehicle's states are one run, with the same columns for
+        # each state
+        runs: dict[str, list[tuple[str, int, int]]] = {}
         for s in self.states:
-            vid = s[0]
-            v = self.active[vid]
+            runs.setdefault(s[0], []).append(s)
+        keys, lbs, ubs, kinds = [], [], [], []
+        for vid, run in runs.items():
+            v, ks = self.active[vid], self.carriable[vid]
+            tags = (None, *ks)
+            keys += [("Y", vid, i, t) if k is None else ("X", vid, i, t, k)
+                     for _, i, t in run for k in tags]
             # a depot stays at its slot throughout
-            self._y[s] = m.add_var(vn("Y", *s), kind=BINARY,
-                                   lb=1.0 if v.vehicle_class == "depot" else 0.0)
-            self._x[s] = {k: m.add_var(vn("X", *s, k), ub=v.capacities[k],
-                                       kind=kind_of(k))
-                          for k in self.carriable[vid]}
+            lbs += ([1.0 if v.vehicle_class == "depot" else 0.0]
+                    + [0.0] * len(ks)) * len(run)
+            ubs += ([1.0] + [v.capacities[k] for k in ks]) * len(run)
+            kinds += ([BINARY] + [kind_of[k] for k in ks]) * len(run)
+        y0 = m.add_vars(keys, lbs, ubs, kinds)
+        S = len(self.states)
+        self._state = {s: n for n, s in enumerate(self.states)}
+        # per state: its vehicle's position, its node and step, and the
+        # state of the same vehicle and node on the step before (-1 where
+        # there is none)
+        self._state_v, self._state_i, self._state_t, self._prev = np.array(
+            [(vpos[vid], i, tpos[t], self._state.get(
+                (vid, i, grid.steps[tpos[t] - 1]), -1) if tpos[t] else -1)
+             for vid, i, t in self.states], dtype=np.intp).reshape(S, 4).T
+        # ``_ycol`` and ``_xcol`` (state, commodity; -1 where none) hold
+        # the indices of the columns
+        at = rank[self._state_v]
+        width = 1 + (at >= 0).sum(axis=1)
+        self._ycol = y0 + np.cumsum(width) - width
+        self._xcol = np.where(at >= 0, self._ycol[:, None] + 1 + at, -1)
+        self._y = dict(zip(self.states, self._ycol.tolist()))
+        # the station keeping burnt over the holdover into a state, where
+        # its vehicle carries that commodity: state, commodity, the Y
+        # column of the state before, kg per unit of it
+        rate = np.array([v.station_keeping_rate for v in self.active.values()],
+                        dtype=float)
+        kept = np.array([kpos[v.station_keeping_commodity]
+                         if v.station_keeping_commodity in self.carriable[vid]
+                         else -1 for vid, v in self.active.items()],
+                        dtype=np.intp)
+        days = np.diff(np.array(grid.steps, dtype=float))
+        on = ((self._prev >= 0) & (rate[self._state_v] > 0)
+              & (kept[self._state_v] >= 0)).nonzero()[0]
+        dt = days[self._state_t[self._prev[on]]]
+        on, dt = on[dt > 0], dt[dt > 0]
+        self._kept = (on, kept[self._state_v[on]], self._ycol[self._prev[on]],
+                      rate[self._state_v[on]] * dt)
+        # the states of ``customer_states``, and each state's position in
+        # it (``NO_ROW`` at no customer node)
+        self._customer = np.array([self._state[s]
+                                   for s in self.customer_states],
+                                  dtype=np.intp)
+        self._at = np.full(S, NO_ROW, dtype=np.intp)
+        self._at[self._customer] = np.arange(len(self._customer))
+
+        # W, U, Z and a curve's burn L per arc, in one block, and the same
+        # as arrays: W, Z (-1 on a launch) and U per arc and commodity (-1
+        # where none); each flight's burn, its column and coefficient, and
+        # its propellant where it carries that (-1 where not); and each
+        # arc's ends: states (-1 where none), nodes, steps
+        keys, lbs, ubs, kinds = [], [], [], []
+        col = m.n_vars
         self._arc_cols: list[_ArcColumns] = []
         self._dep: dict[tuple[str, int, int], list[_ArcColumns]] = {}
-        self._arr: dict[tuple[str, int, int], list[_ArcColumns]] = {}
+        # per vehicle: its carriable commodities, their U bounds and kinds
+        carried = {vid: (ks, [v.capacities[k] for k in ks],
+                         [kind_of[k] for k in ks])
+                   for vid, v in vehicles.items()
+                   for ks in (self.carriable[vid],)}
+        propellant = {}                     # (vehicle, mode) -> commodity
+        chords_of: dict[int, list[tuple[float, float]]] = {}  # id(model)
+        flat = []   # per arc: W, Z, burn column, coefficient, propellant
+        ends = []   # per arc: its vehicle, and its ends' states, nodes, steps
         for a in self.arcs:
             key = a.key
-            cols = _ArcColumns(w=m.add_var(vn("W", *key), kind=BINARY))
-            caps = (self.launchers.get(a.vehicle) or self.active[a.vehicle]).capacities
-            cols.u = {k: m.add_var(vn("U", *key, k), ub=caps[k], kind=kind_of(k))
-                      for k in self.carriable[a.vehicle]}
-            if not a.is_launch:
-                cols.propellant = self._mode_of(a).propellant_commodity
-                ub = a.mass_upper_bound if math.isfinite(a.mass_upper_bound) else 1e9
-                cols.z = m.add_var(vn("Z", *key), ub=ub)
-                if a.model.burn_fraction is None:
-                    pts = [(0.0, 0.0), *a.model.breakpoints]
-                    for (b0, f0), (b1, f1) in zip(pts, pts[1:]):
-                        slope = (f1 - f0) / (b1 - b0)
-                        cols.chords.append((slope, f0 - slope * b0))
-                    cols.burn = {m.add_var(vn("L", *key), ub=pts[-1][1]): 1.0}
+            ks, u_ub, u_kind = carried[a.vehicle]
+            w, z, chords, prop, burn = col, None, [], None, {}
+            u = dict(zip(ks, range(w + 1, w + 1 + len(ks))))
+            keys.append(("W", *key))
+            keys += [("U", *key, k) for k in ks]
+            lbs += [0.0] * (1 + len(ks))
+            ubs.append(1.0)
+            ubs += u_ub
+            kinds.append(BINARY)
+            kinds += u_kind
+            col += 1 + len(ks)
+            if a.is_launch:
+                flat += (w, -1, -1, 0.0, -1)
+            else:
+                prop = propellant.get((a.vehicle, a.r))
+                if prop is None:
+                    prop = propellant[a.vehicle, a.r] = \
+                        self._mode_of(a).propellant_commodity
+                z = col
+                bound = a.mass_upper_bound
+                keys.append(("Z", *key))
+                ubs.append(bound if math.isfinite(bound) else 1e9)
+                col += 1
+                model = a.model
+                if model.burn_fraction is None:
+                    chords = chords_of.get(id(model))
+                    if chords is None:
+                        pts = [(0.0, 0.0), *model.breakpoints]
+                        chords = chords_of[id(model)] = []
+                        for (b0, f0), (b1, f1) in zip(pts, pts[1:]):
+                            slope = (f1 - f0) / (b1 - b0)
+                            chords.append((slope, f0 - slope * b0))
+                    burn = {col: 1.0}
+                    keys.append(("L", *key))
+                    ubs.append(model.breakpoints[-1][1])
+                    lbs += [0.0, 0.0]
+                    kinds += [CONTINUOUS, CONTINUOUS]
+                    flat += (w, z, col, 1.0, kpos[prop] if prop in u else -1)
+                    col += 1
                 else:
-                    cols.burn = {cols.z: a.model.burn_fraction}
+                    burn = {z: model.burn_fraction}
+                    lbs.append(0.0)
+                    kinds.append(CONTINUOUS)
+                    flat += (w, z, z, model.burn_fraction,
+                             kpos[prop] if prop in u else -1)
+            ends += (vpos[a.vehicle], self._state.get((a.vehicle, a.i, a.t), -1),
+                     a.i, tpos[a.t],
+                     self._state.get((a.vehicle, a.j, a.arrival), -1), a.j,
+                     tpos[a.arrival])
+            cols = _ArcColumns(w=w, u=u, z=z, chords=chords, propellant=prop,
+                               burn=burn)
             self._arc_cols.append(cols)
             self._dep.setdefault((a.vehicle, a.i, a.t), []).append(cols)
-            self._arr.setdefault((a.vehicle, a.j, a.arrival), []).append(cols)
-        # H per start; B per step its service covers, and its dispatch row
+        m.add_vars(keys, lbs, ubs, kinds)
+        A = len(self.arcs)
+        flat = np.array(flat, dtype=float).reshape(A, 5).T
+        self._wcol, self._zcol = flat[:2].astype(np.intp)
+        self._burn = (flat[2].astype(np.intp), flat[3],
+                      flat[4].astype(np.intp))
+        ends = np.array(ends, dtype=np.intp).reshape(A, 7).T
+        arc_v, self._ends = ends[0], ends[1:]
+        # a U column follows W in its vehicle's carriable order
+        rank = rank[arc_v]
+        self._ucol = np.where(rank >= 0, self._wcol[:, None] + 1 + rank, -1)
+
+        # H per start step; then B per step on which its service is under
+        # way, and the H columns of the starts that cover it (its dispatch
+        # row)
         self._h: dict[tuple[str, str, int], int] = {}
-        self._dispatch: list[dict[int, float]] = []
         self._starts_at: dict[tuple, list] = {}     # (v, i, t): (need, H)
-        self._under_way: dict[tuple, list] = {}     # (i, t): (v, need, B)
+        steps = np.array(grid.steps)
+        place = {s: r for r, s in enumerate(self.customer_states)}
+        tools = {k: r for r, k in enumerate(scn.tool_ids())}
+        # per B: its column, its position in ``customer_states``, its node
+        # and step, the tool its need requires (None where none)
+        self._under_way: list[tuple[int, int, int, int, Optional[int]]] = []
+        cover_b, cover_h = [], []
+        keys = []
+        h0 = m.n_vars
         for need, vid, taus in self.starts:
             i = self.node_by_name[need.satellite].index
-            for tau in taus:
-                h = self._h[vid, need.id, tau] = m.add_var(
-                    vn("H", vid, need.id, tau), kind=BINARY)
+            keys += [("H", vid, need.id, tau) for tau in taus]
+            for r, tau in enumerate(taus):
+                h = self._h[vid, need.id, tau] = h0 + r
                 self._starts_at.setdefault((vid, i, tau), []).append((need, h))
-            for t in grid.steps:
-                hs = [self._h[vid, need.id, tau] for tau in taus
-                      if need.covers(tau, t)]
-                if hs:
-                    b = m.add_var(vn("B", vid, need.id, t), kind=BINARY)
-                    self._dispatch.append({b: 1.0, **dict.fromkeys(hs, -1.0)})
-                    self._under_way.setdefault((i, t), []).append(
-                        (vid, need, b))
+            covers = need.covers(np.array(taus)[:, None], steps).T.tolist()
+            on = [(t, c) for t, c in zip(grid.steps, covers) if any(c)]
+            keys += [("B", vid, need.id, t) for t, _ in on]
+            b0 = h0 + len(taus)
+            for r, (t, c) in enumerate(on):
+                hs = [h0 + q for q, covered in enumerate(c) if covered]
+                cover_b += [len(self._under_way)] * len(hs)
+                cover_h += hs
+                self._under_way.append((b0 + r, place[vid, i, t], i, t,
+                                        tools.get(need.required_tool)))
+            h0 = b0 + len(on)
+        m.add_vars(keys, [0.0] * len(keys), [1.0] * len(keys),
+                   [BINARY] * len(keys))
+        self._cover = (np.array(cover_b, dtype=np.intp),
+                       np.array(cover_h, dtype=np.intp))
 
-        self._add_balances()
-        self._add_concurrency()
-        self._add_transformation()
-        self._add_service_management()
-        self._add_flight_rules()
+        rows = _RowBlock()
+        self._add_balances(rows)
+        self._add_concurrency(rows)
+        self._add_transformation(rows)
+        self._add_service_management(rows)
+        self._add_flight_rules(rows)
+        rows.commit(m)
         self._add_objective()
 
-    # -- constraint families -----------------------------------------------
+    def _x_of(self, s: tuple[str, int, int]) -> dict[str, int]:
+        """The X columns of state ``s`` by commodity, in carriable order."""
+        cols = self._xcol[self._state[s]].tolist()
+        return {k: cols[self._kpos[k]] for k in self.carriable[s[0]]}
 
-    def _add(self, family: str, row: dict[int, float], sense: str,
-             rhs: float):
-        """Add the row ``row sense rhs``, ``row`` mapping column index to
-        coefficient. A column that ``_prepare`` left out is zero in every
-        solution, so the families leave it out of their rows; a row left
-        with no column is skipped if it holds at zero."""
-        if row:
-            self.model.add_constr(family, row, sense, rhs)
-        elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "==": rhs == 0.0}[sense]:
-            raise ModelError(f"empty {family} row cannot hold: "
-                             f"0 {sense} {rhs}")
+    # -- constraint families -----------------------------------------------
 
     def _init_stock(self, vid: str, i: int, k: str, t: int) -> float:
         return sum((load.get(k, 0.0)
@@ -426,193 +662,259 @@ class PlanProblem:
     def _init_presence(self, vid: str, i: int, t: int) -> float:
         return float(len(self.arriving.get((vid, i, t), ())))
 
-    def _outflows(self, rows: dict[str, dict[int, float]], vid: str, i: int,
-                  t: int):
-        """Add to ``rows[k]``, for each commodity ``k`` that vehicle ``vid``
-        moves at ``(i, t)``, the LHS of its mass balance there: holdover out
-        + transport out - all inflows, the inflows written in outflows (a
-        holdover burns station keeping, an arc its propellant)."""
-        x = self._x.get((vid, i, t))
-        if x:
-            for k, col in x.items():
-                rows[k][col] = 1.0
-            tp = t - self.grid.delta_backward(t)
-            if tp != t:
-                for k, col in self._x.get((vid, i, tp), {}).items():
-                    rows[k][col] = -1.0
-                v = self.active[vid]
-                k = v.station_keeping_commodity
-                dt = self.grid.delta_forward(tp)
-                y = self._y.get((vid, i, tp))
-                if v.station_keeping_rate > 0 and k in x and dt > 0 \
-                        and y is not None:
-                    rows[k][y] = v.station_keeping_rate * dt
-        for a in self._dep.get((vid, i, t), ()):
-            for k, col in a.u.items():
-                rows[k][col] = 1.0
-        for a in self._arr.get((vid, i, t), ()):
-            for k, col in a.u.items():
-                rows[k][col] = -1.0
-            if a.propellant in a.u:
-                rows[a.propellant].update(a.burn)
+    def _flows(self, block: _RowBlock, family: str, rhs: np.ndarray,
+               state_row: np.ndarray, dep_row: np.ndarray,
+               arr_row: np.ndarray, *entries):
+        """Add the mass balances of ``family`` whose row is ``state_row``
+        per (state, commodity), and ``dep_row`` and ``arr_row`` per (arc,
+        commodity) at its origin and destination (``NO_ROW`` where none),
+        plus ``entries``: holdover out + transport out - all inflows, the
+        inflows written in outflows (a holdover burns station keeping, an
+        arc its propellant)."""
+        prev, x, u = self._prev, self._xcol, self._ucol
+        kept_s, kept_k, kept_col, kept_val = self._kept
+        burn_col, burn_val, burn_k = self._burn
+        burns = (burn_k >= 0).nonzero()[0]
+        block.add(family, "==", rhs,
+                  (state_row.ravel(), x.ravel(), 1.0),
+                  (np.where(prev[:, None] >= 0, state_row, NO_ROW).ravel(),
+                   x[prev].ravel(), -1.0),
+                  (state_row[kept_s, kept_k], kept_col, kept_val),
+                  (dep_row.ravel(), u.ravel(), 1.0),
+                  (arr_row.ravel(), u.ravel(), -1.0),
+                  (arr_row[burns, burn_k[burns]], burn_col[burns],
+                   burn_val[burns]), *entries)
 
-    def _add_balances(self):
-        grid, scn = self.grid, self.scenario
-        vids_all = list(self.active) + list(self.launchers)
+    def _add_balances(self, block: _RowBlock):
+        grid, kpos = self.grid, self._kpos
+        S, K, T = len(self.states), len(kpos), len(grid.steps)
+        dep_state, dep_i, dep_t, arr_state, arr_i, arr_t = self._ends
+        # commodity balance at customer nodes, per servicer, node by node:
+        # a row per X column of each customer state, in column order
+        customer = np.array([self._state[s] for s in sorted(
+            self.customer_states, key=lambda s: s[1])], dtype=np.intp)
+        s, k = (self._xcol[customer] >= 0).nonzero()
+        order = np.lexsort((self._xcol[customer][s, k], s))
+        s, k = customer[s[order]], k[order]
+        # (state, commodity); the extra last row serves the arc ends at no
+        # state (-1)
+        rows = np.full((S + 1, K), NO_ROW, dtype=np.intp)
+        rows[s, k] = np.arange(len(s))
+        rhs = np.zeros(len(s))
+        for vid, i, t in self.arriving:
+            n = self._state.get((vid, i, t), -1)
+            for c in self.carriable[vid] if n >= 0 else ():
+                if rows[n, kpos[c]] >= 0:
+                    rhs[rows[n, kpos[c]]] = self._init_stock(vid, i, c, t)
+        # nonpositive demand: delivery leaves the servicer
+        delivery = [(rows[self._state[s], kpos[k]], h, d)
+                    for s, starts in self._starts_at.items()
+                    for need, h in starts
+                    for k, d in need.commodity_demand.items()
+                    if d and k in kpos]
+        row, col, val = zip(*delivery) if delivery else ((), (), ())
+        self._flows(block, "bal_cust", rhs, rows[:S], rows[dep_state],
+                    rows[arr_state], (np.array(row, dtype=np.intp),
+                                      np.array(col, dtype=np.intp),
+                                      np.array(val, dtype=float)))
 
-        # commodity balance at customer nodes, per servicer, node by node
-        for vid, i, t in sorted(self.customer_states, key=lambda s: s[1]):
-            rows = {k: {} for k in self.carriable[vid]}
-            self._outflows(rows, vid, i, t)
-            for k, row in rows.items():
-                for need, h in self._starts_at.get((vid, i, t), ()):
-                    if need.commodity_demand.get(k):
-                        # nonpositive demand: delivery leaves the servicer
-                        row[h] = need.commodity_demand[k]
-                self._add("bal_cust", row, "==",
-                          self._init_stock(vid, i, k, t))
+        # commodity balance at parking nodes, pooled over vehicles: node,
+        # step, commodity
+        place = np.full(len(self.nodes.nodes), -1, dtype=np.intp)
+        parking = [n.index for n in self.nodes.parking]
+        place[parking] = np.arange(len(parking))
 
-        # commodity balance at parking nodes, pooled over vehicles
-        all_k = list(scn.commodities)
-        for node in self.nodes.parking:
-            i = node.index
-            for t in grid.steps:
-                rows = {k: {} for k in all_k}
-                rhs = dict.fromkeys(all_k, 0.0)
-                for vid in vids_all:
-                    self._outflows(rows, vid, i, t)
-                    if (vid, i, t) in self.arriving:
-                        for k in all_k:
-                            rhs[k] += self._init_stock(vid, i, k, t)
-                for k in all_k:
-                    self._add("bal_park", rows[k], "==", rhs[k])
+        def row_of(i, t):
+            p = place[i][:, None]
+            return np.where(p >= 0, (p * T + t[:, None]) * K + np.arange(K),
+                            NO_ROW)
+        rhs = np.zeros(len(parking) * T * K)
+        for vid in list(self.active) + list(self.launchers):
+            for v, i, t in self.arriving:
+                if v == vid and place[i] >= 0 and grid.contains(t):
+                    for k, n in kpos.items():
+                        rhs[(place[i] * T + grid.index(t)) * K + n] += \
+                            self._init_stock(vid, i, k, t)
+        self._flows(block, "bal_park", rhs,
+                    row_of(self._state_i, self._state_t),
+                    row_of(dep_i, dep_t), row_of(arr_i, arr_t))
 
-        # Earth commodity supply caps
-        for node in self.nodes.earth:
-            i = node.index
-            for t in grid.steps:
-                deps = [a for vid in vids_all
-                        for a in self._dep.get((vid, i, t), ())]
-                for k in all_k:
-                    row = {a.u[k]: 1.0 for a in deps if k in a.u}
-                    self._add("supply", row, "<=", EARTH_SUPPLY)
+        # Earth commodity supply caps: node, step, commodity, where a launch
+        # carries it
+        earth = {n.index: r for r, n in enumerate(self.nodes.earth)}
+        launches = [(a, c) for a, c in zip(self.arcs, self._arc_cols)
+                    if a.i in earth]
+        cargo = [((earth[a.i], a.t, kpos[k]), u) for a, c in launches
+                 for k, u in c.u.items()]
+        row, n = _ranks([key for key, _ in cargo])
+        block.add("supply", "<=", [EARTH_SUPPLY] * n,
+                  (row, np.array([u for _, u in cargo], dtype=np.intp), 1.0))
 
-        # vehicle balances at orbital nodes
-        for s in self.states:
-            vid, i, t = s
-            row = {self._y[s]: 1.0}
-            tp = t - grid.delta_backward(t)
-            if tp != t and (vid, i, tp) in self._y:
-                row[self._y[vid, i, tp]] = -1.0
-            for a in self._dep.get(s, ()):
-                row[a.w] = 1.0
-            for a in self._arr.get(s, ()):
-                row[a.w] = -1.0
-            self._add("bal_veh", row, "==", self._init_presence(vid, i, t))
+        # vehicle balances at orbital nodes, a row per state
+        states = np.arange(S)
+        rhs = np.zeros(S)
+        for s in self.arriving:
+            if s in self._state:
+                rhs[self._state[s]] = self._init_presence(*s)
+        block.add("bal_veh", "==", rhs, (states, self._ycol, 1.0),
+                  (np.where(self._prev >= 0, states, NO_ROW),
+                   self._ycol[self._prev], -1.0),
+                  (np.where(dep_state >= 0, dep_state, NO_ROW), self._wcol,
+                   1.0),
+                  (np.where(arr_state >= 0, arr_state, NO_ROW), self._wcol,
+                   -1.0))
 
-        # Earth vehicle supply: one launcher per launch step
-        for node in self.nodes.earth:
-            i = node.index
-            for t in grid.steps:
-                for vid in self.launchers:
-                    row = {a.w: 1.0 for a in self._dep.get((vid, i, t), ())}
-                    self._add("veh_supply", row, "<=", 1)
+        # Earth vehicle supply, one launcher per launch step: node, step,
+        # launcher, where it launches
+        launchers = {vid: r for r, vid in enumerate(self.launchers)}
+        launches = [((earth[a.i], a.t, launchers[a.vehicle]), c.w)
+                    for a, c in launches if a.vehicle in launchers]
+        row, n = _ranks([key for key, _ in launches])
+        block.add("veh_supply", "<=", [1.0] * n,
+                  (row, np.array([w for _, w in launches], dtype=np.intp),
+                   1.0))
 
-    def _add_concurrency(self):
-        # holdover capacity
-        for s in self.states:
-            y, caps = self._y[s], self.active[s[0]].capacities
-            for k, x in self._x[s].items():
-                self._add("cap_hold", {x: 1.0, y: -caps[k]}, "<=", 0.0)
-        # transport capacity
-        for a, cols in zip(self.arcs, self._arc_cols):
-            v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
-            for k, u in cols.u.items():
-                self._add("cap_arc", {u: 1.0, cols.w: -v.capacities[k]},
-                          "<=", 0.0)
-            if v.payload_capacity is not None:
-                row = {u: self.scenario.unit_mass(k)
-                       for k, u in cols.u.items()}
-                row[cols.w] = -v.payload_capacity
-                self._add("cap_payload", row, "<=", 0.0)
+    def _add_concurrency(self, block: _RowBlock):
+        scn, kpos = self.scenario, self._kpos
+        vehicles = [*self.active.values(), *self.launchers.values()]
+        caps = np.array([[v.capacities.get(k, 0.0) for k in kpos]
+                         for v in vehicles], dtype=float).reshape(-1, len(kpos))
+        # holdover capacity, a row per X column in column order
+        s, k = (self._xcol >= 0).nonzero()
+        order = np.argsort(self._xcol[s, k])
+        s, k = s[order], k[order]
+        rows = np.arange(len(s))
+        block.add("cap_hold", "<=", [0.0] * len(s),
+                  (rows, self._xcol[s, k], 1.0),
+                  (rows, self._ycol[s], -caps[self._state_v[s], k]))
+        # transport capacity, per arc: a row per carried commodity (its U
+        # columns follow W in carriable order), then the payload row
+        vpos = {v.id: r for r, v in enumerate(vehicles)}
+        by = np.array([vpos[a.vehicle] for a in self.arcs], dtype=np.intp)
+        payload = np.array([vehicles[r].payload_capacity for r in by],
+                           dtype=float).reshape(-1)     # nan where none
+        paid = ~np.isnan(payload)
+        carried = (self._ucol >= 0).sum(axis=1)
+        first = np.cumsum(carried + paid) - carried - paid
+        a, k = (self._ucol >= 0).nonzero()
+        u = self._ucol[a, k]
+        row = first[a] + u - self._wcol[a] - 1
+        top = first + carried
+        unit = np.array([scn.unit_mass(k) for k in kpos], dtype=float)
+        family = np.full(len(carried) and top[-1] + paid[-1], "cap_arc",
+                         dtype=object)
+        family[top[paid]] = "cap_payload"
+        block.add(family.tolist(), "<=", [0.0] * len(family),
+                  (row, u, 1.0), (row, self._wcol[a], -caps[by[a], k]),
+                  (np.where(paid[a], top[a], NO_ROW), u, unit[k]),
+                  (np.where(paid, top, NO_ROW), self._wcol, -payload))
 
-    def _add_transformation(self):
-        scn = self.scenario
-        # total wet mass definition and flight-feasibility bound
-        for a, cols in zip(self.arcs, self._arc_cols):
-            if a.is_launch:
-                continue
-            v = self.active[a.vehicle]
-            row = {cols.z: 1.0, cols.w: -v.dry_mass}
-            for k, u in cols.u.items():
-                row[u] = -scn.unit_mass(k)
-            self._add("wet_mass", row, "==", 0.0)
-            if math.isfinite(a.mass_upper_bound):
-                self._add("mass_ub", {cols.z: 1.0,
-                                      cols.w: -a.mass_upper_bound},
-                          "<=", 0.0)
-            # propellant on board must cover the burn
-            row = {}
-            if cols.propellant in cols.u:
-                row[cols.u[cols.propellant]] = 1.0
-            for col, f in cols.burn.items():
-                row[col] = -f
-            self._add("prop_avail", row, ">=", 0.0)
-            # a curve arc burns at least each chord of its curve
-            for slope, intercept in cols.chords:
-                self._add("sos2_seg", {**cols.burn, cols.z: -slope}, ">=",
-                          intercept)
+    def _add_transformation(self, block: _RowBlock):
+        kpos = self._kpos
+        # per flight: total wet mass definition, flight-feasibility bound,
+        # propellant on board to cover the burn, and the burn on or above
+        # each chord of a curve
+        flights = (self._zcol >= 0).nonzero()[0]
+        arcs = [self.arcs[n] for n in flights]
+        bound = np.array([a.mass_upper_bound for a in arcs], dtype=float)
+        finite = np.isfinite(bound)
+        chords = [self._arc_cols[n].chords for n in flights]
+        count = np.array([len(c) for c in chords], dtype=np.intp)
+        per = 2 + finite + count
+        first = np.cumsum(per) - per
+        wet, mub = first, np.where(finite, first + 1, NO_ROW)
+        prop = first + 1 + finite
+        family, sense = [], []
+        for f, c in zip(finite.tolist(), count.tolist()):
+            family += ["wet_mass", *["mass_ub"] * f, "prop_avail",
+                       *["sos2_seg"] * c]
+            sense += ["==", *["<="] * f, ">=", *[">="] * c]
+        seg = (prop + 1).repeat(count) + np.arange(count.sum()) \
+            - (np.cumsum(count) - count).repeat(count)
+        slope = np.array([s for c in chords for s, _ in c], dtype=float)
+        rhs = np.zeros(len(family))
+        rhs[seg] = [i for c in chords for _, i in c]
+        z, w, u = self._zcol[flights], self._wcol[flights], self._ucol[flights]
+        burn_col, burn_val, burn_k = (b[flights] for b in self._burn)
+        dry = np.array([self.active[a.vehicle].dry_mass for a in arcs],
+                       dtype=float)
+        unit = np.array([self.scenario.unit_mass(k) for k in kpos],
+                        dtype=float)
+        on = np.arange(len(flights)).repeat(count)
+        block.add(family, sense, rhs,
+                  (wet, z, 1.0), (wet, w, -dry),
+                  (wet.repeat(u.shape[1]), u.ravel(),
+                   np.tile(-unit, len(flights))),
+                  (mub, z, 1.0), (mub, w, -np.where(finite, bound, 0.0)),
+                  (prop, np.where(burn_k >= 0, u[np.arange(len(flights)),
+                                                 burn_k], -1), 1.0),
+                  (prop, burn_col, -burn_val),
+                  (seg, burn_col[on], burn_val[on]), (seg, z[on], -slope))
         # depot station keeping stock must cover the holdover burn
-        for s in self.states:
-            v = self.active[s[0]]
-            k = v.station_keeping_commodity
-            dt = self.grid.delta_forward(s[2])
-            if v.station_keeping_rate > 0 and k in self._x[s] and dt > 0:
-                self._add("sk_avail", {self._x[s][k]: 1.0,
-                                       self._y[s]: -v.station_keeping_rate * dt},
-                          ">=", 0.0)
+        rate = np.array([v.station_keeping_rate for v in self.active.values()],
+                        dtype=float)[self._state_v]
+        k = np.array([kpos.get(v.station_keeping_commodity, -1)
+                      for v in self.active.values()],
+                     dtype=np.intp)[self._state_v]
+        steps = np.array(self.grid.steps, dtype=float)
+        dt = np.append(steps[1:] - steps[:-1], 0.0)[self._state_t]
+        x = np.where(k >= 0, self._xcol[np.arange(len(k)), k], -1)
+        on = ((rate > 0) & (x >= 0) & (dt > 0)).nonzero()[0]
+        rows = np.arange(len(on))
+        block.add("sk_avail", ">=", [0.0] * len(on), (rows, x[on], 1.0),
+                  (rows, self._ycol[on], -rate[on] * dt[on]))
 
-    def _add_service_management(self):
+    def _add_service_management(self, block: _RowBlock):
+        under_way = self._under_way
+        b = np.array([u[0] for u in under_way], dtype=np.intp)
         # each need assigned at most once
         once = {need.id: {} for need in self.needs}
         for (_, need_id, _), h in self._h.items():
             once[need_id][h] = 1.0
-        for row in once.values():
-            self._add("assign_once", row, "<=", 1.0)
+        block.add_dicts([("assign_once", row, "<=", 1.0)
+                         for row in once.values()])
         # a vehicle only starts a service it was dispatched for
-        for row in self._dispatch:
-            self._add("dispatch", row, "==", 0.0)
+        cover_b, cover_h = self._cover
+        block.add("dispatch", "==", [0.0] * len(b),
+                  (np.arange(len(b)), b, 1.0), (cover_b, cover_h, -1.0))
         # one service at a time per customer node; no admitted start runs
-        # beside a committed service, so the rows count the window's own
-        for i in self.needs_at:
-            for t in self.grid.steps:
-                row = {b: 1.0 for _, _, b in self._under_way.get((i, t), ())}
-                self._add("one_service", row, "<=", 1.0)
+        # beside a committed service, so the rows count the window's own:
+        # node, step, where a service is under way
+        node = {i: r for r, i in enumerate(self.needs_at)}
+        row, n = _ranks([(node[i], t) for _, _, i, t, _ in under_way])
+        block.add("one_service", "<=", [1.0] * n, (row, b, 1.0))
         # presence at customer nodes equals dispatch
-        for s in self.customer_states:
-            vid, i, t = s
-            row = {self._y[s]: 1.0}
-            row.update((b, -1.0) for v, _, b in self._under_way.get((i, t), ())
-                       if v == vid)
-            self._add("presence", row, "==", float(s in self.pinned))
-        # the adequate tool must be on board while a service needs it
-        for s in self.customer_states:
-            vid, i, t = s
-            for k in self.scenario.tool_ids():
-                row = {b: -1.0 for v, n, b in self._under_way.get((i, t), ())
-                       if v == vid and n.required_tool == k}
-                if row:
-                    if k in self._x[s]:
-                        row[self._x[s][k]] = 1.0
-                    self._add("tool", row, ">=", 0.0)
+        at = np.array([u[1] for u in under_way], dtype=np.intp)
+        block.add("presence", "==",
+                  [float(s in self.pinned) for s in self.customer_states],
+                  (np.arange(len(self._customer)), self._ycol[self._customer],
+                   1.0), (at, b, -1.0))
+        # the adequate tool must be on board while a service needs it:
+        # customer state and tool, where a service under way there needs
+        # it; the tool's X column, where the state has one
+        needs = [(r, u[1], u[4]) for r, u in enumerate(under_way)
+                 if u[4] is not None]
+        row, n = _ranks([(s, k) for _, s, k in needs])
+        tools = [self._kpos[k] for k in self.scenario.tool_ids()]
+        held = sorted({(s, k) for _, s, k in needs})
+        block.add("tool", ">=", [0.0] * n,
+                  (row, b[[r for r, _, _ in needs]], -1.0),
+                  (np.arange(n), np.array(
+                      [self._xcol[self._customer[s], tools[k]]
+                       for s, k in held], dtype=np.intp), 1.0))
 
-    def _add_flight_rules(self):
+    def _add_flight_rules(self, block: _RowBlock):
         # arrivals at a customer node exactly when a service starts, on
         # every step: a servicer parked there unpinned flies in first
-        for s in self.customer_states:
-            row = {a.w: 1.0 for a in self._arr.get(s, ())}
-            row.update((h, -1.0) for _, h in self._starts_at.get(s, ()))
-            self._add("arrival", row, "==", 0.0)
+        at, arr_state = self._at, self._ends[3]
+        starts = [(self._state[s], h) for s, hs in self._starts_at.items()
+                  for _, h in hs]
+        state, h = zip(*starts) if starts else ((), ())
+        block.add("arrival", "==", [0.0] * len(self.customer_states),
+                  (np.where(arr_state >= 0, at[arr_state], NO_ROW),
+                   self._wcol, 1.0),
+                  (at[np.array(state, dtype=np.intp)],
+                   np.array(h, dtype=np.intp), -1.0))
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
@@ -642,22 +944,24 @@ class PlanProblem:
             launch[cols.w] = c_l * v.dry_mass
             pdm[cols.w] = v.manufacturing_cost
         # operating costs: each vehicle's states, then each servicer flight
-        for vid, i, t in self.states:
-            v, dt = self.active[vid], grid.delta_forward(t)
+        days = dict(zip(grid.steps, [b - a for a, b in zip(grid.steps,
+                                                             grid.steps[1:])]))
+        for (vid, _, t), y in zip(self.states, self._ycol.tolist()):
+            v, dt = self.active[vid], days.get(t, 0)
             if v.operating_cost_per_day > 0 and dt > 0:
-                self.obj_terms[ops_bucket(v)][self._y[vid, i, t]] = \
-                    v.operating_cost_per_day * dt
+                self.obj_terms[ops_bucket(v)][y] = v.operating_cost_per_day * dt
         for a, cols in zip(self.arcs, self._arc_cols):
             v = self.active.get(a.vehicle)
             if not a.is_launch and v.is_servicer and v.operating_cost_per_day > 0:
                 self.obj_terms[ops_bucket(v)][cols.w] = \
                     v.operating_cost_per_day * a.q
 
+        objective = m.objective
         for j, coeff in self.obj_terms["revenues"].items():
-            m.add_objective(j, coeff)
+            objective[j] = objective.get(j, 0.0) + coeff
         for bucket in COST_BUCKETS:
             for j, coeff in self.obj_terms[bucket].items():
-                m.add_objective(j, -coeff)
+                objective[j] = objective.get(j, 0.0) - coeff
 
     # -- solving and extraction --------------------------------------------
 
@@ -737,192 +1041,365 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
     """Re-check every constraint family directly from the problem inputs.
 
     Works from the network, needs and initial state rather than the stored
-    model rows, so a bug in row assembly cannot hide from it.
+    model rows, so a bug in row assembly cannot hide from it. ``values`` is
+    read once, by ``vn`` key, into dense arrays over the audit's own
+    enumeration (see the module docstring), and each family is checked as
+    array expressions over them. The violations come back family by family,
+    each in the order of the loops that its comment names.
     """
-    scn, grid, net = problem.scenario, problem.grid, problem.net
-    out: list[Violation] = []
+    scn, grid, nodes = problem.scenario, problem.grid, problem.net.nodes
+    steps, arcs, needs = grid.steps, problem.arcs, problem.needs
+    active = list(problem.active)
+    vids = active + list(problem.launchers)
+    comms = list(scn.commodities)
+    nA, V, N, T, K, A, M = (len(active), len(vids), len(nodes.nodes),
+                            len(steps), len(comms), len(arcs), len(needs))
+    tpos = {t: n for n, t in enumerate(steps)}
+    kpos = {k: n for n, k in enumerate(comms)}
+    vpos = {vid: n for n, vid in enumerate(vids)}
+    keys = [a.key for a in arcs]
+    apos = {key: n for n, key in enumerate(keys)}
+    need_ids = {nid: n for n, nid in enumerate(
+        dict.fromkeys(need.id for need in needs))}
+    G = len(need_ids)
 
-    def val(tag, *parts):
-        return values.get(vn(tag, *parts), 0.0)
-
-    def consumption(a: TransportArc) -> float:
-        if a.is_launch:
-            return 0.0
-        if a.model.burn_fraction is not None:
-            return a.model.burn_fraction * val("Z", *a.key)
-        return val("L", *a.key)
-
-    def on_curve(a: TransportArc, z: float) -> float:
-        # the chord interpolant of the origin and the breakpoints at z,
-        # extended along the end chords past them
-        pts = [(0.0, 0.0), *a.model.breakpoints]
-        for (b0, f0), (b1, f1) in zip(pts, pts[1:]):
-            if z <= b1:
-                break
-        return f0 + (f1 - f0) * (z - b0) / (b1 - b0)
-
-    def inflow(a: TransportArc, k: str) -> float:
-        u = val("U", *a.key, k)
-        mode = problem._mode_of(a)
-        if mode is not None and k == mode.propellant_commodity:
-            u -= consumption(a)
-        return u
-
-    def flag(family, residual, *parts):
-        if abs(residual) > tol:
-            out.append(Violation(family, "|".join(map(str, parts)), residual))
-
-    def commodity_balance(vid, i, t, k):
-        total = 0.0
-        if vn("X", vid, i, t, k) in problem.model:
-            total += val("X", vid, i, t, k)
-            tp = t - grid.delta_backward(t)
-            if tp != t:
-                total -= val("X", vid, i, tp, k)
-                v = problem.active[vid]
-                if v.station_keeping_rate > 0 and k == v.station_keeping_commodity:
-                    total += v.station_keeping_rate * grid.delta_forward(tp) \
-                        * val("Y", vid, i, tp)
-        for a in problem.dep_arcs.get((vid, i, t), ()):
-            if k in problem.carriable[vid]:
-                total += val("U", *a.key, k)
-        for a in problem.arr_arcs.get((vid, i, t), ()):
-            if k in problem.carriable[vid]:
-                total -= inflow(a, k)
-        return total - problem._init_stock(vid, i, k, t)
-
-    # customer-node balances (per servicer) with demand RHS
-    for node in net.nodes.customer:
-        i = node.index
-        for vid, v in problem.active.items():
-            if not v.is_servicer:
+    # -- the values, scattered by key into one flat array ------------------
+    # Y (vehicle, node, step) and X (vehicle, node, step, commodity) of the
+    # active vehicles; W, Z and L (arc) and U (arc, commodity); H and B
+    # (need id, active vehicle, step). A key outside this enumeration is
+    # never read, and an absent one reads 0.
+    sizes = dict(Y=nA * N * T, X=nA * N * T * K, W=A, Z=A, L=A, U=A * K,
+                 H=G * nA * T, B=G * nA * T)
+    start = dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
+    y_v = {vid: start["Y"] + n * N * T for n, vid in enumerate(active)}
+    x_v = {vid: start["X"] + n * N * T * K for n, vid in enumerate(active)}
+    y_i, x_i = {i: i * T for i in range(N)}, {i: i * T * K for i in range(N)}
+    x_t = {t: n * K for n, t in enumerate(steps)}
+    h_n = {nid: n * nA * T for nid, n in need_ids.items()}
+    h_v = {vid: n * T for n, vid in enumerate(active)}
+    pos, val = [], []
+    for key, value in values.items():
+        try:
+            tag = key[0]
+            if tag == "X":
+                _, vid, i, t, k = key
+                p = x_v[vid] + x_i[i] + x_t[t] + kpos[k]
+            elif tag == "Y":
+                _, vid, i, t = key
+                p = y_v[vid] + y_i[i] + tpos[t]
+            elif tag == "U":
+                p = start["U"] + apos[key[1:-1]] * K + kpos[key[-1]]
+            elif tag == "W" or tag == "Z" or tag == "L":
+                p = start[tag] + apos[key[1:]]
+            elif tag == "H" or tag == "B":
+                _, vid, nid, t = key
+                p = start[tag] + h_n[nid] + h_v[vid] + tpos[t]
+            else:
                 continue
-            for t in grid.steps:
-                for k in problem.carriable[vid]:
-                    lhs = commodity_balance(vid, i, t, k)
-                    rhs = 0.0
-                    for need in problem.needs_at.get(i, ()):
-                        if t in need.window and vid in problem.capable[need.id]:
-                            rhs -= need.commodity_demand.get(k, 0.0) \
-                                * val("H", vid, need.id, t)
-                    flag("mass_balance_customer", lhs - rhs, vid, i, t, k)
-
-    # parking-node pooled balances
-    vids_all = list(problem.active) + list(problem.launchers)
-    for node in net.nodes.parking:
-        i = node.index
-        for t in grid.steps:
-            for k in scn.commodities:
-                lhs = sum(commodity_balance(vid, i, t, k) for vid in vids_all
-                          if k in problem.carriable.get(vid, ()))
-                flag("mass_balance_parking", lhs, i, t, k)
-
-    # vehicle balances
-    for vid, v in problem.active.items():
-        for i in problem.presence[vid]:
-            for t in grid.steps:
-                total = val("Y", vid, i, t)
-                tp = t - grid.delta_backward(t)
-                if tp != t:
-                    total -= val("Y", vid, i, tp)
-                for a in problem.dep_arcs.get((vid, i, t), ()):
-                    total += val("W", *a.key)
-                for a in problem.arr_arcs.get((vid, i, t), ()):
-                    total -= val("W", *a.key)
-                flag("vehicle_balance",
-                     total - problem._init_presence(vid, i, t), vid, i, t)
-
-    # capacities
-    for vid, v in problem.active.items():
-        for i in problem.presence[vid]:
-            for t in grid.steps:
-                for k in problem.carriable[vid]:
-                    excess = val("X", vid, i, t, k) \
-                        - v.capacities[k] * val("Y", vid, i, t)
-                    if excess > tol:
-                        flag("capacity_holdover", excess, vid, i, t, k)
-    for a in problem.arcs:
-        v = problem.launchers.get(a.vehicle) or problem.active[a.vehicle]
-        for k in problem.carriable[a.vehicle]:
-            excess = val("U", *a.key, k) - v.capacities[k] * val("W", *a.key)
-            if excess > tol:
-                flag("capacity_arc", excess, *a.key, k)
-            if inflow(a, k) < -tol:
-                flag("negative_inflow", inflow(a, k), *a.key, k)
-        if v.payload_capacity is not None:
-            excess = sum(scn.unit_mass(k) * val("U", *a.key, k)
-                         for k in problem.carriable[a.vehicle]) \
-                - v.payload_capacity * val("W", *a.key)
-            if excess > tol:
-                flag("capacity_payload", excess, *a.key)
-
-    # wet mass, mass upper bound, the burn on a curve
-    for a in problem.arcs:
-        if a.is_launch:
+        except (KeyError, ValueError, TypeError, IndexError):
             continue
-        v = problem.active[a.vehicle]
-        z = val("Z", *a.key)
-        wet = v.dry_mass * val("W", *a.key) + sum(
-            scn.unit_mass(k) * val("U", *a.key, k)
-            for k in problem.carriable[a.vehicle])
-        flag("wet_mass", z - wet, *a.key)
-        if math.isfinite(a.mass_upper_bound):
-            excess = z - a.mass_upper_bound * val("W", *a.key)
-            if excess > tol:
-                flag("mass_upper_bound", excess, *a.key)
-        if a.model.burn_fraction is None:
-            flag("curve_burn", consumption(a) - on_curve(a, z), *a.key)
+        pos.append(p)
+        val.append(value)
+    pos = np.array(pos, dtype=np.intp)
+    flat = np.zeros(start["B"] + sizes["B"])
+    flat[pos] = np.array(val, dtype=float)
 
-    # service management
-    for need in problem.needs:
-        total = sum(val("H", vid, need.id, tau)
-                    for vid in problem.capable[need.id] for tau in need.window)
-        if total > 1.0 + tol:
-            flag("assign_once", total - 1.0, need.id)
-        for vid in problem.capable[need.id]:
-            for t in grid.steps:
-                b = val("B", vid, need.id, t)
-                expected = sum(val("H", vid, need.id, tau)
-                               for tau in need.window if need.covers(tau, t))
-                flag("dispatch_coupling", b - expected, vid, need.id, t)
-    for i, needs_i in problem.needs_at.items():
-        name = net.nodes.nodes[i].name
-        for t in grid.steps:
-            total = sum(val("B", vid, need.id, t) for need in needs_i
-                        for vid in problem.capable[need.id])
-            total += sum(c.covers(name, t) for c in problem.init.committed)
-            if total > 1.0 + tol:
-                flag("one_service_at_a_time", total - 1.0, i, t)
-    for vid, v in problem.active.items():
-        if not v.is_servicer:
-            continue
-        for node in net.nodes.customer:
-            i = node.index
-            for t in grid.steps:
-                expected = sum(val("B", vid, need.id, t)
-                               for need in problem.needs_at.get(i, ())
-                               if vid in problem.capable[need.id])
-                expected += (vid, i, t) in problem.pinned
-                flag("presence_dispatch", val("Y", vid, i, t) - expected, vid, i, t)
-                for k in scn.tool_ids():
-                    required = sum(
-                        val("B", vid, need.id, t)
-                        for need in problem.needs_at.get(i, ())
-                        if need.required_tool == k
-                        and vid in problem.capable[need.id])
-                    if required - val("X", vid, i, t, k) > tol:
-                        flag("tool_on_board", required - val("X", vid, i, t, k),
-                             vid, i, t, k)
-                # arrivals exactly at service starts
-                arrivals = sum(val("W", *a.key)
-                               for a in problem.arr_arcs.get((vid, i, t), ())
-                               if not a.is_launch)
-                starts = sum(val("H", vid, need.id, t)
-                             for need in problem.needs_at.get(i, ())
-                             if t in need.window
-                             and vid in problem.capable[need.id])
-                flag("arrival_at_start", arrivals - starts, vid, i, t)
+    def block(tag, *shape):
+        return flat[start[tag]:start[tag] + sizes[tag]].reshape(shape)
+    y, x, h, b = (block("Y", nA, N, T), block("X", nA, N, T, K),
+                  block("H", G, nA, T), block("B", G, nA, T))
+    w, z, burn, u = block("W", A), block("Z", A), block("L", A), \
+        block("U", A, K)
+    # the X columns that the model holds: those of ``values`` where it has
+    # the model's keys, else read from the model
+    exists = np.zeros(sizes["X"], dtype=bool)
+    if values.keys() == problem.model.keys:
+        x_pos = pos[(pos >= start["X"]) & (pos < start["X"] + sizes["X"])]
+    else:
+        x_pos = [x_v[k[1]] + x_i[k[2]] + x_t[k[3]] + kpos[k[4]]
+                 for k in problem.model.keys if k[0] == "X"]
+    exists[np.asarray(x_pos, dtype=np.intp) - start["X"]] = True
+    exists = exists.reshape(nA, N, T, K)
 
+    # -- the inputs, as arrays ---------------------------------------------
+    designs = [scn.vehicles[vid] for vid in vids]
+    carries = np.zeros((V, K), dtype=bool)
+    k_rank = np.zeros((V, K), dtype=np.intp)   # position in ``carriable``
+    caps = np.zeros((V, K))
+    width = max((len(problem.carriable[vid]) for vid in vids), default=0)
+    k_order = np.zeros((V, width), dtype=np.intp)   # ``carriable``, padded
+    for n, vid in enumerate(vids):
+        for r, k in enumerate(problem.carriable[vid]):
+            carries[n, kpos[k]], k_rank[n, kpos[k]] = True, r
+            caps[n, kpos[k]] = designs[n].capacities[k]
+            k_order[n, r] = kpos[k]
+    listed = np.arange(width) < carries.sum(axis=1)[:, None]
+    unit_mass = np.array([scn.unit_mass(k) for k in comms], dtype=float)
+    i_rank = np.zeros((nA, N), dtype=np.intp)  # position in ``presence``
+    present = np.zeros((nA, N), dtype=bool)
+    for n, vid in enumerate(active):
+        for r, i in enumerate(problem.presence[vid]):
+            present[n, i], i_rank[n, i] = True, r
+    servicer = np.array([v.is_servicer for v in designs[:nA]], dtype=bool)
+    # the step before each step, the first step pointing at itself, and
+    # the holdover from it
+    prev = np.array([tpos[t - grid.delta_backward(t)] for t in steps],
+                    dtype=np.intp)
+    has_prev = prev != np.arange(T)
+    held_days = np.array([grid.delta_forward(t) for t in steps],
+                         dtype=float)[prev]
+    init_stock = np.zeros((V, N, T, K))
+    init_presence = np.zeros((nA, N, T))
+    for (vid, i, t), loads in problem.arriving.items():
+        if vid in vpos and t in tpos:
+            for k in {k for load in loads for k in load} & kpos.keys():
+                init_stock[vpos[vid], i, tpos[t], kpos[k]] = \
+                    problem._init_stock(vid, i, k, t)
+            if vpos[vid] < nA:
+                init_presence[vpos[vid], i, tpos[t]] = \
+                    problem._init_presence(vid, i, t)
+
+    a_v = np.array([vpos[a.vehicle] for a in arcs], dtype=np.intp)
+    a_i = np.array([a.i for a in arcs], dtype=np.intp)
+    a_j = np.array([a.j for a in arcs], dtype=np.intp)
+    a_t = np.array([tpos[a.t] for a in arcs], dtype=np.intp)
+    a_arr = np.array([tpos[a.arrival] for a in arcs], dtype=np.intp)
+    launch = np.array([a.is_launch for a in arcs], dtype=bool)
+    line = np.array([not a.is_launch and a.model.burn_fraction is not None
+                     for a in arcs], dtype=bool)
+    fraction = np.array([a.model.burn_fraction if line[n] else 0.0
+                         for n, a in enumerate(arcs)], dtype=float)
+    propellant = np.array(
+        [-1 if a.is_launch else kpos[problem._mode_of(a).propellant_commodity]
+         for a in arcs], dtype=np.intp)
+    flights = np.flatnonzero(a_v < nA)      # the arcs of active vehicles
+    arc_carries = carries[a_v]
+
+    # each arc's burn, and its inflow per commodity
+    consumption = np.where(line, fraction * z, burn)
+    consumption[launch] = 0.0
+    inflow = u.copy()
+    burns = np.flatnonzero(propellant >= 0)
+    inflow[burns, propellant[burns]] = \
+        u[burns, propellant[burns]] - consumption[burns]
+
+    # the commodity balance per (vehicle, node, step, commodity): holdover
+    # out, less holdover in and the station keeping it burns where the model
+    # holds the stock, plus transport out, less every inflow, less what
+    # arrives from outside the horizon
+    own = x - np.where(has_prev[:, None], x[:, :, prev], 0.0)
+    for n, v in enumerate(designs[:nA]):
+        k = kpos.get(v.station_keeping_commodity)
+        if v.station_keeping_rate > 0 and k is not None:
+            kept = (v.station_keeping_rate * held_days) * y[n][:, prev]
+            own[n, :, :, k] = np.where(has_prev, own[n, :, :, k] + kept,
+                                       own[n, :, :, k])
+    balance = np.zeros((V, N, T, K))
+    balance[:nA] = np.where(exists, np.where(has_prev[:, None], own, x), 0.0)
+    np.add.at(balance, (a_v, a_i, a_t), np.where(arc_carries, u, 0.0))
+    np.subtract.at(balance, (a_v, a_j, a_arr),
+                   np.where(arc_carries, inflow, 0.0))
+    balance -= init_stock
+
+    # each arc's payload mass, summed in its vehicle's carriable order
+    carried = k_order[a_v]
+    payload_mass = np.where(
+        listed[a_v], unit_mass[carried] * u[np.arange(A)[:, None], carried],
+        0.0).cumsum(axis=1)[:, -1] if width else np.zeros(A)
+
+    # the needs: capable vehicles, window steps, demand, and each one's
+    # starts and services under way on the columns of its capable vehicles
+    need_row = np.array([need_ids[need.id] for need in needs], dtype=np.intp)
+    need_node = np.array([problem.node_by_name[need.satellite].index
+                          for need in needs], dtype=np.intp)
+    capable = np.zeros((M, nA), dtype=bool)
+    window = np.zeros((M, T), dtype=bool)
+    covers = np.zeros((M, T, T))        # need, start step, step
+    step = np.array(steps)
+    for n, need in enumerate(needs):
+        capable[n, [vpos[vid] for vid in problem.capable[need.id]]] = True
+        window[n, [tpos[tau] for tau in need.window if tau in tpos]] = True
+        covers[n] = window[n][:, None] & need.covers(step[:, None], step)
+    demand = np.array([[need.commodity_demand.get(k, 0.0) for k in comms]
+                       for need in needs], dtype=float).reshape(M, K)
+    starts = np.where(capable[:, :, None] & window[:, None, :], h[need_row],
+                      0.0)
+    under_way = np.where(capable[:, :, None], b[need_row], 0.0)
+
+    out: list[Violation] = []
+    found: list[tuple[tuple, Violation]] = []
+
+    def flag(family, residual, mask, order, parts):
+        """Record ``residual[c]`` for each cell ``c`` where ``mask`` holds,
+        ``order(c)`` placing it among the loops of its block."""
+        for c in zip(*np.nonzero(mask)):
+            c = tuple(map(int, c))
+            found.append((order(c), Violation(
+                family, "|".join(map(str, parts(c))), float(residual[c]))))
+
+    def emit():
+        found.sort(key=lambda f: f[0])
+        out.extend(v for _, v in found)
+        found.clear()
+
+    customer = [n.index for n in nodes.customer]
+    c_rank = {i: r for r, i in enumerate(customer)}
+    at_customer = servicer[:, None, None] & np.isin(
+        np.arange(N), customer)[None, :, None]
+
+    # customer-node balances per servicer, with each start's demand:
+    # customer node, servicer, step, carried commodity
+    delivered = np.zeros((N, nA, T, K))
+    np.subtract.at(delivered, need_node,
+                   starts[..., None] * demand[:, None, None, :])
+    res = balance[:nA] - delivered.transpose(1, 0, 2, 3)
+    flag("mass_balance_customer", res,
+         (np.abs(res) > tol) & at_customer[..., None]
+         & carries[:nA, None, None, :],
+         lambda c: (c_rank[c[1]], c[0], c[2], k_rank[c[0], c[3]]),
+         lambda c: (active[c[0]], c[1], steps[c[2]], comms[c[3]]))
+    emit()
+
+    # parking-node pooled balances: node, step, commodity
+    parking = [n.index for n in nodes.parking]
+    pooled = np.zeros((len(parking), T, K))
+    for n in range(V):
+        pooled = pooled + np.where(carries[n], balance[n][parking], 0.0)
+    flag("mass_balance_parking", pooled, np.abs(pooled) > tol,
+         lambda c: c, lambda c: (parking[c[0]], steps[c[1]], comms[c[2]]))
+    emit()
+
+    # vehicle balances: vehicle, node of its presence, step
+    moves = y - np.where(has_prev, y[:, :, prev], 0.0)
+    np.add.at(moves, (a_v[flights], a_i[flights], a_t[flights]), w[flights])
+    np.subtract.at(moves, (a_v[flights], a_j[flights], a_arr[flights]),
+                   w[flights])
+    moves -= init_presence
+    flag("vehicle_balance", moves,
+         (np.abs(moves) > tol) & present[:, :, None],
+         lambda c: (c[0], i_rank[c[0], c[1]], c[2]),
+         lambda c: (active[c[0]], c[1], steps[c[2]]))
+    emit()
+
+    # holdover capacities: vehicle, node of its presence, step, commodity
+    excess = x - caps[:nA, None, None, :] * y[..., None]
+    flag("capacity_holdover", excess,
+         (excess > tol) & present[:, :, None, None]
+         & carries[:nA, None, None, :],
+         lambda c: (c[0], i_rank[c[0], c[1]], c[2], k_rank[c[0], c[3]]),
+         lambda c: (active[c[0]], c[1], steps[c[2]], comms[c[3]]))
+    emit()
+
+    # per arc: each carried commodity's capacity and inflow, then the
+    # payload
+    excess = u - caps[a_v] * w[:, None]
+    flag("capacity_arc", excess, (excess > tol) & arc_carries,
+         lambda c: (c[0], k_rank[a_v[c[0]], c[1]], 0),
+         lambda c: (*keys[c[0]], comms[c[1]]))
+    flag("negative_inflow", inflow, (inflow < -tol) & arc_carries,
+         lambda c: (c[0], k_rank[a_v[c[0]], c[1]], 1),
+         lambda c: (*keys[c[0]], comms[c[1]]))
+    limit = np.array([designs[vpos[a.vehicle]].payload_capacity
+                      for a in arcs], dtype=float)     # nan where unset
+    excess = payload_mass - limit * w
+    flag("capacity_payload", excess, excess > tol,
+         lambda c: (c[0], K, 0), lambda c: keys[c[0]])
+    emit()
+
+    # per flight: wet mass, mass upper bound, the burn on a curve
+    dry = np.array([designs[vpos[a.vehicle]].dry_mass for a in arcs],
+                   dtype=float)
+    res = z - (dry * w + payload_mass)
+    flag("wet_mass", res, (np.abs(res) > tol) & ~launch,
+         lambda c: (c[0], 0), lambda c: keys[c[0]])
+    bound = np.array([a.mass_upper_bound for a in arcs], dtype=float)
+    finite = np.isfinite(bound)
+    excess = z - np.where(finite, bound, 0.0) * w
+    flag("mass_upper_bound", excess, (excess > tol) & ~launch & finite,
+         lambda c: (c[0], 1), lambda c: keys[c[0]])
+    curves = np.flatnonzero(~launch & ~line)
+    if len(curves):
+        # the chord interpolant of the origin and the breakpoints at Z,
+        # extended along the end chords past them
+        pts = [[(0.0, 0.0), *arcs[n].model.breakpoints] for n in curves]
+        most = max(map(len, pts))
+        mass = np.full((len(curves), most), -np.inf)
+        fuel = np.zeros((len(curves), most))
+        for r, p in enumerate(pts):
+            mass[r, :len(p)], fuel[r, :len(p)] = zip(*p)
+        zc = z[curves]
+        below = zc[:, None] <= mass[:, 1:]
+        seg = np.where(below.any(axis=1), below.argmax(axis=1),
+                       np.array([len(p) - 2 for p in pts], dtype=np.intp))
+        r = np.arange(len(curves))
+        b0, b1, f0, f1 = (mass[r, seg], mass[r, seg + 1], fuel[r, seg],
+                          fuel[r, seg + 1])
+        res = np.zeros(A)
+        res[curves] = consumption[curves] - (
+            f0 + (f1 - f0) * (zc - b0) / (b1 - b0))
+        flag("curve_burn", res, np.abs(res) > tol,
+             lambda c: (c[0], 2), lambda c: keys[c[0]])
+    emit()
+
+    # per need: assigned at most once, then each capable vehicle's
+    # dispatch on each step
+    total = starts.reshape(M, nA * T).cumsum(axis=1)[:, -1] if nA * T \
+        else np.zeros(M)
+    flag("assign_once", total - 1.0, total > 1.0 + tol,
+         lambda c: (c[0], -1, -1), lambda c: (needs[c[0]].id,))
+    res = b[need_row] - h[need_row] @ covers
+    flag("dispatch_coupling", res,
+         (np.abs(res) > tol) & capable[:, :, None], lambda c: c,
+         lambda c: (active[c[1]], needs[c[0]].id, steps[c[2]]))
+    emit()
+
+    # one service at a time per customer node with needs: node, step
+    busy = np.zeros((N, T))
+    np.add.at(busy, need_node, under_way.sum(axis=1))
+    with_needs = list(problem.needs_at)
+    for i in with_needs:
+        name = nodes.nodes[i].name
+        busy[i] += [sum(c.covers(name, t) for c in problem.init.committed)
+                    for t in steps]
+    res = busy[with_needs] - 1.0
+    flag("one_service_at_a_time", res, res > tol, lambda c: c,
+         lambda c: (with_needs[c[0]], steps[c[1]]))
+    emit()
+
+    # per servicer, customer node and step: presence equals dispatch, each
+    # tool a service needs is on board, and arrivals are service starts
+    served = np.zeros((N, nA, T))
+    np.add.at(served, need_node, under_way)
+    served = served.transpose(1, 0, 2)
+    for vid, i, t in problem.pinned:
+        if vpos.get(vid, nA) < nA and t in tpos:
+            served[vpos[vid], i, tpos[t]] += 1.0
+    tools = scn.tool_ids()
+    needed = np.zeros((len(tools), N, nA, T))
+    uses = [n for n, need in enumerate(needs) if need.required_tool in tools]
+    np.add.at(needed, ([tools.index(needs[n].required_tool) for n in uses],
+                       need_node[uses]), under_way[uses])
+    started = np.zeros((N, nA, T))
+    np.add.at(started, need_node, starts)
+    landing = np.zeros((nA, N, T))
+    np.add.at(landing, (a_v[flights], a_j[flights], a_arr[flights]),
+              np.where(launch[flights], 0.0, w[flights]))
+
+    def where(c):
+        return (active[c[0]], c[1], steps[c[2]])
+    res = y - served
+    flag("presence_dispatch", res, (np.abs(res) > tol) & at_customer,
+         lambda c: (c[0], c_rank[c[1]], c[2], 0, 0), where)
+    for m, k in enumerate(tools):
+        res = needed[m].transpose(1, 0, 2) - (
+            x[..., kpos[k]] if k in kpos else 0.0)
+        flag("tool_on_board", res, (res > tol) & at_customer,
+             lambda c, m=m: (c[0], c_rank[c[1]], c[2], 1, m),
+             lambda c, k=k: (*where(c), k))
+    res = landing - started.transpose(1, 0, 2)
+    flag("arrival_at_start", res, (np.abs(res) > tol) & at_customer,
+         lambda c: (c[0], c_rank[c[1]], c[2], 2, 0), where)
+    emit()
     return out
 
 
@@ -1057,7 +1534,7 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
             continue
         leaving = [cols for cols in problem._dep.get(s, ()) if x[cols.w] > 0.5]
         if leaving or x[problem._y[s]] > 0.5:
-            stock = {k: x[j] for k, j in problem._x[s].items()}
+            stock = {k: x[j] for k, j in problem._x_of(s).items()}
             for cols in leaving:
                 for k in stock:
                     stock[k] += x[cols.u[k]]

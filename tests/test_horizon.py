@@ -583,8 +583,8 @@ def test_committed_launches_are_a_cadence_apart(multimodal):
 
 def _model_arrays(problem):
     m = problem.model
-    return (m._entry_row, m._entry_col, m._entry_val, m._family, m._sense,
-            m._rhs, m.var_lb, m.var_ub, m.var_kind, m.objective)
+    return ([a.tolist() for a in m.entries()], m._family, m._sense, m._rhs,
+            m.var_lb, m.var_ub, m.var_kind, m.objective)
 
 
 @pytest.mark.parametrize("parked", ["parking_0", "gx4"])

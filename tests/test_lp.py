@@ -88,6 +88,42 @@ def test_fix_and_duplicate():
         m.add_constr("bad", {x: 1.0}, "=<", 0.0)
 
 
+def test_blocks_read_back_as_their_rows(tmp_path):
+    # columns and rows added as blocks, between single ones, make the model
+    # that one add_var and add_constr per column and row make; the entries
+    # of a block may come in any order within a row
+    single, blocks = Model("m"), Model("m")
+    for key, ub, kind in [("a", 4.0, INTEGER), ("b", 1.0, BINARY),
+                          ("c", 9.0, CONTINUOUS)]:
+        single.add_var(key, ub=ub, kind=kind)
+    assert blocks.add_var("a", ub=4.0, kind=INTEGER) == 0
+    assert blocks.add_vars(["b", "c"], [0.0, 0.0], [1.0, 9.0],
+                           [BINARY, CONTINUOUS]) == 1
+    rows = [("r0", {0: 1.0, 2: -2.0}, "<=", 3.0),
+            ("r1", {1: 4.0, 0: 0.0}, ">=", 1.0),
+            ("r2", {2: 1.0}, "==", 2.0)]
+    for row in rows:
+        single.add_constr(*row)
+    blocks.add_constr(*rows[0])
+    blocks.add_rows(["r1", "r2"], np.array([1, 0, 0]), np.array([2, 1, 0]),
+                    np.array([1.0, 4.0, 0.0]), [">=", "=="],
+                    np.array([1.0, 2.0]))
+    for m in (single, blocks):
+        m.add_objective(0, 1.0)
+        m.add_objective(2, 0.5)
+    assert blocks.constraints == single.constraints
+    single.write_lp(tmp_path / "single.lp")
+    blocks.write_lp(tmp_path / "blocks.lp")
+    assert (tmp_path / "single.lp").read_text() \
+        == (tmp_path / "blocks.lp").read_text()
+    assert blocks.solve().x == single.solve().x
+    with pytest.raises(ValueError, match="duplicate variable 'c'"):
+        blocks.add_vars(["d", "c"], [0.0] * 2, [1.0] * 2, [CONTINUOUS] * 2)
+    with pytest.raises(ValueError, match="bad sense"):
+        blocks.add_rows("r", np.array([0]), np.array([0]), np.array([1.0]),
+                        "=<", np.array([0.0]))
+
+
 def test_lp_round_trip(tmp_path):
     m = Model("rt")
     x = m.add_var("x[a|0]", ub=4.0)

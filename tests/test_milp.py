@@ -16,8 +16,8 @@ from micro import micro_instance, micro_scenario
 from oosplan.demand import ServiceNeed, build_window
 from oosplan.lp import CONTINUOUS, Model, SolveResult
 from oosplan.milp import (CommittedService, InitialState, ModelError,
-                          PendingArrival, PlanProblem, SolveOptions, audit,
-                          commit, extract_schedule, start_after, vn)
+                          PendingArrival, PlanProblem, SolveOptions, _RowBlock,
+                          audit, commit, extract_schedule, start_after, vn)
 from oosplan.network import NetworkError, build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
 from oosplan.trajectory import (PluginRegistry, TrajectoryError,
@@ -835,10 +835,16 @@ def test_absent_column_reads_as_zero(solved):
     rows = problem.model.n_rows
     absent = ("mm_versatile", -1, 0)
     assert absent not in problem._y and vn("Y", *absent) not in problem.model
-    problem._add("presence", {}, "==", 0.0)
+    _add_rows(problem, [("presence", {}, "==", 0.0)])
     assert problem.model.n_rows == len(problem.model.constraints) == rows
     with pytest.raises(ModelError, match="cannot hold"):
-        problem._add("presence", {}, "==", 1.0)
+        _add_rows(problem, [("presence", {}, "==", 1.0)])
+
+
+def _add_rows(problem, rows):
+    block = _RowBlock()
+    block.add_dicts(rows)
+    block.commit(problem.model)
 
 
 def _solve_off_integral(monkeypatch, offset: float):

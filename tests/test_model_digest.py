@@ -109,3 +109,38 @@ def test_objectives_list_each_plan_solve(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)["workloads"]["plan_mm20"]
     assert report["objectives"] == solved
     assert report["solves"] > len(solved) == 2
+
+
+def test_audit_digest_hashes_each_plan_audit(monkeypatch, capsys):
+    # each solved plan is audited on its values and on perturbed copies of
+    # them: equal runs give equal digests, and another audit result
+    # another digest
+    tool = _load_tool(monkeypatch)
+    _stub_workload(monkeypatch, tool)
+    from micro import micro_instance
+    milp, seen = tool.milp, []
+
+    def run_rep(name, inputs, outdir):
+        scenario, _, net, needs, init = micro_instance(1)
+        milp.PlanProblem(scenario, net, needs, init,
+                         milp.SolveOptions(gap=0.0)).solve()
+        return 0
+    monkeypatch.setattr(tool.workloads, "run_rep", run_rep)
+    audit = milp.audit
+
+    def logged(problem, values, *args, **kwargs):
+        seen.append(dict(values))
+        return audit(problem, values, *args, **kwargs)
+    monkeypatch.setattr(milp, "audit", logged)
+
+    def digest():
+        assert tool.main(["--workload", "plan_mm20"]) == 0
+        report = json.loads(capsys.readouterr().out)["workloads"]
+        return report["plan_mm20"]["audit_digest"]
+    first = digest()
+    assert len(seen) == 1 + tool.PERTURBATIONS
+    assert all(copy != seen[0] for copy in seen[1:])
+    assert digest() == first
+    monkeypatch.setattr(milp, "audit", lambda problem, values: [
+        milp.Violation("wet_mass", "x", 1.0)])
+    assert digest() != first

@@ -4,18 +4,22 @@
     python3 tools/model_digest.py --workload plan_mm20 --seed 0
 
 Runs each workload of ``benchmarks/workloads.py`` once at ``--seed`` and
-prints one JSON object: per workload, the number of solves, two digests, the
-``repr`` of every ``PlanProblem.solve`` objective in solve order
+prints one JSON object: per workload, the number of solves, three digests,
+the ``repr`` of every ``PlanProblem.solve`` objective in solve order
 (``objectives``) and the fingerprints of the workload's outputs.
 ``lp_digest`` hashes the ``write_lp`` text of every model passed to
 ``lp.Model.solve`` (the min-burn LPs included); ``highs_digest`` hashes every
 argument handed to ``lp.milp``, each array with its dtype and shape, so it
-covers the arrays HiGHS gets rather than their text form. Each digest is one
-SHA-256 over the per-solve hashes in solve order. A refactor that claims to
-leave every model unchanged must print the same object before and after; one
+covers the arrays HiGHS gets rather than their text form. ``audit_digest``
+hashes the violations (family, key and ``repr`` of the residual, in order)
+that ``milp.audit`` returns for each solved plan, on its values and on
+``PERTURBATIONS`` copies of them with one or two values moved, drawn from
+the plan's position in solve order. Each digest is one SHA-256 over the
+per-solve hashes in solve order. A refactor that claims to leave every model
+and the audit unchanged must print the same object before and after; one
 that changes models but claims to keep every optimum must print the same
-``objectives`` and fingerprints. A workload that fails its own checks has its
-problems printed to stderr, and the exit status is then 1.
+``objectives`` and fingerprints. A workload that fails its own checks has
+its problems printed to stderr, and the exit status is then 1.
 Every function the tool wraps is restored when ``main`` returns.
 """
 
@@ -54,10 +58,44 @@ def highs_hash(args: tuple, kwargs: dict) -> str:
     return h.hexdigest()
 
 
+# the perturbed copies of a plan's values that ``audit_hash`` audits, and
+# what a perturbation does to a value: move it by one of these, or (None)
+# set it to 0
+PERTURBATIONS = 4
+SHIFTS = (1.0, -1.0, 0.5, -0.5, 100.0, None)
+
+
+def perturbed(values: dict, rng: np.random.Generator) -> dict:
+    """``values`` with one or two of them moved by a shift of ``SHIFTS``."""
+    keys = list(values)
+    out = dict(values)
+    for n in rng.choice(len(keys), size=min(len(keys),
+                                            int(rng.integers(1, 3))),
+                        replace=False):
+        shift = SHIFTS[int(rng.integers(len(SHIFTS)))]
+        key = keys[int(n)]
+        out[key] = 0.0 if shift is None else out[key] + shift
+    return out
+
+
+def audit_hash(problem, values: dict, seed: int) -> str:
+    """SHA-256 of the violations ``milp.audit`` finds on ``values`` and on
+    ``PERTURBATIONS`` perturbed copies drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for copy in (values, *(perturbed(values, rng)
+                           for _ in range(PERTURBATIONS))):
+        for v in milp.audit(problem, copy):
+            h.update(f"{v.family}|{v.key}|{v.residual!r}\n".encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 def install(model_hashes: list[str], highs_hashes: list[str],
-            objectives: list[str], workdir: Path):
+            objectives: list[str], audit_hashes: list[str], workdir: Path):
     """Hash the LP text of each model before it is solved and the
-    arguments of each HiGHS call, and log each plan's objective."""
+    arguments of each HiGHS call, log each plan's objective, and hash the
+    audit of each solved plan."""
     solve, highs_milp = lp.Model.solve, lp.milp
     plan_solve = milp.PlanProblem.solve
 
@@ -74,6 +112,9 @@ def install(model_hashes: list[str], highs_hashes: list[str],
     def logged_plan(problem):
         sol = plan_solve(problem)
         objectives.append(repr(sol.objective))
+        if sol.values:
+            audit_hashes.append(audit_hash(problem, sol.values,
+                                           len(audit_hashes)))
         return sol
     lp.Model.solve = hashed
     lp.milp = hashed_milp
@@ -111,7 +152,8 @@ def _run(args) -> tuple[dict, bool]:
         model_hashes: list[str] = []
         highs_hashes: list[str] = []
         objectives: list[str] = []
-        install(model_hashes, highs_hashes, objectives, tmp)
+        audit_hashes: list[str] = []
+        install(model_hashes, highs_hashes, objectives, audit_hashes, tmp)
         solves = workloads.SolveLog()
         solves.install()
         for name in args.workload or workloads.WORKLOADS:
@@ -121,6 +163,7 @@ def _run(args) -> tuple[dict, bool]:
             model_hashes.clear()
             highs_hashes.clear()
             objectives.clear()
+            audit_hashes.clear()
             solves.calls.clear()
             # the program's own output would corrupt the JSON on stdout
             with contextlib.redirect_stdout(sys.stderr):
@@ -138,6 +181,7 @@ def _run(args) -> tuple[dict, bool]:
                 "solves": len(model_hashes),
                 "lp_digest": _digest(model_hashes),
                 "highs_digest": _digest(highs_hashes),
+                "audit_digest": _digest(audit_hashes),
                 "objectives": list(objectives),
                 "fingerprints": res.fingerprints}
     return report, failed
