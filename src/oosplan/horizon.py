@@ -187,16 +187,20 @@ def window_problem(scenario: Scenario, sats: list[CustomerSat],
                    registry: Optional[PluginRegistry] = None) -> PlanProblem:
     """One window's MILP: ``needs`` clipped to ``grid``, over only the
     customers that a need, a running service, a flight or a vehicle touches
-    (one that nothing touches has no state and no landing arc). The whole
-    catalog is checked, so a malformed one is refused all the same."""
+    (one that nothing touches has no state and no landing arc), and the
+    flights of the servicers that no running service pins past the window's
+    last step. The whole catalog is checked, so a malformed one is refused
+    all the same."""
     build_nodes(scenario, sats)
     needs = window_needs(needs, scenario, grid)
     touched = {n.satellite for n in needs} | set(start.vehicle_nodes.values())
     touched |= {x.node for x in start.committed + start.pending_arrivals}
     nodes = build_nodes(scenario, [s for s in sats if s.name in touched])
+    pinned = {c.vehicle for c in start.committed if c.end_day > grid.final}
     net = expand(nodes, grid, scenario, registry=registry,
                  n_breakpoints=n_breakpoints,
-                 vehicles=start.active_vehicles(scenario))
+                 vehicles=[vid for vid in start.active_vehicles(scenario)
+                           if vid not in pinned])
     return PlanProblem(scenario, net, needs, start, options)
 
 

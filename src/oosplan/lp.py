@@ -128,7 +128,8 @@ HIGHS_OPTIONS = {"output_flag": False, "presolve_rule_off": PROBING_OFF,
 _HMS = highs.HighsModelStatus
 # scipy.optimize.milp's status code per HiGHS model status, except that a
 # model HiGHS rejects (kModelError) is 4, a solver failure, not infeasible;
-# every other status (unbounded-or-infeasible, an empty model, ...) is 4 too
+# every other status (unbounded-or-infeasible, ...) is 4 too, but for an
+# empty model, which ``milp`` solves itself
 _SCIPY_STATUS = {_HMS.kOptimal: 0, _HMS.kTimeLimit: 1, _HMS.kIterationLimit: 1,
                  _HMS.kInfeasible: 2, _HMS.kUnbounded: 3}
 # limits after which a MILP's incumbent, if HiGHS holds one, comes back
@@ -195,10 +196,11 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
          value: np.ndarray, row_lower: np.ndarray, row_upper: np.ndarray,
          col_lower: np.ndarray, col_upper: np.ndarray,
          integrality: np.ndarray, gap: float,
-         time_limit: Optional[float] = None) -> HighsResult:
-    """Minimize ``c @ x`` subject to ``row_lower <= a @ x <= row_upper`` and
-    ``col_lower <= x <= col_upper``, with ``x[j]`` integer where
-    ``integrality[j]`` is 1, by HiGHS with presolve probing and the
+         time_limit: Optional[float] = None,
+         offset: float = 0.0) -> HighsResult:
+    """Minimize ``c @ x + offset`` subject to ``row_lower <= a @ x <=
+    row_upper`` and ``col_lower <= x <= col_upper``, with ``x[j]`` integer
+    where ``integrality[j]`` is 1, by HiGHS with presolve probing and the
     feasibility-jump heuristic off (``HIGHS_OPTIONS``).
 
     ``a`` comes as the three arrays of a compressed sparse column matrix:
@@ -206,7 +208,9 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
     ``index[start[j]:start[j+1]]``.
 
     A solution comes back for an optimum, and for a MILP stopped at a limit
-    only if HiGHS holds an incumbent, as ``scipy.optimize.milp`` does.
+    only if HiGHS holds an incumbent, as ``scipy.optimize.milp`` does. A
+    model with no column, which HiGHS calls empty, has the empty solution
+    where every row holds at zero, and none where one does not.
     """
     solver = highs._Highs()
     options = dict(HIGHS_OPTIONS, mip_rel_gap=float(gap))
@@ -216,7 +220,8 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
         if solver.setOptionValue(key, setting) != highs.HighsStatus.kOk:
             raise SolveError(f"HiGHS rejects option {key}={setting!r}")
     passed = solver.passModel(
-        len(c), len(row_lower), len(value), _COLWISE, _MINIMIZE, 0.0,
+        len(c), len(row_lower), len(value), _COLWISE, _MINIMIZE,
+        float(offset),
         *(np.asarray(a, dtype=float) for a in (c, col_lower, col_upper,
                                                 row_lower, row_upper)),
         *(np.asarray(a, dtype=np.int32) for a in (start, index)),
@@ -236,6 +241,12 @@ def milp(c: np.ndarray, start: np.ndarray, index: np.ndarray,
         os.close(saved)
     status = solver.getModelStatus()
     info = solver.getInfo()
+    if status == _HMS.kModelEmpty:
+        if np.all((np.asarray(row_lower) <= 0.0)
+                  & (np.asarray(row_upper) >= 0.0)):
+            return HighsResult(0, "Optimal", x=np.zeros(0), fun=float(offset),
+                               simplex_iteration_count=0)
+        return HighsResult(2, "Infeasible", simplex_iteration_count=0)
     res = HighsResult(_SCIPY_STATUS.get(status, 4),
                       solver.modelStatusToString(status),
                       simplex_iteration_count=info.simplex_iteration_count)
@@ -263,6 +274,8 @@ class Model:
         self.var_kind: list[str] = []
         self._index: dict[Hashable, int] = {}     # key -> column, in order
         self.objective: dict[int, float] = {}
+        # the objective's constant: HiGHS gets it, ``write_lp`` leaves it out
+        self.offset = 0.0
         # the rows: blocks of (row, column, coefficient) entry arrays, the
         # rows numbered in the model, in the order they were added; the
         # entries of ``add_constr`` since the last block, not yet one; and
@@ -448,7 +461,7 @@ class Model:
                    np.where(sense == _SENSE_CODE[">="], np.inf, rhs),
                    np.array(self.var_lb, dtype=float),
                    np.array(self.var_ub, dtype=float), integrality,
-                   gap, time_limit)
+                   gap, time_limit, offset=-self.offset)
         status = _STATUS.get(res.status, "error")
         if status == "error":
             raise SolveError(f"solver failure: {res.message}")

@@ -9,22 +9,27 @@ arc transformation relations, which keeps the model smaller and makes the
 transformation constraints hold by construction; nonnegativity of the
 substituted inflows is enforced explicitly.
 
-The model holds only columns that its rows let be nonzero, but for starts
-that no flight lands for (below). ``PlanProblem._prepare`` admits each
-service start once, into ``PlanProblem.starts``, which every row, the
-objective and ``extract_schedule`` read: a capable servicer on a step of the
-need's window, whose service (``ServiceNeed.covers``) overlaps no committed
-service at that customer, so the ``one_service`` rows need not count one. A
-servicer has a state at a customer node only on the steps of its starts and
-their services, its commitments, its start and its in-flight arrivals. It
-leaves a customer only on a release step (a service end, the end of a
-commitment, its start or an in-flight arrival), and lands there only on a
-start step whose service it can leave again, or that runs past the horizon.
-That release comes after the departure, so ``_prepare`` decides every landing
-in one sweep from the last departure back. A service starts only where its
-servicer lands, on every step, the first included: the ``arrival`` rows force
-to zero a start that no kept flight lands for, and such a start is still
-built. A column left out reads as zero in every row.
+The model builds only what a window's vehicles can reach, so that no column
+is forced to zero, or to a constant, by the window's start.
+``PlanProblem._prepare`` admits each service start once, into
+``PlanProblem.starts``, which every row, the objective and
+``extract_schedule`` read: a capable servicer on a step of the need's
+window, whose service (``ServiceNeed.covers``) overlaps no committed service
+at that customer, so the ``one_service`` rows need not count one, and that
+a kept flight lands for. A servicer leaves a customer only on a release
+step (a service end, its start or an in-flight arrival), and lands there
+only on a start step whose service it can leave again, or that runs past
+the horizon. That release comes after the departure, so ``_prepare``
+decides every landing in one sweep from the last departure back. One pass
+forward over the steps then keeps a vehicle's state only at its start or
+an in-flight arrival, at the landing of a kept flight, and on the holdover
+from a kept state (at a customer, only from a step that a kept start's
+service holds); a flight only where it leaves a kept state, and a start
+only where a kept flight lands. A committed service's pinned run builds
+nothing: its servicer arrives at its release as from a flight, with what it
+brought to the run less the run's station keeping, and the run's operating
+cost is the objective's constant (``lp.Model.offset``). A column left out
+reads as zero in every row.
 
 Columns are keyed by ``vn`` tuples. The build makes them as blocks of the
 model's store: Y then X per state, each vehicle's states one run; W, U, Z
@@ -317,23 +322,6 @@ class PlanProblem:
             vid: [k for k, cap in v.capacities.items() if cap > 0]
             for vid, v in {**self.active, **self.launchers}.items()}
 
-        # a committed servicer stays pinned to its customer until the first
-        # step at or after the service end from which it can fly, so a
-        # service ending near the horizon edge does not strand it; that step
-        # releases it
-        departs = {(a.vehicle, a.i, a.t) for a in net.arcs
-                   if a.model is not None and a.vehicle in self.active
-                   } if self.init.committed else set()
-        self.pinned: set[tuple[str, int, int]] = set()
-        release: set[tuple[str, int, int]] = set()   # (vehicle, node, step)
-        for c in self.init.committed:
-            i = self.node_by_name[c.node].index
-            end = next((t for t in grid.steps if t >= c.end_day
-                        and (c.vehicle, i, t) in departs), grid.final + 1)
-            self.pinned |= {(c.vehicle, i, t) for t in grid.steps
-                            if c.start_day <= t < end}
-            release.add((c.vehicle, i, end))
-
         # what each vehicle brings to (node, step) from outside the horizon:
         # its start loads, then each in-flight cargo, in ``init`` order
         self.arriving: dict[tuple[str, int, int], list[dict[str, float]]] = {}
@@ -346,16 +334,58 @@ class PlanProblem:
                 (p.vehicle, self.node_by_name[p.node].index, p.t), []
             ).append(p.commodities)
 
-        # needs: capable vehicles and ``starts``, the window steps on which
-        # each may start the need, with no step of its service under way
-        # beside a committed service at the customer (so the one_service
-        # rows need not count one); ends[v, i, tau] holds the steps at which
-        # such a start releases v (None where it runs past the horizon)
+        # A committed service pins its servicer to the customer from the
+        # run's first step (its start or its in-flight arrival) to its
+        # release: the first step at or after the service end from which
+        # it can fly, so a service ending near the horizon edge does not
+        # strand it. The run is no part of the model. The servicer arrives
+        # at its release, as from a flight, with what it brought to the run
+        # less the station keeping of the run's holdovers; a run past the
+        # window's end arrives nowhere. The run's operating cost is a
+        # constant of the objective (``fixed``), and a run whose stock
+        # cannot cover its station keeping leaves the window infeasible
+        # (``uncovered``).
+        departs = {(a.vehicle, a.i, a.t) for a in net.arcs
+                   if a.model is not None and a.vehicle in self.active
+                   } if self.init.committed else set()
+        self.pinned: set[tuple[str, int, int]] = set()
+        self.runs: list[tuple[CommittedService, int, dict[str, float]]] = []
+        self.fixed = dict.fromkeys(COST_BUCKETS, 0.0)
+        self.uncovered: list[CommittedService] = []
+        for c in self.init.committed:
+            v, i = scn.vehicles[c.vehicle], self.node_by_name[c.node].index
+            end = next((t for t in grid.steps if t >= c.end_day
+                        and (c.vehicle, i, t) in departs), grid.final + 1)
+            run = [t for t in grid.steps if c.start_day <= t < end]
+            self.pinned |= {(c.vehicle, i, t) for t in run}
+            if not run:
+                continue
+            loads: dict[str, float] = {}
+            for load in self.arriving.pop((c.vehicle, i, run[0]), ()):
+                for k, qty in load.items():
+                    loads[k] = loads.get(k, 0.0) + qty
+            self.runs.append((c, run[0], loads))
+            left = self._station_kept(c.vehicle, loads, run[0], end)
+            k = v.station_keeping_commodity
+            if k in left and left[k] < -1e-9 * max(1.0, loads.get(k, 0.0)):
+                self.uncovered.append(c)
+            if end <= grid.final:
+                self.arriving.setdefault((c.vehicle, i, end), []).append(left)
+            for t in run:
+                self.fixed[ops_bucket(v)] += \
+                    v.operating_cost_per_day * grid.delta_forward(t)
+
+        # needs: capable vehicles and the candidate starts, the window
+        # steps on which each may start the need with no step of its
+        # service under way beside a committed service at the customer (so
+        # the one_service rows need not count one); per (vehicle, node,
+        # start step), the steps that its services hold, and the steps at
+        # which they release it (None where one runs past the horizon)
         self.needs_at: dict[int, list[ServiceNeed]] = {}
         self.capable: dict[str, list[str]] = {}
-        self.starts: list[tuple[ServiceNeed, str, tuple[int, ...]]] = []
+        candidates: list[tuple[ServiceNeed, str, tuple[int, ...]]] = []
+        holds: dict[tuple[str, int, int], set[int]] = {}
         ends: dict[tuple[str, int, int], set[Optional[int]]] = {}
-        held = set(self.pinned)
         steps = np.array(grid.steps)
         for need in self.needs:
             node = self.node_by_name.get(need.satellite)
@@ -375,66 +405,114 @@ class PlanProblem:
                                 for t in grid.steps], dtype=bool)
             free = ~(covers & blocked).any(axis=1)
             taus = tuple(np.array(need.window)[free].tolist())
-            busy = steps[covers[free].any(axis=0)].tolist()
+            busy = [steps[row].tolist() for row in covers[free]]
             for vid in self.capable[need.id] if taus else ():
-                self.starts.append((need, vid, taus))
-                for tau in taus:
-                    ends.setdefault((vid, node.index, tau), set()).add(
+                candidates.append((need, vid, taus))
+                for tau, held in zip(taus, busy):
+                    s = (vid, node.index, tau)
+                    holds.setdefault(s, set()).update(held)
+                    ends.setdefault(s, set()).add(
                         grid.next_step_at_or_after(tau + need.duration))
-                held |= {(vid, node.index, t) for t in busy}
 
-        # A servicer gets a state at a customer node only where a row lets
-        # it be there or leave: the steps and service steps of its starts,
-        # its pinned steps, its start, its in-flight arrivals and its
-        # release steps. The presence rows force every other customer state
-        # to zero. They hold Y to the services and the pinned run, and a
-        # service starts only on an arrival, so the servicer leaves only on
-        # a release step: a service end, the end of its pinned run, its
-        # start or an in-flight arrival. A start on which no kept flight
-        # (below) lands keeps its state; the arrival rows force it to zero.
-        release |= set(self.arriving)
-        release |= {(vid, i, e) for (vid, i, _), es in ends.items()
-                    for e in es}
-        held |= set(ends) | release
-        # Every (vehicle, node, step) with a state, in column order; then
-        # the servicers' states at customer nodes, in the same order.
+        # A servicer leaves a customer only on a release step: the end of a
+        # service, its start or an in-flight arrival (a pinned run's release
+        # among them). It lands there only on a start step whose service
+        # can be left: the service runs past the horizon, or a flight
+        # leaves at its end. A service lasts at least a day, so that end
+        # comes after the departure, and one sweep from the last departure
+        # back decides every landing.
         customer = {n.index for n in self.nodes.customer}
-        self.states = [(vid, i, t) for vid, v in self.active.items()
-                       for i in self.presence[vid] for t in grid.steps
-                       if not (v.is_servicer and i in customer)
-                       or (vid, i, t) in held]
-        self.customer_states = [
-            (vid, i, t) for vid, i, t in self.states
-            if i in customer and self.active[vid].is_servicer]
-        has_state = set(self.states)
-
-        # A flight leaves a state, a customer only on a release step. It
-        # lands at a parking node, or on a start step whose service can be
-        # left: the service runs past the horizon, or a kept flight leaves
-        # at its end. A service lasts at least a day, so that end comes
-        # after the departure, and one sweep from the last departure back
-        # decides every landing.
-        leaving: set[tuple[str, int, int]] = set()
+        release = set(self.arriving) | {
+            (vid, i, e) for (vid, i, _), es in ends.items() for e in es}
         arcs = net.arcs
-        kept = [a.model is None and a.vehicle in self.launchers for a in arcs]
-        flights = [n for n, a in enumerate(arcs) if a.model is not None]
-        for n in sorted(flights, key=lambda n: -arcs[n].t):
+        leaving: set[tuple[str, int, int]] = set()
+        offered: dict[int, list[int]] = {}  # departure step -> flights
+        for n in sorted((n for n, a in enumerate(arcs)
+                         if a.model is not None and a.vehicle in self.active),
+                        key=lambda n: -arcs[n].t):
             a = arcs[n]
-            if (a.vehicle, a.i, a.t) not in (
-                    release if a.i in customer else has_state):
+            if a.i in customer and (a.vehicle, a.i, a.t) not in release:
                 continue
             if a.j in customer and not any(
                     e is None or (a.vehicle, a.j, e) in leaving
                     for e in ends.get((a.vehicle, a.j, a.arrival), ())):
                 continue
             leaving.add((a.vehicle, a.i, a.t))
-            kept[n] = True
+            offered.setdefault(a.t, []).append(n)
+
+        # Then forward, step by step, what a vehicle can reach. It has a
+        # state where it starts or arrives from outside the window, where a
+        # kept flight lands, and on the holdover from a state; at a
+        # customer, only from a step that the service of a kept start
+        # holds, as the presence rows let it stay nowhere else. A flight is
+        # kept where it leaves a state, and a start where a kept flight
+        # lands. Every other state, flight and start is one that the
+        # window's start forces to zero.
+        first: dict[tuple[str, int], int] = {}  # at a parking node
+        come: dict[int, set[tuple[str, int]]] = {}  # at a customer node
+        for vid, i, t in self.arriving:
+            if vid not in self.active:
+                continue
+            if self.active[vid].is_servicer and i in customer:
+                come.setdefault(t, set()).add((vid, i))
+            else:
+                first[vid, i] = min(first.get((vid, i), t), t)
+        kept = [a.model is None and a.vehicle in self.launchers for a in arcs]
+        landed: set[tuple[str, int, int]] = set()
+        holding: set[tuple[str, int, int]] = set()
+        reached: set[tuple[str, int, int]] = set()   # at a customer node
+        here: set[tuple[str, int]] = set()
+        before = None
+        for t in grid.steps:
+            here = {(vid, i) for vid, i in here
+                    if (vid, i, before) in holding} | come.get(t, set())
+            reached |= {(vid, i, t) for vid, i in here}
+            for n in offered.get(t, ()):
+                a = arcs[n]
+                if not ((a.vehicle, a.i) in here if a.i in customer
+                        else first.get((a.vehicle, a.i), math.inf) <= t):
+                    continue
+                kept[n] = True
+                s = (a.vehicle, a.j, a.arrival)
+                if a.j not in customer:
+                    first[a.vehicle, a.j] = min(
+                        first.get((a.vehicle, a.j), a.arrival), a.arrival)
+                elif s not in landed:
+                    landed.add(s)
+                    come.setdefault(a.arrival, set()).add((a.vehicle, a.j))
+                    holding |= {(a.vehicle, a.j, b) for b in holds[s]}
+            before = t
         self.arcs = [a for a, k in zip(arcs, kept) if k]
-        self.dep_arcs: dict[tuple, list[TransportArc]] = {}
-        self.arr_arcs: dict[tuple, list[TransportArc]] = {}
-        for a in self.arcs:
-            self.dep_arcs.setdefault((a.vehicle, a.i, a.t), []).append(a)
-            self.arr_arcs.setdefault((a.vehicle, a.j, a.arrival), []).append(a)
+        self.starts: list[tuple[ServiceNeed, str, tuple[int, ...]]] = []
+        for need, vid, taus in candidates:
+            i = self.node_by_name[need.satellite].index
+            taus = tuple(tau for tau in taus if (vid, i, tau) in landed)
+            if taus:
+                self.starts.append((need, vid, taus))
+        # every (vehicle, node, step) with a state, in column order; then
+        # the servicers' states at customer nodes, in the same order
+        self.states = [(vid, i, t) for vid, v in self.active.items()
+                       for i in self.presence[vid] for t in grid.steps
+                       if ((vid, i, t) in reached
+                           if v.is_servicer and i in customer
+                           else first.get((vid, i), math.inf) <= t)]
+        self.customer_states = [
+            (vid, i, t) for vid, i, t in self.states
+            if i in customer and self.active[vid].is_servicer]
+
+    def _station_kept(self, vid: str, loads: dict[str, float], start: int,
+                      stop: int) -> dict[str, float]:
+        """What ``vid`` holds of each commodity it carries on step ``stop``
+        where it stayed at one node from step ``start`` on with ``loads``:
+        those less the station keeping of the holdovers between."""
+        v, grid = self.scenario.vehicles[vid], self.grid
+        left = {k: loads.get(k, 0.0) for k in self.carriable[vid]}
+        k = v.station_keeping_commodity
+        if v.station_keeping_rate > 0 and k in left:
+            for t in grid.steps:
+                if start <= t < stop:
+                    left[k] -= v.station_keeping_rate * grid.delta_forward(t)
+        return left
 
     def _mode_of(self, arc: TransportArc):
         if arc.is_launch:
@@ -511,11 +589,12 @@ class PlanProblem:
         self._kept = (on, kept[self._state_v[on]], self._ycol[self._prev[on]],
                       rate[self._state_v[on]] * dt)
         # the states of ``customer_states``, and each state's position in
-        # it (``NO_ROW`` at no customer node)
+        # it (``NO_ROW`` at no customer node, and at an extra last state
+        # that serves the arc ends at no state, -1)
         self._customer = np.array([self._state[s]
                                    for s in self.customer_states],
                                   dtype=np.intp)
-        self._at = np.full(S, NO_ROW, dtype=np.intp)
+        self._at = np.full(S + 1, NO_ROW, dtype=np.intp)
         self._at[self._customer] = np.arange(len(self._customer))
 
         # W, U, Z and a curve's burn L per arc, in one block, and the same
@@ -885,8 +964,7 @@ class PlanProblem:
         block.add("one_service", "<=", [1.0] * n, (row, b, 1.0))
         # presence at customer nodes equals dispatch
         at = np.array([u[1] for u in under_way], dtype=np.intp)
-        block.add("presence", "==",
-                  [float(s in self.pinned) for s in self.customer_states],
+        block.add("presence", "==", [0.0] * len(self.customer_states),
                   (np.arange(len(self._customer)), self._ycol[self._customer],
                    1.0), (at, b, -1.0))
         # the adequate tool must be on board while a service needs it:
@@ -956,6 +1034,8 @@ class PlanProblem:
                 self.obj_terms[ops_bucket(v)][cols.w] = \
                     v.operating_cost_per_day * a.q
 
+        # the operating cost of the pinned runs is a constant
+        m.offset = -sum(self.fixed.values())
         objective = m.objective
         for j, coeff in self.obj_terms["revenues"].items():
             objective[j] = objective.get(j, 0.0) + coeff
@@ -969,6 +1049,8 @@ class PlanProblem:
         return model.solve(self.options.gap, self.options.time_limit)
 
     def solve(self) -> Solution:
+        if self.uncovered:
+            return Solution(status="infeasible", objective=None)
         res = self._run(self.model)
         sol = Solution(status=res.status, objective=res.objective, x=res.x,
                        gap=res.gap, dual_bound=res.dual_bound, nodes=res.nodes,
@@ -1010,7 +1092,7 @@ class PlanProblem:
         lp = self.model.fixed_lp(sol.x, burn)
         z = sol.objective
         lp.add_constr("profit", self.model.objective, ">=",
-                      z - 1e-7 * max(1.0, abs(z)))
+                      z - self.model.offset - 1e-7 * max(1.0, abs(z)))
         res = self._run(lp)
         sol.iterations += res.iterations
         if res.feasible:
@@ -1019,7 +1101,8 @@ class PlanProblem:
     def cost_components(self, x: list[float]) -> dict[str, float]:
         out = {}
         for bucket, terms in self.obj_terms.items():
-            out[bucket] = sum(coeff * x[j] for j, coeff in terms.items())
+            out[bucket] = self.fixed.get(bucket, 0.0) + sum(
+                coeff * x[j] for j, coeff in terms.items())
         out["profit"] = out["revenues"] - sum(out[b] for b in COST_BUCKETS)
         return out
 
@@ -1371,9 +1454,6 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
     served = np.zeros((N, nA, T))
     np.add.at(served, need_node, under_way)
     served = served.transpose(1, 0, 2)
-    for vid, i, t in problem.pinned:
-        if vpos.get(vid, nA) < nA and t in tpos:
-            served[vpos[vid], i, tpos[t]] += 1.0
     tools = scn.tool_ids()
     needed = np.zeros((len(tools), N, nA, T))
     uses = [n for n, need in enumerate(needs) if need.required_tool in tools]
@@ -1523,11 +1603,19 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
                                       t=a.arrival, commodities=cargo))
 
     # A vehicle leaves only from a state, so every parked vehicle is found
-    # at a state on the boundary step. A departure at exactly the boundary
-    # is not committed yet: the vehicle still counts as parked at its
-    # origin, holding the cargo it would load.
+    # at a state on the boundary step, but for a servicer that a committed
+    # service pins there: it holds what it brought to the run, less the
+    # station keeping of the run's holdovers before the boundary. A
+    # departure at exactly the boundary is not committed yet: the vehicle
+    # still counts as parked at its origin, holding the cargo it would load.
     vehicle_nodes: dict[str, str] = {}
     commodities: dict[str, dict[str, float]] = {}
+    for c, first, loads in problem.runs:
+        if (c.vehicle, problem.node_by_name[c.node].index,
+                boundary) in problem.pinned:
+            vehicle_nodes[c.vehicle] = c.node
+            commodities[c.vehicle] = problem._station_kept(
+                c.vehicle, loads, first, boundary)
     for s in problem.states:
         vid, i, t = s
         if t != boundary:

@@ -1,7 +1,9 @@
-"""The loop audit that ``milp.audit`` replaced, kept verbatim as the test
-oracle of the array audit: ``tests/test_audit_arrays.py`` checks that both
-return the same violations, in the same order, on solved and on perturbed
-values. Only the imports differ from the original.
+"""The loop audit that ``milp.audit`` replaced, kept as the test oracle of
+the array audit: ``tests/test_audit_arrays.py`` checks that both return the
+same violations, in the same order, on solved and on perturbed values. It
+differs from the original in its imports, in indexing the arcs by their
+ends itself, and in the pinned-run rule that both follow: a pinned run has
+no state, so presence at a customer equals the services under way there.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
     """
     scn, grid, net = problem.scenario, problem.grid, problem.net
     out: list[Violation] = []
+    dep_arcs: dict[tuple, list[TransportArc]] = {}
+    arr_arcs: dict[tuple, list[TransportArc]] = {}
+    for a in problem.arcs:
+        dep_arcs.setdefault((a.vehicle, a.i, a.t), []).append(a)
+        arr_arcs.setdefault((a.vehicle, a.j, a.arrival), []).append(a)
 
     def val(tag, *parts):
         return values.get(vn(tag, *parts), 0.0)
@@ -63,10 +70,10 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                 if v.station_keeping_rate > 0 and k == v.station_keeping_commodity:
                     total += v.station_keeping_rate * grid.delta_forward(tp) \
                         * val("Y", vid, i, tp)
-        for a in problem.dep_arcs.get((vid, i, t), ()):
+        for a in dep_arcs.get((vid, i, t), ()):
             if k in problem.carriable[vid]:
                 total += val("U", *a.key, k)
-        for a in problem.arr_arcs.get((vid, i, t), ()):
+        for a in arr_arcs.get((vid, i, t), ()):
             if k in problem.carriable[vid]:
                 total -= inflow(a, k)
         return total - problem._init_stock(vid, i, k, t)
@@ -105,9 +112,9 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                 tp = t - grid.delta_backward(t)
                 if tp != t:
                     total -= val("Y", vid, i, tp)
-                for a in problem.dep_arcs.get((vid, i, t), ()):
+                for a in dep_arcs.get((vid, i, t), ()):
                     total += val("W", *a.key)
-                for a in problem.arr_arcs.get((vid, i, t), ()):
+                for a in arr_arcs.get((vid, i, t), ()):
                     total -= val("W", *a.key)
                 flag("vehicle_balance",
                      total - problem._init_presence(vid, i, t), vid, i, t)
@@ -182,7 +189,6 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                 expected = sum(val("B", vid, need.id, t)
                                for need in problem.needs_at.get(i, ())
                                if vid in problem.capable[need.id])
-                expected += (vid, i, t) in problem.pinned
                 flag("presence_dispatch", val("Y", vid, i, t) - expected, vid, i, t)
                 for k in scn.tool_ids():
                     required = sum(
@@ -195,7 +201,7 @@ def audit(problem: PlanProblem, values: dict[tuple, float],
                              vid, i, t, k)
                 # arrivals exactly at service starts
                 arrivals = sum(val("W", *a.key)
-                               for a in problem.arr_arcs.get((vid, i, t), ())
+                               for a in arr_arcs.get((vid, i, t), ())
                                if not a.is_launch)
                 starts = sum(val("H", vid, need.id, t)
                              for need in problem.needs_at.get(i, ())

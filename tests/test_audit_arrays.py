@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from audit_reference import audit as reference
 from micro import micro_instance
+from test_milp import pinned_instance_with_arrival
 
 from oosplan import horizon
 from oosplan.demand import ServiceNeed, build_window, generate_stream
@@ -122,6 +123,22 @@ def test_first_campaign_windows_match_the_loop_audit(multimodal,
     # no need is served in these windows
     assert {"mass_balance_parking", "vehicle_balance", "capacity_holdover",
             "capacity_arc", "negative_inflow"} <= fired
+
+
+def test_a_pinned_run_matches_the_loop_audit(multimodal):
+    # mm_versatile is pinned at satA until day 20 and has no state before
+    # it: both audits read its arrival on day 20, and both flag it when a
+    # value puts it on a pinned step
+    problem = pinned_instance_with_arrival(multimodal)
+    values = problem.solve().values
+    assert {"vehicle_balance", "mass_balance_customer"} \
+        <= _check(problem, values, 7, 40)
+    sat = problem.node_by_name["satA"].index
+    assert ("mm_versatile", sat, 10) in problem.pinned
+    moved = dict(values)
+    moved[("Y", "mm_versatile", sat, 10)] = 1.0
+    assert {v.family for v in _same(problem, moved)} == {
+        "vehicle_balance", "presence_dispatch"}
 
 
 def test_keys_outside_the_enumeration_are_ignored(multimodal):

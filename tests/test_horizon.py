@@ -321,9 +321,31 @@ def _expected_loads(problem, values, boundary):
         return max(amount, 0.0)
 
     parked = {}
+    # a servicer that a committed service pins on the boundary has no
+    # state: it holds what it brought to the run's first step, less the
+    # station keeping of the days since
+    init, grid = problem.init, problem.grid
+    for c in init.committed:
+        i = problem.node_by_name[c.node].index
+        run = sorted(t for vid, n, t in problem.pinned
+                     if (vid, n) == (c.vehicle, i))
+        if boundary not in run:
+            continue
+        v = problem.scenario.vehicles[c.vehicle]
+        loads = init.commodities[c.vehicle] if run[0] == grid.steps[0] \
+            else next(p.commodities for p in init.pending_arrivals
+                      if (p.vehicle, p.node, p.t) == (c.vehicle, c.node,
+                                                      run[0]))
+        parked[c.vehicle] = {k: loads.get(k, 0.0) - (
+            v.station_keeping_rate * (boundary - run[0])
+            if k == v.station_keeping_commodity else 0.0)
+            for k in problem.carriable[c.vehicle]}
+    departing = {}
+    for a in problem.arcs:
+        departing.setdefault((a.vehicle, a.i, a.t), []).append(a)
     for vid in problem.active:
         for i in problem.presence[vid]:
-            leaving = [a for a in problem.dep_arcs.get((vid, i, boundary), ())
+            leaving = [a for a in departing.get((vid, i, boundary), ())
                        if val("W", *a.key) > 0.5]
             if leaving or val("Y", vid, i, boundary) > 0.5:
                 parked[vid] = {k: val("X", vid, i, boundary, k) + sum(

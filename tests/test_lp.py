@@ -266,8 +266,19 @@ def test_status_four_raises():
     m.add_constr("c", {x: 1.0, y: -1.0}, ">=", 0.0)
     with pytest.raises(SolveError, match="infeasible or unbounded"):
         m.solve()
-    with pytest.raises(SolveError):
-        Model("empty").solve()
+
+
+def test_a_model_with_no_column_is_its_empty_solution():
+    # HiGHS calls a model with no column empty: its solution is x = [],
+    # worth the objective's constant, where every row holds at zero
+    m = Model("empty")
+    m.offset = -5.0
+    m.add_constr("holds", {}, "<=", 1.0)
+    res = m.solve()
+    assert (res.status, res.objective, res.x) == ("optimal", -5.0, [])
+    m.add_constr("fails", {}, ">=", 1.0)
+    res = m.solve()
+    assert (res.status, res.objective) == ("infeasible", None)
 
 
 @pytest.mark.parametrize("coeff, rhs", [(math.inf, 1.0), (1.0, math.nan)],
@@ -487,8 +498,8 @@ def test_highs_gets_scipys_csc_matrix(monkeypatch, multimodal, tmp_path):
     no_rows = Model("no-rows")
     no_rows.add_objective(no_rows.add_var("x", ub=2.0), 1.0)
     assert no_rows.solve().objective == pytest.approx(2.0)
-    with pytest.raises(SolveError):
-        Model("empty").solve()
+    empty = Model("empty").solve()
+    assert (empty.status, empty.objective, empty.x) == ("optimal", 0.0, [])
     assert [len(args[1]) for _, args in calls[-2:]] == [2, 1]
     for model, args in calls:
         _assert_scipy_csc(model, args)
@@ -535,23 +546,24 @@ def _census(model: Model) -> dict:
 # each of the 11 curve arcs' 21 weights L and its sos2_sum and sos2_mass
 # rows replaced by one burn column L and 20 chord rows sos2_seg; the rows
 # that read the burn (bal_cust, bal_park, prop_avail) hold one entry for it
-# instead of one per weight
+# instead of one per weight; then with the one start that no kept flight
+# lands for left out, with its B column and the four entries of each
 MICRO0_CENSUS = {
-    "cols": {"Y": 18, "X": 72, "W": 23, "U": 92, "Z": 23, "L": 11, "H": 7,
-             "B": 8},
+    "cols": {"Y": 18, "X": 72, "W": 23, "U": 92, "Z": 23, "L": 11, "H": 6,
+             "B": 7},
     "rows": {"bal_cust": 32, "bal_park": 40, "bal_veh": 18, "cap_hold": 72,
              "cap_arc": 92, "wet_mass": 23, "mass_ub": 23, "prop_avail": 23,
-             "sos2_seg": 220, "assign_once": 2, "dispatch": 8,
-             "one_service": 8, "presence": 8, "tool": 8, "arrival": 7},
-    "nnz": {"bal_cust": 174, "bal_park": 176, "bal_veh": 80, "cap_hold": 144,
+             "sos2_seg": 220, "assign_once": 2, "dispatch": 7,
+             "one_service": 7, "presence": 8, "tool": 7, "arrival": 6},
+    "nnz": {"bal_cust": 173, "bal_park": 176, "bal_veh": 80, "cap_hold": 144,
             "cap_arc": 184, "wet_mass": 138, "mass_ub": 46, "prop_avail": 46,
-            "sos2_seg": 440, "assign_once": 7, "dispatch": 22,
-            "one_service": 8, "presence": 16, "tool": 16, "arrival": 22},
+            "sos2_seg": 440, "assign_once": 6, "dispatch": 18,
+            "one_service": 7, "presence": 15, "tool": 14, "arrival": 21},
     "first_seen": ["bal_cust", "bal_park", "bal_veh", "cap_hold", "cap_arc",
                    "wet_mass", "mass_ub", "prop_avail", "sos2_seg",
                    "assign_once", "dispatch", "one_service", "presence",
                    "tool", "arrival"],
-    "sequence": "eac18b9c0fcea51180f3fcc7d91eaff5023342603444a3d911d5cceba04410c9",
+    "sequence": "f268e7c6773c7d1712613d5bb116479ff6d2b723d205683419e310d3188fafc7",
 }
 W1_FIRST_CENSUS = {
     "cols": {"Y": 56, "X": 448, "W": 3, "U": 24},

@@ -14,6 +14,7 @@ from lp_text import parse_lp
 from micro import micro_instance, micro_scenario
 
 from oosplan.demand import ServiceNeed, build_window
+from oosplan.horizon import window_problem
 from oosplan.lp import CONTINUOUS, Model, SolveResult
 from oosplan.milp import (CommittedService, InitialState, ModelError,
                           PendingArrival, PlanProblem, SolveOptions, _RowBlock,
@@ -214,11 +215,23 @@ def test_committed_service_pins_vehicle(multimodal):
     solution = problem.solve()
     assert solution.feasible
     sat_idx = problem.node_by_name["satA"].index
-    for t in (0, 2, 4, 10, 12, 14):
-        assert solution.values[vn("Y", "mm_versatile", sat_idx, t)] \
-            == pytest.approx(1.0)
-    assert solution.values[vn("Y", "mm_versatile", sat_idx, 20)] \
-        == pytest.approx(0.0)
+    # the pinned run (days 0-14) builds no column and no flight: the
+    # servicer arrives at satA on its release, day 20, with its loads, and
+    # leaves on that day, as no service holds it there
+    pinned = {("mm_versatile", sat_idx, t) for t in (0, 2, 4, 10, 12, 14)}
+    assert problem.pinned == pinned
+    assert not [k for k in problem.model.keys if k[0] in ("Y", "X")
+                and k[3] < 20]
+    assert not [a for a in problem.arcs if (a.vehicle, a.i, a.t) in pinned]
+    assert problem.arriving == {("mm_versatile", sat_idx, 20): [
+        full_loads(scn, "mm_versatile")]}
+    assert solution.values[vn("Y", "mm_versatile", sat_idx, 20)] == 0.0
+    assert [(a.i, a.t) for a in problem.arcs
+            if solution.values[vn("W", *a.key)] > 0.5][:1] == [(sat_idx, 20)]
+    # the run's operating cost stays in the objective, as a constant
+    cost = scn.vehicles["mm_versatile"].operating_cost_per_day * 20
+    assert problem.model.offset == -cost
+    assert solution.components["servicer_ops"] >= cost
     assert audit(problem, solution.values) == []
 
 
@@ -253,14 +266,19 @@ def test_one_service_at_a_time_counts_a_committed_service(multimodal):
     after = [tau for tau in later.window if all(
         t >= 60 for t in grid.steps if later.covers(tau, t))]
     assert 0 < len(after) < len(later.window)
+    # of those, the ones that a kept flight lands for: mm_versatile, freed
+    # at satA on day 60, must fly off and back to start there
+    i = problem.node_by_name["satA"].index
+    landed = {(a.vehicle, a.arrival) for a in problem.arcs if a.j == i}
+    assert ("mm_versatile", 60) not in landed
     assert [k for k in keys if k[0] == "H" and k[2] == later.id] == [
-        vn("H", vid, later.id, tau) for vid in vids for tau in after]
+        vn("H", vid, later.id, tau) for vid in vids for tau in after
+        if (vid, tau) in landed]
     solution = problem.solve()
     assert solution.feasible
     assert extract_schedule(problem, solution).outcomes[need.id] is None
     assert audit(problem, solution.values) == []
     # the audit counts the committed service too
-    i = problem.node_by_name["satA"].index
     values = {vn("B", "mm_specialized_1", need.id, t): 1.0 for t in (10, 12)}
     assert {v.key for v in audit(problem, values)
             if v.family == "one_service_at_a_time"} == {f"{i}|10", f"{i}|12"}
@@ -322,6 +340,84 @@ def pinned_instance_with_arrival(scn) -> PlanProblem:
     return PlanProblem(scn, net, [need], init, SolveOptions(gap=0.0))
 
 
+def test_no_flight_leaves_a_pinned_step(multimodal):
+    # mm_versatile starts pinned at satA: its start releases it no more
+    # than any other step of the run, so no flight leaves before day 20
+    problem = pinned_instance_with_arrival(multimodal)
+    satA = problem.node_by_name["satA"].index
+    assert ("mm_versatile", satA, 0) in problem.pinned
+    assert [a for a in problem.net.arcs
+            if (a.vehicle, a.i, a.t) in problem.pinned]
+    assert not [a for a in problem.arcs
+                if (a.vehicle, a.i, a.t) in problem.pinned]
+    assert {a.t for a in problem.arcs if a.vehicle == "mm_versatile"} \
+        and min(a.t for a in problem.arcs
+                if a.vehicle == "mm_versatile") >= 20
+
+
+def _pinned_from_day_0(scn, end_day, loads):
+    return InitialState(
+        vehicle_nodes={"mm_versatile": "satA"},
+        commodities={"mm_versatile": loads},
+        committed=(CommittedService(vehicle="mm_versatile", node="satA",
+                                    start_day=0.0, end_day=end_day,
+                                    need_id="prior"),))
+
+
+def test_a_servicer_pinned_past_the_window_has_no_column(multimodal):
+    scn = multimodal
+    sats = [CustomerSat("satA", -160.0)]
+    grid = build_time_grid(10, (2, 4), 60)
+    start = _pinned_from_day_0(scn, 200.0, full_loads(scn, "mm_versatile"))
+    # a campaign's window expands no flight for it
+    problem = window_problem(scn, sats, [], start, grid,
+                             SolveOptions(gap=0.0), 20)
+    assert not [a for a in problem.net.arcs if a.vehicle == "mm_versatile"]
+    # nor does the build, though offered every flight: with no depot and
+    # no launch, the model is empty, and its plan is worth the run's
+    # operating cost, which the window still prices
+    nodes = build_nodes(scn, sats, include_earth=False)
+    problem = PlanProblem(scn, expand(nodes, grid, scn), [], start,
+                          SolveOptions(gap=0.0))
+    assert problem.model.n_vars == 0
+    solution = problem.solve()
+    cost = scn.vehicles["mm_versatile"].operating_cost_per_day * 60
+    assert (solution.status, solution.objective) == ("optimal", -cost)
+    assert solution.components["servicer_ops"] == cost
+    assert audit(problem, solution.values) == []
+    schedule = extract_schedule(problem, solution)
+    assert schedule.events == ()
+    _, after = commit(problem, solution, schedule, 10)
+    assert after == start
+
+
+@pytest.mark.parametrize("end_day", [20.0, 200.0], ids=["ends", "past"])
+def test_a_pinned_run_that_its_stock_cannot_keep_is_infeasible(multimodal,
+                                                               end_day):
+    # the servicer burns 2 kg of monopropellant a day to keep station: a
+    # run to day 20 burns 40 kg, and one past the 60-day window 120 kg
+    v = replace(multimodal.vehicles["mm_versatile"], station_keeping_rate=2.0,
+                station_keeping_commodity="monopropellant")
+    scn = replace(multimodal, vehicles=dict(multimodal.vehicles,
+                                            mm_versatile=v))
+    nodes = build_nodes(scn, [CustomerSat("satA", -160.0)],
+                        include_earth=False)
+    grid = build_time_grid(10, (2, 4), 60)
+    net = expand(nodes, grid, scn)
+    for stock, status in ((30.0, "infeasible"), (200.0, "optimal")):
+        loads = dict(full_loads(scn, "mm_versatile"), monopropellant=stock)
+        problem = PlanProblem(scn, net, [], _pinned_from_day_0(
+            scn, end_day, loads), SolveOptions(gap=0.0))
+        solution = problem.solve()
+        assert solution.status == status
+        if solution.feasible:
+            assert audit(problem, solution.values) == []
+    # the run to day 20 arrives at its release with 40 kg less
+    sat = problem.node_by_name["satA"].index
+    assert problem.arriving == ({("mm_versatile", sat, 20): [
+        dict(loads, monopropellant=160.0)]} if end_day == 20.0 else {})
+
+
 _WRITE_LP = """
 import sys
 from oosplan.scenario import default_scenario_path, load_scenario
@@ -362,8 +458,9 @@ def test_start_after_rejects_a_vehicle_neither_parked_nor_in_flight(solved):
     col = {key: j for j, key in enumerate(problem.model.keys)}
     x = list(solution.x)
     x[col[vn("Y", *s)]] = 0.0
-    for a in problem.dep_arcs.get(s, ()):
-        x[col[vn("W", *a.key)]] = 0.0
+    for a in problem.arcs:
+        if (a.vehicle, a.i, a.t) == s:
+            x[col[vn("W", *a.key)]] = 0.0
     with pytest.raises(ModelError, match=f"vehicle {vid} is neither parked "
                                          f"nor in flight"):
         start_after(problem, replace(solution, x=x), commit, [])
@@ -740,11 +837,14 @@ def test_customer_states_only_where_a_row_lets_them_be_nonzero():
     assert not [k for k in keys if k[0] in ("Y", "X") and k[2] == sat1]
     assert not [a for a in problem.arcs if sat1 in (a.i, a.j)]
     assert any(sat1 in (a.i, a.j) for a in net.arcs)
-    # sat0 holds the window steps, the service steps (each start covers
-    # four days) and the step after each; flights land only on the window
-    # and leave only from a state
+    # sat0 holds the window steps that a flight lands on, the service
+    # steps (each start covers four days) and the step after each; flights
+    # land only on the window and leave only from a state. A start on day
+    # 22 or 24 would end on day 30, the last step, which no flight leaves:
+    # no flight lands for it, so it has no column, nor its state
     steps = {k[3] for k in keys if k[0] == "Y" and k[2] == sat0}
-    assert steps == {10, 12, 14, 20, 22, 24, 30}
+    assert steps == {10, 12, 14, 20}
+    assert {k[3] for k in keys if k[0] == "H"} == {10, 12, 14}
     assert {a.arrival for a in problem.arcs if a.j == sat0} \
         <= set(need.window)
     assert {a.t for a in problem.arcs if a.i == sat0} <= steps

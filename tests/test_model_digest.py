@@ -88,6 +88,34 @@ def test_highs_digest_hashes_what_highs_gets(monkeypatch, capsys):
         (np.array([1, 2]), 0.25), {})
 
 
+def test_digest_counts_model_sizes_and_highs_work(monkeypatch, capsys):
+    # the tiny model twice: its columns per key tag and its rows and
+    # nonzeros per family, summed over both solves, and the two HiGHS
+    # calls with the iterations and nodes that the solves report
+    tool = _load_tool(monkeypatch)
+    _stub_workload(monkeypatch, tool)
+    lp, results = tool.lp, []
+
+    def run_rep(name, inputs, outdir):
+        for _ in range(2):
+            m = lp.Model("tiny")
+            x = m.add_var(("x", 1), ub=4.0, kind=lp.INTEGER)
+            y = m.add_var("y", ub=1.0)
+            m.add_objective(x, 1.0)
+            m.add_constr("cap", {x: 2.0, y: 0.0}, "<=", 5.0)
+            results.append(m.solve())
+        return 0
+    monkeypatch.setattr(tool.workloads, "run_rep", run_rep)
+    assert tool.main(["--workload", "plan_mm20"]) == 0
+    report = json.loads(capsys.readouterr().out)["workloads"]["plan_mm20"]
+    assert report["model"] == {"columns": {"x": 2, "y": 2},
+                               "rows": {"cap": 2}, "nonzeros": {"cap": 2}}
+    assert report["highs"] == {
+        "calls": 2, "iterations": sum(r.iterations for r in results),
+        "nodes": sum(r.nodes for r in results)}
+    assert all(r.nodes is not None for r in results)
+
+
 def test_objectives_list_each_plan_solve(monkeypatch, capsys):
     # one entry per PlanProblem.solve, in solve order; a bare model solve
     # (as the least-burn LP is) adds none

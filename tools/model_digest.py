@@ -5,8 +5,14 @@
 
 Runs each workload of ``benchmarks/workloads.py`` once at ``--seed`` and
 prints one JSON object: per workload, the number of solves, three digests,
-the ``repr`` of every ``PlanProblem.solve`` objective in solve order
-(``objectives``) and the fingerprints of the workload's outputs.
+the size of the models and HiGHS's work on them, the ``repr`` of every
+``PlanProblem.solve`` objective in solve order (``objectives``) and the
+fingerprints of the workload's outputs. ``model`` sums over every model
+passed to ``lp.Model.solve`` its columns per key tag (a tuple key's first
+item) and its rows and nonzeros per row family; ``highs`` counts the calls
+of ``lp.milp`` and sums the simplex iterations and branch-and-bound nodes
+that the solves report (``SolveResult.iterations`` and ``nodes``, an LP's
+nodes read as 0).
 ``lp_digest`` hashes the ``write_lp`` text of every model passed to
 ``lp.Model.solve`` (the min-burn LPs included); ``highs_digest`` hashes every
 argument handed to ``lp.milp``, each array with its dtype and shape, so it
@@ -31,6 +37,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,11 +98,21 @@ def audit_hash(problem, values: dict, seed: int) -> str:
     return h.hexdigest()
 
 
+def new_sizes() -> dict[str, Counter]:
+    return {"columns": Counter(), "rows": Counter(), "nonzeros": Counter()}
+
+
+def new_work() -> dict[str, int]:
+    return {"calls": 0, "iterations": 0, "nodes": 0}
+
+
 def install(model_hashes: list[str], highs_hashes: list[str],
-            objectives: list[str], audit_hashes: list[str], workdir: Path):
+            objectives: list[str], audit_hashes: list[str], workdir: Path,
+            sizes: dict, work: dict):
     """Hash the LP text of each model before it is solved and the
     arguments of each HiGHS call, log each plan's objective, and hash the
-    audit of each solved plan."""
+    audit of each solved plan; add each solved model's size to ``sizes``
+    and HiGHS's work to ``work``."""
     solve, highs_milp = lp.Model.solve, lp.milp
     plan_solve = milp.PlanProblem.solve
 
@@ -103,10 +120,20 @@ def install(model_hashes: list[str], highs_hashes: list[str],
         path = workdir / "model.lp"
         model.write_lp(path)
         model_hashes.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        return solve(model, *args, **kwargs)
+        sizes["columns"].update(key[0] if isinstance(key, tuple)
+                                else str(key) for key in model.keys)
+        for con in model.constraints:
+            sizes["rows"][con.name] += 1
+            sizes["nonzeros"][con.name] += sum(
+                v != 0.0 for v in con.coeffs.values())
+        res = solve(model, *args, **kwargs)
+        work["iterations"] += res.iterations or 0
+        work["nodes"] += res.nodes or 0
+        return res
 
     def hashed_milp(*args, **kwargs):
         highs_hashes.append(highs_hash(args, kwargs))
+        work["calls"] += 1
         return highs_milp(*args, **kwargs)
 
     def logged_plan(problem):
@@ -153,7 +180,9 @@ def _run(args) -> tuple[dict, bool]:
         highs_hashes: list[str] = []
         objectives: list[str] = []
         audit_hashes: list[str] = []
-        install(model_hashes, highs_hashes, objectives, audit_hashes, tmp)
+        sizes, work = new_sizes(), new_work()
+        install(model_hashes, highs_hashes, objectives, audit_hashes, tmp,
+                sizes, work)
         solves = workloads.SolveLog()
         solves.install()
         for name in args.workload or workloads.WORKLOADS:
@@ -165,6 +194,8 @@ def _run(args) -> tuple[dict, bool]:
             objectives.clear()
             audit_hashes.clear()
             solves.calls.clear()
+            sizes.update(new_sizes())
+            work.update(new_work())
             # the program's own output would corrupt the JSON on stdout
             with contextlib.redirect_stdout(sys.stderr):
                 inputs = workloads.setup(name, args.seed, workdir)
@@ -182,6 +213,9 @@ def _run(args) -> tuple[dict, bool]:
                 "lp_digest": _digest(model_hashes),
                 "highs_digest": _digest(highs_hashes),
                 "audit_digest": _digest(audit_hashes),
+                "model": {part: dict(sorted(counts.items()))
+                          for part, counts in sizes.items()},
+                "highs": dict(work),
                 "objectives": list(objectives),
                 "fingerprints": res.fingerprints}
     return report, failed
