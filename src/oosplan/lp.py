@@ -274,7 +274,7 @@ class Model:
         self.var_kind: list[str] = []
         self._index: dict[Hashable, int] = {}     # key -> column, in order
         self.objective: dict[int, float] = {}
-        # the objective's constant: HiGHS gets it, ``write_lp`` leaves it out
+        # the objective's constant, which HiGHS and ``write_lp`` both get
         self.offset = 0.0
         # the rows: blocks of (row, column, coefficient) entry arrays, the
         # rows numbered in the model, in the order they were added; the
@@ -482,12 +482,16 @@ class Model:
 
         Column ``j`` is named ``x<j>_`` plus its sanitized display name, so
         names stay distinct even where sanitizing merges two display names;
-        row ``i`` is named ``c<i>_<family>``.
+        row ``i`` is named ``c<i>_<family>``. The objective's constant
+        (``offset``) ends its line where it is not zero.
         """
         names = [f"x{j}_{_sanitize(col_name(k))}"
                  for j, k in enumerate(self.keys)]
-        lines = ["\\ " + self.name, "Maximize",
-                 " obj: " + _expr(self.objective, names)]
+        objective = " obj: " + _expr(self.objective, names)
+        if self.offset:
+            objective += f" {'-' if self.offset < 0 else '+'} " \
+                f"{abs(self.offset):.17g}"
+        lines = ["\\ " + self.name, "Maximize", objective]
         lines.append("Subject To")
         for i, con in enumerate(self.constraints):
             sense = {"<=": "<=", ">=": ">=", "==": "="}[con.sense]

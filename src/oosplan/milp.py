@@ -33,17 +33,19 @@ reads as zero in every row.
 
 Columns are keyed by ``vn`` tuples. The build makes them as blocks of the
 model's store: Y then X per state, each vehicle's states one run; W, U, Z
-and the burn L per arc; H and B per start. It keeps their indices as arrays
-over the states, arcs and commodities (``_ycol``, ``_xcol``, ``_wcol``,
-``_ucol``, ...), writes each large row family as array expressions over
-them, and adds every row to the model as one block (``_RowBlock``). The
-rows come family by family, in the order of ``_build``'s calls, each
-family's rows in the order its comment gives, so equal inputs give HiGHS
-equal arrays; within a row the entries are in no set order, as HiGHS's
-matrix and ``write_lp`` sort them. A row left with no entry is not
-assembled; it must hold at zero, or the build raises ``ModelError``. A solution comes back as one list of column
-values, which ``PlanProblem.solve``, ``extract_schedule`` and
-``start_after`` read through the same indices; no other module knows them.
+and the burn L per arc; H and B per start. Its arrays are the one record of
+where a column lives: ``_ycol`` and ``_xcol`` (by commodity) per state, in
+``_state``'s order; ``_wcol``, ``_zcol``, ``_burn`` and ``_ucol`` per arc,
+with each arc's ``_chords``; and ``_hcol``, each H column with its need and
+state, in column order. The rows, the objective, ``PlanProblem.solve``,
+``extract_schedule`` and ``start_after`` read only those, an X or U row in
+carriable order through ``_carried``; no other module knows them. The rows
+are array expressions over them, added as one block (``_RowBlock``) family
+by family in the order of ``_build``'s calls, each family's rows in the
+order its comment gives, so equal inputs give HiGHS equal arrays; within a
+row the entries are in no set order, as HiGHS's matrix and ``write_lp``
+sort them. A row left with no entry is not assembled; it must hold at zero,
+or the build raises ``ModelError``.
 
 ``audit`` reads none of those indices. It reads ``values`` once, by ``vn``
 key, into dense arrays of its own enumeration: Y and X per active vehicle,
@@ -96,7 +98,7 @@ INT_TOL = 1e-6
 # the objective's cost buckets, each charged against ``revenues``
 COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
 EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
-SOS2_TOL = 1e-6                 # burn (kg) above a curve that solve() lets be
+CURVE_TOL = 1e-6                # burn (kg) above a curve that solve() lets be
 CARGO_TOL = 1e-4                # cargo that a flight or launch event lists
 
 
@@ -184,18 +186,6 @@ class Solution(SolveResult):
     values: dict[tuple, float] = field(default_factory=dict)
 
 
-@dataclass
-class _ArcColumns:
-    """Column indices of one arc's variables."""
-    w: int
-    u: dict[str, int]                   # commodity -> U
-    z: Optional[int]                    # wet mass, on a flight only
-    # (slope, intercept) per chord of a curve: burn >= slope * Z + intercept
-    chords: list[tuple[float, float]]
-    propellant: Optional[str]           # the commodity a flight burns
-    burn: dict[int, float]              # L or Z -> burn
-
-
 # the row of an entry that is not there: below -1, so that it stays below 0
 # when a block shifts its rows
 NO_ROW = -(1 << 40)
@@ -235,16 +225,6 @@ class _RowBlock:
             self.firsts.append(first)
             self.cols.append(col)
             self.vals.append(val)
-
-    def add_dicts(self, rows: list[tuple[str, dict[int, float], str, float]]):
-        """Rows given as ``family, {column: coefficient}, sense, rhs``."""
-        if rows:
-            family, coeffs, sense, rhs = map(list, zip(*rows))
-            self.add(family, sense, rhs, (
-                np.repeat(np.arange(len(rows)), [len(c) for c in coeffs]),
-                np.array([j for c in coeffs for j in c], dtype=np.intp),
-                np.array([v for c in coeffs for v in c.values()],
-                         dtype=float)))
 
     def commit(self, model: Model):
         sizes = [len(c) for c in self.cols]
@@ -571,7 +551,6 @@ class PlanProblem:
         width = 1 + (at >= 0).sum(axis=1)
         self._ycol = y0 + np.cumsum(width) - width
         self._xcol = np.where(at >= 0, self._ycol[:, None] + 1 + at, -1)
-        self._y = dict(zip(self.states, self._ycol.tolist()))
         # the station keeping burnt over the holdover into a state, where
         # its vehicle carries that commodity: state, commodity, the Y
         # column of the state before, kg per unit of it
@@ -600,26 +579,25 @@ class PlanProblem:
         # W, U, Z and a curve's burn L per arc, in one block, and the same
         # as arrays: W, Z (-1 on a launch) and U per arc and commodity (-1
         # where none); each flight's burn, its column and coefficient, and
-        # its propellant where it carries that (-1 where not); and each
-        # arc's ends: states (-1 where none), nodes, steps
+        # its propellant where it carries that (-1 where not); its chords,
+        # (slope, intercept) for burn >= slope * Z + intercept, on a curve
+        # only; and its ends: states (-1 where none), nodes, steps
         keys, lbs, ubs, kinds = [], [], [], []
         col = m.n_vars
-        self._arc_cols: list[_ArcColumns] = []
-        self._dep: dict[tuple[str, int, int], list[_ArcColumns]] = {}
+        self._chords: list[list[tuple[float, float]]] = []
         # per vehicle: its carriable commodities, their U bounds and kinds
         carried = {vid: (ks, [v.capacities[k] for k in ks],
                          [kind_of[k] for k in ks])
                    for vid, v in vehicles.items()
                    for ks in (self.carriable[vid],)}
-        propellant = {}                     # (vehicle, mode) -> commodity
+        propellant = {}     # (vehicle, mode) -> propellant's position or -1
         chords_of: dict[int, list[tuple[float, float]]] = {}  # id(model)
         flat = []   # per arc: W, Z, burn column, coefficient, propellant
         ends = []   # per arc: its vehicle, and its ends' states, nodes, steps
         for a in self.arcs:
             key = a.key
             ks, u_ub, u_kind = carried[a.vehicle]
-            w, z, chords, prop, burn = col, None, [], None, {}
-            u = dict(zip(ks, range(w + 1, w + 1 + len(ks))))
+            w, chords = col, []
             keys.append(("W", *key))
             keys += [("U", *key, k) for k in ks]
             lbs += [0.0] * (1 + len(ks))
@@ -633,8 +611,9 @@ class PlanProblem:
             else:
                 prop = propellant.get((a.vehicle, a.r))
                 if prop is None:
+                    k = self._mode_of(a).propellant_commodity
                     prop = propellant[a.vehicle, a.r] = \
-                        self._mode_of(a).propellant_commodity
+                        kpos[k] if k in ks else -1
                 z = col
                 bound = a.mass_upper_bound
                 keys.append(("Z", *key))
@@ -649,27 +628,21 @@ class PlanProblem:
                         for (b0, f0), (b1, f1) in zip(pts, pts[1:]):
                             slope = (f1 - f0) / (b1 - b0)
                             chords.append((slope, f0 - slope * b0))
-                    burn = {col: 1.0}
                     keys.append(("L", *key))
                     ubs.append(model.breakpoints[-1][1])
                     lbs += [0.0, 0.0]
                     kinds += [CONTINUOUS, CONTINUOUS]
-                    flat += (w, z, col, 1.0, kpos[prop] if prop in u else -1)
+                    flat += (w, z, col, 1.0, prop)
                     col += 1
                 else:
-                    burn = {z: model.burn_fraction}
                     lbs.append(0.0)
                     kinds.append(CONTINUOUS)
-                    flat += (w, z, z, model.burn_fraction,
-                             kpos[prop] if prop in u else -1)
+                    flat += (w, z, z, model.burn_fraction, prop)
             ends += (vpos[a.vehicle], self._state.get((a.vehicle, a.i, a.t), -1),
                      a.i, tpos[a.t],
                      self._state.get((a.vehicle, a.j, a.arrival), -1), a.j,
                      tpos[a.arrival])
-            cols = _ArcColumns(w=w, u=u, z=z, chords=chords, propellant=prop,
-                               burn=burn)
-            self._arc_cols.append(cols)
-            self._dep.setdefault((a.vehicle, a.i, a.t), []).append(cols)
+            self._chords.append(chords)
         m.add_vars(keys, lbs, ubs, kinds)
         A = len(self.arcs)
         flat = np.array(flat, dtype=float).reshape(A, 5).T
@@ -684,11 +657,10 @@ class PlanProblem:
 
         # H per start step; then B per step on which its service is under
         # way, and the H columns of the starts that cover it (its dispatch
-        # row)
-        self._h: dict[tuple[str, str, int], int] = {}
-        self._starts_at: dict[tuple, list] = {}     # (v, i, t): (need, H)
+        # row). Per H, in column order: its need, its state and its column
+        self._hcol: list[tuple[ServiceNeed, int, int]] = []
         steps = np.array(grid.steps)
-        place = {s: r for r, s in enumerate(self.customer_states)}
+        at = self._at.tolist()
         tools = {k: r for r, k in enumerate(scn.tool_ids())}
         # per B: its column, its position in ``customer_states``, its node
         # and step, the tool its need requires (None where none)
@@ -699,9 +671,8 @@ class PlanProblem:
         for need, vid, taus in self.starts:
             i = self.node_by_name[need.satellite].index
             keys += [("H", vid, need.id, tau) for tau in taus]
-            for r, tau in enumerate(taus):
-                h = self._h[vid, need.id, tau] = h0 + r
-                self._starts_at.setdefault((vid, i, tau), []).append((need, h))
+            self._hcol += [(need, self._state[vid, i, tau], h0 + r)
+                           for r, tau in enumerate(taus)]
             covers = need.covers(np.array(taus)[:, None], steps).T.tolist()
             on = [(t, c) for t, c in zip(grid.steps, covers) if any(c)]
             keys += [("B", vid, need.id, t) for t, _ in on]
@@ -710,8 +681,8 @@ class PlanProblem:
                 hs = [h0 + q for q, covered in enumerate(c) if covered]
                 cover_b += [len(self._under_way)] * len(hs)
                 cover_h += hs
-                self._under_way.append((b0 + r, place[vid, i, t], i, t,
-                                        tools.get(need.required_tool)))
+                self._under_way.append((b0 + r, at[self._state[vid, i, t]],
+                                        i, t, tools.get(need.required_tool)))
             h0 = b0 + len(on)
         m.add_vars(keys, [0.0] * len(keys), [1.0] * len(keys),
                    [BINARY] * len(keys))
@@ -727,10 +698,10 @@ class PlanProblem:
         rows.commit(m)
         self._add_objective()
 
-    def _x_of(self, s: tuple[str, int, int]) -> dict[str, int]:
-        """The X columns of state ``s`` by commodity, in carriable order."""
-        cols = self._xcol[self._state[s]].tolist()
-        return {k: cols[self._kpos[k]] for k in self.carriable[s[0]]}
+    def _carried(self, vid: str, cols: list[int]) -> dict[str, int]:
+        """``cols``, a state's ``_xcol`` or an arc's ``_ucol`` row as a list,
+        by each commodity that ``vid`` carries, in carriable order."""
+        return {k: cols[self._kpos[k]] for k in self.carriable[vid]}
 
     # -- constraint families -----------------------------------------------
 
@@ -786,9 +757,7 @@ class PlanProblem:
                 if rows[n, kpos[c]] >= 0:
                     rhs[rows[n, kpos[c]]] = self._init_stock(vid, i, c, t)
         # nonpositive demand: delivery leaves the servicer
-        delivery = [(rows[self._state[s], kpos[k]], h, d)
-                    for s, starts in self._starts_at.items()
-                    for need, h in starts
+        delivery = [(rows[n, kpos[k]], h, d) for need, n, h in self._hcol
                     for k, d in need.commodity_demand.items()
                     if d and k in kpos]
         row, col, val = zip(*delivery) if delivery else ((), (), ())
@@ -799,20 +768,20 @@ class PlanProblem:
 
         # commodity balance at parking nodes, pooled over vehicles: node,
         # step, commodity
-        place = np.full(len(self.nodes.nodes), -1, dtype=np.intp)
+        park = np.full(len(self.nodes.nodes), -1, dtype=np.intp)
         parking = [n.index for n in self.nodes.parking]
-        place[parking] = np.arange(len(parking))
+        park[parking] = np.arange(len(parking))
 
         def row_of(i, t):
-            p = place[i][:, None]
+            p = park[i][:, None]
             return np.where(p >= 0, (p * T + t[:, None]) * K + np.arange(K),
                             NO_ROW)
         rhs = np.zeros(len(parking) * T * K)
         for vid in list(self.active) + list(self.launchers):
             for v, i, t in self.arriving:
-                if v == vid and place[i] >= 0 and grid.contains(t):
+                if v == vid and park[i] >= 0 and grid.contains(t):
                     for k, n in kpos.items():
-                        rhs[(place[i] * T + grid.index(t)) * K + n] += \
+                        rhs[(park[i] * T + grid.index(t)) * K + n] += \
                             self._init_stock(vid, i, k, t)
         self._flows(block, "bal_park", rhs,
                     row_of(self._state_i, self._state_t),
@@ -821,10 +790,11 @@ class PlanProblem:
         # Earth commodity supply caps: node, step, commodity, where a launch
         # carries it
         earth = {n.index: r for r, n in enumerate(self.nodes.earth)}
-        launches = [(a, c) for a, c in zip(self.arcs, self._arc_cols)
-                    if a.i in earth]
-        cargo = [((earth[a.i], a.t, kpos[k]), u) for a, c in launches
-                 for k, u in c.u.items()]
+        launches = [n for n, a in enumerate(self.arcs) if a.i in earth]
+        arcs = [self.arcs[n] for n in launches]
+        cargo = [((earth[a.i], a.t, kpos[k]), u)
+                 for a, row in zip(arcs, self._ucol[launches].tolist())
+                 for k, u in self._carried(a.vehicle, row).items()]
         row, n = _ranks([key for key, _ in cargo])
         block.add("supply", "<=", [EARTH_SUPPLY] * n,
                   (row, np.array([u for _, u in cargo], dtype=np.intp), 1.0))
@@ -846,8 +816,9 @@ class PlanProblem:
         # Earth vehicle supply, one launcher per launch step: node, step,
         # launcher, where it launches
         launchers = {vid: r for r, vid in enumerate(self.launchers)}
-        launches = [((earth[a.i], a.t, launchers[a.vehicle]), c.w)
-                    for a, c in launches if a.vehicle in launchers]
+        launches = [((earth[a.i], a.t, launchers[a.vehicle]), w)
+                    for a, w in zip(arcs, self._wcol[launches].tolist())
+                    if a.vehicle in launchers]
         row, n = _ranks([key for key, _ in launches])
         block.add("veh_supply", "<=", [1.0] * n,
                   (row, np.array([w for _, w in launches], dtype=np.intp),
@@ -897,7 +868,7 @@ class PlanProblem:
         arcs = [self.arcs[n] for n in flights]
         bound = np.array([a.mass_upper_bound for a in arcs], dtype=float)
         finite = np.isfinite(bound)
-        chords = [self._arc_cols[n].chords for n in flights]
+        chords = [self._chords[n] for n in flights.tolist()]
         count = np.array([len(c) for c in chords], dtype=np.intp)
         per = 2 + finite + count
         first = np.cumsum(per) - per
@@ -946,12 +917,12 @@ class PlanProblem:
     def _add_service_management(self, block: _RowBlock):
         under_way = self._under_way
         b = np.array([u[0] for u in under_way], dtype=np.intp)
-        # each need assigned at most once
-        once = {need.id: {} for need in self.needs}
-        for (_, need_id, _), h in self._h.items():
-            once[need_id][h] = 1.0
-        block.add_dicts([("assign_once", row, "<=", 1.0)
-                         for row in once.values()])
+        # each need assigned at most once: a row per need id
+        once = {nid: r for r, nid in enumerate(
+            dict.fromkeys(need.id for need in self.needs))}
+        row, h = np.array([(once[need.id], h) for need, _, h in self._hcol],
+                          dtype=np.intp).reshape(-1, 2).T
+        block.add("assign_once", "<=", [1.0] * len(once), (row, h, 1.0))
         # a vehicle only starts a service it was dispatched for
         cover_b, cover_h = self._cover
         block.add("dispatch", "==", [0.0] * len(b),
@@ -985,14 +956,11 @@ class PlanProblem:
         # arrivals at a customer node exactly when a service starts, on
         # every step: a servicer parked there unpinned flies in first
         at, arr_state = self._at, self._ends[3]
-        starts = [(self._state[s], h) for s, hs in self._starts_at.items()
-                  for _, h in hs]
-        state, h = zip(*starts) if starts else ((), ())
+        state, h = np.array([(n, h) for _, n, h in self._hcol],
+                            dtype=np.intp).reshape(-1, 2).T
         block.add("arrival", "==", [0.0] * len(self.customer_states),
                   (np.where(arr_state >= 0, at[arr_state], NO_ROW),
-                   self._wcol, 1.0),
-                  (at[np.array(state, dtype=np.intp)],
-                   np.array(h, dtype=np.intp), -1.0))
+                   self._wcol, 1.0), (at[state], h, -1.0))
 
     def _add_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
@@ -1000,27 +968,24 @@ class PlanProblem:
         self.obj_terms: dict[str, dict[int, float]] = {
             b: {} for b in ("revenues",) + COST_BUCKETS}
 
-        for need, vid, taus in self.starts:
-            first = grid.next_step_at_or_after(need.tau)
-            for tau in taus:
-                h = self._h[vid, need.id, tau]
-                self.obj_terms["revenues"][h] = need.revenue
-                delay = tau - first
-                if delay > 0 and need.delay_penalty_per_day > 0:
-                    self.obj_terms["delay"][h] = \
-                        need.delay_penalty_per_day * delay
+        for need, n, h in self._hcol:
+            self.obj_terms["revenues"][h] = need.revenue
+            delay = self.states[n][2] - grid.next_step_at_or_after(need.tau)
+            if delay > 0 and need.delay_penalty_per_day > 0:
+                self.obj_terms["delay"][h] = need.delay_penalty_per_day * delay
         launch = self.obj_terms["launch"]
         pdm = self.obj_terms["pdm"]
         c_l = scn.economics.launch_cost_per_kg
-        for a, cols in zip(self.arcs, self._arc_cols):
-            if not a.is_launch:
-                continue
-            for k, u in cols.u.items():
+        wcol = self._wcol.tolist()
+        launches = [n for n, a in enumerate(self.arcs) if a.is_launch]
+        for n, row in zip(launches, self._ucol[launches].tolist()):
+            a = self.arcs[n]
+            for k, u in self._carried(a.vehicle, row).items():
                 launch[u] = c_l * scn.unit_mass(k)
                 pdm[u] = scn.commodities[k].purchase_cost
             v = self.launchers.get(a.vehicle) or self.active[a.vehicle]
-            launch[cols.w] = c_l * v.dry_mass
-            pdm[cols.w] = v.manufacturing_cost
+            launch[wcol[n]] = c_l * v.dry_mass
+            pdm[wcol[n]] = v.manufacturing_cost
         # operating costs: each vehicle's states, then each servicer flight
         days = dict(zip(grid.steps, [b - a for a, b in zip(grid.steps,
                                                              grid.steps[1:])]))
@@ -1028,10 +993,10 @@ class PlanProblem:
             v, dt = self.active[vid], days.get(t, 0)
             if v.operating_cost_per_day > 0 and dt > 0:
                 self.obj_terms[ops_bucket(v)][y] = v.operating_cost_per_day * dt
-        for a, cols in zip(self.arcs, self._arc_cols):
+        for a, w in zip(self.arcs, wcol):
             v = self.active.get(a.vehicle)
             if not a.is_launch and v.is_servicer and v.operating_cost_per_day > 0:
-                self.obj_terms[ops_bucket(v)][cols.w] = \
+                self.obj_terms[ops_bucket(v)][w] = \
                     v.operating_cost_per_day * a.q
 
         # the operating cost of the pinned runs is a constant
@@ -1056,7 +1021,7 @@ class PlanProblem:
                        gap=res.gap, dual_bound=res.dual_bound, nodes=res.nodes,
                        iterations=res.iterations)
         if sol.feasible:
-            if not all(self._on_curve(c, sol.x) for c in self._arc_cols):
+            if not self._on_curve(sol.x):
                 self._min_burn(sol)
             # integer columns come back within the solver's tolerance:
             # check and round them in one pass
@@ -1073,13 +1038,13 @@ class PlanProblem:
             sol.objective = sol.components["profit"]
         return sol
 
-    @staticmethod
-    def _on_curve(cols: _ArcColumns, x: list[float]) -> bool:
-        """The arc burns at most its curve's chord interpolant at its wet
-        mass, the largest of its chord lines, plus ``SOS2_TOL``; a line
-        burns exactly."""
-        return not cols.chords or sum(x[j] for j in cols.burn) <= max(
-            s * x[cols.z] + c for s, c in cols.chords) + SOS2_TOL
+    def _on_curve(self, x: list[float]) -> bool:
+        """Each curve arc burns at most its curve's chord interpolant at its
+        wet mass, the largest of its chord lines, plus ``CURVE_TOL``, the
+        burn above the curve that ``solve`` lets be; a line burns exactly."""
+        return all(not c or x[b] <= max(s * x[z] + i for s, i in c) + CURVE_TOL
+                   for c, b, z in zip(self._chords, self._burn[0].tolist(),
+                                      self._zcol.tolist()))
 
     def _min_burn(self, sol: Solution):
         """Second stage: with every integer column fixed and the profit held
@@ -1087,8 +1052,8 @@ class PlanProblem:
         burn at a given mass lies on the curve, so this removes the
         over-burn without losing profit. Leaves ``sol`` as it is when the LP
         returns no solution."""
-        burn = {j: -1.0 for cols in self._arc_cols if cols.chords
-                for j in cols.burn}
+        burn = {b: -1.0 for chords, b in zip(self._chords,
+                                             self._burn[0].tolist()) if chords}
         lp = self.model.fixed_lp(sol.x, burn)
         z = sol.objective
         lp.add_constr("profit", self.model.objective, ">=",
@@ -1519,12 +1484,14 @@ def extract_schedule(problem: PlanProblem, solution: Solution) -> Schedule:
                 if (amount := sum(terms[j] * x[j] for j in cols
                                   if j in terms))}
 
-    for a, cols in zip(problem.arcs, problem._arc_cols):
-        if x[cols.w] < 0.5:
-            continue
-        cargo = {k: x[u] for k, u in cols.u.items() if x[u] > CARGO_TOL}
+    wcol = problem._wcol.tolist()
+    flown = [n for n, w in enumerate(wcol) if x[w] > 0.5]
+    for n, row, z, b, f in zip(flown, *(c[flown].tolist() for c in (
+            problem._ucol, problem._zcol, *problem._burn[:2]))):
+        a, u = problem.arcs[n], problem._carried(problem.arcs[n].vehicle, row)
+        cargo = {k: x[j] for k, j in u.items() if x[j] > CARGO_TOL}
         if a.is_launch:
-            priced = cash([*cols.u.values(), cols.w])
+            priced = cash([*u.values(), wcol[n]])
             if not cargo and not priced:
                 continue        # a launch slot left unused, at no cost
             events.append(ScheduleEvent(
@@ -1533,29 +1500,27 @@ def extract_schedule(problem: PlanProblem, solution: Solution) -> Schedule:
                         "cargo": cargo},
                 cash=priced))
         else:
-            burned = sum((f * x[col] for col, f in cols.burn.items()), 0.0)
             events.append(ScheduleEvent(
                 day=a.t, vehicle=a.vehicle, kind="flight",
                 detail={"from": names[a.i], "to": names[a.j], "mode": a.r,
                         "q_days": a.q, "arrive_day": a.arrival,
-                        "wet_mass_kg": x[cols.z],
-                        "propellant_kg": burned, "cargo": cargo}))
+                        "wet_mass_kg": x[z], "propellant_kg": 0.0 + f * x[b],
+                        "cargo": cargo}))       # 0.0 + f * x: never -0.0
 
     outcomes = dict.fromkeys(need.id for need in problem.needs)
-    for need, vid, taus in problem.starts:
-        first = problem.grid.next_step_at_or_after(need.tau)
-        for tau in taus:
-            h = problem._h[vid, need.id, tau]
-            if x[h] > 0.5:
-                outcomes[need.id] = (vid, tau)
-                events.append(ScheduleEvent(
-                    day=tau, vehicle=vid, kind="service_start",
-                    detail={"need": need.id, "satellite": need.satellite,
-                            "service_type": need.service_type,
-                            "revenue": need.revenue,
-                            "delay_days": tau - first,
-                            "end_day": tau + need.duration},
-                    cash=cash([h])))
+    for need, n, h in problem._hcol:
+        if x[h] > 0.5:
+            vid, _, tau = problem.states[n]
+            outcomes[need.id] = (vid, tau)
+            events.append(ScheduleEvent(
+                day=tau, vehicle=vid, kind="service_start",
+                detail={"need": need.id, "satellite": need.satellite,
+                        "service_type": need.service_type,
+                        "revenue": need.revenue,
+                        "delay_days":
+                            tau - problem.grid.next_step_at_or_after(need.tau),
+                        "end_day": tau + need.duration},
+                cash=cash([h])))
     events.sort(key=lambda e: (e.day, e.vehicle, e.kind))
     return Schedule(events=tuple(events), outcomes=outcomes)
 
@@ -1580,12 +1545,20 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
     delivered = {(c.vehicle, c.node, c.start_day): demand[c.need_id]
                  for c in started}
 
-    # flights and launch cargo still in the air at the boundary
-    for a, cols in zip(problem.arcs, problem._arc_cols):
-        if not (a.t < boundary < a.arrival and x[cols.w] > 0.5):
+    # flights and launch cargo still in the air at the boundary; and per
+    # state, the U columns of the flights that leave it on the boundary
+    leaving: dict[int, list[dict[str, int]]] = {}
+    flown = [n for n, w in enumerate(problem._wcol.tolist()) if x[w] > 0.5]
+    for n, row, s, b, f, p in zip(flown, *(c[flown].tolist() for c in (
+            problem._ucol, problem._ends[0], *problem._burn))):
+        a = problem.arcs[n]
+        u = problem._carried(a.vehicle, row)
+        if a.t == boundary:
+            leaving.setdefault(s, []).append(u)
+        if not a.t < boundary < a.arrival:
             continue
         if a.is_launch:
-            cargo = {k: x[u] for k, u in cols.u.items() if x[u] > 1e-9}
+            cargo = {k: x[j] for k, j in u.items() if x[j] > 1e-9}
             if not cargo:
                 continue
         else:
@@ -1593,11 +1566,10 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
             # demand of a service it lands for, clipped at 0
             drop = delivered.get((a.vehicle, names[a.j], a.arrival), {})
             cargo = {}
-            for k, u in cols.u.items():
-                amount = x[u] - drop.get(k, 0.0)
-                if k == cols.propellant:
-                    for col, f in cols.burn.items():
-                        amount -= f * x[col]
+            for k, j in u.items():
+                amount = x[j] - drop.get(k, 0.0)
+                if problem._kpos[k] == p:
+                    amount -= f * x[b]
                 cargo[k] = max(amount, 0.0)
         pending.append(PendingArrival(vehicle=a.vehicle, node=names[a.j],
                                       t=a.arrival, commodities=cargo))
@@ -1616,16 +1588,15 @@ def start_after(problem: PlanProblem, solution: Solution, boundary: int,
             vehicle_nodes[c.vehicle] = c.node
             commodities[c.vehicle] = problem._station_kept(
                 c.vehicle, loads, first, boundary)
-    for s in problem.states:
-        vid, i, t = s
-        if t != boundary:
-            continue
-        leaving = [cols for cols in problem._dep.get(s, ()) if x[cols.w] > 0.5]
-        if leaving or x[problem._y[s]] > 0.5:
-            stock = {k: x[j] for k, j in problem._x_of(s).items()}
-            for cols in leaving:
+    parked = [n for n, (_, _, t) in enumerate(problem.states) if t == boundary]
+    for n, y, row in zip(parked, problem._ycol[parked].tolist(),
+                         problem._xcol[parked].tolist()):
+        vid, i, _ = problem.states[n]
+        if n in leaving or x[y] > 0.5:
+            stock = {k: x[j] for k, j in problem._carried(vid, row).items()}
+            for u in leaving.get(n, ()):
                 for k in stock:
-                    stock[k] += x[cols.u[k]]
+                    stock[k] += x[u[k]]
             vehicle_nodes[vid], commodities[vid] = names[i], stock
     flying = {p.vehicle for p in pending}
     for vid in problem.active:

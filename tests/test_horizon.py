@@ -1,15 +1,19 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from micro import micro_instance
+from test_milp import solved  # noqa: F401  (a fixture)
 
 from oosplan.demand import (DemandStream, ServiceNeed, generate_stream,
                             window_needs)
 from oosplan.horizon import (COST_BUCKETS, Ledger, RhConfig, WorldState,
                              initial_state, run, step, visible_needs,
                              window_problem)
-from oosplan.milp import (InitialState, PendingArrival, PlanProblem,
-                          SolveOptions, commit, extract_schedule, vn)
+from oosplan.milp import (CARGO_TOL, InitialState, PendingArrival,
+                          PlanProblem, SolveOptions, commit, extract_schedule,
+                          vn)
 from oosplan.network import build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
 from oosplan.trajectory import (PluginRegistry, TrajectoryError,
@@ -534,10 +538,9 @@ def test_an_empty_launch_the_plan_prices_is_an_event(multimodal):
                   vehicles=dict(multimodal.vehicles, falcon9=falcon9))
     *_, problem, solution, _ = _launch_case(scn)
     # a plan within the gap may keep an idle launch arc's W at 1
-    a, cols = next((a, cols) for a, cols in zip(problem.arcs,
-                                                 problem._arc_cols)
-                   if a.is_launch and solution.x[cols.w] < 0.5)
-    solution.x[cols.w] = 1.0
+    a, w = next((a, w) for a, w in zip(problem.arcs, problem._wcol.tolist())
+                if a.is_launch and solution.x[w] < 0.5)
+    solution.x[w] = 1.0
     schedule = extract_schedule(problem, solution)
     [e] = [e for e in schedule.events
            if e.kind == "launch" and not e.detail["cargo"]]
@@ -547,6 +550,85 @@ def test_an_empty_launch_the_plan_prices_is_an_event(multimodal):
     for bucket in ("launch", "pdm"):
         assert sum(e.cash.get(bucket, 0.0) for e in schedule.events
                    if e.kind == "launch") == pytest.approx(priced[bucket])
+
+
+def _expected_events(problem, values):
+    """The events of a solved plan, read by ``vn`` key from its values and
+    priced from the scenario, as ``(day, vehicle, kind, detail, cash)`` in
+    ``extract_schedule``'s order: each flown arc, a launch only with cargo
+    or a price, then each service start."""
+    scn, grid = problem.scenario, problem.grid
+    names = {n.index: n.name for n in problem.net.nodes.nodes}
+    c_l = scn.economics.launch_cost_per_kg
+
+    def val(tag, *parts):
+        return values.get(vn(tag, *parts), 0.0)
+
+    def priced(cash):
+        return {bucket: amount for bucket, amount in cash.items() if amount}
+    events = []
+    for a in problem.arcs:
+        w = val("W", *a.key)
+        if w < 0.5:
+            continue
+        load = {k: val("U", *a.key, k) for k in problem.carriable[a.vehicle]}
+        cargo = {k: u for k, u in load.items() if u > CARGO_TOL}
+        if a.is_launch:
+            v = scn.vehicles[a.vehicle]
+            cash = priced({
+                "launch": c_l * (sum(scn.unit_mass(k) * u
+                                     for k, u in load.items())
+                                 + v.dry_mass * w),
+                "pdm": sum(scn.commodities[k].purchase_cost * u
+                           for k, u in load.items())
+                + v.manufacturing_cost * w})
+            if cargo or cash:
+                events.append((a.t, a.vehicle, "launch", {
+                    "to": names[a.j], "arrive_day": a.arrival,
+                    "cargo": cargo}, cash))
+        else:
+            z, f = val("Z", *a.key), a.model.burn_fraction
+            events.append((a.t, a.vehicle, "flight", {
+                "from": names[a.i], "to": names[a.j], "mode": a.r,
+                "q_days": a.q, "arrive_day": a.arrival, "wet_mass_kg": z,
+                "propellant_kg": val("L", *a.key) if f is None else f * z,
+                "cargo": cargo}, {}))
+    needs = {need.id: need for need in problem.needs}
+    for key, h in values.items():
+        if key[0] != "H" or h < 0.5:
+            continue
+        _, vid, nid, tau = key
+        need = needs[nid]
+        delay = tau - grid.next_step_at_or_after(need.tau)
+        events.append((tau, vid, "service_start", {
+            "need": nid, "satellite": need.satellite,
+            "service_type": need.service_type, "revenue": need.revenue,
+            "delay_days": delay, "end_day": tau + need.duration},
+            priced({"revenues": need.revenue,
+                    "delay": need.delay_penalty_per_day * max(delay, 0)})))
+    events.sort(key=lambda e: e[:3])
+    return events
+
+
+def test_extract_schedule_reads_each_event_at_its_key(solved, launch):
+    # every field of every event names the column that its ``vn`` key does
+    cases = [solved[:2], launch[3:5]]
+    for seed in range(10):
+        scenario, _, net, needs, init = micro_instance(seed)
+        problem = PlanProblem(scenario, net, needs, init,
+                              SolveOptions(gap=0.0))
+        cases.append((problem, problem.solve()))
+    kinds = Counter()
+    for problem, solution in cases:
+        assert solution.status == "optimal"
+        got = [(e.day, e.vehicle, e.kind, e.detail, e.cash)
+               for e in extract_schedule(problem, solution).events]
+        want = _expected_events(problem, solution.values)
+        assert [e[:4] for e in got] == [e[:4] for e in want]
+        for (*_, cash), (*_, priced) in zip(got, want):
+            assert cash == pytest.approx(priced, rel=1e-12, abs=0.0)
+        kinds.update(e[2] for e in got)
+    assert kinds["flight"] and kinds["launch"] and kinds["service_start"]
 
 
 # -- launch slots on the campaign clock -------------------------------------

@@ -143,6 +143,32 @@ def test_lp_round_trip(tmp_path):
     assert r1.objective == pytest.approx(r2.objective, rel=1e-9)
 
 
+def test_lp_text_keeps_the_objective_constant(tmp_path):
+    # the constant ends the objective line, and both readers of the text,
+    # this suite's and HiGHS's own, solve it to the model's optimum
+    m = Model("offset")
+    x = m.add_var("x", ub=4.0)
+    y = m.add_var("y", kind=BINARY)
+    m.add_objective(x, 1.5)
+    m.add_objective(y, 2.0)
+    m.add_constr("c", {x: 1.0, y: 1.0}, "<=", 4.0)
+    m.offset = -5.0
+    path = tmp_path / "offset.lp"
+    m.write_lp(path)
+    want = m.solve().objective
+    assert want == pytest.approx(1.5)
+    again = parse_lp(path)
+    assert again.offset == -5.0
+    assert again.solve().objective == pytest.approx(want, rel=1e-12)
+    solver = lp.highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    assert solver.readModel(str(path)) == lp.highs.HighsStatus.kOk
+    assert solver.getObjectiveOffset()[1] == -5.0
+    assert solver.run() == lp.highs.HighsStatus.kOk
+    assert solver.getInfo().objective_function_value == pytest.approx(
+        want, rel=1e-12)
+
+
 def test_lp_names_injective(tmp_path):
     # two display names that sanitize to the same text stay two columns
     m = Model("clash")

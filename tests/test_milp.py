@@ -467,10 +467,13 @@ def test_start_after_rejects_a_vehicle_neither_parked_nor_in_flight(solved):
 
 
 def test_only_milp_reads_the_column_layout():
-    # the build's column indices are private to ``milp``: no other module
-    # reads a ``PlanProblem`` private attribute
+    # the build's column index is private to ``milp``: no other module
+    # reads a ``PlanProblem`` private attribute, nor any array of the index
     src = Path(__file__).resolve().parents[1] / "src" / "oosplan"
-    layout = re.compile(r"\bproblem\._|\._(arc_cols|dep|arr|y|x|h|b|s0)\b")
+    index = ("state", "ycol", "xcol", "wcol", "ucol", "zcol", "burn", "hcol",
+             "chords")
+    layout = re.compile(r"\bproblem\._|\._(" + "|".join(index) + r")\b")
+    assert all(layout.search(f"plan._{name}[0]") for name in index)
     readers = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
                if path.name != "milp.py"
                for n, line in enumerate(path.read_text().splitlines(), 1)
@@ -934,7 +937,8 @@ def test_absent_column_reads_as_zero(solved):
     problem, _, _ = solved
     rows = problem.model.n_rows
     absent = ("mm_versatile", -1, 0)
-    assert absent not in problem._y and vn("Y", *absent) not in problem.model
+    assert absent not in problem._state
+    assert vn("Y", *absent) not in problem.model
     _add_rows(problem, [("presence", {}, "==", 0.0)])
     assert problem.model.n_rows == len(problem.model.constraints) == rows
     with pytest.raises(ModelError, match="cannot hold"):
@@ -943,7 +947,10 @@ def test_absent_column_reads_as_zero(solved):
 
 def _add_rows(problem, rows):
     block = _RowBlock()
-    block.add_dicts(rows)
+    for family, coeffs, sense, rhs in rows:
+        block.add(family, sense, [rhs], (np.zeros(len(coeffs), dtype=np.intp),
+                                         np.array(list(coeffs), dtype=np.intp),
+                                         np.array(list(coeffs.values()))))
     block.commit(problem.model)
 
 
