@@ -5,25 +5,28 @@ family name, and a maximize objective; solves in-process with the HiGHS that
 scipy bundles, and writes the model as a CPLEX LP file for export. Display
 names are formatted only for export and error messages. A solution comes back
 as one list of column values in column order (``SolveResult.x``); readers
-find their columns through the indices ``add_var`` returned.
+find their columns through the indices ``add_vars`` returned.
 
-Rows go into one COO store: a row, column and coefficient per entry, plus
-each row's family, sense and right-hand side. ``add_constr`` appends one
-row; ``add_rows`` appends a block of rows as three entry arrays, the rows
-counted from the block's first, and ``add_vars`` a block of columns. The
-store keeps each block's arrays as they come, and ``entries`` concatenates
-them once, so ``solve`` hands HiGHS the matrix with no Python pass over its
-columns or entries: it sorts the entries by column and then row, the order
-scipy's CSC conversion gives, whatever their order within a row, and
-``milp`` passes the arrays to HiGHS as they are (``passModel``'s array
-form, with no ``HighsLp`` and no list of column types).
+Columns and rows go into one array store, each by one path: ``add_vars``
+appends a block of columns, and ``add_rows`` a family's rows with their
+entries as (row, column, coefficient) array groups, where a row below 0
+(``NO_ROW``) or a column of -1 marks an entry that is not there. The store
+keeps each call's arrays as they come and folds the rows added since into
+its entry arrays once, on the next read (``entries``, ``n_rows``,
+``constraints``, ``solve``, ``write_lp``): absent entries drop out, and so
+does each row left empty, which must hold at zero or the read raises
+``ModelError``. ``solve`` hands HiGHS the matrix with no Python pass over
+its columns or entries: it sorts the entries by column and then row, the
+order scipy's CSC conversion gives, and ``milp`` passes the arrays to
+HiGHS as they are (``passModel``'s array form, with no ``HighsLp`` and no
+list of column types).
 ``constraints`` is a read-only view derived from the store, for
 ``write_lp`` and for readers outside the solve path. On the one-year
 five-satellite multimodal campaign (36 models, a shared 2-vCPU VM),
 building the models took 0.62-0.73 s and ``solve``'s own work around HiGHS
 0.11-0.13 s when rows were dicts keyed by column tuples and walked row by
 row, and 0.22-0.30 s and 0.05-0.06 s with one integer-indexed row per
-``add_constr``. With the blocks that ``oosplan.milp`` now writes, the
+call. With the blocks that ``oosplan.milp`` now writes, the
 build (``_prepare`` included) took 0.115-0.116 s → 0.066-0.070 s and
 ``solve``'s work outside ``milp`` 0.021-0.022 s → 0.009-0.010 s (three
 alternated replays of that campaign's 36 models, HiGHS's results replayed),
@@ -73,7 +76,7 @@ import sys
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from types import ModuleType
 from typing import Optional
@@ -141,6 +144,15 @@ _MINIMIZE = int(highs.ObjSense.kMinimize)
 
 class SolveError(Exception):
     pass
+
+
+class ModelError(Exception):
+    pass
+
+
+# the row of an entry that is not there: below -1, so that it stays below 0
+# when the store shifts its rows
+NO_ROW = -(1 << 40)
 
 
 def col_name(key: Hashable) -> str:
@@ -276,37 +288,23 @@ class Model:
         self.objective: dict[int, float] = {}
         # the objective's constant, which HiGHS and ``write_lp`` both get
         self.offset = 0.0
-        # the rows: blocks of (row, column, coefficient) entry arrays, the
-        # rows numbered in the model, in the order they were added; the
-        # entries of ``add_constr`` since the last block, not yet one; and
-        # each row's family, sense code and right-hand side
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._entry_row: list[int] = []
-        self._entry_col: list[int] = []
-        self._entry_val: list[float] = []
+        # the rows: the entry arrays of the rows read; the entry groups
+        # added since, each with its first row counted from ``_new``, the
+        # first row added since (None if none); each row's family, sense
+        # code and right-hand side
+        self._entries = (np.zeros(0, dtype=np.intp),
+                         np.zeros(0, dtype=np.intp), np.zeros(0))
+        self._groups: list[tuple[int, np.ndarray, np.ndarray, object]] = []
+        self._new: Optional[int] = None
         self._family: list[str] = []
         self._sense: list[int] = []
         self._rhs: list[float] = []
-
-    def add_var(self, key: Hashable, lb: float = 0.0, ub: float = math.inf,
-                kind: str = CONTINUOUS) -> int:
-        if key in self._index:
-            raise ValueError(f"duplicate variable {col_name(key)!r}")
-        if kind == BINARY:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        idx = len(self._index)
-        self.var_lb.append(lb)
-        self.var_ub.append(ub)
-        self.var_kind.append(kind)
-        self._index[key] = idx
-        return idx
 
     def add_vars(self, keys: list[Hashable], lb: list[float],
                  ub: list[float], kind: list[str]) -> int:
         """Append one column per key, in order, with the bounds and kind at
         its position in ``lb``, ``ub`` and ``kind``; returns the index of
-        the first. A binary column's bounds must lie in [0, 1] already:
-        unlike ``add_var``, this does not clamp them."""
+        the first. A binary column's bounds must lie in [0, 1] already."""
         first = len(self._index)
         index = dict(zip(keys, range(first, first + len(keys))))
         if len(index) != len(keys) or not self._index.keys().isdisjoint(index):
@@ -332,10 +330,6 @@ class Model:
         """Display names of the columns, in column order."""
         return [col_name(k) for k in self.keys]
 
-    def fix(self, idx: int, value: float):
-        self.var_lb[idx] = value
-        self.var_ub[idx] = value
-
     def fixed_lp(self, x: list[float],
                  objective: dict[int, float]) -> Model:
         """An LP copy of this model: every integer column ``j`` fixed at
@@ -347,77 +341,89 @@ class Model:
         lp.var_kind = [CONTINUOUS] * self.n_vars
         for j, kind in enumerate(self.var_kind):
             if kind != CONTINUOUS:
-                lp.fix(j, float(round(x[j])))
+                lp.var_lb[j] = lp.var_ub[j] = float(round(x[j]))
         lp.objective = dict(objective)
-        # the entry arrays are never written to, so the copy shares them
-        lp._blocks = [self.entries()]
+        # the copy starts from this model's rows as read, none added since;
+        # the entry arrays are never written to, so it shares them
+        lp._entries = self.entries()
         lp._family, lp._sense = list(self._family), list(self._sense)
         lp._rhs = list(self._rhs)
         return lp
 
-    def add_objective(self, idx: int, coeff: float):
-        self.objective[idx] = self.objective.get(idx, 0.0) + coeff
-
-    def add_constr(self, name: str, coeffs: dict[int, float], sense: str,
-                   rhs: float):
-        """Append the row ``coeffs sense rhs``, ``coeffs`` mapping column to
-        coefficient. Zero coefficients are stored, and dropped when HiGHS
-        gets the matrix."""
-        code = _SENSE_CODE.get(sense)
-        if code is None:
-            raise ValueError(f"bad sense {sense!r}")
-        self._entry_row.extend([len(self._family)] * len(coeffs))
-        self._entry_col.extend(coeffs)
-        self._entry_val.extend(coeffs.values())
-        self._family.append(name)
-        self._sense.append(code)
-        self._rhs.append(rhs)
-
-    def add_rows(self, family: str | list[str], row: np.ndarray,
-                 col: np.ndarray, val: np.ndarray, sense: str | list[str],
-                 rhs: np.ndarray):
-        """Append ``len(rhs)`` rows ``sense rhs`` as one block: entry ``e``
-        puts ``val[e]`` in column ``col[e]`` of the ``row[e]``-th new row,
-        counted from 0. ``family`` and ``sense`` hold for every row, or
-        list one per row. Zero coefficients are stored, as ``add_constr``
-        stores them."""
+    def add_rows(self, family: str | list[str], sense: str | list[str],
+                 rhs, *entries: tuple[np.ndarray, np.ndarray, object]):
+        """Append the rows ``sense rhs`` of ``family`` (each one for all
+        rows, or a list of one per row), and ``entries``: (row, column,
+        coefficient) groups of arrays, the rows counted from the first new
+        one, the coefficients one number for all or an array. Zero
+        coefficients are stored, and dropped when HiGHS gets the matrix."""
         n = len(rhs)
         try:
             codes = ([_SENSE_CODE[sense]] * n if isinstance(sense, str)
                      else list(map(_SENSE_CODE.__getitem__, sense)))
         except KeyError as e:
             raise ValueError(f"bad sense {e.args[0]!r}") from None
-        self._flush()
-        self._blocks.append((np.asarray(row, dtype=np.intp) + self.n_rows,
-                             np.asarray(col, dtype=np.intp),
-                             np.asarray(val, dtype=float)))
-        self._family.extend([family] * n if isinstance(family, str)
-                            else family)
-        self._sense.extend(codes)
-        self._rhs.extend(np.asarray(rhs, dtype=float).tolist())
+        if self._new is None:
+            self._new = len(self._family)
+        first = len(self._family) - self._new
+        self._groups += [(first, row, col, val) for row, col, val in entries]
+        self._family += [family] * n if isinstance(family, str) else family
+        self._sense += codes
+        self._rhs += rhs.tolist() if isinstance(rhs, np.ndarray) else rhs
 
-    def _flush(self):
-        """Turn the entries of ``add_constr`` since the last block into
-        one."""
-        if self._entry_row:
-            self._blocks.append((np.array(self._entry_row, dtype=np.intp),
-                                 np.array(self._entry_col, dtype=np.intp),
-                                 np.array(self._entry_val, dtype=float)))
-            self._entry_row, self._entry_col, self._entry_val = [], [], []
+    def _read(self):
+        """Fold the rows added since the last read into ``_entries``,
+        dropping absent entries and empty rows; an empty row that does not
+        hold at zero raises ``ModelError`` and leaves the rows unread."""
+        new = self._new
+        if new is None:
+            return
+        groups = self._groups
+        sizes = [len(col) for _, _, col, _ in groups]
+        if groups:
+            row = np.concatenate([r for _, r, _, _ in groups]) \
+                + np.repeat([f for f, _, _, _ in groups], sizes)
+            col = np.concatenate([c for _, _, c, _ in groups])
+        else:
+            row = col = np.zeros(0, dtype=np.intp)
+        val = np.repeat(np.array([0.0 if isinstance(v, np.ndarray) else v
+                                  for _, _, _, v in groups], dtype=float),
+                        sizes)
+        end = 0
+        for (_, _, _, v), n in zip(groups, sizes):
+            end += n
+            if isinstance(v, np.ndarray):
+                val[end - n:end] = v
+        there = (row >= 0) & (col >= 0)
+        row, col, val = row[there], col[there], val[there]
+        used = np.bincount(row, minlength=len(self._family) - new) \
+            .astype(bool)
+        if not used.all():
+            # an empty row holds at zero where its right-hand side is 0
+            rhs = np.array(self._rhs[new:])
+            for n in (~used & (rhs != 0.0)).nonzero()[0].tolist():
+                sense, b = _SENSES[self._sense[new + n]], self._rhs[new + n]
+                if not {"<=": 0.0 <= b, ">=": 0.0 >= b, "==": b == 0.0}[sense]:
+                    raise ModelError(
+                        f"empty {self._family[new + n]} row cannot hold: "
+                        f"0 {sense} {b}")
+            row = (np.cumsum(used) - 1)[row]
+            keep = used.tolist()
+            for rows in (self._family, self._sense, self._rhs):
+                rows[new:] = compress(rows[new:], keep)
+        self._entries = tuple(map(np.concatenate, zip(
+            self._entries, (row + new, col, val))))
+        self._groups, self._new = [], None
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The row, column and coefficient of every entry, in the order the
         rows were added; within a row, in no set order."""
-        self._flush()
-        if not self._blocks:
-            return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
-                    np.zeros(0))
-        if len(self._blocks) > 1:
-            self._blocks = [tuple(map(np.concatenate, zip(*self._blocks)))]
-        return self._blocks[0]
+        self._read()
+        return self._entries
 
     @property
     def n_rows(self) -> int:
+        self._read()
         return len(self._family)
 
     @property

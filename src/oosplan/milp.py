@@ -40,12 +40,12 @@ with each arc's ``_chords``; and ``_hcol``, each H column with its need and
 state, in column order. The rows, the objective, ``PlanProblem.solve``,
 ``extract_schedule`` and ``start_after`` read only those, an X or U row in
 carriable order through ``_carried``; no other module knows them. The rows
-are array expressions over them, added as one block (``_RowBlock``) family
-by family in the order of ``_build``'s calls, each family's rows in the
-order its comment gives, so equal inputs give HiGHS equal arrays; within a
-row the entries are in no set order, as HiGHS's matrix and ``write_lp``
-sort them. A row left with no entry is not assembled; it must hold at zero,
-or the build raises ``ModelError``.
+are array expressions over them, added family by family (``add_rows``)
+in the order of ``_build``'s calls, each family's rows in the order its
+comment gives, so equal inputs give HiGHS equal arrays; within a row the
+entries are in no set order, as HiGHS's matrix and ``write_lp`` sort them.
+An entry over a column left out is absent (``NO_ROW`` or column -1); a row
+left with none is dropped and must hold at zero (see ``lp``).
 
 ``audit`` reads none of those indices. It reads ``values`` once, by ``vn``
 key, into dense arrays of its own enumeration: Y and X per active vehicle,
@@ -84,13 +84,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from .demand import ServiceNeed
-from .lp import BINARY, CONTINUOUS, INTEGER, Model, SolveResult
+from .lp import (BINARY, CONTINUOUS, INTEGER, NO_ROW, Model, ModelError,
+                 SolveResult)
 from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
@@ -100,10 +100,6 @@ COST_BUCKETS = ("launch", "pdm", "delay", "depot_ops", "servicer_ops")
 EARTH_SUPPLY = 1e7              # cap on each commodity launched per Earth step
 CURVE_TOL = 1e-6                # burn (kg) above a curve that solve() lets be
 CARGO_TOL = 1e-4                # cargo that a flight or launch event lists
-
-
-class ModelError(Exception):
-    pass
 
 
 def vn(tag: str, *parts) -> tuple:
@@ -184,77 +180,6 @@ class Solution(SolveResult):
     # the rounded column values under their ``vn`` keys, for ``audit``;
     # empty without a solution
     values: dict[tuple, float] = field(default_factory=dict)
-
-
-# the row of an entry that is not there: below -1, so that it stays below 0
-# when a block shifts its rows
-NO_ROW = -(1 << 40)
-
-
-class _RowBlock:
-    """Rows gathered family by family and added to a model as one block.
-
-    Each family appends its rows in order (``add``) and gives its entries
-    as arrays of rows, counted from its first, of columns and of
-    coefficients (an array or one for all). A row of ``NO_ROW`` or a column
-    of -1 marks an entry that is not there. A column that
-    ``PlanProblem._prepare`` left out is zero in every solution, so the
-    families leave it out of their rows; ``commit`` skips a row left with
-    no entry if it holds at zero, and raises ``ModelError`` if not.
-    """
-
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.firsts: list[int] = []      # the first row of each family
-        self.cols: list[np.ndarray] = []
-        self.vals: list = []
-        self.family: list[str] = []
-        self.sense: list[str] = []
-        self.rhs: list[float] = []
-
-    def add(self, family: str | list[str], sense: str | list[str], rhs,
-            *entries):
-        """The rows ``sense rhs`` of ``family``, one per item of ``rhs``;
-        ``family`` and ``sense`` are one for all of them or one each."""
-        first, n = len(self.rhs), len(rhs)
-        self.family += [family] * n if isinstance(family, str) else family
-        self.sense += [sense] * n if isinstance(sense, str) else sense
-        self.rhs += rhs.tolist() if isinstance(rhs, np.ndarray) else rhs
-        for row, col, val in entries:
-            self.rows.append(row)
-            self.firsts.append(first)
-            self.cols.append(col)
-            self.vals.append(val)
-
-    def commit(self, model: Model):
-        sizes = [len(c) for c in self.cols]
-        row = np.concatenate(self.rows) + np.repeat(self.firsts, sizes) \
-            if sizes else np.zeros(0, np.intp)
-        col = np.concatenate(self.cols) if sizes else np.zeros(0, np.intp)
-        val = np.repeat([0.0 if isinstance(v, np.ndarray) else v
-                         for v in self.vals], sizes)
-        end = 0
-        for v, n in zip(self.vals, sizes):
-            end += n
-            if isinstance(v, np.ndarray):
-                val[end - n:end] = v
-        there = (row >= 0) & (col >= 0)
-        row, col, val = row[there], col[there], val[there]
-        rhs = np.array(self.rhs, dtype=float)
-        family, sense = self.family, self.sense
-        used = np.bincount(row, minlength=len(rhs)).astype(bool)
-        if not used.all():
-            # an empty row holds at zero where its right-hand side is 0
-            for n in (~used & (rhs != 0.0)).nonzero()[0].tolist():
-                if not {"<=": 0.0 <= rhs[n], ">=": 0.0 >= rhs[n],
-                        "==": rhs[n] == 0.0}[sense[n]]:
-                    raise ModelError(f"empty {family[n]} row cannot hold: "
-                                     f"0 {sense[n]} {self.rhs[n]}")
-            row = (np.cumsum(used) - 1)[row]
-            rhs = rhs[used]
-            keep = used.tolist()
-            family, sense = (list(compress(f, keep)) for f in (family, sense))
-        model.add_rows(family, row, col, val, sense, rhs)
 
 
 def _ranks(keys: list) -> tuple[np.ndarray, int]:
@@ -689,14 +614,12 @@ class PlanProblem:
         self._cover = (np.array(cover_b, dtype=np.intp),
                        np.array(cover_h, dtype=np.intp))
 
-        rows = _RowBlock()
-        self._add_balances(rows)
-        self._add_concurrency(rows)
-        self._add_transformation(rows)
-        self._add_service_management(rows)
-        self._add_flight_rules(rows)
-        rows.commit(m)
-        self._add_objective()
+        self._add_balances(m)
+        self._add_concurrency(m)
+        self._add_transformation(m)
+        self._add_service_management(m)
+        self._add_flight_rules(m)
+        self._set_objective()
 
     def _carried(self, vid: str, cols: list[int]) -> dict[str, int]:
         """``cols``, a state's ``_xcol`` or an arc's ``_ucol`` row as a list,
@@ -712,7 +635,7 @@ class PlanProblem:
     def _init_presence(self, vid: str, i: int, t: int) -> float:
         return float(len(self.arriving.get((vid, i, t), ())))
 
-    def _flows(self, block: _RowBlock, family: str, rhs: np.ndarray,
+    def _flows(self, m: Model, family: str, rhs: np.ndarray,
                state_row: np.ndarray, dep_row: np.ndarray,
                arr_row: np.ndarray, *entries):
         """Add the mass balances of ``family`` whose row is ``state_row``
@@ -725,17 +648,17 @@ class PlanProblem:
         kept_s, kept_k, kept_col, kept_val = self._kept
         burn_col, burn_val, burn_k = self._burn
         burns = (burn_k >= 0).nonzero()[0]
-        block.add(family, "==", rhs,
-                  (state_row.ravel(), x.ravel(), 1.0),
-                  (np.where(prev[:, None] >= 0, state_row, NO_ROW).ravel(),
-                   x[prev].ravel(), -1.0),
-                  (state_row[kept_s, kept_k], kept_col, kept_val),
-                  (dep_row.ravel(), u.ravel(), 1.0),
-                  (arr_row.ravel(), u.ravel(), -1.0),
-                  (arr_row[burns, burn_k[burns]], burn_col[burns],
-                   burn_val[burns]), *entries)
+        m.add_rows(family, "==", rhs,
+                   (state_row.ravel(), x.ravel(), 1.0),
+                   (np.where(prev[:, None] >= 0, state_row, NO_ROW).ravel(),
+                    x[prev].ravel(), -1.0),
+                   (state_row[kept_s, kept_k], kept_col, kept_val),
+                   (dep_row.ravel(), u.ravel(), 1.0),
+                   (arr_row.ravel(), u.ravel(), -1.0),
+                   (arr_row[burns, burn_k[burns]], burn_col[burns],
+                    burn_val[burns]), *entries)
 
-    def _add_balances(self, block: _RowBlock):
+    def _add_balances(self, m: Model):
         grid, kpos = self.grid, self._kpos
         S, K, T = len(self.states), len(kpos), len(grid.steps)
         dep_state, dep_i, dep_t, arr_state, arr_i, arr_t = self._ends
@@ -761,7 +684,7 @@ class PlanProblem:
                     for k, d in need.commodity_demand.items()
                     if d and k in kpos]
         row, col, val = zip(*delivery) if delivery else ((), (), ())
-        self._flows(block, "bal_cust", rhs, rows[:S], rows[dep_state],
+        self._flows(m, "bal_cust", rhs, rows[:S], rows[dep_state],
                     rows[arr_state], (np.array(row, dtype=np.intp),
                                       np.array(col, dtype=np.intp),
                                       np.array(val, dtype=float)))
@@ -783,7 +706,7 @@ class PlanProblem:
                     for k, n in kpos.items():
                         rhs[(park[i] * T + grid.index(t)) * K + n] += \
                             self._init_stock(vid, i, k, t)
-        self._flows(block, "bal_park", rhs,
+        self._flows(m, "bal_park", rhs,
                     row_of(self._state_i, self._state_t),
                     row_of(dep_i, dep_t), row_of(arr_i, arr_t))
 
@@ -796,8 +719,8 @@ class PlanProblem:
                  for a, row in zip(arcs, self._ucol[launches].tolist())
                  for k, u in self._carried(a.vehicle, row).items()]
         row, n = _ranks([key for key, _ in cargo])
-        block.add("supply", "<=", [EARTH_SUPPLY] * n,
-                  (row, np.array([u for _, u in cargo], dtype=np.intp), 1.0))
+        m.add_rows("supply", "<=", [EARTH_SUPPLY] * n,
+                   (row, np.array([u for _, u in cargo], dtype=np.intp), 1.0))
 
         # vehicle balances at orbital nodes, a row per state
         states = np.arange(S)
@@ -805,13 +728,13 @@ class PlanProblem:
         for s in self.arriving:
             if s in self._state:
                 rhs[self._state[s]] = self._init_presence(*s)
-        block.add("bal_veh", "==", rhs, (states, self._ycol, 1.0),
-                  (np.where(self._prev >= 0, states, NO_ROW),
-                   self._ycol[self._prev], -1.0),
-                  (np.where(dep_state >= 0, dep_state, NO_ROW), self._wcol,
-                   1.0),
-                  (np.where(arr_state >= 0, arr_state, NO_ROW), self._wcol,
-                   -1.0))
+        m.add_rows("bal_veh", "==", rhs, (states, self._ycol, 1.0),
+                   (np.where(self._prev >= 0, states, NO_ROW),
+                    self._ycol[self._prev], -1.0),
+                   (np.where(dep_state >= 0, dep_state, NO_ROW), self._wcol,
+                    1.0),
+                   (np.where(arr_state >= 0, arr_state, NO_ROW), self._wcol,
+                    -1.0))
 
         # Earth vehicle supply, one launcher per launch step: node, step,
         # launcher, where it launches
@@ -820,11 +743,11 @@ class PlanProblem:
                     for a, w in zip(arcs, self._wcol[launches].tolist())
                     if a.vehicle in launchers]
         row, n = _ranks([key for key, _ in launches])
-        block.add("veh_supply", "<=", [1.0] * n,
-                  (row, np.array([w for _, w in launches], dtype=np.intp),
-                   1.0))
+        m.add_rows("veh_supply", "<=", [1.0] * n,
+                   (row, np.array([w for _, w in launches], dtype=np.intp),
+                    1.0))
 
-    def _add_concurrency(self, block: _RowBlock):
+    def _add_concurrency(self, m: Model):
         scn, kpos = self.scenario, self._kpos
         vehicles = [*self.active.values(), *self.launchers.values()]
         caps = np.array([[v.capacities.get(k, 0.0) for k in kpos]
@@ -834,9 +757,9 @@ class PlanProblem:
         order = np.argsort(self._xcol[s, k])
         s, k = s[order], k[order]
         rows = np.arange(len(s))
-        block.add("cap_hold", "<=", [0.0] * len(s),
-                  (rows, self._xcol[s, k], 1.0),
-                  (rows, self._ycol[s], -caps[self._state_v[s], k]))
+        m.add_rows("cap_hold", "<=", [0.0] * len(s),
+                   (rows, self._xcol[s, k], 1.0),
+                   (rows, self._ycol[s], -caps[self._state_v[s], k]))
         # transport capacity, per arc: a row per carried commodity (its U
         # columns follow W in carriable order), then the payload row
         vpos = {v.id: r for r, v in enumerate(vehicles)}
@@ -854,12 +777,12 @@ class PlanProblem:
         family = np.full(len(carried) and top[-1] + paid[-1], "cap_arc",
                          dtype=object)
         family[top[paid]] = "cap_payload"
-        block.add(family.tolist(), "<=", [0.0] * len(family),
-                  (row, u, 1.0), (row, self._wcol[a], -caps[by[a], k]),
-                  (np.where(paid[a], top[a], NO_ROW), u, unit[k]),
-                  (np.where(paid, top, NO_ROW), self._wcol, -payload))
+        m.add_rows(family.tolist(), "<=", [0.0] * len(family),
+                   (row, u, 1.0), (row, self._wcol[a], -caps[by[a], k]),
+                   (np.where(paid[a], top[a], NO_ROW), u, unit[k]),
+                   (np.where(paid, top, NO_ROW), self._wcol, -payload))
 
-    def _add_transformation(self, block: _RowBlock):
+    def _add_transformation(self, m: Model):
         kpos = self._kpos
         # per flight: total wet mass definition, flight-feasibility bound,
         # propellant on board to cover the burn, and the burn on or above
@@ -891,15 +814,15 @@ class PlanProblem:
         unit = np.array([self.scenario.unit_mass(k) for k in kpos],
                         dtype=float)
         on = np.arange(len(flights)).repeat(count)
-        block.add(family, sense, rhs,
-                  (wet, z, 1.0), (wet, w, -dry),
-                  (wet.repeat(u.shape[1]), u.ravel(),
-                   np.tile(-unit, len(flights))),
-                  (mub, z, 1.0), (mub, w, -np.where(finite, bound, 0.0)),
-                  (prop, np.where(burn_k >= 0, u[np.arange(len(flights)),
-                                                 burn_k], -1), 1.0),
-                  (prop, burn_col, -burn_val),
-                  (seg, burn_col[on], burn_val[on]), (seg, z[on], -slope))
+        m.add_rows(family, sense, rhs,
+                   (wet, z, 1.0), (wet, w, -dry),
+                   (wet.repeat(u.shape[1]), u.ravel(),
+                    np.tile(-unit, len(flights))),
+                   (mub, z, 1.0), (mub, w, -np.where(finite, bound, 0.0)),
+                   (prop, np.where(burn_k >= 0, u[np.arange(len(flights)),
+                                                  burn_k], -1), 1.0),
+                   (prop, burn_col, -burn_val),
+                   (seg, burn_col[on], burn_val[on]), (seg, z[on], -slope))
         # depot station keeping stock must cover the holdover burn
         rate = np.array([v.station_keeping_rate for v in self.active.values()],
                         dtype=float)[self._state_v]
@@ -911,10 +834,10 @@ class PlanProblem:
         x = np.where(k >= 0, self._xcol[np.arange(len(k)), k], -1)
         on = ((rate > 0) & (x >= 0) & (dt > 0)).nonzero()[0]
         rows = np.arange(len(on))
-        block.add("sk_avail", ">=", [0.0] * len(on), (rows, x[on], 1.0),
-                  (rows, self._ycol[on], -rate[on] * dt[on]))
+        m.add_rows("sk_avail", ">=", [0.0] * len(on), (rows, x[on], 1.0),
+                   (rows, self._ycol[on], -rate[on] * dt[on]))
 
-    def _add_service_management(self, block: _RowBlock):
+    def _add_service_management(self, m: Model):
         under_way = self._under_way
         b = np.array([u[0] for u in under_way], dtype=np.intp)
         # each need assigned at most once: a row per need id
@@ -922,22 +845,22 @@ class PlanProblem:
             dict.fromkeys(need.id for need in self.needs))}
         row, h = np.array([(once[need.id], h) for need, _, h in self._hcol],
                           dtype=np.intp).reshape(-1, 2).T
-        block.add("assign_once", "<=", [1.0] * len(once), (row, h, 1.0))
+        m.add_rows("assign_once", "<=", [1.0] * len(once), (row, h, 1.0))
         # a vehicle only starts a service it was dispatched for
         cover_b, cover_h = self._cover
-        block.add("dispatch", "==", [0.0] * len(b),
-                  (np.arange(len(b)), b, 1.0), (cover_b, cover_h, -1.0))
+        m.add_rows("dispatch", "==", [0.0] * len(b),
+                   (np.arange(len(b)), b, 1.0), (cover_b, cover_h, -1.0))
         # one service at a time per customer node; no admitted start runs
         # beside a committed service, so the rows count the window's own:
         # node, step, where a service is under way
         node = {i: r for r, i in enumerate(self.needs_at)}
         row, n = _ranks([(node[i], t) for _, _, i, t, _ in under_way])
-        block.add("one_service", "<=", [1.0] * n, (row, b, 1.0))
+        m.add_rows("one_service", "<=", [1.0] * n, (row, b, 1.0))
         # presence at customer nodes equals dispatch
         at = np.array([u[1] for u in under_way], dtype=np.intp)
-        block.add("presence", "==", [0.0] * len(self.customer_states),
-                  (np.arange(len(self._customer)), self._ycol[self._customer],
-                   1.0), (at, b, -1.0))
+        m.add_rows("presence", "==", [0.0] * len(self.customer_states),
+                   (np.arange(len(self._customer)), self._ycol[self._customer],
+                    1.0), (at, b, -1.0))
         # the adequate tool must be on board while a service needs it:
         # customer state and tool, where a service under way there needs
         # it; the tool's X column, where the state has one
@@ -946,23 +869,23 @@ class PlanProblem:
         row, n = _ranks([(s, k) for _, s, k in needs])
         tools = [self._kpos[k] for k in self.scenario.tool_ids()]
         held = sorted({(s, k) for _, s, k in needs})
-        block.add("tool", ">=", [0.0] * n,
-                  (row, b[[r for r, _, _ in needs]], -1.0),
-                  (np.arange(n), np.array(
-                      [self._xcol[self._customer[s], tools[k]]
-                       for s, k in held], dtype=np.intp), 1.0))
+        m.add_rows("tool", ">=", [0.0] * n,
+                   (row, b[[r for r, _, _ in needs]], -1.0),
+                   (np.arange(n), np.array(
+                       [self._xcol[self._customer[s], tools[k]]
+                        for s, k in held], dtype=np.intp), 1.0))
 
-    def _add_flight_rules(self, block: _RowBlock):
+    def _add_flight_rules(self, m: Model):
         # arrivals at a customer node exactly when a service starts, on
         # every step: a servicer parked there unpinned flies in first
         at, arr_state = self._at, self._ends[3]
         state, h = np.array([(n, h) for _, n, h in self._hcol],
                             dtype=np.intp).reshape(-1, 2).T
-        block.add("arrival", "==", [0.0] * len(self.customer_states),
-                  (np.where(arr_state >= 0, at[arr_state], NO_ROW),
-                   self._wcol, 1.0), (at[state], h, -1.0))
+        m.add_rows("arrival", "==", [0.0] * len(self.customer_states),
+                   (np.where(arr_state >= 0, at[arr_state], NO_ROW),
+                    self._wcol, 1.0), (at[state], h, -1.0))
 
-    def _add_objective(self):
+    def _set_objective(self):
         m, scn, grid = self.model, self.scenario, self.grid
         # bucket -> column index -> cost (or revenue) coefficient
         self.obj_terms: dict[str, dict[int, float]] = {
@@ -1055,9 +978,12 @@ class PlanProblem:
         burn = {b: -1.0 for chords, b in zip(self._chords,
                                              self._burn[0].tolist()) if chords}
         lp = self.model.fixed_lp(sol.x, burn)
-        z = sol.objective
-        lp.add_constr("profit", self.model.objective, ">=",
-                      z - self.model.offset - 1e-7 * max(1.0, abs(z)))
+        z, profit = sol.objective, self.model.objective
+        lp.add_rows("profit", ">=",
+                    [z - self.model.offset - 1e-7 * max(1.0, abs(z))],
+                    (np.zeros(len(profit), dtype=np.intp),
+                     np.fromiter(profit, np.intp, len(profit)),
+                     np.fromiter(profit.values(), float, len(profit))))
         res = self._run(lp)
         sol.iterations += res.iterations
         if res.feasible:

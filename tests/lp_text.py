@@ -11,6 +11,8 @@ import re
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from oosplan.lp import CONTINUOUS, INTEGER, Model, SolveError
 
 
@@ -90,19 +92,26 @@ def parse_lp(path: str | Path) -> Model:
         elif section == "generals":
             generals.add(stripped)
 
-    cols: dict[str, int] = {}   # name -> the index add_var returned
-    for nm, lb, ub in bounds:
-        cols[nm] = model.add_var(nm, lb=lb, ub=math.inf if ub is None else ub,
-                                 kind=INTEGER if nm in generals else CONTINUOUS)
-
-    def col(nm: str) -> int:
-        if nm not in cols:
-            cols[nm] = model.add_var(nm)
-        return cols[nm]
-    for nm, coeff in objective.items():
-        model.add_objective(col(nm), coeff)
+    # the columns in the order of the Bounds section, then any name that
+    # only the objective or a row holds, unbounded above and continuous
+    rows = [coeffs for _, coeffs, _, _ in constrs]
+    cols = {nm: j for j, (nm, _, _) in enumerate(bounds)}
+    for terms in [objective, *rows]:
+        for nm in terms:
+            cols.setdefault(nm, len(cols))
+    extra = len(cols) - len(bounds)
+    model.add_vars(list(cols),
+                   [lb for _, lb, _ in bounds] + [0.0] * extra,
+                   [math.inf if ub is None else ub for _, _, ub in bounds]
+                   + [math.inf] * extra,
+                   [INTEGER if nm in generals else CONTINUOUS
+                    for nm in cols])
+    model.objective = {cols[nm]: coeff for nm, coeff in objective.items()}
     model.offset = offset
-    for cname, coeffs, sense, rhs in constrs:
-        model.add_constr(cname, {col(nm): coeff for nm, coeff in coeffs.items()},
-                         sense, rhs)
+    entries = (np.array([r for r, c in enumerate(rows) for _ in c],
+                        dtype=np.intp),
+               np.array([cols[nm] for c in rows for nm in c], dtype=np.intp),
+               np.array([v for c in rows for v in c.values()], dtype=float))
+    model.add_rows([c[0] for c in constrs], [c[2] for c in constrs],
+                   [c[3] for c in constrs], entries)
     return model

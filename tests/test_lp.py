@@ -14,7 +14,7 @@ from lp_text import parse_lp
 from micro import micro_instance
 
 import oosplan
-from oosplan import horizon, lp
+from oosplan import horizon, lp, milp
 from oosplan.demand import generate_stream
 from oosplan.lp import BINARY, CONTINUOUS, INTEGER, Model, SolveError
 from oosplan.milp import PlanProblem, SolveOptions
@@ -26,14 +26,23 @@ SRC = str(Path(oosplan.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
 
 
+def add_row(m: Model, family: str, coeffs: dict[int, float], sense: str,
+            rhs: float):
+    """Append the one row ``coeffs sense rhs`` of ``family`` to ``m``."""
+    m.add_rows(family, sense, [rhs],
+               (np.zeros(len(coeffs), dtype=np.intp),
+                np.array(list(coeffs), dtype=np.intp),
+                np.array(list(coeffs.values()), dtype=float)))
+
+
 def knapsack() -> Model:
     m = Model("knapsack")
     values = [10.0, 13.0, 7.0, 8.0]
     weights = [3.0, 4.0, 2.0, 3.0]
-    for i, v in enumerate(values):
-        idx = m.add_var(f"x[{i}]", kind=BINARY)
-        m.add_objective(idx, v)
-    m.add_constr("cap", {i: w for i, w in enumerate(weights)}, "<=", 7.0)
+    m.add_vars([f"x[{i}]" for i in range(4)], [0.0] * 4, [1.0] * 4,
+               [BINARY] * 4)
+    m.objective = dict(enumerate(values))
+    add_row(m, "cap", dict(enumerate(weights)), "<=", 7.0)
     return m
 
 
@@ -47,11 +56,11 @@ def test_solve_knapsack():
 
 def test_continuous_and_integer():
     m = Model()
-    x = m.add_var("x", ub=10.0)
-    y = m.add_var("y", ub=10.0, kind=INTEGER)
-    m.add_objective(x, 1.0)
-    m.add_objective(y, 1.0)
-    m.add_constr("c", {x: 1.0, y: 2.0}, "<=", 8.5)
+    x = m.add_vars(["x", "y"], [0.0, 0.0], [10.0, 10.0],
+                   [CONTINUOUS, INTEGER])
+    y = x + 1
+    m.objective = {x: 1.0, y: 1.0}
+    add_row(m, "c", {x: 1.0, y: 2.0}, "<=", 8.5)
     res = m.solve()
     assert res.status == "optimal"
     assert res.x[y] == pytest.approx(round(res.x[y]))
@@ -60,8 +69,8 @@ def test_continuous_and_integer():
 
 def test_infeasible_status():
     m = Model()
-    x = m.add_var("x", ub=1.0)
-    m.add_constr("c", {x: 1.0}, ">=", 2.0)
+    x = m.add_vars(["x"], [0.0], [1.0], [CONTINUOUS])
+    add_row(m, "c", {x: 1.0}, ">=", 2.0)
     res = m.solve()
     assert res.status == "infeasible"
     assert not res.feasible
@@ -70,71 +79,106 @@ def test_infeasible_status():
 
 def test_unbounded_status():
     m = Model()
-    x = m.add_var("x")
-    m.add_objective(x, 1.0)
+    x = m.add_vars(["x"], [0.0], [math.inf], [CONTINUOUS])
+    m.objective[x] = 1.0
     res = m.solve()
     assert res.status == "unbounded"
 
 
-def test_fix_and_duplicate():
+def test_fixed_lp_and_duplicate():
+    # the LP copy fixes each integer column at its value rounded, keeps the
+    # continuous ones free and leaves the model as it is
     m = Model()
-    x = m.add_var("x", ub=5.0)
-    m.add_objective(x, 1.0)
-    m.fix(x, 2.5)
-    assert m.solve().objective == pytest.approx(2.5)
+    x = m.add_vars(["x", "y"], [0.0, 0.0], [5.0, 5.0], [CONTINUOUS, INTEGER])
+    y = x + 1
+    m.objective = {x: 1.0, y: 1.0}
+    fixed = m.fixed_lp([0.0, 2.4], {x: 1.0})
+    assert (fixed.var_lb, fixed.var_ub) == ([0.0, 2.0], [5.0, 2.0])
+    assert fixed.var_kind == [CONTINUOUS] * 2
+    assert fixed.solve().objective == pytest.approx(5.0)
+    assert (m.var_lb, m.var_ub) == ([0.0, 0.0], [5.0, 5.0])
+    assert m.var_kind == [CONTINUOUS, INTEGER]
+    assert m.solve().objective == pytest.approx(10.0)
     with pytest.raises(ValueError):
-        m.add_var("x")
+        m.add_vars(["x"], [0.0], [math.inf], [CONTINUOUS])
     with pytest.raises(ValueError):
-        m.add_constr("bad", {x: 1.0}, "=<", 0.0)
+        add_row(m, "bad", {x: 1.0}, "=<", 0.0)
 
 
-def test_blocks_read_back_as_their_rows(tmp_path):
-    # columns and rows added as blocks, between single ones, make the model
-    # that one add_var and add_constr per column and row make; the entries
-    # of a block may come in any order within a row
-    single, blocks = Model("m"), Model("m")
-    for key, ub, kind in [("a", 4.0, INTEGER), ("b", 1.0, BINARY),
-                          ("c", 9.0, CONTINUOUS)]:
-        single.add_var(key, ub=ub, kind=kind)
-    assert blocks.add_var("a", ub=4.0, kind=INTEGER) == 0
-    assert blocks.add_vars(["b", "c"], [0.0, 0.0], [1.0, 9.0],
-                           [BINARY, CONTINUOUS]) == 1
-    rows = [("r0", {0: 1.0, 2: -2.0}, "<=", 3.0),
-            ("r1", {1: 4.0, 0: 0.0}, ">=", 1.0),
-            ("r2", {2: 1.0}, "==", 2.0)]
-    for row in rows:
-        single.add_constr(*row)
-    blocks.add_constr(*rows[0])
-    blocks.add_rows(["r1", "r2"], np.array([1, 0, 0]), np.array([2, 1, 0]),
-                    np.array([1.0, 4.0, 0.0]), [">=", "=="],
-                    np.array([1.0, 2.0]))
-    for m in (single, blocks):
-        m.add_objective(0, 1.0)
-        m.add_objective(2, 0.5)
-    assert blocks.constraints == single.constraints
-    single.write_lp(tmp_path / "single.lp")
-    blocks.write_lp(tmp_path / "blocks.lp")
-    assert (tmp_path / "single.lp").read_text() \
-        == (tmp_path / "blocks.lp").read_text()
-    assert blocks.solve().x == single.solve().x
+def test_add_rows_contract(tmp_path):
+    # the one row path: absent entries drop out, an empty row that holds at
+    # zero is dropped on the first read, family and sense come one for all
+    # or one per row, coefficients as an array or one number for all
+    m = Model("rows")
+    assert m.add_vars(["a"], [0.0], [4.0], [INTEGER]) == 0
+    assert m.add_vars(["b", "c"], [0.0] * 2, [1.0, 9.0],
+                      [BINARY, CONTINUOUS]) == 1
+    m.objective = {0: 1.0, 2: 0.5}
+    m.add_rows(["r0", "r1", "gone", "r2"], ["<=", ">=", "==", "=="],
+               np.array([3.0, 1.0, 0.0, 2.0]),
+               (np.array([0, 1, 0, 1, 2, 3]), np.array([0, 1, 2, 0, -1, 2]),
+                np.array([1.0, 4.0, -2.0, 0.0, 7.0, 1.0])),
+               (np.array([lp.NO_ROW, 2]), np.array([1, -1]), 5.0))
+    m.add_rows("r3", "<=", [5.0], (np.array([0, 0]), np.array([2, 0]), 1.0))
+    assert [(con.name, con.coeffs, con.sense, con.rhs)
+            for con in m.constraints] == [
+        ("r0", {0: 1.0, 2: -2.0}, "<=", 3.0),
+        ("r1", {1: 4.0, 0: 0.0}, ">=", 1.0),
+        ("r2", {2: 1.0}, "==", 2.0),
+        ("r3", {2: 1.0, 0: 1.0}, "<=", 5.0)]
+    assert m.n_rows == 4
+    assert [a.tolist() for a in m.entries()] == [
+        [0, 1, 0, 1, 2, 3, 3], [0, 1, 2, 0, 2, 2, 0],
+        [1.0, 4.0, -2.0, 0.0, 1.0, 1.0, 1.0]]
+    res = m.solve()
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([3.0, 1.0, 2.0])
+    assert res.objective == pytest.approx(4.0)
+    # the model read back from its LP text has the same optimum
+    m.write_lp(tmp_path / "rows.lp")
+    again = parse_lp(tmp_path / "rows.lp")
+    assert again.solve().objective == pytest.approx(res.objective,
+                                                    rel=1e-12)
     with pytest.raises(ValueError, match="duplicate variable 'c'"):
-        blocks.add_vars(["d", "c"], [0.0] * 2, [1.0] * 2, [CONTINUOUS] * 2)
-    with pytest.raises(ValueError, match="bad sense"):
-        blocks.add_rows("r", np.array([0]), np.array([0]), np.array([1.0]),
-                        "=<", np.array([0.0]))
+        m.add_vars(["d", "c"], [0.0] * 2, [1.0] * 2, [CONTINUOUS] * 2)
+    with pytest.raises(ValueError, match="bad sense '=<'"):
+        m.add_rows("r", "=<", [0.0], (np.array([0]), np.array([0]), 1.0))
+    with pytest.raises(ValueError, match="bad sense '<'"):
+        m.add_rows(["r", "r"], ["<=", "<"], [0.0, 0.0])
+    assert m.n_rows == 4
+    # rows added after a read are folded in on the next, after the rows
+    # read and numbered on from them
+    m.add_rows(["gone", "r4"], ">=", [0.0, 0.0],
+               (np.array([1, 0]), np.array([1, -1]), 1.0))
+    assert m.n_rows == 5
+    assert [a.tolist() for a in m.entries()] == [
+        [0, 1, 0, 1, 2, 3, 3, 4], [0, 1, 2, 0, 2, 2, 0, 1],
+        [1.0, 4.0, -2.0, 0.0, 1.0, 1.0, 1.0, 1.0]]
+    assert m.constraints[-1] == lp.Constraint("r4", {1: 1.0}, ">=", 0.0)
+
+
+def test_an_empty_row_that_cannot_hold_fails_the_first_read(tmp_path):
+    # an == row at 1 whose only entry is absent: add_rows takes it, and the
+    # first read of the rows raises, naming its family, as often as asked
+    m = Model()
+    m.add_vars(["x"], [0.0], [1.0], [CONTINUOUS])
+    m.add_rows("presence", "==", [1.0], (np.array([0]), np.array([-1]), 1.0))
+    for read in (Model.entries, lambda m: m.n_rows, lambda m: m.constraints,
+                 Model.solve, lambda m: m.write_lp(tmp_path / "m.lp")):
+        with pytest.raises(milp.ModelError,
+                           match=r"empty presence row cannot hold: 0 == 1\.0"):
+            read(m)
 
 
 def test_lp_round_trip(tmp_path):
     m = Model("rt")
-    x = m.add_var("x[a|0]", ub=4.0)
-    y = m.add_var("y", ub=3.0, kind=INTEGER)
-    z = m.add_var("z", kind=BINARY)
-    m.add_objective(x, 1.5)
-    m.add_objective(y, 2.0)
-    m.add_objective(z, -1.0)
-    m.add_constr("c1", {x: 1.0, y: 1.0}, "<=", 5.25)
-    m.add_constr("c2", {x: 2.0, z: -1e-5}, ">=", 0.5)
-    m.add_constr("c3", {y: 1.0, z: 1.0}, "==", 2.0)
+    x = m.add_vars(["x[a|0]", "y", "z"], [0.0] * 3, [4.0, 3.0, 1.0],
+                   [CONTINUOUS, INTEGER, BINARY])
+    y, z = x + 1, x + 2
+    m.objective = {x: 1.5, y: 2.0, z: -1.0}
+    add_row(m, "c1", {x: 1.0, y: 1.0}, "<=", 5.25)
+    add_row(m, "c2", {x: 2.0, z: -1e-5}, ">=", 0.5)
+    add_row(m, "c3", {y: 1.0, z: 1.0}, "==", 2.0)
     path = tmp_path / "model.lp"
     m.write_lp(path)
     again = parse_lp(path)
@@ -147,11 +191,10 @@ def test_lp_text_keeps_the_objective_constant(tmp_path):
     # the constant ends the objective line, and both readers of the text,
     # this suite's and HiGHS's own, solve it to the model's optimum
     m = Model("offset")
-    x = m.add_var("x", ub=4.0)
-    y = m.add_var("y", kind=BINARY)
-    m.add_objective(x, 1.5)
-    m.add_objective(y, 2.0)
-    m.add_constr("c", {x: 1.0, y: 1.0}, "<=", 4.0)
+    x = m.add_vars(["x", "y"], [0.0] * 2, [4.0, 1.0], [CONTINUOUS, BINARY])
+    y = x + 1
+    m.objective = {x: 1.5, y: 2.0}
+    add_row(m, "c", {x: 1.0, y: 1.0}, "<=", 4.0)
     m.offset = -5.0
     path = tmp_path / "offset.lp"
     m.write_lp(path)
@@ -172,11 +215,11 @@ def test_lp_text_keeps_the_objective_constant(tmp_path):
 def test_lp_names_injective(tmp_path):
     # two display names that sanitize to the same text stay two columns
     m = Model("clash")
-    a = m.add_var("x[a|b]", ub=1.0)
-    b = m.add_var("x[a_b]", ub=2.0)
-    m.add_objective(a, 1.0)
-    m.add_objective(b, 3.0)
-    m.add_constr("cap", {a: 1.0, b: 1.0}, "<=", 2.5)
+    a = m.add_vars(["x[a|b]", "x[a_b]"], [0.0] * 2, [1.0, 2.0],
+                   [CONTINUOUS] * 2)
+    b = a + 1
+    m.objective = {a: 1.0, b: 3.0}
+    add_row(m, "cap", {a: 1.0, b: 1.0}, "<=", 2.5)
     path = tmp_path / "clash.lp"
     m.write_lp(path)
     again = parse_lp(path)
@@ -190,12 +233,12 @@ def test_lp_names_injective(tmp_path):
 def test_time_limit_without_incumbent_is_not_feasible():
     rng = np.random.default_rng(0)
     m = Model("knapsack30")
-    cols = [m.add_var(("x", j), kind=BINARY) for j in range(200)]
-    for j in cols:
-        m.add_objective(j, float(rng.uniform(1.0, 10.0)))
+    m.add_vars([("x", j) for j in range(200)], [0.0] * 200, [1.0] * 200,
+               [BINARY] * 200)
+    m.objective = {j: float(rng.uniform(1.0, 10.0)) for j in range(200)}
     for r in range(30):
-        m.add_constr("cap", {j: float(rng.uniform(1.0, 10.0)) for j in cols},
-                     "<=", 100.0)
+        add_row(m, "cap", {j: float(rng.uniform(1.0, 10.0))
+                           for j in range(200)}, "<=", 100.0)
     res = m.solve(time_limit=1e-9)
     assert res.status == "time-limit"
     assert not res.feasible
@@ -277,8 +320,8 @@ def test_parity_statuses_cover_the_mapping():
 
 def test_pure_lp_reports_no_mip_statistics():
     m = Model()
-    x = m.add_var("x", ub=4.0)
-    m.add_objective(x, 1.0)
+    x = m.add_vars(["x"], [0.0], [4.0], [CONTINUOUS])
+    m.objective[x] = 1.0
     res = m.solve()
     assert res.status == "optimal" and res.objective == pytest.approx(4.0)
     assert res.gap is None and res.dual_bound is None and res.nodes is None
@@ -286,25 +329,39 @@ def test_pure_lp_reports_no_mip_statistics():
 
 def test_status_four_raises():
     m = Model()
-    x = m.add_var("x")
-    y = m.add_var("y", kind=INTEGER)
-    m.add_objective(x, 1.0)
-    m.add_constr("c", {x: 1.0, y: -1.0}, ">=", 0.0)
+    x = m.add_vars(["x", "y"], [0.0] * 2, [math.inf] * 2,
+                   [CONTINUOUS, INTEGER])
+    y = x + 1
+    m.objective[x] = 1.0
+    add_row(m, "c", {x: 1.0, y: -1.0}, ">=", 0.0)
     with pytest.raises(SolveError, match="infeasible or unbounded"):
         m.solve()
 
 
 def test_a_model_with_no_column_is_its_empty_solution():
     # HiGHS calls a model with no column empty: its solution is x = [],
-    # worth the objective's constant, where every row holds at zero
+    # worth the objective's constant, where every row holds at zero. A
+    # model's row with no entry never reaches HiGHS: it is dropped if it
+    # holds at zero, and fails the model's first read if not
     m = Model("empty")
     m.offset = -5.0
-    m.add_constr("holds", {}, "<=", 1.0)
+    add_row(m, "holds", {}, "<=", 1.0)
     res = m.solve()
     assert (res.status, res.objective, res.x) == ("optimal", -5.0, [])
-    m.add_constr("fails", {}, ">=", 1.0)
-    res = m.solve()
-    assert (res.status, res.objective) == ("infeasible", None)
+    assert m.n_rows == 0
+    add_row(m, "fails", {}, ">=", 1.0)
+    with pytest.raises(milp.ModelError, match="empty fails row cannot hold"):
+        m.solve()
+    # HiGHS gets such rows only from a direct call
+    none = (np.zeros(0), np.zeros(1, dtype=np.int32),
+            np.zeros(0, dtype=np.int32), np.zeros(0))
+    cols = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int32))
+    res = lp.milp(*none, np.array([-np.inf]), np.array([1.0]), *cols, 0.0,
+                  offset=5.0)
+    assert (res.status, res.fun, res.x.tolist()) == (0, 5.0, [])
+    res = lp.milp(*none, np.array([1.0]), np.array([np.inf]), *cols, 0.0,
+                  offset=5.0)
+    assert (res.status, res.fun, res.x) == (2, None, None)
 
 
 @pytest.mark.parametrize("coeff, rhs", [(math.inf, 1.0), (1.0, math.nan)],
@@ -312,9 +369,9 @@ def test_a_model_with_no_column_is_its_empty_solution():
 def test_a_model_highs_rejects_is_a_solver_failure(coeff, rhs):
     # HiGHS refuses the model itself; that says nothing about feasibility
     m = Model()
-    x = m.add_var("x", ub=1.0)
-    m.add_objective(x, 1.0)
-    m.add_constr("c", {x: coeff}, "<=", rhs)
+    x = m.add_vars(["x"], [0.0], [1.0], [CONTINUOUS])
+    m.objective[x] = 1.0
+    add_row(m, "c", {x: coeff}, "<=", rhs)
     with pytest.raises(SolveError, match="HiGHS rejects the model"):
         m.solve()
 
@@ -522,7 +579,8 @@ def test_highs_gets_scipys_csc_matrix(monkeypatch, multimodal, tmp_path):
     assert len(calls) >= 2 and max(len(m.constraints) for m, _ in calls) > 500
     # no rows, and nothing at all
     no_rows = Model("no-rows")
-    no_rows.add_objective(no_rows.add_var("x", ub=2.0), 1.0)
+    no_rows.objective[no_rows.add_vars(["x"], [0.0], [2.0],
+                                       [CONTINUOUS])] = 1.0
     assert no_rows.solve().objective == pytest.approx(2.0)
     empty = Model("empty").solve()
     assert (empty.status, empty.objective, empty.x) == ("optimal", 0.0, [])
@@ -536,11 +594,11 @@ def test_zero_coefficients_stay_out_of_the_matrix(monkeypatch):
     # a stored zero keeps its row, but HiGHS gets no entry for it
     calls = _record_highs_inputs(monkeypatch)
     m = Model("zeros")
-    x, y = m.add_var("x", ub=4.0), m.add_var("y", ub=4.0)
-    m.add_objective(x, 1.0)
-    m.add_objective(y, 1.0)
-    m.add_constr("c", {x: 1.0, y: 0.0}, "<=", 3.0)
-    m.add_constr("zero", {y: 0.0}, ">=", -1.0)
+    x = m.add_vars(["x", "y"], [0.0] * 2, [4.0] * 2, [CONTINUOUS] * 2)
+    y = x + 1
+    m.objective = {x: 1.0, y: 1.0}
+    add_row(m, "c", {x: 1.0, y: 0.0}, "<=", 3.0)
+    add_row(m, "zero", {y: 0.0}, ">=", -1.0)
     assert m.solve().objective == pytest.approx(7.0)
     assert [con.coeffs for con in m.constraints] == [{x: 1.0, y: 0.0},
                                                      {y: 0.0}]

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import math
 import os
@@ -17,7 +18,7 @@ from oosplan.demand import ServiceNeed, build_window
 from oosplan.horizon import window_problem
 from oosplan.lp import CONTINUOUS, Model, SolveResult
 from oosplan.milp import (CommittedService, InitialState, ModelError,
-                          PendingArrival, PlanProblem, SolveOptions, _RowBlock,
+                          PendingArrival, PlanProblem, SolveOptions,
                           audit, commit, extract_schedule, start_after, vn)
 from oosplan.network import NetworkError, build_nodes, build_time_grid, expand
 from oosplan.scenario import CustomerSat
@@ -779,6 +780,41 @@ def test_second_stage_uses_the_same_backend(monkeypatch):
                      model.objective, len(model.constraints))
 
 
+def test_least_burn_lp_adds_one_row_to_the_rows_as_read(monkeypatch,
+                                                          tmp_path):
+    # the least-burn LP copies the model's rows as read, absent entries and
+    # empty rows already dropped, and only its profit row is new: reading
+    # the copy folds in that row alone, and the model is left as it is
+    scenario, _, net, needs, init = micro_instance(8)
+    problem = PlanProblem(scenario, net, needs, init, SolveOptions(gap=0.0))
+    model = problem.model
+
+    def read(path):
+        model.write_lp(path)
+        return ([a.tolist() for a in model.entries()], model.n_rows,
+                path.read_text())
+    before = read(tmp_path / "before.lp")
+    solved = []
+    through = Model.solve
+
+    def logged(m, *args, **kwargs):
+        solved.append(m)
+        return through(m, *args, **kwargs)
+    monkeypatch.setattr(Model, "solve", logged)
+    assert problem.solve().feasible
+    assert read(tmp_path / "after.lp") == before
+    assert solved[0] is model and len(solved) == 2
+    fixed = solved[1]
+    assert fixed.n_rows == model.n_rows + 1
+    assert fixed.constraints[:-1] == model.constraints
+    profit = fixed.constraints[-1]
+    assert (profit.name, profit.coeffs, profit.sense) \
+        == ("profit", model.objective, ">=")
+    n = len(before[0][0])
+    assert [a[:n].tolist() for a in fixed.entries()] == before[0]
+    assert set(fixed.entries()[0][n:].tolist()) == {model.n_rows}
+
+
 @pytest.mark.parametrize("seed", [157, 404])
 def test_least_burn_tie_ends_on_neighbouring_weights(monkeypatch, seed):
     # near-straight curves, on which the least-burn LP over weights tied
@@ -933,25 +969,21 @@ def test_a_dropped_landing_strands_the_flight_that_led_to_it():
 
 def test_absent_column_reads_as_zero(solved):
     # a state that _prepare left out has no column, so a row over it alone
-    # is empty: skipped if it holds at zero, an error otherwise
+    # is empty: dropped if it holds at zero, an error on the model's next
+    # read otherwise (on a copy, so that the shared model stays readable)
     problem, _, _ = solved
-    rows = problem.model.n_rows
+    model = copy.deepcopy(problem.model)
+    rows = model.n_rows
     absent = ("mm_versatile", -1, 0)
     assert absent not in problem._state
-    assert vn("Y", *absent) not in problem.model
-    _add_rows(problem, [("presence", {}, "==", 0.0)])
-    assert problem.model.n_rows == len(problem.model.constraints) == rows
-    with pytest.raises(ModelError, match="cannot hold"):
-        _add_rows(problem, [("presence", {}, "==", 1.0)])
-
-
-def _add_rows(problem, rows):
-    block = _RowBlock()
-    for family, coeffs, sense, rhs in rows:
-        block.add(family, sense, [rhs], (np.zeros(len(coeffs), dtype=np.intp),
-                                         np.array(list(coeffs), dtype=np.intp),
-                                         np.array(list(coeffs.values()))))
-    block.commit(problem.model)
+    assert vn("Y", *absent) not in model
+    model.add_rows("presence", "==", [0.0],
+                   (np.array([0]), np.array([-1]), 1.0))
+    assert model.n_rows == len(model.constraints) == rows
+    model.add_rows("presence", "==", [1.0],
+                   (np.array([0]), np.array([-1]), 1.0))
+    with pytest.raises(ModelError, match="empty presence row cannot hold"):
+        model.n_rows
 
 
 def _solve_off_integral(monkeypatch, offset: float):

@@ -48,9 +48,9 @@ def _digests(monkeypatch, tool, capsys, rhs: float) -> dict:
 
     def run_rep(name, inputs, outdir):
         m = lp.Model("tiny")
-        x = m.add_var("x", ub=4.0, kind=lp.INTEGER)
-        m.add_objective(x, 1.0)
-        m.add_constr("cap", {x: 2.0}, "<=", rhs)
+        x = m.add_vars(["x"], [0.0], [4.0], [lp.INTEGER])
+        m.objective[x] = 1.0
+        m.add_rows("cap", "<=", [rhs], (np.array([0]), np.array([x]), 2.0))
         m.solve()
         return 0
     monkeypatch.setattr(tool.workloads, "run_rep", run_rep)
@@ -99,10 +99,13 @@ def test_digest_counts_model_sizes_and_highs_work(monkeypatch, capsys):
     def run_rep(name, inputs, outdir):
         for _ in range(2):
             m = lp.Model("tiny")
-            x = m.add_var(("x", 1), ub=4.0, kind=lp.INTEGER)
-            y = m.add_var("y", ub=1.0)
-            m.add_objective(x, 1.0)
-            m.add_constr("cap", {x: 2.0, y: 0.0}, "<=", 5.0)
+            x = m.add_vars([("x", 1), "y"], [0.0] * 2, [4.0, 1.0],
+                           [lp.INTEGER, lp.CONTINUOUS])
+            y = x + 1
+            m.objective[x] = 1.0
+            m.add_rows("cap", "<=", [5.0], (np.array([0, 0]),
+                                            np.array([x, y]),
+                                            np.array([2.0, 0.0])))
             results.append(m.solve())
         return 0
     monkeypatch.setattr(tool.workloads, "run_rep", run_rep)
