@@ -113,7 +113,6 @@ highs = _load_highs()
 
 CONTINUOUS = "cont"
 INTEGER = "int"
-BINARY = "bin"
 
 _SENSES = ("<=", ">=", "==")     # a row's sense, by the code the store keeps
 _SENSE_CODE = {sense: code for code, sense in enumerate(_SENSES)}
@@ -304,7 +303,7 @@ class Model:
                  ub: list[float], kind: list[str]) -> int:
         """Append one column per key, in order, with the bounds and kind at
         its position in ``lb``, ``ub`` and ``kind``; returns the index of
-        the first. A binary column's bounds must lie in [0, 1] already."""
+        the first."""
         first = len(self._index)
         index = dict(zip(keys, range(first, first + len(keys))))
         if len(index) != len(keys) or not self._index.keys().isdisjoint(index):

@@ -21,11 +21,12 @@ step (a service end, its start or an in-flight arrival), and lands there
 only on a start step whose service it can leave again, or that runs past
 the horizon. That release comes after the departure, so ``_prepare``
 decides every landing in one sweep from the last departure back. One pass
-forward over the steps then keeps a vehicle's state only at its start or
-an in-flight arrival, at the landing of a kept flight, and on the holdover
-from a kept state (at a customer, only from a step that a kept start's
-service holds); a flight only where it leaves a kept state, and a start
-only where a kept flight lands. A committed service's pinned run builds
+forward over the steps then applies one presence rule at every node: a
+vehicle comes to a node at its start, an in-flight arrival or the landing
+of a kept flight, and stays on the holdover at a parking node always, at a
+customer while a kept start's service holds it. A state is kept where the
+vehicle is, a flight only where it leaves a kept state, and a start only
+where a kept flight lands. A committed service's pinned run builds
 nothing: its servicer arrives at its release as from a flight, with what it
 brought to the run less the run's station keeping, and the run's operating
 cost is the objective's constant (``lp.Model.offset``). A column left out
@@ -35,7 +36,9 @@ Columns are keyed by ``vn`` tuples. The build makes them as blocks of the
 model's store: Y then X per state, each vehicle's states one run; W, U, Z
 and the burn L per arc; H and B per start. Its arrays are the one record of
 where a column lives: ``_ycol`` and ``_xcol`` (by commodity) per state, in
-``_state``'s order; ``_wcol``, ``_zcol``, ``_burn`` and ``_ucol`` per arc,
+``_state``'s order, with each state's holdover days and station keeping
+(``_days`` and ``_sk``, which the balances, the ``sk_avail`` rows and the
+operating cost read); ``_wcol``, ``_zcol``, ``_burn`` and ``_ucol`` per arc,
 with each arc's ``_chords``; and ``_hcol``, each H column with its need and
 state, in column order. The rows, the objective, ``PlanProblem.solve``,
 ``extract_schedule`` and ``start_after`` read only those, an X or U row in
@@ -89,8 +92,7 @@ from typing import Optional
 import numpy as np
 
 from .demand import ServiceNeed
-from .lp import (BINARY, CONTINUOUS, INTEGER, NO_ROW, Model, ModelError,
-                 SolveResult)
+from .lp import CONTINUOUS, INTEGER, NO_ROW, Model, ModelError, SolveResult
 from .network import DynamicNetwork, TransportArc
 from .scenario import Scenario, VehicleDesign
 
@@ -346,46 +348,37 @@ class PlanProblem:
             offered.setdefault(a.t, []).append(n)
 
         # Then forward, step by step, what a vehicle can reach. It has a
-        # state where it starts or arrives from outside the window, where a
-        # kept flight lands, and on the holdover from a state; at a
-        # customer, only from a step that the service of a kept start
-        # holds, as the presence rows let it stay nowhere else. A flight is
-        # kept where it leaves a state, and a start where a kept flight
-        # lands. Every other state, flight and start is one that the
+        # state where it starts or arrives from outside the window, and
+        # where a kept flight lands (``come``); it stays on the holdover at
+        # a parking node, and at a customer while the service of a kept
+        # start holds it, as the presence rows let it stay nowhere else. A
+        # flight is kept where it leaves a state, and a start where a kept
+        # flight lands. Every other state, flight and start is one that the
         # window's start forces to zero.
-        first: dict[tuple[str, int], int] = {}  # at a parking node
-        come: dict[int, set[tuple[str, int]]] = {}  # at a customer node
+        come: dict[int, set[tuple[str, int]]] = {}
         for vid, i, t in self.arriving:
-            if vid not in self.active:
-                continue
-            if self.active[vid].is_servicer and i in customer:
+            if vid in self.active:
                 come.setdefault(t, set()).add((vid, i))
-            else:
-                first[vid, i] = min(first.get((vid, i), t), t)
         kept = [a.model is None and a.vehicle in self.launchers for a in arcs]
         landed: set[tuple[str, int, int]] = set()
         holding: set[tuple[str, int, int]] = set()
-        reached: set[tuple[str, int, int]] = set()   # at a customer node
+        reached: set[tuple[str, int, int]] = set()
         here: set[tuple[str, int]] = set()
         before = None
         for t in grid.steps:
-            here = {(vid, i) for vid, i in here
-                    if (vid, i, before) in holding} | come.get(t, set())
+            here = {(vid, i) for vid, i in here if i not in customer
+                    or (vid, i, before) in holding} | come.get(t, set())
             reached |= {(vid, i, t) for vid, i in here}
             for n in offered.get(t, ()):
                 a = arcs[n]
-                if not ((a.vehicle, a.i) in here if a.i in customer
-                        else first.get((a.vehicle, a.i), math.inf) <= t):
+                if (a.vehicle, a.i) not in here:
                     continue
                 kept[n] = True
                 s = (a.vehicle, a.j, a.arrival)
-                if a.j not in customer:
-                    first[a.vehicle, a.j] = min(
-                        first.get((a.vehicle, a.j), a.arrival), a.arrival)
-                elif s not in landed:
+                if s not in landed:
                     landed.add(s)
                     come.setdefault(a.arrival, set()).add((a.vehicle, a.j))
-                    holding |= {(a.vehicle, a.j, b) for b in holds[s]}
+                    holding |= {(a.vehicle, a.j, b) for b in holds.get(s, ())}
             before = t
         self.arcs = [a for a, k in zip(arcs, kept) if k]
         self.starts: list[tuple[ServiceNeed, str, tuple[int, ...]]] = []
@@ -394,16 +387,10 @@ class PlanProblem:
             taus = tuple(tau for tau in taus if (vid, i, tau) in landed)
             if taus:
                 self.starts.append((need, vid, taus))
-        # every (vehicle, node, step) with a state, in column order; then
-        # the servicers' states at customer nodes, in the same order
-        self.states = [(vid, i, t) for vid, v in self.active.items()
+        # every (vehicle, node, step) with a state, in column order
+        self.states = [(vid, i, t) for vid in self.active
                        for i in self.presence[vid] for t in grid.steps
-                       if ((vid, i, t) in reached
-                           if v.is_servicer and i in customer
-                           else first.get((vid, i), math.inf) <= t)]
-        self.customer_states = [
-            (vid, i, t) for vid, i, t in self.states
-            if i in customer and self.active[vid].is_servicer]
+                       if (vid, i, t) in reached]
 
     def _station_kept(self, vid: str, loads: dict[str, float], start: int,
                       stop: int) -> dict[str, float]:
@@ -434,14 +421,24 @@ class PlanProblem:
         kind_of = {k: INTEGER if c.is_integer else CONTINUOUS
                    for k, c in scn.commodities.items()}
 
-        # per vehicle, the active ones first: its position, and each
-        # commodity's position among those it carries (-1 where none)
+        # per vehicle, the active ones first: its position, each
+        # commodity's position among those it carries (-1 where none) and
+        # its capacity, its dry mass and its payload limit (nan where none);
+        # per commodity, its unit mass
         vehicles = {**self.active, **self.launchers}
         vpos = {vid: r for r, vid in enumerate(vehicles)}
         rank = np.full((len(vehicles), K), -1, dtype=np.intp)
         for r, vid in enumerate(vehicles):
             ks = self.carriable[vid]
             rank[r, [kpos[k] for k in ks]] = range(len(ks))
+        self._caps = np.array([[v.capacities.get(k, 0.0) for k in kpos]
+                               for v in vehicles.values()],
+                              dtype=float).reshape(-1, K)
+        self._dry = np.array([v.dry_mass for v in vehicles.values()],
+                             dtype=float)
+        self._payload = np.array([v.payload_capacity
+                                  for v in vehicles.values()], dtype=float)
+        self._unit = np.array([scn.unit_mass(k) for k in kpos], dtype=float)
 
         # Y then X per state, in one block, the X columns in carriable
         # order: a vehicle's states are one run, with the same columns for
@@ -459,7 +456,7 @@ class PlanProblem:
             lbs += ([1.0 if v.vehicle_class == "depot" else 0.0]
                     + [0.0] * len(ks)) * len(run)
             ubs += ([1.0] + [v.capacities[k] for k in ks]) * len(run)
-            kinds += ([BINARY] + [kind_of[k] for k in ks]) * len(run)
+            kinds += ([INTEGER] + [kind_of[k] for k in ks]) * len(run)
         y0 = m.add_vars(keys, lbs, ubs, kinds)
         S = len(self.states)
         self._state = {s: n for n, s in enumerate(self.states)}
@@ -476,28 +473,24 @@ class PlanProblem:
         width = 1 + (at >= 0).sum(axis=1)
         self._ycol = y0 + np.cumsum(width) - width
         self._xcol = np.where(at >= 0, self._ycol[:, None] + 1 + at, -1)
-        # the station keeping burnt over the holdover into a state, where
-        # its vehicle carries that commodity: state, commodity, the Y
-        # column of the state before, kg per unit of it
+        # per state: the days of the holdover out of it (0 on the last
+        # step); its vehicle's station keeping commodity, where it carries
+        # that (-1 where not), and the kg of it burnt per unit of the
+        # holdover's Y (0 where none)
+        self._days = np.append(np.diff(np.array(grid.steps, dtype=float)),
+                               0.0)[self._state_t]
         rate = np.array([v.station_keeping_rate for v in self.active.values()],
-                        dtype=float)
-        kept = np.array([kpos[v.station_keeping_commodity]
-                         if v.station_keeping_commodity in self.carriable[vid]
-                         else -1 for vid, v in self.active.items()],
-                        dtype=np.intp)
-        days = np.diff(np.array(grid.steps, dtype=float))
-        on = ((self._prev >= 0) & (rate[self._state_v] > 0)
-              & (kept[self._state_v] >= 0)).nonzero()[0]
-        dt = days[self._state_t[self._prev[on]]]
-        on, dt = on[dt > 0], dt[dt > 0]
-        self._kept = (on, kept[self._state_v[on]], self._ycol[self._prev[on]],
-                      rate[self._state_v[on]] * dt)
-        # the states of ``customer_states``, and each state's position in
-        # it (``NO_ROW`` at no customer node, and at an extra last state
-        # that serves the arc ends at no state, -1)
-        self._customer = np.array([self._state[s]
-                                   for s in self.customer_states],
-                                  dtype=np.intp)
+                        dtype=float)[self._state_v]
+        sk = np.array([kpos[v.station_keeping_commodity]
+                       if v.station_keeping_commodity in self.carriable[vid]
+                       else -1 for vid, v in self.active.items()],
+                      dtype=np.intp)[self._state_v]
+        self._sk = (sk, np.where(sk >= 0, rate * self._days, 0.0))
+        # the states at customer nodes, and each state's position among
+        # them (``NO_ROW`` elsewhere, and at an extra last state that
+        # serves the arc ends at no state, -1)
+        self._customer = np.isin(self._state_i, [
+            n.index for n in self.nodes.customer]).nonzero()[0]
         self._at = np.full(S + 1, NO_ROW, dtype=np.intp)
         self._at[self._customer] = np.arange(len(self._customer))
 
@@ -528,7 +521,7 @@ class PlanProblem:
             lbs += [0.0] * (1 + len(ks))
             ubs.append(1.0)
             ubs += u_ub
-            kinds.append(BINARY)
+            kinds.append(INTEGER)
             kinds += u_kind
             col += 1 + len(ks)
             if a.is_launch:
@@ -575,9 +568,9 @@ class PlanProblem:
         self._burn = (flat[2].astype(np.intp), flat[3],
                       flat[4].astype(np.intp))
         ends = np.array(ends, dtype=np.intp).reshape(A, 7).T
-        arc_v, self._ends = ends[0], ends[1:]
+        self._arc_v, self._ends = ends[0], ends[1:]
         # a U column follows W in its vehicle's carriable order
-        rank = rank[arc_v]
+        rank = rank[self._arc_v]
         self._ucol = np.where(rank >= 0, self._wcol[:, None] + 1 + rank, -1)
 
         # H per start step; then B per step on which its service is under
@@ -587,7 +580,7 @@ class PlanProblem:
         steps = np.array(grid.steps)
         at = self._at.tolist()
         tools = {k: r for r, k in enumerate(scn.tool_ids())}
-        # per B: its column, its position in ``customer_states``, its node
+        # per B: its column, its position in ``_customer``, its node
         # and step, the tool its need requires (None where none)
         self._under_way: list[tuple[int, int, int, int, Optional[int]]] = []
         cover_b, cover_h = [], []
@@ -610,7 +603,7 @@ class PlanProblem:
                                         i, t, tools.get(need.required_tool)))
             h0 = b0 + len(on)
         m.add_vars(keys, [0.0] * len(keys), [1.0] * len(keys),
-                   [BINARY] * len(keys))
+                   [INTEGER] * len(keys))
         self._cover = (np.array(cover_b, dtype=np.intp),
                        np.array(cover_h, dtype=np.intp))
 
@@ -645,14 +638,16 @@ class PlanProblem:
         inflows written in outflows (a holdover burns station keeping, an
         arc its propellant)."""
         prev, x, u = self._prev, self._xcol, self._ucol
-        kept_s, kept_k, kept_col, kept_val = self._kept
+        sk, sk_burn = self._sk
+        held = ((prev >= 0) & (sk_burn[prev] > 0)).nonzero()[0]
         burn_col, burn_val, burn_k = self._burn
         burns = (burn_k >= 0).nonzero()[0]
         m.add_rows(family, "==", rhs,
                    (state_row.ravel(), x.ravel(), 1.0),
                    (np.where(prev[:, None] >= 0, state_row, NO_ROW).ravel(),
                     x[prev].ravel(), -1.0),
-                   (state_row[kept_s, kept_k], kept_col, kept_val),
+                   (state_row[held, sk[held]], self._ycol[prev[held]],
+                    sk_burn[prev[held]]),
                    (dep_row.ravel(), u.ravel(), 1.0),
                    (arr_row.ravel(), u.ravel(), -1.0),
                    (arr_row[burns, burn_k[burns]], burn_col[burns],
@@ -664,8 +659,8 @@ class PlanProblem:
         dep_state, dep_i, dep_t, arr_state, arr_i, arr_t = self._ends
         # commodity balance at customer nodes, per servicer, node by node:
         # a row per X column of each customer state, in column order
-        customer = np.array([self._state[s] for s in sorted(
-            self.customer_states, key=lambda s: s[1])], dtype=np.intp)
+        customer = self._customer[np.argsort(
+            self._state_i[self._customer], kind="stable")]
         s, k = (self._xcol[customer] >= 0).nonzero()
         order = np.lexsort((self._xcol[customer][s, k], s))
         s, k = customer[s[order]], k[order]
@@ -748,10 +743,7 @@ class PlanProblem:
                     1.0))
 
     def _add_concurrency(self, m: Model):
-        scn, kpos = self.scenario, self._kpos
-        vehicles = [*self.active.values(), *self.launchers.values()]
-        caps = np.array([[v.capacities.get(k, 0.0) for k in kpos]
-                         for v in vehicles], dtype=float).reshape(-1, len(kpos))
+        caps, by = self._caps, self._arc_v
         # holdover capacity, a row per X column in column order
         s, k = (self._xcol >= 0).nonzero()
         order = np.argsort(self._xcol[s, k])
@@ -762,10 +754,7 @@ class PlanProblem:
                    (rows, self._ycol[s], -caps[self._state_v[s], k]))
         # transport capacity, per arc: a row per carried commodity (its U
         # columns follow W in carriable order), then the payload row
-        vpos = {v.id: r for r, v in enumerate(vehicles)}
-        by = np.array([vpos[a.vehicle] for a in self.arcs], dtype=np.intp)
-        payload = np.array([vehicles[r].payload_capacity for r in by],
-                           dtype=float).reshape(-1)     # nan where none
+        payload = self._payload[by]
         paid = ~np.isnan(payload)
         carried = (self._ucol >= 0).sum(axis=1)
         first = np.cumsum(carried + paid) - carried - paid
@@ -773,17 +762,15 @@ class PlanProblem:
         u = self._ucol[a, k]
         row = first[a] + u - self._wcol[a] - 1
         top = first + carried
-        unit = np.array([scn.unit_mass(k) for k in kpos], dtype=float)
         family = np.full(len(carried) and top[-1] + paid[-1], "cap_arc",
                          dtype=object)
         family[top[paid]] = "cap_payload"
         m.add_rows(family.tolist(), "<=", [0.0] * len(family),
                    (row, u, 1.0), (row, self._wcol[a], -caps[by[a], k]),
-                   (np.where(paid[a], top[a], NO_ROW), u, unit[k]),
+                   (np.where(paid[a], top[a], NO_ROW), u, self._unit[k]),
                    (np.where(paid, top, NO_ROW), self._wcol, -payload))
 
     def _add_transformation(self, m: Model):
-        kpos = self._kpos
         # per flight: total wet mass definition, flight-feasibility bound,
         # propellant on board to cover the burn, and the burn on or above
         # each chord of a curve
@@ -809,33 +796,24 @@ class PlanProblem:
         rhs[seg] = [i for c in chords for _, i in c]
         z, w, u = self._zcol[flights], self._wcol[flights], self._ucol[flights]
         burn_col, burn_val, burn_k = (b[flights] for b in self._burn)
-        dry = np.array([self.active[a.vehicle].dry_mass for a in arcs],
-                       dtype=float)
-        unit = np.array([self.scenario.unit_mass(k) for k in kpos],
-                        dtype=float)
+        dry = self._dry[self._arc_v[flights]]
         on = np.arange(len(flights)).repeat(count)
         m.add_rows(family, sense, rhs,
                    (wet, z, 1.0), (wet, w, -dry),
                    (wet.repeat(u.shape[1]), u.ravel(),
-                    np.tile(-unit, len(flights))),
+                    np.tile(-self._unit, len(flights))),
                    (mub, z, 1.0), (mub, w, -np.where(finite, bound, 0.0)),
                    (prop, np.where(burn_k >= 0, u[np.arange(len(flights)),
                                                   burn_k], -1), 1.0),
                    (prop, burn_col, -burn_val),
                    (seg, burn_col[on], burn_val[on]), (seg, z[on], -slope))
-        # depot station keeping stock must cover the holdover burn
-        rate = np.array([v.station_keeping_rate for v in self.active.values()],
-                        dtype=float)[self._state_v]
-        k = np.array([kpos.get(v.station_keeping_commodity, -1)
-                      for v in self.active.values()],
-                     dtype=np.intp)[self._state_v]
-        steps = np.array(self.grid.steps, dtype=float)
-        dt = np.append(steps[1:] - steps[:-1], 0.0)[self._state_t]
-        x = np.where(k >= 0, self._xcol[np.arange(len(k)), k], -1)
-        on = ((rate > 0) & (x >= 0) & (dt > 0)).nonzero()[0]
+        # station keeping stock must cover the holdover burn
+        sk, sk_burn = self._sk
+        on = (sk_burn > 0).nonzero()[0]
         rows = np.arange(len(on))
-        m.add_rows("sk_avail", ">=", [0.0] * len(on), (rows, x[on], 1.0),
-                   (rows, self._ycol[on], -rate[on] * dt[on]))
+        m.add_rows("sk_avail", ">=", [0.0] * len(on),
+                   (rows, self._xcol[on, sk[on]], 1.0),
+                   (rows, self._ycol[on], -sk_burn[on]))
 
     def _add_service_management(self, m: Model):
         under_way = self._under_way
@@ -858,7 +836,7 @@ class PlanProblem:
         m.add_rows("one_service", "<=", [1.0] * n, (row, b, 1.0))
         # presence at customer nodes equals dispatch
         at = np.array([u[1] for u in under_way], dtype=np.intp)
-        m.add_rows("presence", "==", [0.0] * len(self.customer_states),
+        m.add_rows("presence", "==", [0.0] * len(self._customer),
                    (np.arange(len(self._customer)), self._ycol[self._customer],
                     1.0), (at, b, -1.0))
         # the adequate tool must be on board while a service needs it:
@@ -881,7 +859,7 @@ class PlanProblem:
         at, arr_state = self._at, self._ends[3]
         state, h = np.array([(n, h) for _, n, h in self._hcol],
                             dtype=np.intp).reshape(-1, 2).T
-        m.add_rows("arrival", "==", [0.0] * len(self.customer_states),
+        m.add_rows("arrival", "==", [0.0] * len(self._customer),
                    (np.where(arr_state >= 0, at[arr_state], NO_ROW),
                     self._wcol, 1.0), (at[state], h, -1.0))
 
@@ -910,10 +888,9 @@ class PlanProblem:
             launch[wcol[n]] = c_l * v.dry_mass
             pdm[wcol[n]] = v.manufacturing_cost
         # operating costs: each vehicle's states, then each servicer flight
-        days = dict(zip(grid.steps, [b - a for a, b in zip(grid.steps,
-                                                             grid.steps[1:])]))
-        for (vid, _, t), y in zip(self.states, self._ycol.tolist()):
-            v, dt = self.active[vid], days.get(t, 0)
+        for (vid, _, _), y, dt in zip(self.states, self._ycol.tolist(),
+                                      self._days.tolist()):
+            v = self.active[vid]
             if v.operating_cost_per_day > 0 and dt > 0:
                 self.obj_terms[ops_bucket(v)][y] = v.operating_cost_per_day * dt
         for a, w in zip(self.arcs, wcol):

@@ -194,6 +194,16 @@ class NetworkConfig:
             raise ScenarioError("network: period must be > 0")
         if self.launch_duration <= 0:
             raise ScenarioError("network: launch_duration must be > 0")
+        # the grid's steps and its lattice are whole days
+        for name, days in (("period", (self.period,)),
+                           ("offsets", self.offsets),
+                           ("launch_duration", (self.launch_duration,))):
+            if not all(float(d).is_integer() for d in days):
+                raise ScenarioError(f"network: {name} must be whole days, "
+                                    f"got {getattr(self, name)}")
+        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "offsets", tuple(int(o) for o in self.offsets))
+        object.__setattr__(self, "launch_duration", int(self.launch_duration))
 
 
 @dataclass(frozen=True)
@@ -294,10 +304,21 @@ def _service_to_dict(s: ServiceTypeSpec) -> dict:
     return d
 
 
+def _by_id(section: str, specs: list) -> dict:
+    """``specs`` by their ids, refusing an id that ``section`` repeats."""
+    out = {}
+    for spec in specs:
+        if spec.id in out:
+            raise ScenarioError(f"{section}: id {spec.id!r} appears twice")
+        out[spec.id] = spec
+    return out
+
+
 def scenario_from_dict(cfg: dict) -> Scenario:
     try:
-        commodities = {c["id"]: CommoditySpec(**c) for c in cfg["commodities"]}
-        vehicles = {}
+        commodities = _by_id("commodities", [CommoditySpec(**c)
+                                              for c in cfg["commodities"]])
+        vehicles = []
         for raw in cfg["vehicles"]:
             raw = dict(raw)
             raw["vehicle_class"] = raw.pop("class")
@@ -305,13 +326,15 @@ def scenario_from_dict(cfg: dict) -> Scenario:
                 PropulsionMode(**p) for p in raw.get("propulsion", ()))
             raw["tools_installed"] = tuple(raw.get("tools_installed", ()))
             raw["capacities"] = dict(raw.get("capacities", {}))
-            vehicles[raw["id"]] = VehicleDesign(**raw)
-        services = {}
+            vehicles.append(VehicleDesign(**raw))
+        vehicles = _by_id("vehicles", vehicles)
+        services = []
         for raw in cfg.get("services", []):
             raw = dict(raw)
             raw["occurrence"] = Occurrence(**raw["occurrence"])
             raw["commodity_demand"] = dict(raw.get("commodity_demand", {}))
-            services[raw["id"]] = ServiceTypeSpec(**raw)
+            services.append(ServiceTypeSpec(**raw))
+        services = _by_id("services", services)
         economics = EconomicParams(**cfg.get("economics", {}))
         net = dict(cfg.get("network", {}))
         if "offsets" in net:

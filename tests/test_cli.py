@@ -342,6 +342,28 @@ def test_zero_grid_period_exits_two(multimodal, catalog_file, tmp_path,
     assert err.startswith("error: ") and "period must be > 0" in err
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("vehicles", None, None), ("network", "period", 10.5)])
+def test_repeated_id_or_fractional_period_exits_two(
+        high_thrust_scn, catalog_file, tmp_path, capsys, section, name,
+        value):
+    # a period of 10.5 once planned a start on day 35.5 with a delay of
+    # -4.5 days, and a repeated vehicle replaced the first in silence
+    cfg = high_thrust_scn.to_dict()
+    if name is None:
+        cfg[section].append(dict(cfg[section][-1], dry_mass=1.0))
+    else:
+        cfg[section][name] = value
+    code = main(["plan", "--scenario", _scenario_file(tmp_path, cfg),
+                 "--catalog", str(catalog_file), "--horizon-days", "60",
+                 "--out", str(tmp_path / "plan.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("appears twice" if name is None else "must be whole") in err
+    assert not (tmp_path / "plan.json").exists()
+
+
 @pytest.mark.parametrize("duration", [0, -10])
 def test_launch_that_lands_before_it_leaves_exits_two(
         multimodal, catalog_file, tmp_path, capsys, duration):

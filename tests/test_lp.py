@@ -12,11 +12,12 @@ from scipy import sparse
 
 from lp_text import parse_lp
 from micro import micro_instance
+from test_milp import pinned_instance_with_arrival
 
 import oosplan
 from oosplan import horizon, lp, milp
 from oosplan.demand import generate_stream
-from oosplan.lp import BINARY, CONTINUOUS, INTEGER, Model, SolveError
+from oosplan.lp import CONTINUOUS, INTEGER, Model, SolveError
 from oosplan.milp import PlanProblem, SolveOptions
 from oosplan.scenario import CustomerSat
 
@@ -40,7 +41,7 @@ def knapsack() -> Model:
     values = [10.0, 13.0, 7.0, 8.0]
     weights = [3.0, 4.0, 2.0, 3.0]
     m.add_vars([f"x[{i}]" for i in range(4)], [0.0] * 4, [1.0] * 4,
-               [BINARY] * 4)
+               [INTEGER] * 4)
     m.objective = dict(enumerate(values))
     add_row(m, "cap", dict(enumerate(weights)), "<=", 7.0)
     return m
@@ -112,7 +113,7 @@ def test_add_rows_contract(tmp_path):
     m = Model("rows")
     assert m.add_vars(["a"], [0.0], [4.0], [INTEGER]) == 0
     assert m.add_vars(["b", "c"], [0.0] * 2, [1.0, 9.0],
-                      [BINARY, CONTINUOUS]) == 1
+                      [INTEGER, CONTINUOUS]) == 1
     m.objective = {0: 1.0, 2: 0.5}
     m.add_rows(["r0", "r1", "gone", "r2"], ["<=", ">=", "==", "=="],
                np.array([3.0, 1.0, 0.0, 2.0]),
@@ -173,7 +174,7 @@ def test_an_empty_row_that_cannot_hold_fails_the_first_read(tmp_path):
 def test_lp_round_trip(tmp_path):
     m = Model("rt")
     x = m.add_vars(["x[a|0]", "y", "z"], [0.0] * 3, [4.0, 3.0, 1.0],
-                   [CONTINUOUS, INTEGER, BINARY])
+                   [CONTINUOUS, INTEGER, INTEGER])
     y, z = x + 1, x + 2
     m.objective = {x: 1.5, y: 2.0, z: -1.0}
     add_row(m, "c1", {x: 1.0, y: 1.0}, "<=", 5.25)
@@ -191,7 +192,7 @@ def test_lp_text_keeps_the_objective_constant(tmp_path):
     # the constant ends the objective line, and both readers of the text,
     # this suite's and HiGHS's own, solve it to the model's optimum
     m = Model("offset")
-    x = m.add_vars(["x", "y"], [0.0] * 2, [4.0, 1.0], [CONTINUOUS, BINARY])
+    x = m.add_vars(["x", "y"], [0.0] * 2, [4.0, 1.0], [CONTINUOUS, INTEGER])
     y = x + 1
     m.objective = {x: 1.5, y: 2.0}
     add_row(m, "c", {x: 1.0, y: 1.0}, "<=", 4.0)
@@ -234,7 +235,7 @@ def test_time_limit_without_incumbent_is_not_feasible():
     rng = np.random.default_rng(0)
     m = Model("knapsack30")
     m.add_vars([("x", j) for j in range(200)], [0.0] * 200, [1.0] * 200,
-               [BINARY] * 200)
+               [INTEGER] * 200)
     m.objective = {j: float(rng.uniform(1.0, 10.0)) for j in range(200)}
     for r in range(30):
         add_row(m, "cap", {j: float(rng.uniform(1.0, 10.0))
@@ -661,6 +662,28 @@ W1_FIRST_CENSUS = {
 }
 
 
+# recorded before the presence rule at customer and parking nodes became
+# one: a servicer starts pinned at satA and another arrives in flight at
+# satB, where a need waits
+PINNED_ARRIVAL_CENSUS = {
+    "cols": {"Y": 52, "X": 335, "W": 45, "U": 297, "Z": 45, "L": 22, "H": 6,
+             "B": 24},
+    "rows": {"bal_cust": 169, "bal_park": 106, "bal_veh": 52, "cap_hold": 335,
+             "cap_arc": 297, "wet_mass": 45, "mass_ub": 45, "prop_avail": 45,
+             "sos2_seg": 440, "assign_once": 1, "dispatch": 24,
+             "one_service": 12, "presence": 26, "tool": 24, "arrival": 6},
+    "nnz": {"bal_cust": 645, "bal_park": 631, "bal_veh": 188, "cap_hold": 670,
+            "cap_arc": 594, "wet_mass": 387, "mass_ub": 90, "prop_avail": 90,
+            "sos2_seg": 880, "assign_once": 6, "dispatch": 76,
+            "one_service": 24, "presence": 50, "tool": 48, "arrival": 20},
+    "first_seen": ["bal_cust", "bal_park", "bal_veh", "cap_hold", "cap_arc",
+                   "wet_mass", "mass_ub", "prop_avail", "sos2_seg",
+                   "assign_once", "dispatch", "one_service", "presence",
+                   "tool", "arrival"],
+    "sequence": "8d9ac8aa3642b3c858ad38d732c88415a01715def4d2e22d9cf3a3e88c74f824",
+}
+
+
 def test_build_is_model_neutral(monkeypatch, multimodal):
     # the integer-indexed build makes the same columns and rows, in the
     # same order, as the build it replaced
@@ -668,6 +691,9 @@ def test_build_is_model_neutral(monkeypatch, multimodal):
     model = PlanProblem(scenario, net, needs, init,
                         SolveOptions(gap=0.0)).model
     assert _census(model) == MICRO0_CENSUS
+    # a committed service and an in-flight arrival at a customer
+    assert _census(pinned_instance_with_arrival(multimodal).model) \
+        == PINNED_ARRIVAL_CENSUS
     calls = _record_highs_inputs(monkeypatch)
     _first_w1_window(multimodal)
     assert _census(calls[0][0]) == W1_FIRST_CENSUS

@@ -74,6 +74,35 @@ def test_launch_duration_must_be_positive(multimodal, duration):
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("section, index, field, value", [
+    ("commodities", 0, "unit_mass", 2.0),
+    ("vehicles", 6, "dry_mass", 1.0),
+    ("services", 0, "revenue", 1.0),
+])
+def test_a_repeated_id_is_refused(multimodal, section, index, field, value):
+    # a second spec with the same id once replaced the first in silence
+    cfg = multimodal.to_dict()
+    spec = dict(cfg[section][index], **{field: value})
+    cfg[section].append(spec)
+    with pytest.raises(ScenarioError,
+                       match=f"{section}: id '{spec['id']}' appears twice"):
+        scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("period", 10.5), ("offsets", [2, 4.5]), ("launch_duration", 2.5)])
+def test_network_days_must_be_whole(multimodal, name, value):
+    # a period of 10.5 once put steps off the lattice the grid reads, an
+    # offset was truncated, and a fractional launch dropped every launch
+    cfg = multimodal.to_dict()
+    cfg["network"][name] = value
+    with pytest.raises(ScenarioError, match=f"network: {name} must be whole"):
+        scenario_from_dict(cfg)
+    cfg["network"][name] = [2.0, 4.0] if name == "offsets" else 10.0
+    network = scenario_from_dict(cfg).network
+    assert getattr(network, name) == ((2, 4) if name == "offsets" else 10)
+
+
 @pytest.mark.parametrize("deployment, message", [
     ({"vehicle": "nope", "longitude": -170.0}, "unknown vehicle 'nope'"),
     ({"vehicle": "depot", "longitude": -160.0},
