@@ -20,7 +20,8 @@ from .demand import DemandStream, ServiceNeed, window_needs
 from .milp import (COST_BUCKETS, InitialState, PlanProblem, Schedule,
                    Solution, SolveOptions, audit, commit, extract_schedule,
                    ops_bucket)
-from .network import TimeGrid, build_nodes, build_time_grid, expand
+from .network import (TimeGrid, TrajectoryTable, build_nodes,
+                      build_time_grid, expand)
 from .scenario import CustomerSat, Scenario
 from .trajectory import PluginRegistry
 
@@ -184,13 +185,16 @@ def visible_needs(stream: DemandStream, scenario: Scenario, state: WorldState,
 def window_problem(scenario: Scenario, sats: list[CustomerSat],
                    needs: list[ServiceNeed], start: InitialState,
                    grid: TimeGrid, options: SolveOptions, n_breakpoints: int,
-                   registry: Optional[PluginRegistry] = None) -> PlanProblem:
+                   registry: Optional[PluginRegistry] = None,
+                   trajectories: Optional[TrajectoryTable] = None
+                   ) -> PlanProblem:
     """One window's MILP: ``needs`` clipped to ``grid``, over only the
     customers that a need, a running service, a flight or a vehicle touches
     (one that nothing touches has no state and no landing arc), and the
     flights of the servicers that no running service pins past the window's
     last step. The whole catalog is checked, so a malformed one is refused
-    all the same."""
+    all the same. ``trajectories`` is ``network.expand``'s table of
+    trajectory models, for a caller that keeps one across windows."""
     build_nodes(scenario, sats)
     needs = window_needs(needs, scenario, grid)
     touched = {n.satellite for n in needs} | set(start.vehicle_nodes.values())
@@ -200,7 +204,7 @@ def window_problem(scenario: Scenario, sats: list[CustomerSat],
     net = expand(nodes, grid, scenario, registry=registry,
                  n_breakpoints=n_breakpoints,
                  vehicles=[vid for vid in start.active_vehicles(scenario)
-                           if vid not in pinned])
+                           if vid not in pinned], trajectories=trajectories)
     return PlanProblem(scenario, net, needs, start, options)
 
 
@@ -230,7 +234,8 @@ def _commit_days(scenario: Scenario, config: RhConfig) -> int:
 
 def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
          state: WorldState, ledger: Ledger, config: RhConfig,
-         registry: Optional[PluginRegistry] = None) -> StepResult:
+         registry: Optional[PluginRegistry] = None,
+         trajectories: Optional[TrajectoryTable] = None) -> StepResult:
     """Plan one window, commit one interval, and advance the world state."""
     days = _commit_days(scenario, config)
     day0 = state.day
@@ -239,7 +244,7 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     candidates = visible_needs(stream, scenario, state, config.window_days)
     problem = window_problem(scenario, sats, candidates, state.start, grid,
                              SolveOptions(gap=config.gap),
-                             config.n_breakpoints, registry)
+                             config.n_breakpoints, registry, trajectories)
     # needs whose admissible window has entirely passed are lost for good
     live = {n.id for n in problem.needs}
     for need in candidates:
@@ -268,7 +273,10 @@ def step(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
 def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
         horizon_days: int, config: Optional[RhConfig] = None,
         registry: Optional[PluginRegistry] = None) -> CampaignResult:
-    """Simulate a full campaign and return its ledger and event history."""
+    """Simulate a full campaign and return its ledger and event history.
+    Its windows share one table of trajectory models, so the plugins are
+    asked once per campaign for each flight geometry (``network.expand``);
+    the table lives as long as this call."""
     config = config or RhConfig()
     days = _commit_days(scenario, config)
     # a bad interval is the caller's input, not a campaign failure
@@ -289,9 +297,10 @@ def run(scenario: Scenario, sats: list[CustomerSat], stream: DemandStream,
     ledger = Ledger(initial_investment=investment)
     steps: list[StepResult] = []
     boundaries: list[int] = []
+    trajectories: TrajectoryTable = {}
     while state.day < horizon_days:
         steps.append(step(scenario, sats, stream, state, ledger, config,
-                          registry))
+                          registry, trajectories))
         boundaries.append(state.day)
     return CampaignResult(ledger=ledger, state=state, steps=steps,
                           boundaries=boundaries)

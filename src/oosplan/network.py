@@ -22,6 +22,11 @@ class NetworkError(Exception):
     pass
 
 
+# the trajectory models of ``expand``, per (vehicle, mode, flight duration,
+# phase angle); None where the plugin finds no trajectory
+TrajectoryTable = dict[tuple, Optional[TrajectoryModel]]
+
+
 @dataclass(frozen=True)
 class Node:
     index: int
@@ -124,7 +129,14 @@ class TimeGrid:
 def build_time_grid(period: int, offsets: list[int] | tuple[int, ...],
                     horizon: int, start: int = 0) -> TimeGrid:
     """Periodic grid {start + k*period + o : o in {0} | offsets} clipped to
-    [start, start + horizon]: the campaign days of a window from ``start``."""
+    [start, start + horizon]: the campaign days of a window from ``start``.
+    The period and the offsets are whole days, and the period is positive
+    (``NetworkError`` otherwise)."""
+    if not all(float(d).is_integer() for d in (period, *offsets)):
+        raise NetworkError(f"period and offsets must be whole days, got "
+                           f"{period} and {tuple(offsets)}")
+    if period <= 0:
+        raise NetworkError("period must be positive")
     offsets = tuple(int(o) for o in offsets)
     if any(o1 <= o0 for o0, o1 in zip(offsets, offsets[1:])):
         raise NetworkError("offsets must be strictly increasing")
@@ -223,26 +235,34 @@ def _refuse_non_convex(model: TrajectoryModel, kind: str,
 def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
            registry: Optional[PluginRegistry] = None,
            n_breakpoints: int = 20,
-           vehicles: Optional[Iterable[str]] = None) -> DynamicNetwork:
+           vehicles: Optional[Iterable[str]] = None,
+           trajectories: Optional[TrajectoryTable] = None) -> DynamicNetwork:
     """Expand the static network into the full set of transportation multiarcs.
 
     For every servicer (only those named in ``vehicles``, if given), ordered
     orbital node pair, propulsion mode, flight duration and grid-aligned
     departure, one arc is created carrying the trajectory model computed by
-    the registered plugin. Trajectory models are cached per (vehicle, mode,
-    duration, phase angle) since the propellant depends only on the phase
-    geometry, not node identity. Arcs whose mass upper bound falls below the
-    servicer dry mass are pruned, and a curve that is not convex from the
-    origin is refused (``NetworkError``). Launch arcs run Earth to parking for
-    each launcher on the campaign days that are multiples of the launcher
-    cadence.
+    the registered plugin. The plugin is asked once per (vehicle, mode,
+    duration, phase angle), since the propellant depends only on the phase
+    geometry, not node identity or departure day: its model, or None where
+    it finds no trajectory, goes into ``trajectories`` under that key, and a
+    key already there is not asked again. The table's scope is the caller's:
+    without one, ``expand`` makes its own for this call; ``horizon.run``
+    passes one table to every window of a campaign, never beyond it. A table
+    serves only calls with the same scenario, registry and
+    ``n_breakpoints``, which its key does not hold. Arcs whose mass upper
+    bound falls below the servicer dry mass are pruned, and a curve that is
+    not convex from the origin is refused (``NetworkError``). Launch arcs run
+    Earth to parking for each launcher on the campaign days that are
+    multiples of the launcher cadence.
     """
     registry = registry or PluginRegistry.default()
     eco = scenario.economics
     r_orbit = eco.geo_radius_km * 1e3
     r_forb = eco.forbidden_radius_km * 1e3
     arcs: list[TransportArc] = []
-    cache: dict[tuple, Optional[TrajectoryModel]] = {}
+    if trajectories is None:
+        trajectories = {}
     orbital = nodes.orbital
     servicers = scenario.servicers
     if vehicles is not None:
@@ -265,7 +285,7 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
                             continue
                         alpha = phase_angle(ni.longitude, nj.longitude)
                         key = (veh.id, mode.kind, q, round(alpha, 12))
-                        if key not in cache:
+                        if key not in trajectories:
                             query = TrajectoryQuery(
                                 phase_angle=alpha,
                                 signed_phase=signed_phase(ni.longitude, nj.longitude),
@@ -281,8 +301,8 @@ def expand(nodes: NodeSet, grid: TimeGrid, scenario: Scenario,
                                 model = None    # arc infeasible for this geometry
                             if model is not None and model.burn_fraction is None:
                                 _refuse_non_convex(model, mode.kind, query)
-                            cache[key] = model
-                        model = cache[key]
+                            trajectories[key] = model
+                        model = trajectories[key]
                         if model is None or model.mass_upper_bound < veh.dry_mass:
                             continue
                         for t in departures:

@@ -209,6 +209,32 @@ def test_campaign_with_a_user_defined_trajectory_plugin(multimodal,
         - sum(led.total(b) for b in COST_BUCKETS))
 
 
+def test_a_campaign_asks_the_plugins_once_per_flight_geometry(multimodal):
+    # a campaign's windows share one table of trajectory models: each
+    # (vehicle, mode, flight duration, phase angle) is queried once per
+    # campaign, and the next campaign asks again
+    asked = Counter()
+    registry = PluginRegistry.default()
+    for kind in ("high_thrust", "low_thrust"):
+        def counted(query, n_breakpoints, plugin=registry.get(kind),
+                    kind=kind):
+            asked[kind, query] += 1
+            return plugin(query, n_breakpoints)
+        registry.register(kind, counted)
+    sats = [CustomerSat("satA", -160.0), CustomerSat("satB", -150.0)]
+    for campaigns in (1, 2):
+        result = run(multimodal, sats, _synthetic_stream(multimodal),
+                     horizon_days=60, config=RhConfig(gap=0.0),
+                     registry=registry)
+        assert len(result.steps) == 6
+        assert set(asked.values()) == {campaigns}
+    # both modes, each over every flight duration of the deployed servicer
+    servicer = multimodal.vehicles["mm_versatile"]
+    assert {(kind, q.time_of_flight / 86400.0) for kind, q in asked} == {
+        (mode.kind, q) for mode in servicer.propulsion
+        for q in mode.flight_durations}
+
+
 def test_export_events_on_campaign_clock(campaign, tmp_path):
     stream, result = campaign
     path = tmp_path / "events.json"

@@ -427,6 +427,77 @@ def test_feasibility_jump_off_other_heuristics_at_default(highs_made):
     assert effort == default
 
 
+FALSE_INFEASIBLE = Path(__file__).parent / "false_infeasible.npz"
+
+
+def test_a_false_infeasible_is_run_again_without_presolve(highs_made):
+    # the exact ``lp.milp`` arrays of a feasible planning window (the
+    # high-thrust campaign over the twenty-satellite catalog, demand seed
+    # 4, the window from day 300, under a stay rule that lets a servicer
+    # wait at its customer), which HiGHS 1.12 calls infeasible under the
+    # shipped options and solves with presolve off
+    d = np.load(FALSE_INFEASIBLE)
+    res = lp.milp(*(d[k] for k in ("c", "start", "index", "value",
+                                   "row_lower", "row_upper", "col_lower",
+                                   "col_upper", "integrality")),
+                  float(d["gap"]), offset=float(d["offset"]))
+    first, *again = highs_made
+    assert first.getModelStatus() == lp.highs.HighsModelStatus.kInfeasible, \
+        "the shipped options no longer call the fixture infeasible, so " \
+        "it does not exercise the re-run: capture a window that they do"
+    [rerun] = again
+    for key in lp.HIGHS_OPTIONS:
+        assert rerun.getOptionValue(key) == first.getOptionValue(key)
+    assert first.getOptionValue("presolve")[1] != "off"
+    assert rerun.getOptionValue("presolve")[1] == "off"
+    # the re-run's solution holds every row, bound and integrality
+    assert res.status == 0 and res.x is not None
+    x, ints = res.x, d["integrality"] == 1
+    a = sparse.csc_matrix((d["value"], d["index"], d["start"]),
+                          shape=(len(d["row_lower"]), len(x)))
+    tol = 1e-6
+    assert np.all(a @ x >= d["row_lower"] - tol)
+    assert np.all(a @ x <= d["row_upper"] + tol)
+    assert np.all((x >= d["col_lower"] - tol) & (x <= d["col_upper"] + tol))
+    assert np.abs(x[ints] - np.round(x[ints])).max() <= tol
+    assert res.fun == pytest.approx(d["c"] @ x + float(d["offset"]))
+
+
+@pytest.mark.parametrize("integer, runs", [(True, 2), (False, 1)],
+                         ids=["milp", "lp"])
+def test_a_true_infeasible_stays_infeasible(highs_made, integer, runs):
+    # a MILP that HiGHS calls infeasible runs once more without presolve
+    # and stays infeasible; an LP's verdict is taken as it is
+    m = Model()
+    x = m.add_vars(["x"], [0.0], [1.0], [INTEGER if integer else CONTINUOUS])
+    m.objective[x] = 1.0
+    add_row(m, "c", {x: 1.0}, ">=", 2.0)
+    assert m.solve().status == "infeasible"
+    assert len(highs_made) == runs
+
+
+def test_symmetry_detection_changes_no_micro_result(monkeypatch):
+    # HiGHS finds no symmetry to use in these models: with its detection
+    # on, as by default, each MILP of micro seeds 0-19 gives the same
+    # solution, simplex iterations and nodes as with the shipped options.
+    # A model that gives it symmetry to use fails here before plans change
+    # silently
+    assert lp.HIGHS_OPTIONS["mip_detect_symmetry"] is False
+    models = []
+    for seed in range(20):
+        scenario, _, net, needs, init = micro_instance(seed)
+        models.append(PlanProblem(scenario, net, needs, init,
+                                  SolveOptions(gap=0.0)).model)
+
+    def results():
+        return [(r.status, r.x, r.iterations, r.nodes)
+                for r in (m.solve(gap=0.0) for m in models)]
+    shipped = results()
+    monkeypatch.setitem(lp.HIGHS_OPTIONS, "mip_detect_symmetry", True)
+    assert results() == shipped
+    assert all(r[0] == "optimal" for r in shipped)
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_highs_writes_to_stderr_not_stdout(monkeypatch, capfd, fails):
     # HiGHS can print to file descriptor 1 with its output off; that must

@@ -175,3 +175,56 @@ def test_audit_digest_hashes_each_plan_audit(monkeypatch, capsys):
     monkeypatch.setattr(milp, "audit", lambda problem, values: [
         milp.Violation("wet_mass", "x", 1.0)])
     assert digest() != first
+
+
+def test_replay_repeats_its_counts_on_a_few_oracle_calls(monkeypatch,
+                                                         capsys):
+    # the HiGHS calls of three oracle instances, each replayed under the
+    # ten random seeds: a second run prints the same calls, iterations and
+    # tie counts, and HiGHS's options and ``lp.milp`` are restored
+    tool = _load_tool(monkeypatch)
+    wl, lp = tool.workloads, tool.lp
+    monkeypatch.setitem(wl.WORKLOADS, "oracle_micro50",
+                        dict(wl.WORKLOADS["oracle_micro50"], instances=3))
+    options, highs_milp = dict(lp.HIGHS_OPTIONS), lp.milp
+    reports = []
+    for _ in range(2):
+        assert tool.main(["--replay", "--workload", "oracle_micro50"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["random_seeds"] == list(range(10))
+        reports.append(out["workloads"]["oracle_micro50"])
+    assert lp.HIGHS_OPTIONS == options and lp.milp is highs_milp
+    first, second = reports
+    assert first["milps"] == 3 <= first["calls"]
+    assert {k: first[k] for k in ("calls", "milps", "iterations", "ties")} \
+        == {k: second[k] for k in ("calls", "milps", "iterations", "ties")}
+    seconds = first["highs_s"]
+    assert 0.0 < seconds["min"] <= seconds["median"] <= seconds["max"]
+
+
+def test_replay_counts_the_milps_whose_decisions_move(monkeypatch):
+    # a stand-in for HiGHS whose answer depends on the random seed: only
+    # the MILP whose integer columns move counts as a tie, not one whose
+    # continuous column moves, nor one whose zero changes its sign, nor an
+    # LP; the iterations are summed per seed
+    tool = _load_tool(monkeypatch)
+    lp = tool.lp
+
+    def fake(*args, case):
+        seed = lp.HIGHS_OPTIONS["random_seed"]
+        x = {"tie": [seed % 2, 1 - seed % 2, 0.5],
+             "continuous": [1.0, 0.0, seed / 10],
+             "signed zero": [-0.0 if seed % 2 else 0.0, 1.0, 0.0],
+             "lp": [seed, 0.0, 0.0]}[case]
+        return lp.HighsResult(0, "Optimal", x=np.array(x, dtype=float),
+                              simplex_iteration_count=seed)
+    monkeypatch.setattr(lp, "milp", fake)
+    calls = [((None,) * 8 + (np.array(kinds),), {"case": case})
+             for case, kinds in (("tie", [1, 1, 0]),
+                                 ("continuous", [1, 1, 0]),
+                                 ("signed zero", [1, 1, 0]),
+                                 ("lp", [0, 0, 0]))]
+    report = tool.replay(calls)
+    assert "random_seed" not in lp.HIGHS_OPTIONS
+    assert (report["calls"], report["milps"], report["ties"]) == (4, 3, 1)
+    assert report["iterations"] == {"median": 18.0, "min": 0, "max": 36}

@@ -62,6 +62,21 @@ def test_time_grid_validation():
         build_time_grid(10, (2,), 5)
 
 
+@pytest.mark.parametrize("period, offsets", [
+    (10.5, (2, 4)), (10, (2, 4.5)), (10.5, (2, 4.5)), (0, ()), (-10, ())],
+    ids=["period", "offset", "both", "zero-period", "negative-period"])
+def test_time_grid_needs_a_positive_whole_period_and_whole_offsets(
+        period, offsets):
+    # a fractional period made steps that its lattice does not hold:
+    # (10.5, (2, 4.5)) gave 0, 2, 4, 10.5, ... with ``period`` 10; a period
+    # of 0 never ended the step loop
+    with pytest.raises(NetworkError):
+        build_time_grid(period, offsets, 40)
+    # whole floats are whole days
+    assert build_time_grid(10.0, (2.0, 4.0), 40) == build_time_grid(
+        10, (2, 4), 40)
+
+
 def test_phase_angles():
     assert phase_angle(30.0, 10.0) == pytest.approx(math.radians(20.0))
     assert phase_angle(10.0, 30.0) == pytest.approx(math.radians(340.0))

@@ -2,6 +2,7 @@
 
     python3 tools/model_digest.py                      # all four workloads
     python3 tools/model_digest.py --workload plan_mm20 --seed 0
+    python3 tools/model_digest.py --replay             # HiGHS's path spread
 
 Runs each workload of ``benchmarks/workloads.py`` once at ``--seed`` and
 prints one JSON object: per workload, the number of solves, three digests,
@@ -27,6 +28,19 @@ that changes models but claims to keep every optimum must print the same
 ``objectives`` and fingerprints. A workload that fails its own checks has
 its problems printed to stderr, and the exit status is then 1.
 Every function the tool wraps is restored when ``main`` returns.
+
+``--replay`` prints another object instead. It captures the arguments of
+every ``lp.milp`` call of one run of each workload at ``--seed``, then hands
+each captured call to HiGHS again under each ``random_seed`` of
+``REPLAY_SEEDS``, set only for those replays. Per workload it gives the
+number of calls and of MILPs among them; the median, least and greatest
+over the seeds of HiGHS's summed time (seconds around each ``lp.milp``
+call, which the machine's load moves) and of its summed simplex iterations;
+and ``ties``, the number of MILPs whose integer decisions are not the same
+under every seed. Seed 0 is HiGHS's default, the path a workload takes. A
+model change that moves HiGHS onto another path moves its time within this
+spread, so a claim from a model change reports both sides' replays; the
+iterations and tie counts repeat from run to run.
 """
 
 from __future__ import annotations
@@ -35,8 +49,10 @@ import argparse
 import contextlib
 import hashlib
 import json
+import statistics
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -148,6 +164,69 @@ def install(model_hashes: list[str], highs_hashes: list[str],
     milp.PlanProblem.solve = logged_plan
 
 
+REPLAY_SEEDS = range(10)         # HiGHS's ``random_seed`` in the replays
+
+
+def capture_calls(name: str, seed: int, workdir: Path) -> list:
+    """The (args, kwargs) of every ``lp.milp`` call, in call order, of one
+    run of workload ``name`` at ``seed`` in ``workdir``."""
+    calls = []
+    highs_milp = lp.milp
+
+    def captured(*args, **kwargs):
+        calls.append((args, kwargs))
+        return highs_milp(*args, **kwargs)
+    lp.milp = captured
+    try:
+        (workdir / "out").mkdir(parents=True)
+        # the program's own output would corrupt the JSON on stdout
+        with contextlib.redirect_stdout(sys.stderr):
+            inputs = workloads.setup(name, seed, workdir)
+            workloads.run_rep(name, inputs, workdir / "out")
+    finally:
+        lp.milp = highs_milp
+    return calls
+
+
+def _spread(values: list) -> dict:
+    return {"median": statistics.median(values), "min": min(values),
+            "max": max(values)}
+
+
+def replay(calls: list, seeds=REPLAY_SEEDS) -> dict:
+    """HiGHS's summed time and simplex iterations over ``calls`` under each
+    of ``seeds`` as its ``random_seed``, and how many MILPs among them
+    change their integer decisions across the seeds (``ties``)."""
+    # integrality is ``lp.milp``'s ninth argument
+    ints = [np.asarray(args[8]) == 1 for args, _ in calls]
+    decisions = [set() for _ in calls]
+    seconds, iterations = [], []
+    options = dict(lp.HIGHS_OPTIONS)
+    try:
+        for seed in seeds:
+            lp.HIGHS_OPTIONS["random_seed"] = seed
+            spent = iters = 0
+            for (args, kwargs), mask, seen in zip(calls, ints, decisions):
+                began = time.perf_counter()
+                res = lp.milp(*args, **kwargs)
+                spent += time.perf_counter() - began
+                iters += res.simplex_iteration_count or 0
+                # as integers, so that -0.0 and 0.0 are one decision
+                seen.add(None if res.x is None else
+                         np.rint(res.x[mask]).astype(np.int64).tobytes())
+            seconds.append(spent)
+            iterations.append(iters)
+    finally:
+        lp.HIGHS_OPTIONS.clear()
+        lp.HIGHS_OPTIONS.update(options)
+    return {"calls": len(calls), "milps": sum(bool(m.any()) for m in ints),
+            "highs_s": {k: round(v, 4) for k, v in _spread(seconds).items()},
+            "iterations": _spread(iterations),
+            "ties": sum(len(seen) > 1
+                        for mask, seen in zip(ints, decisions)
+                        if mask.any())}
+
+
 def _digest(hashes: list[str]) -> str:
     return hashlib.sha256("\n".join(hashes).encode()).hexdigest()
 
@@ -159,7 +238,20 @@ def main(argv=None) -> int:
                    help="repeatable; default every workload")
     p.add_argument("--seed", type=int, default=0,
                    help="input seed; 0 gives the reference inputs")
+    p.add_argument("--replay", action="store_true",
+                   help="replay each workload's HiGHS calls under HiGHS's "
+                        "random seeds 0-9 instead of printing digests")
     args = p.parse_args(argv)
+    if args.replay:
+        report = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in args.workload or workloads.WORKLOADS:
+                report[name] = replay(capture_calls(name, args.seed,
+                                                    Path(tmp) / name))
+        print(json.dumps({"seed": args.seed,
+                          "random_seeds": list(REPLAY_SEEDS),
+                          "workloads": report}, indent=1))
+        return 0
 
     originals = (lp.Model.solve, lp.milp, milp.PlanProblem.solve)
     try:
